@@ -49,7 +49,6 @@ from .orbits import (
     grand_orbit,
 )
 from .abel import (
-    AbelApproximation,
     HalfPlaneMap,
     MobiusFit,
     abel_residual,

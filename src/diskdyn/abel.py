@@ -110,31 +110,6 @@ def baker_pommerenke_h(hpmap: HalfPlaneMap, z: complex, n: int) -> complex:
     return (hpmap.iterate(z, n) - zn) / dz
 
 
-@dataclass(frozen=True)
-class AbelApproximation:
-    """Evaluable normalized iterate with a convergence diagnostic."""
-
-    kind: str
-    index: int
-    hpmap: HalfPlaneMap
-    diagnostic: float | None = None
-
-    def __call__(self, w: complex) -> complex:
-        if self.kind == "pommerenke_g":
-            return pommerenke_g(self.hpmap, w, self.index)
-        return baker_pommerenke_h(self.hpmap, w, self.index)
-
-
-def abel_approximation(hpmap: HalfPlaneMap, kind: str, n: int, probes=None) -> AbelApproximation:
-    if kind not in ("pommerenke_g", "baker_pommerenke_h"):
-        raise ValueError(f"unknown approximation kind {kind!r}")
-    diag = None
-    if probes:
-        fn = pommerenke_g if kind == "pommerenke_g" else baker_pommerenke_h
-        diag = max(abs(fn(hpmap, w, n) - fn(hpmap, w, n - 1)) for w in probes)
-    return AbelApproximation(kind=kind, index=n, hpmap=hpmap, diagnostic=diag)
-
-
 def abel_residual(h_eval, mapping, probes) -> float:
     """max over probes of |h(phi(z)) - h(z) - 1|.
 

@@ -56,11 +56,11 @@ class CriterionResult:
 
 
 def _result(index, name, passed, detail, t0):
-    return CriterionResult(index, name, bool(passed), detail, time.time() - t0)
+    return CriterionResult(index, name, bool(passed), detail, time.perf_counter() - t0)
 
 
 def criterion_1_classify_hyperbolic(tol):
-    t0 = time.time()
+    t0 = time.perf_counter()
     cls = dynamics.classify(presets.example61(0.6))
     ok = (
         cls.kind == dynamics.HYPERBOLIC
@@ -75,7 +75,7 @@ def criterion_1_classify_hyperbolic(tol):
 
 
 def criterion_2_classify_parabolic(tol):
-    t0 = time.time()
+    t0 = time.perf_counter()
     cls = dynamics.classify(presets.example62())
     ok = (
         cls.kind == dynamics.PARABOLIC
@@ -90,7 +90,7 @@ def _parabolic_closed_form(x: float) -> float:
 
 
 def criterion_3_step_closed_form(tol):
-    t0 = time.time()
+    t0 = time.perf_counter()
     f = presets.example62()
     z = 0.0 + 0.0j
     worst = 0.0
@@ -105,7 +105,7 @@ def criterion_3_step_closed_form(tol):
 
 
 def criterion_4_step_verdicts(tol):
-    t0 = time.time()
+    t0 = time.perf_counter()
     r62 = dynamics.hyperbolic_step(presets.example62(), 0.0, 10000)
     r61 = dynamics.hyperbolic_step(presets.example61(0.6), 0.0, 10000)
     rtr = dynamics.hyperbolic_step(presets.translation(), 0.0, 10000)
@@ -126,7 +126,7 @@ def criterion_4_step_verdicts(tol):
 
 
 def criterion_5_grand_orbit(tol):
-    t0 = time.time()
+    t0 = time.perf_counter()
     f = presets.example61(0.5)
     tr = orbits.grand_orbit(f, 0.0, forward_n=12, backward_depth=6)
     pts = tr.points()
@@ -167,7 +167,7 @@ def criterion_5_grand_orbit(tol):
 
 
 def criterion_6_eigenpair(tol):
-    t0 = time.time()
+    t0 = time.perf_counter()
     f = presets.example61(0.5)
     samples = eigen.ring_samples(0.4, 16)
     residuals = []
@@ -196,7 +196,7 @@ def criterion_6_eigenpair(tol):
 
 
 def criterion_7_u_theta(tol):
-    t0 = time.time()
+    t0 = time.perf_counter()
     t = presets.translation()
     handle = eigen.translation_abel_disk
     rng = np.random.default_rng(20240817)
@@ -218,7 +218,7 @@ def criterion_7_u_theta(tol):
 
 
 def criterion_8_baker_pommerenke(tol):
-    t0 = time.time()
+    t0 = time.perf_counter()
     hm = abel.HalfPlaneMap(presets.example62())
     probes = [1.0 + 0.5 * cmath.exp(2j * math.pi * k / 10) for k in range(10)]
     res = {}
@@ -243,7 +243,7 @@ def criterion_8_baker_pommerenke(tol):
 
 
 def criterion_9_orbit_merging(tol):
-    t0 = time.time()
+    t0 = time.perf_counter()
     seq = dynamics.orbit_merging(presets.example62(), 0.0, 0.5j, n_max=100000)
     nonincreasing = bool(np.all(np.diff(seq) <= 1e-12))
     below = float(seq.min()) < tol["merging_threshold"]
@@ -269,7 +269,7 @@ def _random_disk_point(rng, radius=0.95):
 
 
 def criterion_10_property_suites(tol):
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(987654321)
     failures = []
 
@@ -342,7 +342,7 @@ def criterion_10_property_suites(tol):
 
 
 def criterion_11_julia_containment(tol):
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = dynamics.julia_containment_check(presets.example61(0.5), 1.0,
                                            samples=1000, seed=0)
     ok = rep.max_ratio <= 1.0 + tol["julia_ratio_slack"]
@@ -354,7 +354,7 @@ def criterion_11_julia_containment(tol):
 
 
 def criterion_12_nevanlinna(tol):
-    t0 = time.time()
+    t0 = time.perf_counter()
     f = presets.example61(0.5)
     point_val = counting.nevanlinna(f, 0.25).value
     point_ok = abs(point_val - 1.2) < tol["nevanlinna_point"]

@@ -233,32 +233,6 @@ def frostman_shift(u, a: complex):
     return shifted
 
 
-@dataclass(frozen=True)
-class FrostmanShiftReport:
-    shift_point: complex
-    base_residual: float
-    shifted_residual: float
-    bound: float
-    passed: bool
-
-
-def frostman_shift_report(u, a: complex, f, samples) -> FrostmanShiftReport:
-    """Measure invariance before and after the shift against the stated bound."""
-    a = complex(a)
-    base = eigen_residual(u, f, 1.0, samples)
-    shifted = frostman_shift(u, a)
-    after = eigen_residual(shifted, f, 1.0, samples)
-    sup_derivative = (1.0 + abs(a)) / (1.0 - abs(a)) if a != 0 else 1.0
-    bound = base * sup_derivative
-    return FrostmanShiftReport(
-        shift_point=a,
-        base_residual=base,
-        shifted_residual=after,
-        bound=bound,
-        passed=after <= bound * (1.0 + 1e-9) + 1e-15,
-    )
-
-
 def eigen_report(depth: int, tau: complex, residual: float, sample_count: int,
                  map_preset: str) -> dict:
     """JSON-ready eigen summary row."""

@@ -7,7 +7,6 @@ keeps 1 - |z|^2 away from catastrophic cancellation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -63,15 +62,6 @@ def mobius_factor(a: complex, z: complex) -> complex:
     if a == 0:
         return z
     return -unit_direction(a) * (z - a) / (1.0 - a.conjugate() * z)
-
-
-def mobius_factor_derivative(a: complex, z: complex) -> complex:
-    """d/dz of mobius_factor(a, z)."""
-    a = ensure_disk_point(a)
-    z = complex(z)
-    if a == 0:
-        return 1.0 + 0.0j
-    return -unit_direction(a) * (1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * z) ** 2
 
 
 def julia_quotient(z: complex, omega: complex) -> float:
@@ -146,7 +136,3 @@ def halfplane_pseudo_hyperbolic(z: complex, w: complex) -> float:
         return 1.0
     return abs(num / den)
 
-
-def unit_circle_points(n: int) -> list[complex]:
-    """n-th roots of unity."""
-    return [cmath.exp(2j * math.pi * k / n) for k in range(n)]

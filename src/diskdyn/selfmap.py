@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -38,7 +39,9 @@ class RootFindingError(RuntimeError):
 
 
 def _normalize_zeros(zeros) -> tuple[tuple[complex, int], ...]:
-    out: list[tuple[complex, int]] = []
+    """Validated (zero, multiplicity) pairs; exactly equal zeros are merged
+    into their first occurrence, keeping first-occurrence order."""
+    merged: dict[complex, int] = {}
     for entry in zeros:
         if isinstance(entry, tuple):
             a, mult = entry
@@ -48,18 +51,32 @@ def _normalize_zeros(zeros) -> tuple[tuple[complex, int], ...]:
         mult = int(mult)
         if mult < 1:
             raise ValueError(f"zero multiplicity must be >= 1, got {mult}")
-        out.append((a, mult))
-    if not out:
+        merged[a] = merged.get(a, 0) + mult
+    if not merged:
         raise ValueError("a finite Blaschke product needs at least one zero")
-    return tuple(out)
+    return tuple(merged.items())
 
 
 class FiniteBlaschkeProduct:
-    """gamma * prod over zeros (a, mult) of mobius_factor(a, .)^mult."""
+    """gamma * prod over zeros (a, mult) of mobius_factor(a, .)^mult.
+
+    Repeated entries of one zero are merged, so every spelling of a map has
+    the same ``zeros``.  ``factors`` holds (a, conj(a), -a/|a|, mult) per zero
+    (direction 1 at the origin), computed once and read by every consumer.
+    """
 
     def __init__(self, gamma: complex = 1.0, zeros=((0.0, 1),), hp_exact=None):
         self.gamma = ensure_unimodular(gamma)
         self.zeros = _normalize_zeros(zeros)
+        self.factors = tuple(
+            (a, a.conjugate(), 1.0 if a == 0 else -unit_direction(a), mult)
+            for a, mult in self.zeros
+        )
+        # products with many zeros are evaluated as numpy arrays
+        self._arrays = None
+        if len(self.zeros) > 32:
+            a, ac, u, m = (np.array(col) for col in zip(*self.factors))
+            self._arrays = (a == 0, a, ac, u, m)
         # optional exact right-half-plane form (used by presets that are
         # defined natively in half-plane coordinates)
         self.hp_exact = hp_exact
@@ -74,25 +91,29 @@ class FiniteBlaschkeProduct:
     def __repr__(self):
         return f"FiniteBlaschkeProduct(gamma={self.gamma!r}, zeros={self.zeros!r})"
 
-    def numerator_denominator(self) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients (low to high) of N, D with f = gamma * N / D.
 
         Each nonzero zero a contributes numerator -(a/|a|)(z - a) and
         denominator (1 - conj(a) z); a zero at the origin contributes z.
+        Built on first use: most products are only ever evaluated.
         """
         num = np.array([1.0 + 0.0j])
         den = np.array([1.0 + 0.0j])
-        for a, mult in self.zeros:
+        for a, ac, u, mult in self.factors:
             if a == 0:
                 fac_n = np.array([0.0, 1.0 + 0.0j])
                 fac_d = np.array([1.0 + 0.0j])
             else:
-                u = -unit_direction(a)
                 fac_n = np.array([-u * a, u])
-                fac_d = np.array([1.0 + 0.0j, -a.conjugate()])
+                fac_d = np.array([1.0 + 0.0j, -ac])
             for _ in range(mult):
                 num = npp.polymul(num, fac_n)
                 den = npp.polymul(den, fac_d)
+        # every caller shares these arrays
+        num.flags.writeable = False
+        den.flags.writeable = False
         return num, den
 
 
@@ -132,28 +153,17 @@ def degree(f) -> int | None:
     return None
 
 
-def _zero_arrays(f: FiniteBlaschkeProduct):
-    arrs = getattr(f, "_zero_arrays", None)
-    if arrs is None:
-        a = np.array([z for z, _ in f.zeros])
-        m = np.array([mult for _, mult in f.zeros])
-        u = np.array([1.0 if z == 0 else -unit_direction(z) for z, _ in f.zeros])
-        arrs = (a, m, u)
-        f._zero_arrays = arrs
-    return arrs
-
-
 def _eval_fbp(f: FiniteBlaschkeProduct, z: complex) -> complex:
-    if len(f.zeros) > 32:
-        a, m, u = _zero_arrays(f)
-        factors = np.where(a == 0, z, u * (z - a) / (1.0 - np.conj(a) * z))
+    if f._arrays is not None:
+        origin, a, ac, u, m = f._arrays
+        factors = np.where(origin, z, u * (z - a) / (1.0 - ac * z))
         return complex(f.gamma * np.prod(factors ** m))
     val = f.gamma
-    for a, mult in f.zeros:
+    for a, ac, u, mult in f.factors:
         if a == 0:
             fac = z
         else:
-            fac = -unit_direction(a) * (z - a) / (1.0 - a.conjugate() * z)
+            fac = u * (z - a) / (1.0 - ac * z)
         val *= fac ** mult if mult > 1 else fac
     return val
 
@@ -163,27 +173,24 @@ def evaluate(f, z: complex) -> complex:
     z = complex(z)
     if abs(z) > 1.0 + 1e-12:
         raise ValueError(f"evaluation point {z!r} is outside the closed disk")
-    if isinstance(f, FiniteBlaschkeProduct):
-        return _eval_fbp(f, z)
-    if isinstance(f, CompositeMap):
-        for stage in f.stages:
-            z = _eval_fbp(stage, z)
-        return z
-    return complex(f(z))
+    if not isinstance(f, (FiniteBlaschkeProduct, CompositeMap)):
+        return complex(f(z))
+    for stage in _stages(f):
+        z = _eval_fbp(stage, z)
+    return z
 
 
 def _jet_fbp(f: FiniteBlaschkeProduct, z: complex) -> tuple[complex, complex, complex]:
     """(f, f', f'') of a single product at z, assembled factor by factor."""
     v, d1, d2 = f.gamma, 0.0 + 0.0j, 0.0 + 0.0j
-    for a, mult in f.zeros:
+    for a, ac, u, mult in f.factors:
         if a == 0:
             fv, fd1, fd2 = z, 1.0 + 0.0j, 0.0 + 0.0j
         else:
-            u = -unit_direction(a)
-            den = 1.0 - a.conjugate() * z
+            den = 1.0 - ac * z
             fv = u * (z - a) / den
             fd1 = u * (1.0 - abs(a) ** 2) / den ** 2
-            fd2 = 2.0 * a.conjugate() * fd1 / den
+            fd2 = 2.0 * ac * fd1 / den
         for _ in range(mult):
             v, d1, d2 = (
                 v * fv,
@@ -329,10 +336,10 @@ def _merge_pseudo_hyperbolic(cands: list[tuple[complex, int]]) -> list[tuple[com
 def _preimages_fbp(f: FiniteBlaschkeProduct, w: complex) -> list[tuple[complex, int]]:
     w = ensure_disk_point(w)
     if w == 0:
-        # the zero multiset is the exact fiber over 0
-        return list(f.zeros)
-    num, den = f.numerator_denominator()
-    poly = npp.polysub(f.gamma * num, w * np.pad(den, (0, len(num) - len(den))))
+        # the (merged) zero multiset is the exact fiber over 0
+        return sorted(f.zeros, key=lambda t: (t[0].real, t[0].imag))
+    num, den = f.coefficients
+    poly = npp.polysub(f.gamma * num, w * den)
     roots = npp.polyroots(poly)
 
     cands: list[tuple[complex, int]] = []
@@ -378,7 +385,8 @@ def preimages(f, w: complex) -> list[tuple[complex, int]]:
     """All solutions of f(z) = w in the disk, with multiplicities.
 
     Composites are back-solved stage by stage, which keeps the polynomial
-    degrees equal to the stage degrees.  Returns pairs sorted by (re, im).
+    degrees equal to the stage degrees.  Returns pairs sorted by (re, im);
+    the fiber of a product over 0 is its merged zero list in that order.
     """
     if isinstance(f, FiniteBlaschkeProduct):
         return _preimages_fbp(f, w)
@@ -416,7 +424,7 @@ def critical_points(f) -> list[tuple[complex, int]]:
     f = stages[0]
     if f.degree == 1:
         return []
-    num, den = f.numerator_denominator()
+    num, den = f.coefficients
     dnum = npp.polysub(npp.polymul(npp.polyder(num), den), npp.polymul(num, npp.polyder(den)))
     roots = npp.polyroots(dnum)
     cands: list[tuple[complex, int]] = []
@@ -535,7 +543,7 @@ class HalfPlaneConjugate:
         stages = _stages(f)
         built = []
         for idx, stage in enumerate(stages):
-            num, den = stage.numerator_denominator()
+            num, den = stage.coefficients
             d = stage.degree
             in_rot = self.omega if idx == 0 else 1.0
             tn = _transport_poly(num, in_rot, d) * stage.gamma
@@ -548,26 +556,24 @@ class HalfPlaneConjugate:
             if abs(b[-1]) < 1e-9 * np.max(np.abs(b)):
                 b = b.copy()
                 b[-1] = 0.0
-            built.append((a, b))
+            # pad to one length; keep (a_k, b_k) pairs as numpy scalars,
+            # highest degree first for w and lowest first for 1/w
+            n = max(len(a), len(b))
+            a = np.pad(a, (0, n - len(a)))
+            b = np.pad(b, (0, n - len(b)))
+            built.append((tuple(zip(a[::-1], b[::-1])), tuple(zip(a, b))))
         self._stages = built
 
     def apply(self, w: complex) -> complex:
         if self._exact is not None:
             return self._exact(w)
-        # per-stage Cayley transports telescope, so stages chain directly
-        for a, b in self._stages:
-            w = self._eval_rational(a, b, w)
+        # per-stage Cayley transports telescope, so stages chain directly;
+        # each stage is a Horner step in w, or in 1/w once |w| > 1
+        for in_w, in_inverse in self._stages:
+            x, coeffs = (w, in_w) if abs(w) <= 1.0 else (1.0 / w, in_inverse)
+            p, q = coeffs[0]
+            for ca, cb in coeffs[1:]:
+                p = ca + p * x
+                q = cb + q * x
+            w = p / q
         return w
-
-    @staticmethod
-    def _eval_rational(a: np.ndarray, b: np.ndarray, w: complex) -> complex:
-        n = max(len(a), len(b))
-        a = np.pad(a, (0, n - len(a)))
-        b = np.pad(b, (0, n - len(b)))
-        if abs(w) <= 1.0:
-            return npp.polyval(w, a) / npp.polyval(w, b)
-        v = 1.0 / w
-        return npp.polyval(v, a[::-1]) / npp.polyval(v, b[::-1])
-
-    def orbit_step(self, w: complex) -> complex:
-        return self.apply(w)

@@ -116,14 +116,6 @@ class TestBakerPommerenkeH:
         with pytest.raises(ArithmeticError, match="stationary"):
             abel.baker_pommerenke_h(Stationary(), 1.5, 10)
 
-    def test_approximation_wrapper_diagnostic(self, parabolic_map):
-        approx = abel.abel_approximation(parabolic_map, "baker_pommerenke_h",
-                                         100, probes=PROBE_RING[:4])
-        assert approx.diagnostic is not None and approx.diagnostic > 0
-        assert approx(1.0) == 0.0
-        with pytest.raises(ValueError):
-            abel.abel_approximation(parabolic_map, "bogus", 10)
-
 
 class TestAbelResidual:
     def test_exact_unit_translation(self):

@@ -221,6 +221,20 @@ class TestDeterminism:
         b = read_summary(tmp_path / "r2")["result"]
         assert a == b
 
+    def test_paper_suite_files_ignore_wall_time(self, tmp_path, monkeypatch):
+        from diskdyn.acceptance import CriterionResult
+
+        out = tmp_path / "o"
+        written = []
+        for elapsed in (0.25, 7.5):
+            results = [CriterionResult(1, "first", True, "ok", elapsed),
+                       CriterionResult(2, "second", True, "fine", 2 * elapsed)]
+            monkeypatch.setattr(cli.acceptance, "run_all", lambda r=results: r)
+            assert cli.main(["paper-suite", "--out-dir", str(out)]) == 0
+            written.append(((out / "paper_suite.csv").read_bytes(),
+                            (out / "summary.json").read_bytes()))
+        assert written[0] == written[1]
+
     def test_embedded_config_reproduces_run(self, tmp_path):
         cli.main(["grand-orbit", "--preset", "example61", "--alpha", "0.5",
                   "--depth", "4", "--out-dir", str(tmp_path / "r1")])

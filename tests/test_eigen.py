@@ -187,9 +187,11 @@ class TestFrostmanShift:
     def test_full_turn_eigenfunction_report(self):
         t = presets.translation()
         u = eigen.SingularEigenfunction(2 * math.pi, eigen.translation_abel_disk)
-        rep = eigen.frostman_shift_report(u, 0.3 + 0.2j, t, SAMPLES)
-        assert rep.passed
-        assert rep.shifted_residual <= rep.bound + 1e-15
+        a = 0.3 + 0.2j
+        base = eigen.eigen_residual(u, t, 1.0, SAMPLES)
+        shifted = eigen.eigen_residual(eigen.frostman_shift(u, a), t, 1.0, SAMPLES)
+        # the shift is Lipschitz with constant sup |m_a'| = (1 + |a|)/(1 - |a|)
+        assert shifted <= base * (1.0 + abs(a)) / (1.0 - abs(a)) + 1e-15
 
     def test_shift_point_validated(self):
         with pytest.raises(ValueError):

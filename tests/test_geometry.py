@@ -41,14 +41,6 @@ def test_mobius_factor_basics():
     assert g.mobius_factor(0.5, 0) == pytest.approx(0.5, abs=1e-16)
 
 
-def test_mobius_factor_derivative_matches_difference_quotient():
-    a = 0.4 + 0.1j
-    z = -0.2 + 0.3j
-    h = 1e-7
-    num = (g.mobius_factor(a, z + h) - g.mobius_factor(a, z - h)) / (2 * h)
-    assert g.mobius_factor_derivative(a, z) == pytest.approx(num, abs=1e-8)
-
-
 def test_julia_quotient_values():
     assert g.julia_quotient(0, 1) == pytest.approx(1.0, abs=1e-15)
     for t in (0.1, 0.5, -0.3):
@@ -142,8 +134,3 @@ def test_halfplane_distance_validates_domain():
     with pytest.raises(ValueError):
         g.halfplane_pseudo_hyperbolic(-1.0, 2.0)
 
-
-def test_unit_circle_points():
-    pts = g.unit_circle_points(8)
-    assert len(pts) == 8
-    assert all(abs(abs(p) - 1) < 1e-15 for p in pts)

@@ -49,6 +49,33 @@ class TestConstruction:
         assert sm.evaluate(b, 0) == pytest.approx(alpha)
 
 
+class TestCanonicalZeros:
+    def test_split_double_zero_is_the_merged_map(self):
+        split = sm.FiniteBlaschkeProduct(1, [(-0.5, 1), (-0.5, 1)])
+        ref = presets.example61(0.5)
+        assert split.zeros == ref.zeros
+        assert sm.preimages(split, 0) == sm.preimages(ref, 0)
+        for z in (0.0, 0.3 - 0.2j, 1j):
+            assert sm.evaluate(split, z) == sm.evaluate(ref, z)
+
+    def test_split_double_zero_grand_orbit(self):
+        from diskdyn import orbits as ob
+
+        split = sm.FiniteBlaschkeProduct(1, [(-0.5, 1), (-0.5, 1)])
+        a = ob.grand_orbit(split, 0, 4, 3)
+        b = ob.grand_orbit(presets.example61(0.5), 0, 4, 3)
+        assert ob.blaschke_sum(a) == ob.blaschke_sum(b)
+
+    def test_merge_keeps_first_occurrence_order(self):
+        f = sm.FiniteBlaschkeProduct(1, [(0.3, 1), (-0.2j, 1), (0.3, 2)])
+        assert f.zeros == ((0.3 + 0j, 3), (-0.2j, 1))
+        assert f.degree == 4
+
+    def test_fiber_over_zero_is_sorted(self):
+        f = sm.FiniteBlaschkeProduct(1, [(0.3, 1), (-0.2j, 1)])
+        assert sm.preimages(f, 0) == [(-0.2j, 1), (0.3 + 0j, 1)]
+
+
 class TestEvaluate:
     def test_example_family_at_origin(self):
         for alpha in (0.4, 0.5, 0.6):
@@ -74,6 +101,26 @@ class TestEvaluate:
     def test_rejects_points_outside_closed_disk(self):
         with pytest.raises(ValueError):
             sm.evaluate(presets.example62(), 1.1)
+
+    def test_many_zeros_match_factor_product(self):
+        # more than 32 zeros takes the numpy path
+        rng = np.random.default_rng(17)
+        zeros = [(random_disk_point(rng), 1) for _ in range(40)] + [(0.0, 2), (0.25, 3)]
+        gamma = cmath.exp(0.7j)
+        f = sm.FiniteBlaschkeProduct(gamma, zeros)
+        assert len(f.zeros) > 32
+        for z in (0.1 + 0.2j, -0.45 + 0.3j, 0.6j, cmath.exp(1.1j)):
+            expected = gamma * math.prod(g.mobius_factor(a, z) ** m for a, m in zeros)
+            assert abs(sm.evaluate(f, z) - expected) <= 1e-13 * abs(expected)
+
+    def test_one_stage_composite_is_the_bare_product(self):
+        f = sm.FiniteBlaschkeProduct(cmath.exp(0.4j), ((0.3 - 0.1j, 1), (-0.5, 2), (0.0, 1)))
+        c = sm.CompositeMap((f,))
+        for z in (0.0, 0.2 + 0.1j, -0.6j, cmath.exp(2.0j)):
+            assert sm.evaluate(c, z) == sm.evaluate(f, z)
+            assert sm.jet(c, z) == sm.jet(f, z)
+        for w in (0.0, 0.2 + 0.1j, -0.7):
+            assert sm.preimages(c, w) == sm.preimages(f, w)
 
     def test_conjugation_symmetry_for_real_maps(self):
         f = presets.example61(0.5)
