@@ -27,7 +27,7 @@ print("N(0.25) for z^2:          ", nevanlinna(power_map(2), 0.25).value)
 # inside a positive band, which is exactly what blocks compactness of the
 # induced composition action.
 
-radii = dyadic_radii(4, 10, per_octave=2)
+radii = dyadic_radii(4, 10, 13)
 for name, f in [("identity", identity_map()), ("z^2", power_map(2)),
                 ("alpha=1/2 map", phi)]:
     scan = inner_comparability_scan(f, radii)
@@ -41,7 +41,7 @@ for name, f in [("identity", identity_map()), ("z^2", power_map(2)),
 
 ident = identity_map()
 print("\n  r      N(r)        ratio       functional")
-for r, n, ratio, lm in scan_rows(phi, ident, dyadic_radii(2, 9)):
+for r, n, ratio, lm in scan_rows(phi, ident, dyadic_radii(2, 9, 8)):
     print(f"{r:.5f}  {n:.6f}  {ratio:.6f}  {lm:.6f}")
 
 # with Theta = identity the functional equals N itself scaled by 1, dropping

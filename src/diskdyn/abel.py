@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ELLIPTIC_INTERIOR, classify, hyperbolic_step
+from .dynamics import _boundary_class, hyperbolic_step
 from .geometry import cayley_to_rhp, ensure_unimodular
 from .selfmap import HalfPlaneConjugate
 
@@ -32,14 +32,14 @@ class HalfPlaneMap:
     """
 
     def __init__(self, diskmap):
-        cls = classify(diskmap)
-        if cls.kind == ELLIPTIC_INTERIOR:
-            raise ValueError("half-plane transport needs a boundary attracting point")
+        cls = _boundary_class(diskmap, "half-plane transport")
         self.disk_map = diskmap
         self.map_class = cls
         self.omega = ensure_unimodular(cls.dw_point)
         self._conj = HalfPlaneConjugate(diskmap, self.omega)
         self._orbit: list[complex] = [1.0 + 0.0j]
+        # first index of each orbit value, for exact cache reuse in iterate
+        self._orbit_index: dict[complex, int] = {1.0 + 0.0j: 0}
         self._step_verdict: str | None = None
 
     def to_halfplane(self, z_disk: complex) -> complex:
@@ -58,6 +58,7 @@ class HalfPlaneMap:
                     f"transported orbit exceeded the numerical horizon at "
                     f"index {len(self._orbit)}; use smaller n"
                 )
+            self._orbit_index.setdefault(w, len(self._orbit))
             self._orbit.append(w)
         return self._orbit[n]
 
@@ -76,10 +77,9 @@ class HalfPlaneMap:
         if w.real <= 0:
             raise ValueError(f"half-plane point needed, got {w!r}")
         # exact cache reuse keeps the anchor identities exact
-        self.orbit_point(0)
-        for k, cached in enumerate(self._orbit):
-            if w == cached:
-                return self.orbit_point(k + n)
+        k = self._orbit_index.get(w)
+        if k is not None:
+            return self.orbit_point(k + n)
         for _ in range(n):
             w = self.apply(w)
         return w

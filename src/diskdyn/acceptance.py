@@ -1,8 +1,9 @@
 """The full verification suite: every headline behavior with its tolerance.
 
 Each criterion is a function returning a CriterionResult; run_all executes
-them in order and never stops early.  Tolerances live in DEFAULT_TOLERANCES
-so a harness (or a tamper test) can override individual entries.
+them in order, times each, and never stops early.  Tolerances live in
+DEFAULT_TOLERANCES so a harness (or a tamper test) can override individual
+entries.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,15 +53,14 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float
+    elapsed: float = 0.0  # wall seconds, set by run_all
 
 
-def _result(index, name, passed, detail, t0):
-    return CriterionResult(index, name, bool(passed), detail, time.perf_counter() - t0)
+def _result(index, name, passed, detail):
+    return CriterionResult(index, name, bool(passed), detail)
 
 
 def criterion_1_classify_hyperbolic(tol):
-    t0 = time.perf_counter()
     cls = dynamics.classify(presets.example61(0.6))
     ok = (
         cls.kind == dynamics.HYPERBOLIC
@@ -71,18 +71,17 @@ def criterion_1_classify_hyperbolic(tol):
         f"kind={cls.kind} dw={cls.dw_point:.9g} a={cls.angular_derivative:.9g} "
         f"(target hyperbolic, 1, 0.5)"
     )
-    return _result(1, "classification of the alpha=0.6 squared-factor map", ok, detail, t0)
+    return _result(1, "classification of the alpha=0.6 squared-factor map", ok, detail)
 
 
 def criterion_2_classify_parabolic(tol):
-    t0 = time.perf_counter()
     cls = dynamics.classify(presets.example62())
     ok = (
         cls.kind == dynamics.PARABOLIC
         and abs(cls.angular_derivative - 1.0) < tol["boundary_derivative"]
     )
     detail = f"kind={cls.kind} a={cls.angular_derivative:.9g} (target parabolic, 1)"
-    return _result(2, "classification of the alpha=1/3 squared-factor map", ok, detail, t0)
+    return _result(2, "classification of the alpha=1/3 squared-factor map", ok, detail)
 
 
 def _parabolic_closed_form(x: float) -> float:
@@ -90,7 +89,6 @@ def _parabolic_closed_form(x: float) -> float:
 
 
 def criterion_3_step_closed_form(tol):
-    t0 = time.perf_counter()
     f = presets.example62()
     z = 0.0 + 0.0j
     worst = 0.0
@@ -101,11 +99,10 @@ def criterion_3_step_closed_form(tol):
         z = z1
     ok = worst < tol["step_closed_form"]
     return _result(3, "parabolic orbit distances match the closed form", ok,
-                   f"worst |direct - closed| = {worst:.3e} over n <= 100", t0)
+                   f"worst |direct - closed| = {worst:.3e} over n <= 100")
 
 
 def criterion_4_step_verdicts(tol):
-    t0 = time.perf_counter()
     r62 = dynamics.hyperbolic_step(presets.example62(), 0.0, 10000)
     r61 = dynamics.hyperbolic_step(presets.example61(0.6), 0.0, 10000)
     rtr = dynamics.hyperbolic_step(presets.translation(), 0.0, 10000)
@@ -122,11 +119,10 @@ def criterion_4_step_verdicts(tol):
         f"hyperbolic: {r61.verdict} (s={r61.limit_estimate:.6f}); "
         f"translation: {rtr.verdict} spread={spread:.3e}"
     )
-    return _result(4, "step verdicts for the three presets", ok, detail, t0)
+    return _result(4, "step verdicts for the three presets", ok, detail)
 
 
 def criterion_5_grand_orbit(tol):
-    t0 = time.perf_counter()
     f = presets.example61(0.5)
     tr = orbits.grand_orbit(f, 0.0, forward_n=12, backward_depth=6)
     pts = tr.points()
@@ -163,11 +159,10 @@ def criterion_5_grand_orbit(tol):
         f"negatives={all_negative}, gap (0,0.25) clear={interval_clear}, "
         f"horodisk escalation={escalation}"
     )
-    return _result(5, "grand orbit structure at alpha = 1/2", ok, detail, t0)
+    return _result(5, "grand orbit structure at alpha = 1/2", ok, detail)
 
 
 def criterion_6_eigenpair(tol):
-    t0 = time.perf_counter()
     f = presets.example61(0.5)
     samples = eigen.ring_samples(0.4, 16)
     residuals = []
@@ -192,11 +187,10 @@ def criterion_6_eigenpair(tol):
         f"{[f'{r:.2e}' for r in residuals]} decreasing={decreasing}, "
         f"B(0)={b0}, real-axis ok={real_ok}, square residual {sq:.2e}"
     )
-    return _result(6, "truncated eigenfunction approaches the sign-flip pair", ok, detail, t0)
+    return _result(6, "truncated eigenfunction approaches the sign-flip pair", ok, detail)
 
 
 def criterion_7_u_theta(tol):
-    t0 = time.perf_counter()
     t = presets.translation()
     handle = eigen.translation_abel_disk
     rng = np.random.default_rng(20240817)
@@ -214,11 +208,10 @@ def criterion_7_u_theta(tol):
         ok &= res < tol["u_theta_residual"] and bounded
         details.append(f"theta={theta:.4f}: res={res:.1e} bounded={bounded}")
     return _result(7, "exponential eigenfunctions on the translation preset", ok,
-                   "; ".join(details), t0)
+                   "; ".join(details))
 
 
 def criterion_8_baker_pommerenke(tol):
-    t0 = time.perf_counter()
     hm = abel.HalfPlaneMap(presets.example62())
     probes = [1.0 + 0.5 * cmath.exp(2j * math.pi * k / 10) for k in range(10)]
     res = {}
@@ -239,18 +232,17 @@ def criterion_8_baker_pommerenke(tol):
         f"nonincreasing={nonincreasing}, anchor defect={anchors:.1e}"
     )
     return _result(8, "step-normalized linearizer residuals on the parabolic preset",
-                   ok, detail, t0)
+                   ok, detail)
 
 
 def criterion_9_orbit_merging(tol):
-    t0 = time.perf_counter()
     seq = dynamics.orbit_merging(presets.example62(), 0.0, 0.5j, n_max=100000)
     nonincreasing = bool(np.all(np.diff(seq) <= 1e-12))
     below = float(seq.min()) < tol["merging_threshold"]
     first = int(np.argmax(seq < tol["merging_threshold"])) if below else -1
     ok = nonincreasing and below
     return _result(9, "orbit merging for the zero-step preset", ok,
-                   f"nonincreasing={nonincreasing}, below 1e-3 from n={first}", t0)
+                   f"nonincreasing={nonincreasing}, below 1e-3 from n={first}")
 
 
 def _random_blaschke(rng, max_degree=4):
@@ -269,7 +261,6 @@ def _random_disk_point(rng, radius=0.95):
 
 
 def criterion_10_property_suites(tol):
-    t0 = time.perf_counter()
     rng = np.random.default_rng(987654321)
     failures = []
 
@@ -338,11 +329,10 @@ def criterion_10_property_suites(tol):
         f" (contraction {worst_sp:.1e}, back-eval {worst_back:.1e}, "
         f"modulus {worst_mod:.1e}, invariance {worst_mi:.1e})"
     )
-    return _result(10, "randomized property suites", ok, detail, t0)
+    return _result(10, "randomized property suites", ok, detail)
 
 
 def criterion_11_julia_containment(tol):
-    t0 = time.perf_counter()
     rep = dynamics.julia_containment_check(presets.example61(0.5), 1.0,
                                            samples=1000, seed=0)
     ok = rep.max_ratio <= 1.0 + tol["julia_ratio_slack"]
@@ -350,11 +340,10 @@ def criterion_11_julia_containment(tol):
         f"max quotient {rep.max_quotient:.6f} vs bound {rep.bound:.6f} "
         f"(ratio {rep.max_ratio:.9f})"
     )
-    return _result(11, "horodisk containment under the alpha=1/2 map", ok, detail, t0)
+    return _result(11, "horodisk containment under the alpha=1/2 map", ok, detail)
 
 
 def criterion_12_nevanlinna(tol):
-    t0 = time.perf_counter()
     f = presets.example61(0.5)
     point_val = counting.nevanlinna(f, 0.25).value
     point_ok = abs(point_val - 1.2) < tol["nevanlinna_point"]
@@ -370,8 +359,7 @@ def criterion_12_nevanlinna(tol):
     closed_ok = worst < tol["nevanlinna_closed_form"]
 
     lo, hi = tol["comparability_band"]
-    ks = np.linspace(math.log2(10.0), math.log2(1000.0), 25)
-    radii = [1.0 - 2.0 ** (-float(k)) for k in ks]
+    radii = counting.dyadic_radii(math.log2(10.0), math.log2(1000.0), 25)
     scan = counting.inner_comparability_scan(f, radii)
     band_ok = lo <= scan.ratio_min and scan.ratio_max <= hi
 
@@ -380,7 +368,7 @@ def criterion_12_nevanlinna(tol):
         f"N(1/4)={point_val!r}, closed-form worst={worst:.2e}, "
         f"band=[{scan.ratio_min:.4f},{scan.ratio_max:.4f}] in [{lo},{hi}]={band_ok}"
     )
-    return _result(12, "preimage counting values and comparability band", ok, detail, t0)
+    return _result(12, "preimage counting values and comparability band", ok, detail)
 
 
 CRITERIA = [
@@ -406,4 +394,9 @@ def run_all(tolerances: dict | None = None) -> list[CriterionResult]:
         if unknown:
             raise ValueError(f"unknown tolerance overrides: {sorted(unknown)}")
         tol.update(tolerances)
-    return [c(tol) for c in CRITERIA]
+    results = []
+    for criterion in CRITERIA:
+        t0 = time.perf_counter()
+        result = criterion(tol)
+        results.append(replace(result, elapsed=time.perf_counter() - t0))
+    return results

@@ -19,8 +19,6 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import abel, acceptance, counting, dynamics, eigen, orbits, presets, selfmap
 from .selfmap import RootFindingError
 
@@ -220,8 +218,8 @@ def _run_abel(cfg: ExperimentConfig):
 def _run_nevanlinna(cfg: ExperimentConfig):
     f = cfg.resolve_map()
     ident = selfmap.identity_map()
-    ks = np.linspace(math.log2(10.0), math.log2(1000.0), max(2, cfg.samples // 40))
-    radii = [1.0 - 2.0 ** (-float(k)) for k in ks]
+    radii = counting.dyadic_radii(math.log2(10.0), math.log2(1000.0),
+                                  max(2, cfg.samples // 40))
     rows = counting.scan_rows(f, ident, radii)
     scan = counting.inner_comparability_scan(f, radii)
     summary = {

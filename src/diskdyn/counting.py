@@ -74,9 +74,9 @@ def inner_comparability_scan(f, radii) -> ComparabilityScan:
     )
 
 
-def dyadic_radii(k_min: int, k_max: int, per_octave: int = 1) -> list[float]:
-    """Radii 1 - 2^-k on a logarithmic grid in 1 - r."""
-    ks = np.linspace(k_min, k_max, (k_max - k_min) * per_octave + 1)
+def dyadic_radii(k_min: float, k_max: float, count: int) -> list[float]:
+    """count radii 1 - 2^-k, k evenly spaced over [k_min, k_max]."""
+    ks = np.linspace(k_min, k_max, count)
     return [1.0 - 2.0 ** (-float(k)) for k in ks]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ from .geometry import (
     pseudo_hyperbolic,
 )
 from .selfmap import (
+    CompositeMap,
+    FiniteBlaschkeProduct,
     HalfPlaneConjugate,
     angular_derivative,
     degree,
@@ -222,9 +225,28 @@ def _classify_mobius(f, tol: float) -> MapClass:
     raise last_error
 
 
+# default-tolerance verdicts of the (never mutated) Blaschke-type map
+# objects still alive; keyed by the object, so nothing outlives its map
+_CLASSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def classify(f) -> MapClass:
-    """Classification with default tolerances."""
-    return denjoy_wolff(f)
+    """Classification with default tolerances, computed once per Blaschke-type
+    map object; plain callables are classified on every call."""
+    if not isinstance(f, (FiniteBlaschkeProduct, CompositeMap)):
+        return denjoy_wolff(f)
+    cls = _CLASSES.get(f)
+    if cls is None:
+        cls = _CLASSES[f] = denjoy_wolff(f)
+    return cls
+
+
+def _boundary_class(f, purpose: str) -> MapClass:
+    """classify(f), refusing maps whose attracting point is interior."""
+    cls = classify(f)
+    if cls.kind == ELLIPTIC_INTERIOR:
+        raise ValueError(f"{purpose} needs a boundary attracting point")
+    return cls
 
 
 def _orbit_rho_sequence(f, points, n_max, omega):
@@ -284,10 +306,7 @@ def hyperbolic_step(f, z0: complex = 0.0, n_max: int = 10000) -> StepReport:
     stalled tail (ratio > 0.99); otherwise inconclusive.
     """
     z0 = ensure_disk_point(z0)
-    cls = denjoy_wolff(f)
-    if cls.kind == ELLIPTIC_INTERIOR:
-        raise ValueError("hyperbolic step is defined for non-elliptic maps only")
-    omega = ensure_unimodular(cls.dw_point)
+    omega = ensure_unimodular(_boundary_class(f, "hyperbolic step").dw_point)
 
     vals, frozen_at, last_w = _orbit_rho_sequence(f, [z0], n_max, omega)
     s_end = vals[n_max]
@@ -319,10 +338,8 @@ def orbit_merging(f, z0: complex, w0: complex, n_max: int = 10000) -> np.ndarray
     """Sequence rho(orbit of z0, orbit of w0) for n = 0..n_max."""
     z0 = ensure_disk_point(z0)
     w0 = ensure_disk_point(w0)
-    cls = denjoy_wolff(f)
-    if cls.kind == ELLIPTIC_INTERIOR:
-        raise ValueError("orbit merging is studied for non-elliptic maps only")
-    vals, _, _ = _orbit_rho_sequence(f, [z0, w0], n_max, ensure_unimodular(cls.dw_point))
+    omega = ensure_unimodular(_boundary_class(f, "orbit merging").dw_point)
+    vals, _, _ = _orbit_rho_sequence(f, [z0, w0], n_max, omega)
     return vals
 
 
@@ -351,9 +368,7 @@ def julia_containment_check(f, M: float, samples: int = 1000, seed: int = 0) -> 
         # every boundary point gives exact quotient preservation
         omega, a = 1.0 + 0.0j, 1.0
     else:
-        cls = denjoy_wolff(f)
-        if cls.kind == ELLIPTIC_INTERIOR:
-            raise ValueError("containment check needs a boundary attracting point")
+        cls = _boundary_class(f, "containment check")
         omega = ensure_unimodular(cls.dw_point)
         a = float(cls.angular_derivative)
 

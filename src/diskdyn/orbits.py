@@ -10,17 +10,11 @@ of the iterate that maps it onto the forward orbit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dynamics import ELLIPTIC_INTERIOR, classify
-from .geometry import ensure_disk_point, pseudo_hyperbolic
+from .dynamics import _boundary_class
+from .geometry import PointIndex, ensure_disk_point, same_point
 from .selfmap import RootFindingError, degree, evaluate, preimages, critical_points
-
-# pseudo-hyperbolic separation below which two nodes are the same point
-NODE_DEDUP_TOL = 1e-8
 
 DEFAULT_NODE_CAP = 20000
 
@@ -46,34 +40,6 @@ class GrandOrbitTruncation:
         return [n.point for n in self.nodes]
 
 
-class _DedupIndex:
-    """Spatial hash supporting pseudo-hyperbolic duplicate queries.
-
-    Cell size 1e-6 Euclidean: any pair within pseudo-hyperbolic 1e-8 is
-    within Euclidean 2e-8, hence in the same or an adjacent cell.
-    """
-
-    CELL = 1e-6
-
-    def __init__(self):
-        self._cells: dict[tuple[int, int], list[complex]] = {}
-
-    def _key(self, z: complex) -> tuple[int, int]:
-        return (int(math.floor(z.real / self.CELL)), int(math.floor(z.imag / self.CELL)))
-
-    def contains(self, z: complex) -> bool:
-        kx, ky = self._key(z)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for p in self._cells.get((kx + dx, ky + dy), ()):
-                    if pseudo_hyperbolic(z, p) <= NODE_DEDUP_TOL:
-                        return True
-        return False
-
-    def add(self, z: complex) -> None:
-        self._cells.setdefault(self._key(z), []).append(z)
-
-
 def grand_orbit(
     f,
     z0: complex,
@@ -91,10 +57,9 @@ def grand_orbit(
     d = degree(f)
     if d is None or d < 2:
         raise ValueError("grand orbits need a Blaschke-type map of degree >= 2")
-    if classify(f).kind == ELLIPTIC_INTERIOR:
-        raise ValueError("grand orbits are enumerated for non-elliptic maps")
+    _boundary_class(f, "grand orbit")
 
-    index = _DedupIndex()
+    index = PointIndex()
     nodes: list[GrandOrbitNode] = []
     sums: list[float] = []
 
@@ -110,7 +75,7 @@ def grand_orbit(
                 f"forward orbit left the representable disk at index {m}; "
                 f"reduce forward_n"
             ) from exc
-        if index.contains(z):
+        if index.find(z) is not None:
             continue
         nodes.append(GrandOrbitNode(z, 1, m, 0))
         index.add(z)
@@ -130,7 +95,7 @@ def grand_orbit(
                     f"(parent {parent.point!r})", exc.residual
                 ) from exc
             for child, local_mult in fiber:
-                if index.contains(child):
+                if index.find(child) is not None:
                     continue
                 batch.append(
                     GrandOrbitNode(
@@ -166,7 +131,7 @@ def blaschke_sum(truncation: GrandOrbitTruncation) -> float:
 
 
 def critical_orbit_intersection(f, truncation: GrandOrbitTruncation):
-    """Nodes within pseudo-hyperbolic 1e-8 of a critical point of f.
+    """Nodes that are the same point as a critical point of f.
 
     An empty list certifies that all enumerated zeros are simple at this
     truncation; hits are handled upstream by multiplicities, not exclusion.
@@ -175,18 +140,20 @@ def critical_orbit_intersection(f, truncation: GrandOrbitTruncation):
     hits = []
     for node in truncation.nodes:
         for c, _ in crits:
-            if pseudo_hyperbolic(node.point, c) <= NODE_DEDUP_TOL:
+            if same_point(node.point, c):
                 hits.append((node, c))
     return hits
 
 
-def conjugation_closure_check(truncation: GrandOrbitTruncation, tol: float = 1e-9) -> bool:
-    """True iff the node multiset is closed under complex conjugation."""
-    pts = np.array([n.point for n in truncation.nodes])
-    mults = np.array([n.multiplicity for n in truncation.nodes])
+def conjugation_closure_check(truncation: GrandOrbitTruncation) -> bool:
+    """True iff the node multiset is closed under complex conjugation: each
+    node's conjugate is the same point as a node of equal multiplicity."""
+    index = PointIndex()
     for node in truncation.nodes:
-        hits = np.abs(pts - node.point.conjugate()) <= tol
-        if not np.any(hits & (mults == node.multiplicity)):
+        index.add(node.point)
+    for node in truncation.nodes:
+        j = index.find(node.point.conjugate())
+        if j is None or truncation.nodes[j].multiplicity != node.multiplicity:
             return False
     return True
 

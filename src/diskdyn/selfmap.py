@@ -20,11 +20,9 @@ from .geometry import (
     DISK_MARGIN,
     ensure_disk_point,
     ensure_unimodular,
+    same_point,
     unit_direction,
 )
-
-# pseudo-hyperbolic separation below which preimage roots are merged
-MERGE_TOL = 1e-8
 
 # residual |f(root) - w| required after polishing
 PREIMAGE_RESIDUAL_TOL = 1e-10
@@ -257,12 +255,13 @@ def is_identity(f) -> bool:
 # ----------------------------------------------------------------------------
 
 
-def _newton_polish(f, w, z, steps=2):
-    for _ in range(steps):
-        v, d1, _ = jet(f, z)
-        if d1 == 0:
+def _newton_polish(f, z, target=0.0, order=0):
+    """Two guarded Newton steps on jet(f, z)[order] = target."""
+    for _ in range(2):
+        j = jet(f, z)
+        if j[order + 1] == 0:
             break
-        step = (v - w) / d1
+        step = (j[order] - target) / j[order + 1]
         if abs(step) > 0.1:
             break
         z = z - step
@@ -312,20 +311,29 @@ def _deflation_ok(poly: np.ndarray, root: complex, mult: int) -> bool:
     return True
 
 
-def _rho_raw(z: complex, w: complex) -> float:
-    """Pseudo-hyperbolic distance without domain validation."""
-    den = 1.0 - w.conjugate() * z
-    if den == 0:
-        return math.inf
-    return abs((w - z) / den)
+def _root_groups(poly: np.ndarray) -> list[tuple[complex, int]]:
+    """Roots of poly with multiplicities: a cluster within 2e-5 that passes
+    deflation becomes its mean with the cluster size, every other root stays
+    single (multiplicity 1) and unpolished."""
+    roots = npp.polyroots(poly)
+    groups: list[tuple[complex, int]] = []
+    for group in _cluster(roots, 2e-5):
+        if len(group) > 1:
+            center = complex(np.mean(roots[group]))
+            if _deflation_ok(poly, center, len(group)):
+                groups.append((center, len(group)))
+                continue
+        # singletons and accidental clusters
+        groups.extend((complex(roots[i]), 1) for i in group)
+    return groups
 
 
 def _merge_pseudo_hyperbolic(cands: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
-    """Merge candidates closer than MERGE_TOL in pseudo-hyperbolic distance."""
+    """Merge candidates that are the same point, into the first of them."""
     merged: list[tuple[complex, int]] = []
     for z, m in cands:
         for i, (zi, mi) in enumerate(merged):
-            if _rho_raw(z, zi) <= MERGE_TOL:
+            if same_point(z, zi):
                 merged[i] = (zi, mi + m)
                 break
         else:
@@ -339,24 +347,10 @@ def _preimages_fbp(f: FiniteBlaschkeProduct, w: complex) -> list[tuple[complex, 
         # the (merged) zero multiset is the exact fiber over 0
         return sorted(f.zeros, key=lambda t: (t[0].real, t[0].imag))
     num, den = f.coefficients
-    poly = npp.polysub(f.gamma * num, w * den)
-    roots = npp.polyroots(poly)
-
-    cands: list[tuple[complex, int]] = []
-    for group in _cluster(np.asarray(roots), 2e-5):
-        if len(group) == 1:
-            z = _newton_polish(f, w, roots[group[0]])
-            cands.append((z, 1))
-            continue
-        center = complex(np.mean([roots[i] for i in group]))
-        if _deflation_ok(poly, center, len(group)):
-            cands.append((center, len(group)))
-        else:
-            # cluster was accidental: polish members individually
-            for i in group:
-                cands.append((_newton_polish(f, w, roots[i]), 1))
-
-    cands = _merge_pseudo_hyperbolic(cands)
+    cands = _merge_pseudo_hyperbolic([
+        (_newton_polish(f, z, target=w) if m == 1 else z, m)
+        for z, m in _root_groups(npp.polysub(f.gamma * num, w * den))
+    ])
     result: list[tuple[complex, int]] = []
     worst = 0.0
     for z, m in cands:
@@ -426,29 +420,11 @@ def critical_points(f) -> list[tuple[complex, int]]:
         return []
     num, den = f.coefficients
     dnum = npp.polysub(npp.polymul(npp.polyder(num), den), npp.polymul(num, npp.polyder(den)))
-    roots = npp.polyroots(dnum)
-    cands: list[tuple[complex, int]] = []
-    for group in _cluster(np.asarray(roots), 2e-5):
-        center = complex(np.mean([roots[i] for i in group]))
-        if len(group) > 1 and not _deflation_ok(dnum, center, len(group)):
-            for i in group:
-                cands.append((complex(roots[i]), 1))
-        else:
-            cands.append((center, len(group)))
-    inside: list[tuple[complex, int]] = []
-    for z, m in cands:
-        if abs(z) < 1.0 - DISK_MARGIN:
-            # polish on f' via f''
-            for _ in range(2):
-                _, d1, d2 = jet(f, z)
-                if d2 == 0:
-                    break
-                step = d1 / d2
-                if abs(step) > 0.1:
-                    break
-                z = z - step
-            inside.append((z, m))
-    inside = _merge_pseudo_hyperbolic(inside)
+    inside = _merge_pseudo_hyperbolic([
+        (_newton_polish(f, z, order=1), m)
+        for z, m in _root_groups(dnum)
+        if abs(z) < 1.0 - DISK_MARGIN
+    ])
     total = sum(m for _, m in inside)
     if total != f.degree - 1:
         raise RootFindingError(

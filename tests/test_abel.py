@@ -37,6 +37,11 @@ class TestHalfPlaneMap:
         expected = cayley_to_rhp(evaluate(presets.example62(), z))
         assert parabolic_map.apply(w) == pytest.approx(expected, rel=1e-12)
 
+    def test_iterate_reuses_a_deep_orbit_point_exactly(self, parabolic_map):
+        k, n = 300, 7
+        w = parabolic_map.orbit_point(k)
+        assert parabolic_map.iterate(w, n) == parabolic_map.orbit_point(k + n)
+
     def test_orbit_horizon_error(self):
         hyper = abel.HalfPlaneMap(presets.example61(0.6))
         with pytest.raises(ArithmeticError):

@@ -81,6 +81,24 @@ class TestCommands:
         assert abs(result["angular_derivative"] - 0.5) < 1e-6
         assert abs(result["dw_point"]["re"] - 1.0) < 1e-9
 
+    def test_abel_classifies_its_map_once(self, tmp_path, monkeypatch):
+        from diskdyn import dynamics
+
+        calls = []
+        original = dynamics.denjoy_wolff
+
+        def counting(f, *args, **kwargs):
+            calls.append(f)
+            return original(f, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "denjoy_wolff", counting)
+        code = cli.main([
+            "abel", "--preset", "example62", "--n-max", "200",
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_step_verdict_zero(self, tmp_path):
         out = tmp_path / "o"
         code = cli.main([

@@ -76,7 +76,7 @@ class TestComparabilityScan:
 
     def test_example_band_near_boundary(self):
         # band frozen from a 60-point scan of the same radii range
-        radii = ct.dyadic_radii(4, 9, per_octave=3)
+        radii = ct.dyadic_radii(4, 9, 16)
         scan = ct.inner_comparability_scan(presets.example61(0.5), radii)
         assert 0.8 <= scan.ratio_min <= scan.ratio_max <= 0.9
 
@@ -87,7 +87,7 @@ class TestComparabilityScan:
             ct.inner_comparability_scan(sm.identity_map(), [])
 
     def test_dyadic_radii(self):
-        radii = ct.dyadic_radii(1, 3)
+        radii = ct.dyadic_radii(1, 3, 3)
         assert radii == [0.5, 0.75, 0.875]
 
 

@@ -104,6 +104,37 @@ class TestClassify:
         assert abs(cls.dw_point) < 1
         assert cls.angular_derivative is None
 
+    def test_each_map_object_is_classified_once(self, monkeypatch):
+        from diskdyn import orbits
+
+        calls = []
+        original = dyn.denjoy_wolff
+
+        def counting(f, *args, **kwargs):
+            calls.append(f)
+            return original(f, *args, **kwargs)
+
+        monkeypatch.setattr(dyn, "denjoy_wolff", counting)
+        f = presets.example61(0.5)
+        for depth in (2, 3, 4):
+            orbits.grand_orbit(f, 0.0, forward_n=4, backward_depth=depth)
+        assert calls == [f]
+        # an equal map written down again is a new object
+        dyn.classify(presets.example61(0.5))
+        assert len(calls) == 2
+        # plain callables are classified on every call
+        def half(z):
+            return z / 2
+
+        dyn.classify(half)
+        dyn.classify(half)
+        assert len(calls) == 4
+
+    def test_boundary_refusal_names_the_operation(self):
+        with pytest.raises(ValueError,
+                           match="^orbit merging needs a boundary attracting point$"):
+            dyn.orbit_merging(presets.power_map(2), 0.1, 0.2, n_max=10)
+
 
 class TestHyperbolicStep:
     def test_zero_step_matches_closed_form_along_orbit(self):

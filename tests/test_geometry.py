@@ -134,3 +134,33 @@ def test_halfplane_distance_validates_domain():
     with pytest.raises(ValueError):
         g.halfplane_pseudo_hyperbolic(-1.0, 2.0)
 
+
+
+def test_same_point_threshold_and_no_validation():
+    z = 0.3 - 0.4j
+    assert g.same_point(z, z)
+    assert g.same_point(z, z + 5e-9)
+    assert not g.same_point(z, z + 1e-7)
+    # unpolished roots may sit just outside the disk
+    outside = 1.0 + 1e-12
+    assert g.same_point(outside, outside)
+    assert not g.same_point(outside, 0.5)
+    # zero denominator: conj(w) z = 1
+    assert not g.same_point(2.0, 0.5)
+
+
+def test_point_index_finds_across_a_cell_edge():
+    edge = 7 * g.PointIndex.CELL
+    index = g.PointIndex()
+    index.add(complex(edge - 5e-10, -edge - 5e-10))
+    assert index.find(complex(edge + 5e-10, -edge + 5e-10)) == 0
+    assert index.find(complex(edge + 1e-7, -edge)) is None
+
+
+def test_point_index_returns_first_inserted_match():
+    edge = 3 * g.PointIndex.CELL
+    index = g.PointIndex()
+    index.add(complex(edge + 4e-9, 0.1))
+    index.add(complex(edge - 4e-9, 0.1))
+    assert index.find(complex(edge - 4e-9, 0.1)) == 0
+    assert index.find(complex(edge + 2e-7, 0.1)) is None

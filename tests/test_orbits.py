@@ -155,6 +155,13 @@ class TestConjugationClosure:
         )
         assert not ob.conjugation_closure_check(broken)
 
+    def test_conjugate_pair_with_different_multiplicities_is_not_closed(self):
+        z = 0.3 + 0.2j
+        nodes = (ob.GrandOrbitNode(z, 1, 0, 0),
+                 ob.GrandOrbitNode(z.conjugate(), 2, 0, 1))
+        tr = ob.GrandOrbitTruncation(z, 0, 1, nodes, (0.0,), False)
+        assert not ob.conjugation_closure_check(tr)
+
     def test_real_only_truncation_vacuously_closed(self):
         node = ob.GrandOrbitNode(0.25, 1, 0, 0)
         tr = ob.GrandOrbitTruncation(0.25, 0, 0, (node,), (0.75,), False)
