@@ -62,11 +62,11 @@ class HalfPlaneMap:
             self._orbit.append(w)
         return self._orbit[n]
 
-    def max_feasible_index(self, n_limit: int, cap: float = 1e100) -> int:
-        """Largest orbit index reachable before |w| passes cap."""
+    def max_feasible_index(self, n_limit: int) -> int:
+        """Largest orbit index, at most n_limit, reachable before |w| passes 1e100."""
         n = 0
         try:
-            while n < n_limit and abs(self.orbit_point(n + 1)) <= cap:
+            while n < n_limit and abs(self.orbit_point(n + 1)) <= 1e100:
                 n += 1
         except ArithmeticError:
             pass
@@ -198,10 +198,7 @@ def residual_table(hpmap: HalfPlaneMap, kind: str, ns, probes) -> list[tuple]:
     residual is the pointwise linearization defect |F_n(phi(z)) - F_n(z) - 1|
     for the step-normalized sequence and |F_n(z) - 1| for the
     scale-normalized one; diff_from_prev compares F at consecutive listed n.
-    ns defaults to a doubling ladder capped at 1000.
     """
-    if ns is None:
-        ns = (125, 250, 500, 1000)
     fn = pommerenke_g if kind == "pommerenke_g" else baker_pommerenke_h
     rows = []
     prev: dict[int, complex] = {}

@@ -35,8 +35,11 @@ def nevanlinna(f, w: complex) -> CountingSample:
 
 def lm_functional(f, theta_map, w: complex) -> float:
     """N_f(w) (1 - |Theta(w)|^2)/(1 - |w|^2) at a single point."""
-    w = ensure_disk_point(w)
-    n = nevanlinna(f, w).value
+    sample = nevanlinna(f, w)
+    return _lm_value(sample.value, theta_map, sample.point)
+
+
+def _lm_value(n: float, theta_map, w: complex) -> float:
     tv = abs(evaluate(theta_map, w))
     return n * (1.0 - tv * tv) / (1.0 - abs(w) ** 2)
 
@@ -81,9 +84,10 @@ def dyadic_radii(k_min: float, k_max: float, count: int) -> list[float]:
 
 
 def scan_rows(f, theta_map, radii) -> list[tuple]:
-    """Rows (r, N, ratio, lm_value) for CSV export."""
+    """Rows (r, N, ratio, lm_value) for CSV export, one fiber solve per radius."""
     rows = []
     for r in radii:
-        n = nevanlinna(f, r).value
-        rows.append((r, n, n / (1.0 - r * r), lm_functional(f, theta_map, r)))
+        sample = nevanlinna(f, r)
+        n = sample.value
+        rows.append((r, n, n / (1.0 - r * r), _lm_value(n, theta_map, sample.point)))
     return rows

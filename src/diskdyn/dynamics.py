@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    Horodisk,
     cayley_to_rhp,
     ensure_disk_point,
     ensure_unimodular,
     halfplane_pseudo_hyperbolic,
-    julia_quotient,
     pseudo_hyperbolic,
 )
 from .selfmap import (
@@ -362,8 +362,6 @@ def julia_containment_check(f, M: float, samples: int = 1000, seed: int = 0) -> 
     omega is the attracting boundary point and a its derivative there; the
     allowed slack on the quotient bound is 1e-9 relative.
     """
-    if M <= 0:
-        raise ValueError("horodisk level must be positive")
     if is_identity(f):
         # every boundary point gives exact quotient preservation
         omega, a = 1.0 + 0.0j, 1.0
@@ -372,8 +370,8 @@ def julia_containment_check(f, M: float, samples: int = 1000, seed: int = 0) -> 
         omega = ensure_unimodular(cls.dw_point)
         a = float(cls.angular_derivative)
 
-    center = omega / (M + 1.0)
-    radius = M / (M + 1.0)
+    disk = Horodisk(omega, M)
+    center, radius = disk.center, disk.radius
     rng = np.random.default_rng(seed)
     bound = a * M
     max_q = -math.inf
@@ -383,9 +381,9 @@ def julia_containment_check(f, M: float, samples: int = 1000, seed: int = 0) -> 
         u = rng.random()
         v = rng.random()
         z = center + radius * math.sqrt(u) * cmath.exp(2j * math.pi * v)
-        if abs(z) >= 1.0 - 1e-12 or julia_quotient(z, omega) >= M:
+        if abs(z) >= 1.0 - 1e-12 or not disk.contains(z):
             continue
-        q = julia_quotient(evaluate(f, z), omega)
+        q = disk.quotient(evaluate(f, z))
         if q > max_q:
             max_q = q
             worst = z

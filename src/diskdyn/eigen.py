@@ -231,16 +231,3 @@ def frostman_shift(u, a: complex):
         return mobius_factor(a, u(z))
 
     return shifted
-
-
-def eigen_report(depth: int, tau: complex, residual: float, sample_count: int,
-                 map_preset: str) -> dict:
-    """JSON-ready eigen summary row."""
-    return {
-        "depth": depth,
-        "tau_re": tau.real,
-        "tau_im": tau.imag,
-        "residual": residual,
-        "sample_count": sample_count,
-        "map_preset": map_preset,
-    }

@@ -449,15 +449,15 @@ class BoundaryDerivativeReport:
     residual: float
 
 
-def angular_derivative(f, omega: complex, k_min: int = 4, k_max: int = 24) -> BoundaryDerivativeReport:
+def angular_derivative(f, omega: complex) -> BoundaryDerivativeReport:
     """Extrapolated boundary quotient (1 - |f(r omega)|)/(1 - r) at r -> 1.
 
-    Samples r = 1 - 2^-k for k in [k_min, k_max] and runs a Richardson
-    tableau for the error series in powers of 1 - r.  The residual is the
-    gap between the last two extrapolants and is reported untouched.
+    Samples r = 1 - 2^-k for k = 4..24 and runs a Richardson tableau for
+    the error series in powers of 1 - r.  The residual is the gap between
+    the last two extrapolants and is reported untouched.
     """
     omega = ensure_unimodular(omega)
-    radii = [1.0 - 2.0 ** (-k) for k in range(k_min, k_max + 1)]
+    radii = [1.0 - 2.0 ** (-k) for k in range(4, 25)]
     q = np.array([(1.0 - abs(evaluate(f, r * omega))) / (1.0 - r) for r in radii])
 
     finite = True

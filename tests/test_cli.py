@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -67,6 +68,37 @@ class TestConfig:
         with pytest.raises(ValueError):
             cli.config_from_dict({"command": "classify", "map": {"preset": "nope"}})
 
+    def test_every_flag_is_a_config_field_with_its_default(self):
+        parser = cli.build_parser()
+        flags = [f for f in dataclasses.fields(cli.ExperimentConfig)
+                 if f.name not in ("command", "map")]
+        assert len(flags) == 8
+        defaults = parser.parse_args(["classify"])
+        for f in flags:
+            assert getattr(defaults, f.name) == f.default
+            flag = "--" + f.name.replace("_", "-")
+            given = parser.parse_args(["classify", flag, str(f.default)])
+            assert getattr(given, f.name) == f.default
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("eigen", "depth", 2.5),
+        ("classify", "tol", "x"),
+        ("classify", "out_dir", 5),
+        ("classify", "n_max", "100"),
+        ("classify", "samples", True),
+    ])
+    def test_wrong_typed_replay_field_exits_2(self, tmp_path, command, field, value):
+        cfg = {"command": command, "map": {"preset": "example61", "alpha": 0.5},
+               "out_dir": str(tmp_path / "o"), field: value}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        with pytest.raises(ValueError, match=field):
+            cli.config_from_dict(cfg)
+
+    def test_float_field_takes_an_int(self):
+        assert cli.config_from_dict({"command": "classify", "tol": 1}).tol == 1
+
 
 class TestCommands:
     def test_classify_json(self, tmp_path):
@@ -117,6 +149,11 @@ class TestCommands:
         ])
         assert code == 0
         result = read_summary(out)["result"]
+        assert set(result) == {"depth", "tau_re", "tau_im", "residual",
+                               "sample_count", "map_preset"}
+        assert result["depth"] == 8
+        assert result["map_preset"] == "example61"
+        assert 0 < result["sample_count"] <= 16
         assert abs(result["tau_re"] - (-1.0)) < 0.1
         assert abs(result["tau_im"]) < 0.05
         lines = (out / "eigen_depths.csv").read_text().strip().splitlines()
@@ -175,6 +212,25 @@ class TestCommands:
         result = read_summary(out)["result"]
         assert 0.8 < result["ratio_min"] <= result["ratio_max"] < 0.9
         assert (out / "nevanlinna_scan.csv").exists()
+
+    def test_nevanlinna_solves_each_fiber_once(self, tmp_path, monkeypatch):
+        from diskdyn import counting
+
+        calls = []
+        original = counting.preimages
+
+        def solve(f, w):
+            calls.append(w)
+            return original(f, w)
+
+        monkeypatch.setattr(counting, "preimages", solve)
+        code = cli.main([
+            "nevanlinna", "--preset", "example61", "--alpha", "0.5",
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 0
+        assert len(calls) == 25
+        assert len(set(calls)) == 25
 
     def test_paper_suite_end_to_end(self, tmp_path):
         out = tmp_path / "o"

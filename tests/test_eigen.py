@@ -207,14 +207,3 @@ class TestSignAlternation:
         d1 = ((deep_b(z1 + h) - deep_b(z1 - h)) / (2 * h)).real
         assert d0 * d1 < 0
 
-
-def test_eigen_report_shape():
-    rep = eigen.eigen_report(8, -0.95 + 0.01j, 3e-5, 15, "example61")
-    assert rep == {
-        "depth": 8,
-        "tau_re": -0.95,
-        "tau_im": 0.01,
-        "residual": 3e-5,
-        "sample_count": 15,
-        "map_preset": "example61",
-    }
