@@ -9,8 +9,8 @@ the linearizing equation h(phi(z)) = h(z) + 1 for zero-step parabolic maps.
 All computations run on the right half-plane with the attracting point at
 infinity and base orbit z_n = phi^n(1); disk data must be transported with
 :meth:`HalfPlaneMap.to_halfplane` first.  Anchor identities g_n(z_0) = 1,
-h_n(z_0) = 0 and h_n(z_1) = 1 are exact because iteration reuses the cached
-base orbit whenever the input equals a cached orbit point.
+h_n(z_0) = 0 and h_n(z_1) = 1 are exact because apply is deterministic:
+iterating an orbit point repeats the base orbit's arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -34,12 +34,9 @@ class HalfPlaneMap:
     def __init__(self, diskmap):
         cls = _boundary_class(diskmap, "half-plane transport")
         self.disk_map = diskmap
-        self.map_class = cls
         self.omega = ensure_unimodular(cls.dw_point)
         self._conj = HalfPlaneConjugate(diskmap, self.omega)
         self._orbit: list[complex] = [1.0 + 0.0j]
-        # first index of each orbit value, for exact cache reuse in iterate
-        self._orbit_index: dict[complex, int] = {1.0 + 0.0j: 0}
         self._step_verdict: str | None = None
 
     def to_halfplane(self, z_disk: complex) -> complex:
@@ -58,7 +55,6 @@ class HalfPlaneMap:
                     f"transported orbit exceeded the numerical horizon at "
                     f"index {len(self._orbit)}; use smaller n"
                 )
-            self._orbit_index.setdefault(w, len(self._orbit))
             self._orbit.append(w)
         return self._orbit[n]
 
@@ -76,10 +72,6 @@ class HalfPlaneMap:
         w = complex(w)
         if w.real <= 0:
             raise ValueError(f"half-plane point needed, got {w!r}")
-        # exact cache reuse keeps the anchor identities exact
-        k = self._orbit_index.get(w)
-        if k is not None:
-            return self.orbit_point(k + n)
         for _ in range(n):
             w = self.apply(w)
         return w
@@ -90,10 +82,23 @@ class HalfPlaneMap:
         return self._step_verdict
 
 
+def _normalized(hpmap: HalfPlaneMap, kind: str, n: int, wn: complex) -> complex:
+    """F_n(z) from wn = phi^n(z): (wn - i y_n)/x_n for kind "pommerenke_g",
+    else (wn - z_n)/(z_{n+1} - z_n)."""
+    zn = hpmap.orbit_point(n)
+    if kind == "pommerenke_g":
+        return (wn - 1j * zn.imag) / zn.real
+    dz = hpmap.orbit_point(n + 1) - zn
+    if abs(dz) < 1e-300:
+        raise ArithmeticError(
+            f"base orbit is numerically stationary at n = {n}; cannot normalize"
+        )
+    return (wn - zn) / dz
+
+
 def pommerenke_g(hpmap: HalfPlaneMap, z: complex, n: int) -> complex:
     """Scale-normalized iterate (phi^n(z) - i y_n)/x_n; g_n(z_0) = 1 exactly."""
-    zn = hpmap.orbit_point(n)
-    return (hpmap.iterate(z, n) - 1j * zn.imag) / zn.real
+    return _normalized(hpmap, "pommerenke_g", n, hpmap.iterate(z, n))
 
 
 def baker_pommerenke_h(hpmap: HalfPlaneMap, z: complex, n: int) -> complex:
@@ -101,13 +106,7 @@ def baker_pommerenke_h(hpmap: HalfPlaneMap, z: complex, n: int) -> complex:
 
     Anchored at h_n(z_0) = 0 and h_n(z_1) = 1 for every n.
     """
-    zn = hpmap.orbit_point(n)
-    dz = hpmap.orbit_point(n + 1) - zn
-    if abs(dz) < 1e-300:
-        raise ArithmeticError(
-            f"base orbit is numerically stationary at n = {n}; cannot normalize"
-        )
-    return (hpmap.iterate(z, n) - zn) / dz
+    return _normalized(hpmap, "baker_pommerenke_h", n, hpmap.iterate(z, n))
 
 
 def abel_residual(h_eval, mapping, probes) -> float:
@@ -198,18 +197,28 @@ def residual_table(hpmap: HalfPlaneMap, kind: str, ns, probes) -> list[tuple]:
     residual is the pointwise linearization defect |F_n(phi(z)) - F_n(z) - 1|
     for the step-normalized sequence and |F_n(z) - 1| for the
     scale-normalized one; diff_from_prev compares F at consecutive listed n.
+    Each probe's trajectory is walked once, to max(ns) + 1: phi^n(phi(z)) is
+    its next point.
     """
-    fn = pommerenke_g if kind == "pommerenke_g" else baker_pommerenke_h
-    rows = []
-    prev: dict[int, complex] = {}
+    wanted = set(ns)
+    found = {}  # (n, probe_id) -> (F_n(z), residual)
+    for pid, probe in enumerate(probes):
+        w = hpmap.iterate(probe, 0)  # checks that the probe is a half-plane point
+        for n in range(max(ns) + 1):
+            w_next = hpmap.apply(w)
+            if n in wanted:
+                val = _normalized(hpmap, kind, n, w)
+                if kind == "pommerenke_g":
+                    res = abs(val - 1.0)
+                else:
+                    res = abs(_normalized(hpmap, kind, n, w_next) - val - 1.0)
+                found[n, pid] = (val, res)
+            w = w_next
+    rows, prev_n = [], None
     for n in ns:
-        for pid, w in enumerate(probes):
-            val = fn(hpmap, w, n)
-            if kind == "pommerenke_g":
-                res = abs(val - 1.0)
-            else:
-                res = abs(fn(hpmap, hpmap.apply(w), n) - val - 1.0)
-            diff = abs(val - prev[pid]) if pid in prev else float("nan")
+        for pid in range(len(probes)):
+            val, res = found[n, pid]
+            diff = float("nan") if prev_n is None else abs(val - found[prev_n, pid][0])
             rows.append((n, pid, res, diff))
-            prev[pid] = val
+        prev_n = n
     return rows

@@ -123,11 +123,8 @@ def _run_classify(cfg: ExperimentConfig):
 def _run_step(cfg: ExperimentConfig):
     f = cfg.resolve_map()
     rep = dynamics.hyperbolic_step(f, 0.0, n_max=cfg.n_max)
-    # summary before the table: allocated after its n_max rows, the summary's
-    # small objects fragment the heap (peak RSS ~5 MB higher over 100k-step runs)
-    summary = _report(rep, "sequence")
-    rows = [(n, rep.sequence[n]) for n in range(len(rep.sequence))]
-    return summary, {"step_sequence.csv": (("n", "rho"), rows)}
+    rows = enumerate(rep.sequence)
+    return _report(rep, "sequence"), {"step_sequence.csv": (("n", "rho"), rows)}
 
 
 def _run_orbit(cfg: ExperimentConfig):

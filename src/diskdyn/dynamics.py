@@ -1,9 +1,9 @@
 """Attracting-point location, map classification, and hyperbolic-step analysis.
 
-Orbits of non-elliptic maps drift to a boundary point; once they pass
-|z| > 0.999 every pseudo-hyperbolic quantity is evaluated in right-half-plane
-coordinates, where the formula |(w2 - w1)/(w2 + conj(w1))| has no cancellation
-near the attracting point.
+Orbits of non-elliptic maps drift to a boundary point, so the step and
+merging sequences walk them from the start in right-half-plane coordinates
+with that point at infinity (HalfPlaneConjugate), where the formula
+|(w2 - w1)/(w2 + conj(w1))| has no cancellation near the attracting point.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .geometry import (
     ensure_disk_point,
     ensure_unimodular,
     halfplane_pseudo_hyperbolic,
-    pseudo_hyperbolic,
 )
 from .selfmap import (
     CompositeMap,
@@ -37,7 +36,7 @@ from .selfmap import (
 # boundary attraction is declared parabolic inside this band around a = 1
 PARABOLIC_BAND = 1e-4
 
-# disk-to-half-plane transition radius for orbit computations
+# denjoy_wolff: an orbit converging beyond this radius is a boundary orbit
 TRANSPORT_RADIUS = 0.999
 
 ELLIPTIC_INTERIOR = "elliptic-interior"
@@ -250,52 +249,36 @@ def _boundary_class(f, purpose: str) -> MapClass:
 
 
 def _orbit_rho_sequence(f, points, n_max, omega):
-    """Pseudo-hyperbolic distances between the orbits of `points`, with the
-    half-plane switch and a frozen tail once the values stagnate.
+    """Pseudo-hyperbolic distances between the orbits of `points`, walked in
+    half-plane coordinates, with a frozen tail once the values stagnate.
 
     points is a list of one start (consecutive-step mode) or two starts.
     Returns (values array of length n_max + 1, frozen_at, last_w).
     """
+    hp = HalfPlaneConjugate(f, omega)
     consec = len(points) == 1
-    omega_bar = omega.conjugate()
-    zs = [ensure_disk_point(p) for p in points]
+    ws = [cayley_to_rhp(omega.conjugate() * ensure_disk_point(p)) for p in points]
     if consec:
-        zs = [zs[0], evaluate(f, zs[0])]
-    hp = None
-    ws = None
-    if getattr(f, "hp_exact", None) is not None and omega == 1.0:
-        # natively half-plane maps: work there from the start
-        hp = HalfPlaneConjugate(f, omega)
-        ws = [cayley_to_rhp(z) for z in zs]
+        ws.append(hp.apply(ws[0]))
+    u, v = ws
     vals = np.empty(n_max + 1)
     frozen_at = None
     stagnant = 0
     for n in range(n_max + 1):
-        if ws is None:
-            vals[n] = pseudo_hyperbolic(zs[0], zs[1])
-            nxt = [evaluate(f, zs[0]) if not consec else zs[1],
-                   evaluate(f, zs[1])]
-            if max(abs(nxt[0]), abs(nxt[1])) > TRANSPORT_RADIUS:
-                hp = HalfPlaneConjugate(f, omega)
-                ws = [cayley_to_rhp(omega_bar * nxt[0]),
-                      cayley_to_rhp(omega_bar * nxt[1])]
+        rho = halfplane_pseudo_hyperbolic(u, v)
+        vals[n] = rho
+        if n > 8:
+            if rho > 0 and abs(rho - prev) <= 5e-16 * rho:
+                stagnant += 1
             else:
-                zs = nxt
-        else:
-            vals[n] = halfplane_pseudo_hyperbolic(ws[0], ws[1])
-            if n > 8:
-                if vals[n] > 0 and abs(vals[n] - vals[n - 1]) <= 5e-16 * vals[n]:
-                    stagnant += 1
-                else:
-                    stagnant = 0
-                big = max(abs(ws[0]), abs(ws[1])) > 1e250
-                if stagnant >= 8 or big or vals[n] < 1e-300:
-                    vals[n + 1:] = vals[n]
-                    frozen_at = n
-                    break
-            ws = [hp.apply(ws[0]) if not consec else ws[1], hp.apply(ws[1])]
-    last = ws[0] if ws is not None else cayley_to_rhp(omega_bar * zs[0])
-    return vals, frozen_at, last
+                stagnant = 0
+            if stagnant >= 8 or max(abs(u), abs(v)) > 1e250 or rho < 1e-300:
+                vals[n + 1:] = rho
+                frozen_at = n
+                break
+        prev = rho
+        u, v = (v if consec else hp.apply(u)), hp.apply(v)
+    return vals, frozen_at, u
 
 
 def hyperbolic_step(f, z0: complex = 0.0, n_max: int = 10000) -> StepReport:

@@ -35,15 +35,9 @@ class TruncatedEigenfunction:
 
     product: FiniteBlaschkeProduct
     truncation: GrandOrbitTruncation
-    tau_estimate: complex | None = None
-    residual: float | None = None
 
     def __call__(self, z: complex) -> complex:
         return evaluate(self.product, z)
-
-    @property
-    def depth(self) -> int:
-        return self.truncation.backward_depth
 
 
 def build_truncated_eigenfunction(truncation: GrandOrbitTruncation) -> TruncatedEigenfunction:
@@ -64,9 +58,6 @@ class TauEstimate:
     tau: complex
     dispersion: float
     sample_count: int
-
-    def __complex__(self) -> complex:
-        return self.tau
 
 
 def _geometric_median(points: list[complex]) -> complex:

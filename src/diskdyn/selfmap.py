@@ -506,7 +506,8 @@ class HalfPlaneConjugate:
 
     apply() evaluates C(conj(omega) f(omega C^{-1}(w))) through rational
     stage forms, switching to 1/w coordinates for |w| > 1 so that orbits
-    may grow to ~1e280 without losing accuracy near the fixed point.
+    may grow to ~1e280 without losing accuracy near the fixed point; like
+    evaluate, it returns a Python complex.
     """
 
     def __init__(self, f, omega: complex = 1.0):
@@ -532,11 +533,12 @@ class HalfPlaneConjugate:
             if abs(b[-1]) < 1e-9 * np.max(np.abs(b)):
                 b = b.copy()
                 b[-1] = 0.0
-            # pad to one length; keep (a_k, b_k) pairs as numpy scalars,
-            # highest degree first for w and lowest first for 1/w
+            # pad to one length; keep (a_k, b_k) pairs as Python complex
+            # (faster than numpy scalars in apply), highest degree first for
+            # w and lowest first for 1/w
             n = max(len(a), len(b))
-            a = np.pad(a, (0, n - len(a)))
-            b = np.pad(b, (0, n - len(b)))
+            a = np.pad(a, (0, n - len(a))).tolist()
+            b = np.pad(b, (0, n - len(b))).tolist()
             built.append((tuple(zip(a[::-1], b[::-1])), tuple(zip(a, b))))
         self._stages = built
 

@@ -165,3 +165,32 @@ class TestResidualTable:
         assert ns == [50, 50, 50, 100, 100, 100]
         assert all(math.isnan(r[3]) for r in rows[:3])
         assert all(not math.isnan(r[3]) for r in rows[3:])
+
+    def test_rows_follow_their_definition(self, parabolic_map):
+        ns, probes = (3, 20, 50), PROBE_RING[:4]
+        for kind, fn in (("baker_pommerenke_h", abel.baker_pommerenke_h),
+                         ("pommerenke_g", abel.pommerenke_g)):
+            rows = abel.residual_table(parabolic_map, kind, ns, probes)
+            expected, prev = [], {}
+            for n in ns:
+                for pid, w in enumerate(probes):
+                    val = fn(parabolic_map, w, n)
+                    if kind == "pommerenke_g":
+                        res = abs(val - 1.0)
+                    else:
+                        res = abs(fn(parabolic_map, parabolic_map.apply(w), n) - val - 1.0)
+                    expected.append((n, pid, res, abs(val - prev[pid]) if pid in prev else None))
+                    prev[pid] = val
+            assert [r[:3] for r in rows] == [e[:3] for e in expected]
+            for row, (*_, diff) in zip(rows, expected):
+                assert math.isnan(row[3]) if diff is None else row[3] == diff
+
+    @pytest.mark.parametrize("kind", ["baker_pommerenke_h", "pommerenke_g"])
+    def test_one_trajectory_per_probe(self, kind):
+        hpmap = abel.HalfPlaneMap(presets.example62())
+        hpmap.orbit_point(101)  # the base orbit is not what is counted
+        calls = []
+        conj_apply = hpmap.apply
+        hpmap.apply = lambda w: calls.append(w) or conj_apply(w)
+        abel.residual_table(hpmap, kind, (10, 50, 100), PROBE_RING[:3])
+        assert len(calls) == 3 * (100 + 1)

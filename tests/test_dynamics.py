@@ -204,6 +204,28 @@ class TestOrbitMerging:
         assert np.all(np.diff(seq) <= 1e-12)
 
 
+class TestRotationInvariance:
+    """A rotated copy e^{it} f(e^{-it} z) of example62 is the same dynamics,
+    so its step and merging values must agree with the unrotated ones up to
+    rounding; the angles are ones where walking orbits partly in the disk
+    broke these bounds."""
+
+    @pytest.fixture(scope="class")
+    def unrotated(self):
+        f = presets.example62()
+        return (dyn.hyperbolic_step(f, 0.0, 10000).limit_estimate,
+                dyn.orbit_merging(f, 0.0, 0.5j, 10000)[-1])
+
+    @pytest.mark.parametrize("t", [1.5, 2.5, 3.0])
+    def test_step_and_merging_survive_rotation(self, unrotated, t):
+        step0, merge0 = unrotated
+        f = sm.FiniteBlaschkeProduct(cmath.exp(-3j * t), ((-cmath.exp(1j * t) / 3.0, 2),))
+        step = dyn.hyperbolic_step(f, 0.0, 10000).limit_estimate
+        merge = dyn.orbit_merging(f, 0.0, cmath.exp(1j * t) * 0.5j, 10000)[-1]
+        assert abs(step - step0) <= 1e-10 * step0
+        assert abs(merge - merge0) <= 1e-8 * merge0
+
+
 class TestJuliaContainment:
     def test_example_containment(self):
         rep = dyn.julia_containment_check(presets.example61(0.5), 1.0,

@@ -345,6 +345,13 @@ class TestHalfPlaneConjugate:
         # near infinity the map acts like division by the boundary derivative
         assert abs(out / w - 2.0) < 1e-6
 
+    def test_returns_python_complex(self):
+        # like evaluate: orbit loops then run on Python scalars, not numpy's
+        for f in (presets.example61(0.6), sm.compose(presets.example62(), presets.example62())):
+            hp = sm.HalfPlaneConjugate(f, 1.0)
+            for w in (1.5 + 0.5j, 1e200 + 3e199j):
+                assert type(hp.apply(w)) is complex
+
     def test_exact_translation_form(self):
         hp = sm.HalfPlaneConjugate(presets.translation(), 1.0)
         assert hp.apply(3.0 + 2.0j) == 3.0 + 1.0j
