@@ -13,6 +13,8 @@ from diskdyn.presets import example61, example62, power_map, translation
 # elliptic-interior: attracting fixed point inside the disk
 # hyperbolic:        boundary point with derivative a < 1
 # parabolic:         boundary point with derivative a = 1
+# the shift b = omega f''(omega) decides the step of a parabolic map: zero
+# exactly when b = 0
 
 for name, f in [
     ("squared factor, alpha=0.6", example61(0.6)),
@@ -21,16 +23,17 @@ for name, f in [
     ("z^2                      ", power_map(2)),
 ]:
     cls = classify(f)
-    extra = (f"a={cls.angular_derivative:.6f}"
+    extra = (f"a={cls.angular_derivative:.6f} b={cls.shift:.3f} step={cls.step}"
              if cls.angular_derivative is not None
              else f"f'(p)={cls.interior_derivative:.3f}")
     print(f"{name}: {cls.kind:18s} at {cls.dw_point:.6f}  {extra}")
 
 # ---------------------------------------------------------------------------
-# hyperbolic step: the tail of rho(orbit_n, orbit_{n+1})
+# hyperbolic step: the verdict and the sequence rho(orbit_n, orbit_{n+1})
 # ---------------------------------------------------------------------------
 # positive step <=> consecutive orbit points stay separated forever; this is
-# exactly the condition under which eigenfunctions exist.
+# exactly the condition under which eigenfunctions exist.  The verdict comes
+# from the classification; the sequence is the numeric evidence for it.
 
 print()
 for name, f in [

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _boundary_class, hyperbolic_step
+from .dynamics import _boundary_class
 from .geometry import cayley_to_rhp, ensure_unimodular
 from .selfmap import HalfPlaneConjugate
 
@@ -27,17 +27,17 @@ from .selfmap import HalfPlaneConjugate
 class HalfPlaneMap:
     """A non-elliptic disk map transported so its attracting point is infinity.
 
-    Carries the cached base orbit from w_0 = 1 (the image of the disk
-    origin); the cache is append-only and shared by all evaluations.
+    Carries the map's step verdict ("positive" or "zero", from its
+    classification) and the cached base orbit from w_0 = 1 (the image of the
+    disk origin); the cache is append-only and shared by all evaluations.
     """
 
     def __init__(self, diskmap):
         cls = _boundary_class(diskmap, "half-plane transport")
-        self.disk_map = diskmap
         self.omega = ensure_unimodular(cls.dw_point)
+        self.step = cls.step
         self._conj = HalfPlaneConjugate(diskmap, self.omega)
         self._orbit: list[complex] = [1.0 + 0.0j]
-        self._step_verdict: str | None = None
 
     def to_halfplane(self, z_disk: complex) -> complex:
         return cayley_to_rhp(self.omega.conjugate() * z_disk)
@@ -75,11 +75,6 @@ class HalfPlaneMap:
         for _ in range(n):
             w = self.apply(w)
         return w
-
-    def step_verdict(self) -> str:
-        if self._step_verdict is None:
-            self._step_verdict = hyperbolic_step(self.disk_map).verdict
-        return self._step_verdict
 
 
 def _normalized(hpmap: HalfPlaneMap, kind: str, n: int, wn: complex) -> complex:
@@ -178,7 +173,7 @@ def extract_semiconjugacy(hpmap: HalfPlaneMap, n: int, probes) -> MobiusFit:
     probes = list(probes)
     if len(probes) < 8:
         raise ValueError("need at least 8 probe points for a stable fit")
-    if hpmap.step_verdict() == "zero":
+    if hpmap.step == "zero":
         raise ValueError(
             "zero-step map: normalized iterates degenerate to a constant, "
             "no semiconjugacy to extract"

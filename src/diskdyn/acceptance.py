@@ -102,6 +102,15 @@ def criterion_3_step_closed_form(tol):
                    f"worst |direct - closed| = {worst:.3e} over n <= 100")
 
 
+def _tail_fits_verdict(rep) -> bool:
+    """The two-scale tail rule reads the same verdict: zero needs s_N < 1e-4
+    decaying (s_N < 0.75 s_{N/2}), positive s_N > 1e-3 stalled (s_N > 0.99 s_{N/2})."""
+    s_end, s_half = rep.limit_estimate, rep.sequence[(len(rep.sequence) - 1) // 2]
+    if rep.verdict == "zero":
+        return s_end == 0.0 or (s_end < 1e-4 and s_end < 0.75 * s_half)
+    return s_end > 1e-3 and s_end > 0.99 * s_half
+
+
 def criterion_4_step_verdicts(tol):
     r62 = dynamics.hyperbolic_step(presets.example62(), 0.0, 10000)
     r61 = dynamics.hyperbolic_step(presets.example61(0.6), 0.0, 10000)
@@ -113,6 +122,7 @@ def criterion_4_step_verdicts(tol):
         and r61.verdict == "positive"
         and rtr.verdict == "positive"
         and spread < tol["step_constancy"]
+        and all(_tail_fits_verdict(r) for r in (r62, r61, rtr))
     )
     detail = (
         f"zero-step: {r62.verdict} (s={r62.limit_estimate:.3e}); "

@@ -40,7 +40,6 @@ class ExperimentConfig:
     n_max: int = field(default=10000, metadata=_COUNT)
     samples: int = field(default=1000, metadata=_COUNT)
     seed: int = 0
-    tol: float = 1e-9
     out_dir: str = "diskdyn_out"
     format: str = field(default="csv", metadata={"choices": ("json", "csv")})
 
@@ -55,10 +54,7 @@ _FLAG_FIELDS = [f for f in fields(ExperimentConfig) if f.name not in ("command",
 
 
 def _check_field(f, value) -> None:
-    want = _FIELD_TYPES[f.name]
-    if want is float:
-        want = (int, float)
-    if isinstance(value, bool) or not isinstance(value, want):
+    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.name]):
         raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
     choices = f.metadata.get("choices")
     if choices is not None and value not in choices:
@@ -116,8 +112,7 @@ def _report(rep, *omit: str) -> dict:
 
 
 def _run_classify(cfg: ExperimentConfig):
-    f = cfg.resolve_map()
-    return _report(dynamics.denjoy_wolff(f, tol=cfg.tol, n_max=cfg.n_max)), {}
+    return _report(dynamics.classify(cfg.resolve_map())), {}
 
 
 def _run_step(cfg: ExperimentConfig):
@@ -196,16 +191,15 @@ def _run_abel(cfg: ExperimentConfig):
     probes = [1.0 + 0.5 * cmath.exp(2j * math.pi * k / 10) for k in range(10)]
     feasible = hm.max_feasible_index(cfg.n_max)
     ns = sorted({max(1, feasible // d) for d in (16, 8, 4, 2, 1)})
-    verdict = hm.step_verdict()
-    kind = "baker_pommerenke_h" if verdict == "zero" else "pommerenke_g"
+    kind = "baker_pommerenke_h" if hm.step == "zero" else "pommerenke_g"
     rows = abel.residual_table(hm, kind, ns, probes)
     summary = {
-        "step_verdict": verdict,
+        "step_verdict": hm.step,
         "kind": kind,
         "indices": ns,
         "final_residual": max(r for n, _, r, _ in rows if n == ns[-1]),
     }
-    if verdict == "positive":
+    if hm.step == "positive":
         fit = abel.extract_semiconjugacy(hm, ns[-1], probes)
         summary["semiconjugacy"] = _report(fit, "coefficients", "fixed_points")
     header = ("n", "probe_id", "residual", "diff_from_prev")

@@ -1,5 +1,9 @@
 """Attracting-point location, map classification, and hyperbolic-step analysis.
 
+Blaschke-type maps are classified from the roots of one fixed-point
+polynomial and the jet at the attracting point; plain callables, which have
+no polynomial, from a disk orbit.
+
 Orbits of non-elliptic maps drift to a boundary point, so the step and
 merging sequences walk them from the start in right-half-plane coordinates
 with that point at infinity (HalfPlaneConjugate), where the formula
@@ -14,6 +18,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from .geometry import (
     Horodisk,
@@ -23,9 +28,12 @@ from .geometry import (
     halfplane_pseudo_hyperbolic,
 )
 from .selfmap import (
+    PREIMAGE_RESIDUAL_TOL,
     CompositeMap,
     FiniteBlaschkeProduct,
     HalfPlaneConjugate,
+    _cluster,
+    _stages,
     angular_derivative,
     degree,
     evaluate,
@@ -33,10 +41,14 @@ from .selfmap import (
     jet,
 )
 
-# boundary attraction is declared parabolic inside this band around a = 1
+# boundary attraction is parabolic inside this band around a = 1, and then
+# has zero step when the shift |b| is inside it too
 PARABOLIC_BAND = 1e-4
 
-# denjoy_wolff: an orbit converging beyond this radius is a boundary orbit
+# fixed-point roots this close to the circle are clustered boundary points
+CIRCLE_BAND = 1e-3
+
+# plain callables: an orbit converging beyond this radius is a boundary orbit
 TRANSPORT_RADIUS = 0.999
 
 ELLIPTIC_INTERIOR = "elliptic-interior"
@@ -46,13 +58,20 @@ PARABOLIC = "parabolic"
 
 @dataclass(frozen=True)
 class MapClass:
-    """Trichotomy verdict with the evidence that produced it."""
+    """Trichotomy verdict with the evidence that produced it.
+
+    At a boundary point omega: angular_derivative a = |f'(omega)|, shift
+    b = omega f''(omega) (F(w) = w + b + O(1/w) for parabolic maps), and step
+    "zero" for parabolic maps with |b| < PARABOLIC_BAND, else "positive".
+    """
 
     kind: str
     dw_point: complex
     angular_derivative: float | None = None
     interior_derivative: complex | None = None
     residual: float = 0.0
+    shift: complex | None = None
+    step: str | None = None
 
     def __post_init__(self):
         if self.kind not in (ELLIPTIC_INTERIOR, HYPERBOLIC, PARABOLIC):
@@ -61,7 +80,7 @@ class MapClass:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Consecutive-orbit pseudo-hyperbolic distances and their tail verdict."""
+    """Consecutive-orbit pseudo-hyperbolic distances and the map's step verdict."""
 
     verdict: str
     sequence: np.ndarray
@@ -119,31 +138,34 @@ def _boundary_refine(f, omega):
     return cmath.exp(1j * theta) if theta != 0.0 else 1.0 + 0.0j
 
 
-def _mobius_fixed_points(f):
-    """Fixed points of a degree-1 product, exactly via the quadratic."""
-    (a, _), = f.zeros
-    if a == 0:
-        return [0.0 + 0.0j] if f.gamma != 1.0 else []
-    c1 = -f.gamma * a / abs(a)
-    roots = np.roots([a.conjugate(), c1 - 1.0, -c1 * a])
-    return [complex(r) for r in roots]
+def _interior_class(f, p) -> MapClass:
+    return MapClass(ELLIPTIC_INTERIOR, p, interior_derivative=jet(f, p)[1],
+                    residual=abs(evaluate(f, p) - p))
+
+
+def _boundary_class_at(f, omega, a) -> MapClass:
+    """The class of a map attracted to omega with boundary derivative a."""
+    shift = omega * jet(f, omega)[2]
+    kind = PARABOLIC if abs(a - 1.0) < PARABOLIC_BAND else HYPERBOLIC
+    step = "zero" if kind == PARABOLIC and abs(shift) < PARABOLIC_BAND else "positive"
+    return MapClass(kind, omega, a, residual=abs(evaluate(f, omega) - omega),
+                    shift=shift, step=step)
 
 
 def denjoy_wolff(f, tol: float = 1e-9, n_max: int = 10000) -> MapClass:
-    """Locate the attracting point by iteration from the origin.
+    """Locate the attracting point and classify the map.
 
-    Interior convergence is refined by Newton on f(z) - z; boundary escape is
-    estimated from the mean of the last 16 normalized iterates, polished on
-    the unit circle, and confirmed by the extrapolated boundary derivative.
-    Degree-1 maps with non-convergent (rotation-like) orbits are solved in
-    closed form.
+    Blaschke-type maps are solved through their fixed-point polynomial.  A
+    plain callable is iterated from the origin for at most n_max steps:
+    interior convergence is refined by Newton on f(z) - z; boundary escape
+    is estimated from the mean of the last 16 normalized iterates, polished
+    on the unit circle, and confirmed by the extrapolated boundary derivative.
     """
     if is_identity(f):
         raise ValueError("the identity map has no distinguished fixed point")
+    if degree(f) is not None:
+        return _fixed_point_class(f, tol)
 
-    d = degree(f)
-    if d == 1:
-        return _classify_mobius(f, tol)
     z = 0.0 + 0.0j
     tail: list[complex] = []
     verdict = "exhausted"
@@ -165,63 +187,83 @@ def denjoy_wolff(f, tol: float = 1e-9, n_max: int = 10000) -> MapClass:
                 tail.pop(0)
 
     if verdict == "interior":
-        fp = _interior_refine(f, z, tol)
-        _, d1, _ = jet(f, fp)
-        return MapClass(
-            kind=ELLIPTIC_INTERIOR,
-            dw_point=fp,
-            interior_derivative=d1,
-            residual=abs(evaluate(f, fp) - fp),
+        return _interior_class(f, _interior_refine(f, z, tol))
+    guess = sum(tail) / len(tail) if tail else z
+    # no convergence seen: accept only clear boundary drift evidence
+    if verdict == "exhausted" and not (
+            abs(z) > 0.9 and len(tail) == 16 and max(abs(t - guess) for t in tail) < 0.05):
+        raise ClassificationError(f"orbit did not settle after {n_max} iterations (last z = {z!r})")
+    omega = _boundary_refine(f, guess / abs(guess))
+    rep = angular_derivative(f, omega)
+    residual = abs(evaluate(f, omega) - omega)
+    if residual > PREIMAGE_RESIDUAL_TOL or rep.angular_derivative > 1.0 + PARABOLIC_BAND:
+        raise ClassificationError(
+            f"boundary contact {omega!r} (residual {residual:.1e}) has derivative "
+            f"{rep.angular_derivative!r}; not an attracting point"
         )
-
-    if verdict == "exhausted":
-        # no convergence seen: accept only clear boundary drift evidence
-        mean = sum(tail) / len(tail) if tail else 0.0
-        spread = max(abs(t - mean) for t in tail) if tail else math.inf
-        if not (abs(z) > 0.9 and len(tail) == 16 and spread < 0.05):
-            raise ClassificationError(
-                f"orbit inconclusive after {n_max} iterations (last z = {z!r})"
-            )
-        guess = mean / abs(mean)
-    else:
-        guess = (sum(tail) / len(tail)) if tail else z
-        guess /= abs(guess)
-    return _boundary_verdict(f, guess)
+    return _boundary_class_at(f, omega, rep.angular_derivative)
 
 
-def _boundary_verdict(f, guess: complex) -> MapClass:
-    omega = _boundary_refine(f, guess)
+def _fixed_point_poly(f) -> np.ndarray:
+    """Coefficients (low to high) of P = A - z B for f = A / B, built by
+    substituting each stage's zero factors into the previous A / B.  A real
+    P comes back real, so its roots stay exactly conjugate-symmetric."""
+    a, b = np.array([0.0, 1.0 + 0.0j]), np.array([1.0 + 0.0j])
+    for stage in _stages(f):
+        na, nb = np.array([stage.gamma]), np.array([1.0 + 0.0j])
+        for zero, zero_c, u, mult in stage.factors:
+            # u (A/B - zero) / (1 - conj(zero) A/B): the 1/B of each factor cancels
+            fa, fb = (a, b) if zero == 0 else (u * npp.polysub(a, zero * b),
+                                               npp.polysub(b, zero_c * a))
+            for _ in range(mult):
+                na, nb = npp.polymul(na, fa), npp.polymul(nb, fb)
+        a, b = na, nb
+    p = npp.polysub(a, npp.polymulx(b))
+    return p if p.imag.any() else p.real
+
+
+def _circle_root(p: np.ndarray, z: complex, order: int) -> complex:
+    """Newton from z on the order-th derivative of p, where a root of
+    multiplicity order + 1 is simple, projected onto the unit circle."""
+    q = npp.polyder(p, order)
+    dq = npp.polyder(q)
+    for _ in range(30):
+        step = npp.polyval(z, q) / npp.polyval(z, dq)
+        z = z - step
+        if abs(step) <= 1e-16:
+            break
+    return complex(z) / abs(z)
+
+
+def _fixed_point_class(f, tol: float) -> MapClass:
+    """Classify a Blaschke-type map from the roots of P = A - z B.
+
+    Each cluster of roots near the circle gives one point, its mean polished
+    on the circle; other roots inside go through Newton on f(z) - z.  Points
+    with |f(z) - z| > PREIMAGE_RESIDUAL_TOL after polishing (spurious roots
+    of high-degree composites) are dropped.  An interior fixed point
+    attracts, else the boundary one of least a = |f'| if a < 1 + PARABOLIC_BAND.
+    """
+    p = _fixed_point_poly(f)
+    roots = npp.polyroots(p)
+    near = np.abs(np.abs(roots) - 1.0) < CIRCLE_BAND
+    for z in roots[~near & (np.abs(roots) < 1.0)]:
+        z = _interior_refine(f, complex(z), tol)
+        if abs(z) < 1.0 - CIRCLE_BAND and abs(evaluate(f, z) - z) <= PREIMAGE_RESIDUAL_TOL:
+            return _interior_class(f, z)
+    boundary = []
+    for group in _cluster(roots[near], CIRCLE_BAND):
+        omega = _circle_root(p, complex(np.mean(roots[near][group])), len(group) - 1)
+        a = abs(jet(f, omega)[1])
+        if abs(evaluate(f, omega) - omega) <= PREIMAGE_RESIDUAL_TOL and a < 1.0 + PARABOLIC_BAND:
+            boundary.append((a, omega))
+    if not boundary:
+        raise ClassificationError(f"no attracting fixed point among the {len(roots)} roots")
+    a, omega = min(boundary, key=lambda t: t[0])
     if getattr(f, "hp_exact", None) is not None and abs(omega - 1.0) < 1e-6:
         # maps carrying an exact half-plane form fix the disk point 1
         omega = 1.0 + 0.0j
-    rep = angular_derivative(f, omega)
-    if not rep.finite or rep.angular_derivative > 1.0 + PARABOLIC_BAND:
-        raise ClassificationError(
-            f"boundary contact {omega!r} has derivative "
-            f"{rep.angular_derivative!r}; not an attracting point"
-        )
-    a = rep.angular_derivative
-    kind = PARABOLIC if abs(a - 1.0) < PARABOLIC_BAND else HYPERBOLIC
-    return MapClass(kind=kind, dw_point=omega, angular_derivative=a,
-                    residual=rep.residual)
-
-
-def _classify_mobius(f, tol: float) -> MapClass:
-    """Degree-1 maps (disk automorphisms) via the fixed-point quadratic."""
-    fps = _mobius_fixed_points(f)
-    inside = [p for p in fps if abs(p) < 1.0 - 1e-6]
-    if inside:
-        fp = _interior_refine(f, inside[0], tol)
-        _, d1, _ = jet(f, fp)
-        return MapClass(ELLIPTIC_INTERIOR, fp, interior_derivative=d1,
-                        residual=abs(evaluate(f, fp) - fp))
-    last_error = None
-    for p in sorted(fps, key=lambda p: abs(abs(p) - 1.0)):
-        try:
-            return _boundary_verdict(f, p / abs(p))
-        except ClassificationError as exc:
-            last_error = exc  # repelling fixed point: derivative above 1
-    raise last_error
+    return _boundary_class_at(f, omega, a)
 
 
 # default-tolerance verdicts of the (never mutated) Blaschke-type map
@@ -282,35 +324,22 @@ def _orbit_rho_sequence(f, points, n_max, omega):
 
 
 def hyperbolic_step(f, z0: complex = 0.0, n_max: int = 10000) -> StepReport:
-    """Tail behavior of s_n = rho(orbit_n, orbit_{n+1}) from z0.
-
-    Verdict rule: zero when s_{n_max} < 1e-4 with a decaying tail
-    (s_{n_max}/s_{n_max/2} < 0.75); positive when s_{n_max} > 1e-3 with a
-    stalled tail (ratio > 0.99); otherwise inconclusive.
-    """
+    """s_n = rho(orbit_n, orbit_{n+1}) from z0 for n = 0..n_max, with the
+    verdict classify(f).step; the sequence, the numeric evidence, stalls at a
+    positive limit for positive step and decays to 0 for zero step."""
     z0 = ensure_disk_point(z0)
-    omega = ensure_unimodular(_boundary_class(f, "hyperbolic step").dw_point)
+    cls = _boundary_class(f, "hyperbolic step")
+    omega = ensure_unimodular(cls.dw_point)
 
     vals, frozen_at, last_w = _orbit_rho_sequence(f, [z0], n_max, omega)
-    s_end = vals[n_max]
-    s_half = vals[n_max // 2]
-    if s_end == 0.0:
-        verdict = "zero"
-    elif s_end < 1e-4 and s_end / s_half < 0.75:
-        verdict = "zero"
-    elif s_end > 1e-3 and s_end / s_half > 0.99:
-        verdict = "positive"
-    else:
-        verdict = "inconclusive"
-
     if abs(last_w) > 1e200:
         angle = math.atan2(last_w.imag, last_w.real)
     else:
         angle = math.atan2((last_w + 1.0).imag, (last_w + 1.0).real)
     return StepReport(
-        verdict=verdict,
+        verdict=cls.step,
         sequence=vals,
-        limit_estimate=float(s_end),
+        limit_estimate=float(vals[n_max]),
         base_point=z0,
         frozen_at=frozen_at,
         approach_angle=angle,

@@ -147,6 +147,18 @@ class TestSemiconjugacy:
         with pytest.raises(ValueError, match="zero-step"):
             abel.extract_semiconjugacy(parabolic_map, 10, PROBE_RING)
 
+    def test_step_comes_from_the_classification(self, monkeypatch):
+        from diskdyn import dynamics
+
+        def no_orbit(*args):
+            raise AssertionError("the step verdict walked an orbit")
+
+        monkeypatch.setattr(dynamics, "_orbit_rho_sequence", no_orbit)
+        assert abel.HalfPlaneMap(presets.example62()).step == "zero"
+        hm = abel.HalfPlaneMap(presets.translation())
+        assert hm.step == "positive"
+        assert abel.extract_semiconjugacy(hm, 6, PROBE_RING).parabolic
+
     def test_degenerate_probes_refused(self, translation_map):
         with pytest.raises(ValueError, match="degenerate"):
             abel.extract_semiconjugacy(translation_map, 5, [2.0] * 10)

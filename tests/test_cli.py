@@ -72,7 +72,7 @@ class TestConfig:
         parser = cli.build_parser()
         flags = [f for f in dataclasses.fields(cli.ExperimentConfig)
                  if f.name not in ("command", "map")]
-        assert len(flags) == 8
+        assert len(flags) == 7
         defaults = parser.parse_args(["classify"])
         for f in flags:
             assert getattr(defaults, f.name) == f.default
@@ -82,7 +82,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("command, field, value", [
         ("eigen", "depth", 2.5),
-        ("classify", "tol", "x"),
         ("classify", "out_dir", 5),
         ("classify", "n_max", "100"),
         ("classify", "samples", True),
@@ -96,8 +95,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             cli.config_from_dict(cfg)
 
-    def test_float_field_takes_an_int(self):
-        assert cli.config_from_dict({"command": "classify", "tol": 1}).tol == 1
+    def test_replayed_tol_is_an_unknown_field(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"command": "classify", "tol": 1e-9}))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        with pytest.raises(ValueError, match=r"unknown config fields: \['tol'\]"):
+            cli.config_from_dict({"command": "classify", "tol": 1e-9})
 
 
 class TestCommands:
@@ -112,6 +115,8 @@ class TestCommands:
         assert result["kind"] == "hyperbolic"
         assert abs(result["angular_derivative"] - 0.5) < 1e-6
         assert abs(result["dw_point"]["re"] - 1.0) < 1e-9
+        assert result["step"] == "positive"
+        assert abs(result["shift"]["re"] + 0.25) < 1e-12
 
     def test_abel_classifies_its_map_once(self, tmp_path, monkeypatch):
         from diskdyn import dynamics
