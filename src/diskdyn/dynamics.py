@@ -48,6 +48,11 @@ PARABOLIC_BAND = 1e-4
 # fixed-point roots this close to the circle are clustered boundary points
 CIRCLE_BAND = 1e-3
 
+# |P| <= this * sum |p_k| (rounding: <= 2e-15 at example62's triple root) at
+# a cluster's polished mean makes it one multiple root; at the midpoint of
+# two simple roots delta apart |P| is about |P''| delta^2 / 8
+MULTIPLE_ROOT_TOL = 1e-13
+
 # plain callables: an orbit converging beyond this radius is a boundary orbit
 TRANSPORT_RADIUS = 0.999
 
@@ -96,7 +101,7 @@ class ClassificationError(RuntimeError):
     pass
 
 
-def _interior_refine(f, z, tol):
+def _interior_refine(f, z):
     for _ in range(60):
         v, d1, _ = jet(f, z)
         den = d1 - 1.0
@@ -104,7 +109,7 @@ def _interior_refine(f, z, tol):
             break
         step = (v - z) / den
         z = z - step
-        if abs(step) < max(tol * 1e-3, 1e-15):
+        if abs(step) < 1e-12:
             break
     return z
 
@@ -143,8 +148,18 @@ def _interior_class(f, p) -> MapClass:
                     residual=abs(evaluate(f, p) - p))
 
 
-def _boundary_class_at(f, omega, a) -> MapClass:
-    """The class of a map attracted to omega with boundary derivative a."""
+def _attracting(f, contacts) -> MapClass:
+    """The class of a map attracted to the boundary fixed point of least a
+    among (a, omega) contacts with |f(omega) - omega| <= PREIMAGE_RESIDUAL_TOL
+    and a < 1 + PARABOLIC_BAND."""
+    fixed = [(a, w) for a, w in contacts
+             if abs(evaluate(f, w) - w) <= PREIMAGE_RESIDUAL_TOL and a < 1.0 + PARABOLIC_BAND]
+    if not fixed:
+        raise ClassificationError(f"none of the boundary contacts {contacts!r} attracts")
+    a, omega = min(fixed, key=lambda t: t[0])
+    if getattr(f, "hp_exact", None) is not None and abs(omega - 1.0) < 1e-6:
+        # maps carrying an exact half-plane form fix the disk point 1
+        omega = 1.0 + 0.0j
     shift = omega * jet(f, omega)[2]
     kind = PARABOLIC if abs(a - 1.0) < PARABOLIC_BAND else HYPERBOLIC
     step = "zero" if kind == PARABOLIC and abs(shift) < PARABOLIC_BAND else "positive"
@@ -152,11 +167,11 @@ def _boundary_class_at(f, omega, a) -> MapClass:
                     shift=shift, step=step)
 
 
-def denjoy_wolff(f, tol: float = 1e-9, n_max: int = 10000) -> MapClass:
+def denjoy_wolff(f) -> MapClass:
     """Locate the attracting point and classify the map.
 
     Blaschke-type maps are solved through their fixed-point polynomial.  A
-    plain callable is iterated from the origin for at most n_max steps:
+    plain callable is iterated from the origin for at most 10000 steps:
     interior convergence is refined by Newton on f(z) - z; boundary escape
     is estimated from the mean of the last 16 normalized iterates, polished
     on the unit circle, and confirmed by the extrapolated boundary derivative.
@@ -164,57 +179,37 @@ def denjoy_wolff(f, tol: float = 1e-9, n_max: int = 10000) -> MapClass:
     if is_identity(f):
         raise ValueError("the identity map has no distinguished fixed point")
     if degree(f) is not None:
-        return _fixed_point_class(f, tol)
+        return _fixed_point_class(f)
 
-    z = 0.0 + 0.0j
-    tail: list[complex] = []
-    verdict = "exhausted"
-    for n in range(n_max):
-        z_next = evaluate(f, z)
-        if abs(z_next) > 1.0 - 1e-13:
-            z = z_next
-            verdict = "boundary"
+    z, tail, settled = 0.0 + 0.0j, [], False
+    for _ in range(10000):
+        z, z_prev = evaluate(f, z), z
+        settled = abs(z) > 1.0 - 1e-13 or abs(z - z_prev) < 1e-9
+        if settled:
             break
-        if abs(z_next - z) < tol:
-            z = z_next
-            # a converged orbit hugging the boundary is a boundary orbit
-            verdict = "interior" if abs(z) <= TRANSPORT_RADIUS else "boundary"
-            break
-        z = z_next
         if abs(z) > 0.5:
-            tail.append(z / abs(z))
-            if len(tail) > 16:
-                tail.pop(0)
-
-    if verdict == "interior":
-        return _interior_class(f, _interior_refine(f, z, tol))
+            tail = tail[-15:] + [z / abs(z)]
+    if settled and abs(z) <= TRANSPORT_RADIUS:  # else it settled on the boundary
+        return _interior_class(f, _interior_refine(f, z))
     guess = sum(tail) / len(tail) if tail else z
     # no convergence seen: accept only clear boundary drift evidence
-    if verdict == "exhausted" and not (
+    if not settled and not (
             abs(z) > 0.9 and len(tail) == 16 and max(abs(t - guess) for t in tail) < 0.05):
-        raise ClassificationError(f"orbit did not settle after {n_max} iterations (last z = {z!r})")
+        raise ClassificationError(f"orbit did not settle after 10000 iterations (last z = {z!r})")
     omega = _boundary_refine(f, guess / abs(guess))
-    rep = angular_derivative(f, omega)
-    residual = abs(evaluate(f, omega) - omega)
-    if residual > PREIMAGE_RESIDUAL_TOL or rep.angular_derivative > 1.0 + PARABOLIC_BAND:
-        raise ClassificationError(
-            f"boundary contact {omega!r} (residual {residual:.1e}) has derivative "
-            f"{rep.angular_derivative!r}; not an attracting point"
-        )
-    return _boundary_class_at(f, omega, rep.angular_derivative)
+    return _attracting(f, [(angular_derivative(f, omega).angular_derivative, omega)])
 
 
 def _fixed_point_poly(f) -> np.ndarray:
     """Coefficients (low to high) of P = A - z B for f = A / B, built by
-    substituting each stage's zero factors into the previous A / B.  A real
-    P comes back real, so its roots stay exactly conjugate-symmetric."""
+    substituting each stage's zero factors u (z - c) / (1 - conj(c) z) into
+    the previous A / B, where the 1/B cancels.  A real P comes back real, so
+    its roots stay exactly conjugate-symmetric."""
     a, b = np.array([0.0, 1.0 + 0.0j]), np.array([1.0 + 0.0j])
     for stage in _stages(f):
         na, nb = np.array([stage.gamma]), np.array([1.0 + 0.0j])
-        for zero, zero_c, u, mult in stage.factors:
-            # u (A/B - zero) / (1 - conj(zero) A/B): the 1/B of each factor cancels
-            fa, fb = (a, b) if zero == 0 else (u * npp.polysub(a, zero * b),
-                                               npp.polysub(b, zero_c * a))
+        for c, c_conj, u, mult in stage.factors:
+            fa, fb = u * npp.polysub(a, c * b), npp.polysub(b, c_conj * a)
             for _ in range(mult):
                 na, nb = npp.polymul(na, fa), npp.polymul(nb, fb)
         a, b = na, nb
@@ -235,45 +230,42 @@ def _circle_root(p: np.ndarray, z: complex, order: int) -> complex:
     return complex(z) / abs(z)
 
 
-def _fixed_point_class(f, tol: float) -> MapClass:
+def _fixed_point_class(f) -> MapClass:
     """Classify a Blaschke-type map from the roots of P = A - z B.
 
-    Each cluster of roots near the circle gives one point, its mean polished
-    on the circle; other roots inside go through Newton on f(z) - z.  Points
-    with |f(z) - z| > PREIMAGE_RESIDUAL_TOL after polishing (spurious roots
-    of high-degree composites) are dropped.  An interior fixed point
-    attracts, else the boundary one of least a = |f'| if a < 1 + PARABOLIC_BAND.
+    A cluster of roots near the circle is one multiple root if P vanishes at
+    its mean polished on the circle, else its roots are polished one by one;
+    other roots inside go through Newton on f(z) - z.  Only points with
+    |f(z) - z| <= PREIMAGE_RESIDUAL_TOL after polishing count (high-degree
+    composites have spurious roots).  An interior fixed point attracts.
     """
     p = _fixed_point_poly(f)
     roots = npp.polyroots(p)
     near = np.abs(np.abs(roots) - 1.0) < CIRCLE_BAND
     for z in roots[~near & (np.abs(roots) < 1.0)]:
-        z = _interior_refine(f, complex(z), tol)
+        z = _interior_refine(f, complex(z))
         if abs(z) < 1.0 - CIRCLE_BAND and abs(evaluate(f, z) - z) <= PREIMAGE_RESIDUAL_TOL:
             return _interior_class(f, z)
-    boundary = []
+    contacts = []
     for group in _cluster(roots[near], CIRCLE_BAND):
-        omega = _circle_root(p, complex(np.mean(roots[near][group])), len(group) - 1)
-        a = abs(jet(f, omega)[1])
-        if abs(evaluate(f, omega) - omega) <= PREIMAGE_RESIDUAL_TOL and a < 1.0 + PARABOLIC_BAND:
-            boundary.append((a, omega))
-    if not boundary:
-        raise ClassificationError(f"no attracting fixed point among the {len(roots)} roots")
-    a, omega = min(boundary, key=lambda t: t[0])
-    if getattr(f, "hp_exact", None) is not None and abs(omega - 1.0) < 1e-6:
-        # maps carrying an exact half-plane form fix the disk point 1
-        omega = 1.0 + 0.0j
-    return _boundary_class_at(f, omega, a)
+        members = [complex(z) for z in roots[near][group]]
+        omega = _circle_root(p, sum(members) / len(members), len(members) - 1)
+        # the mean of distinct nearby roots polishes onto a critical point of P
+        if abs(npp.polyval(omega, p)) > MULTIPLE_ROOT_TOL * np.abs(p).sum():
+            contacts += [_circle_root(p, z, 0) for z in members]
+        else:
+            contacts.append(omega)
+    return _attracting(f, [(abs(jet(f, w)[1]), w) for w in contacts])
 
 
-# default-tolerance verdicts of the (never mutated) Blaschke-type map
-# objects still alive; keyed by the object, so nothing outlives its map
+# verdicts of the (never mutated) Blaschke-type map objects still alive;
+# keyed by the object, so nothing outlives its map
 _CLASSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def classify(f) -> MapClass:
-    """Classification with default tolerances, computed once per Blaschke-type
-    map object; plain callables are classified on every call."""
+    """denjoy_wolff(f), computed once per Blaschke-type map object; plain
+    callables are classified on every call."""
     if not isinstance(f, (FiniteBlaschkeProduct, CompositeMap)):
         return denjoy_wolff(f)
     cls = _CLASSES.get(f)

@@ -15,18 +15,33 @@ from diskdyn import dynamics as dyn
 from diskdyn import selfmap as sm
 
 
-def shifted_map(beta):
-    """The degree-2 product conjugate to F(w) = w + i beta + 1/w.
+def shifted_map(beta, a=1.0):
+    """The degree-2 product conjugate to F(w) = w/a + i beta + 1/w.
 
     With w = (1 + z)/(1 - z), f = (F(w) - 1)/(F(w) + 1), whose zeros are the
-    roots of w^2 + (i beta - 1) w + 1 = 0; gamma is fixed by f(0), which is
-    F(1) = 2 + i beta carried back to the disk, and each zero factor is
-    a^2/|a| at 0.
+    roots of w^2/a + (i beta - 1) w + 1 = 0; gamma is fixed by f(0), which is
+    F(1) = 1/a + 1 + i beta carried back to the disk, and each zero factor is
+    a^2/|a| at 0.  For a < 1 the map is attracted to 1 with derivative a, and
+    a second, repelling boundary fixed point sits about 2 (1 - a) from it.
     """
-    zeros = [(complex((w - 1) / (w + 1)), 1) for w in np.roots([1, 1j * beta - 1, 1])]
-    f0 = (1 + 1j * beta) / (3 + 1j * beta)
-    gamma = f0 / np.prod([a * a / abs(a) for a, _ in zeros])
+    zeros = [(complex((w - 1) / (w + 1)), 1) for w in np.roots([1 / a, 1j * beta - 1, 1])]
+    f0 = (1 / a + 1j * beta) / (1 / a + 1j * beta + 2)
+    gamma = f0 / np.prod([c * c / abs(c) for c, _ in zeros])
     return sm.FiniteBlaschkeProduct(gamma / abs(gamma), zeros)
+
+
+def mpmath_fixed_point(f, z0):
+    """The fixed point of the product f (as built, in floats) nearest z0, by
+    40-digit mpmath Newton on its factored form."""
+    with mpmath.workdps(40):
+        def moved(z):
+            v = mpmath.mpc(f.gamma)
+            for c, mult in f.zeros:
+                c = mpmath.mpc(c)
+                v *= (-(c / abs(c)) * (z - c) / (1 - mpmath.conj(c) * z)) ** mult
+            return v - z
+
+        return complex(mpmath.findroot(moved, mpmath.mpc(z0)))
 
 
 def rotated_example62(t):
@@ -81,6 +96,23 @@ class TestShiftFamily:
         expected = "positive" if beta > 0 else "zero"
         assert cls.step == expected
         assert dyn.hyperbolic_step(f, 0.0, 10000).verdict == expected
+
+    @pytest.mark.parametrize("a", [0.9998, 1 - 5e-5, 1 - 1e-5])
+    def test_nearby_repelling_point_is_kept_apart(self, a):
+        # the two boundary fixed points near 1 are simple roots, 4e-4 to 2e-5
+        # apart; their midpoint is a critical point of P, not a fixed point.
+        # The attracting one has condition number 1/(1 - a): the float-built
+        # map fixes a point up to 8e-12 from 1, so omega is compared with
+        # that point and both with rounding amplified by 1/(1 - a)
+        f = shifted_map(1.0, a)
+        cls = dyn.classify(f)
+        ref = mpmath_fixed_point(f, 1.0)
+        bound = 1e-15 / (1 - a)
+        assert abs(ref - 1.0) < bound
+        assert cls.kind == (dyn.HYPERBOLIC if 1 - a > dyn.PARABOLIC_BAND else dyn.PARABOLIC)
+        assert abs(cls.dw_point - ref) < bound
+        assert abs(cls.angular_derivative - a) < bound
+        assert cls.step == "positive"
 
     def test_example62_composed_with_itself_has_zero_step(self):
         f = sm.compose(presets.example62(), presets.example62())
