@@ -32,7 +32,8 @@ from .selfmap import (
     CompositeMap,
     FiniteBlaschkeProduct,
     HalfPlaneConjugate,
-    _cluster,
+    _polish,
+    _root_groups,
     _stages,
     angular_derivative,
     degree,
@@ -45,13 +46,8 @@ from .selfmap import (
 # has zero step when the shift |b| is inside it too
 PARABOLIC_BAND = 1e-4
 
-# fixed-point roots this close to the circle are clustered boundary points
+# fixed-point roots this close to the circle are boundary fixed points
 CIRCLE_BAND = 1e-3
-
-# |P| <= this * sum |p_k| (rounding: <= 2e-15 at example62's triple root) at
-# a cluster's polished mean makes it one multiple root; at the midpoint of
-# two simple roots delta apart |P| is about |P''| delta^2 / 8
-MULTIPLE_ROOT_TOL = 1e-13
 
 # plain callables: an orbit converging beyond this radius is a boundary orbit
 TRANSPORT_RADIUS = 0.999
@@ -217,44 +213,26 @@ def _fixed_point_poly(f) -> np.ndarray:
     return p if p.imag.any() else p.real
 
 
-def _circle_root(p: np.ndarray, z: complex, order: int) -> complex:
-    """Newton from z on the order-th derivative of p, where a root of
-    multiplicity order + 1 is simple, projected onto the unit circle."""
-    q = npp.polyder(p, order)
-    dq = npp.polyder(q)
-    for _ in range(30):
-        step = npp.polyval(z, q) / npp.polyval(z, dq)
-        z = z - step
-        if abs(step) <= 1e-16:
-            break
-    return complex(z) / abs(z)
-
-
 def _fixed_point_class(f) -> MapClass:
     """Classify a Blaschke-type map from the roots of P = A - z B.
 
-    A cluster of roots near the circle is one multiple root if P vanishes at
-    its mean polished on the circle, else its roots are polished one by one;
-    other roots inside go through Newton on f(z) - z.  Only points with
+    Roots and multiplicities come from selfmap._root_groups.  Roots within
+    CIRCLE_BAND of the circle are boundary fixed points: simple ones are
+    polished on P, and each is projected onto the circle.  Other roots
+    inside go through Newton on f(z) - z.  Only points with
     |f(z) - z| <= PREIMAGE_RESIDUAL_TOL after polishing count (high-degree
     composites have spurious roots).  An interior fixed point attracts.
     """
     p = _fixed_point_poly(f)
-    roots = npp.polyroots(p)
-    near = np.abs(np.abs(roots) - 1.0) < CIRCLE_BAND
-    for z in roots[~near & (np.abs(roots) < 1.0)]:
-        z = _interior_refine(f, complex(z))
-        if abs(z) < 1.0 - CIRCLE_BAND and abs(evaluate(f, z) - z) <= PREIMAGE_RESIDUAL_TOL:
-            return _interior_class(f, z)
     contacts = []
-    for group in _cluster(roots[near], CIRCLE_BAND):
-        members = [complex(z) for z in roots[near][group]]
-        omega = _circle_root(p, sum(members) / len(members), len(members) - 1)
-        # the mean of distinct nearby roots polishes onto a critical point of P
-        if abs(npp.polyval(omega, p)) > MULTIPLE_ROOT_TOL * np.abs(p).sum():
-            contacts += [_circle_root(p, z, 0) for z in members]
-        else:
-            contacts.append(omega)
+    for z, m in _root_groups(p):
+        if abs(abs(z) - 1.0) < CIRCLE_BAND:
+            omega = _polish(p, z) if m == 1 else z
+            contacts.append(omega / abs(omega))
+        elif abs(z) < 1.0:
+            z = _interior_refine(f, z)
+            if abs(z) < 1.0 - CIRCLE_BAND and abs(evaluate(f, z) - z) <= PREIMAGE_RESIDUAL_TOL:
+                return _interior_class(f, z)
     return _attracting(f, [(abs(jet(f, w)[1]), w) for w in contacts])
 
 

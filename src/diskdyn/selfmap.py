@@ -27,6 +27,14 @@ from .geometry import (
 # residual |f(root) - w| required after polishing
 PREIMAGE_RESIDUAL_TOL = 1e-10
 
+# polynomial roots closer than this are tested as one multiple root
+CLUSTER_RADIUS = 1e-3
+
+# |p| <= this * sum |p_k| (rounding: <= 2e-15 at example62's triple fixed
+# point) at a cluster's polished mean makes it one multiple root; at the
+# midpoint of two simple roots delta apart |p| is about |p''| delta^2 / 8
+MULTIPLE_ROOT_TOL = 1e-13
+
 
 class RootFindingError(RuntimeError):
     """Raised when polynomial root polishing cannot reach the target residual."""
@@ -268,8 +276,8 @@ def _newton_polish(f, z, target=0.0, order=0):
     return z
 
 
-def _cluster(points: np.ndarray, tol: float) -> list[list[int]]:
-    """Union-find clustering of points with Euclidean threshold tol."""
+def _cluster(points: np.ndarray) -> list[list[int]]:
+    """Union-find clustering of points within CLUSTER_RADIUS of each other."""
     n = len(points)
     parent = list(range(n))
 
@@ -281,7 +289,7 @@ def _cluster(points: np.ndarray, tol: float) -> list[list[int]]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= tol:
+            if abs(points[i] - points[j]) <= CLUSTER_RADIUS:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
@@ -291,39 +299,35 @@ def _cluster(points: np.ndarray, tol: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def _deflation_ok(poly: np.ndarray, root: complex, mult: int) -> bool:
-    """Check that root is an m-fold root of poly by synthetic division residuals."""
-    scale = float(np.max(np.abs(poly))) or 1.0
-    work = poly.copy()
-    for _ in range(mult):
-        rem = npp.polyval(root, work)
-        if abs(rem) > 1e-10 * scale:
-            return False
-        # divide by (z - root)
-        q = np.empty(len(work) - 1, dtype=complex)
-        acc = 0.0 + 0.0j
-        for k in range(len(work) - 1, 0, -1):
-            acc = work[k] + acc * root
-            q[k - 1] = acc
-        work = q
-        if len(work) == 0:
+def _polish(p: np.ndarray, z: complex, order: int = 0) -> complex:
+    """Newton from z on the order-th derivative of p, where a root of
+    multiplicity order + 1 is simple."""
+    q = npp.polyder(p, order)
+    dq = npp.polyder(q)
+    for _ in range(30):
+        step = npp.polyval(z, q) / npp.polyval(z, dq)
+        z = z - step
+        if abs(step) <= 1e-16:
             break
-    return True
+    return complex(z)
 
 
 def _root_groups(poly: np.ndarray) -> list[tuple[complex, int]]:
-    """Roots of poly with multiplicities: a cluster within 2e-5 that passes
-    deflation becomes its mean with the cluster size, every other root stays
-    single (multiplicity 1) and unpolished."""
+    """Roots of poly with multiplicities, by the one multiple-root rule.
+
+    A cluster of m roots within CLUSTER_RADIUS is one m-fold root at its
+    mean polished on poly^(m-1) if |poly| <= MULTIPLE_ROOT_TOL * sum |p_k|
+    there; otherwise that mean has landed between distinct roots.  Those
+    roots and singletons come back unpolished with multiplicity 1.
+    """
     roots = npp.polyroots(poly)
     groups: list[tuple[complex, int]] = []
-    for group in _cluster(roots, 2e-5):
+    for group in _cluster(roots):
         if len(group) > 1:
-            center = complex(np.mean(roots[group]))
-            if _deflation_ok(poly, center, len(group)):
+            center = _polish(poly, complex(sum(roots[group])) / len(group), len(group) - 1)
+            if abs(npp.polyval(center, poly)) <= MULTIPLE_ROOT_TOL * np.abs(poly).sum():
                 groups.append((center, len(group)))
                 continue
-        # singletons and accidental clusters
         groups.extend((complex(roots[i]), 1) for i in group)
     return groups
 
@@ -420,7 +424,11 @@ def critical_points(f) -> list[tuple[complex, int]]:
         return []
     num, den = f.coefficients
     dnum = npp.polysub(npp.polymul(npp.polyder(num), den), npp.polymul(num, npp.polyder(den)))
-    inside = _merge_pseudo_hyperbolic([
+    # an m-fold zero is an exact (m-1)-fold critical point: divide it out
+    multiple = [(a, m - 1) for a, m in f.zeros if m > 1]
+    for a, m in multiple:
+        dnum = npp.polydiv(dnum, npp.polypow([-a, 1.0], m))[0]
+    inside = _merge_pseudo_hyperbolic(multiple + [
         (_newton_polish(f, z, order=1), m)
         for z, m in _root_groups(dnum)
         if abs(z) < 1.0 - DISK_MARGIN

@@ -245,6 +245,14 @@ class TestPreimages:
         assert sum(m for _, m in fiber) == 2
         assert any(m == 2 for _, m in fiber)
 
+    @pytest.mark.parametrize("w", [1e-10, 1e-11, 1e-12])
+    def test_tiny_target_has_two_simple_preimages(self, w):
+        # +-sqrt(w) are 2e-6 to 2e-5 apart, far beyond SAME_POINT_TOL
+        r = math.sqrt(w)
+        fiber = sm.preimages(presets.power_map(2), w)
+        assert [m for _, m in fiber] == [1, 1]
+        assert [z.real for z, _ in fiber] == pytest.approx([-r, r], rel=1e-12)
+
     def test_completeness_random(self):
         rng = np.random.default_rng(99)
         for _ in range(100):
@@ -313,6 +321,17 @@ class TestCriticalPoints:
             assert sum(m for _, m in cps) == f.degree - 1
             for c, _ in cps:
                 assert abs(sm.derivative(f, c)) < 1e-8
+
+    def test_triple_zero_is_an_exact_double_critical_point(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            zeros = [(random_disk_point(rng, 0.85), 3)] + [
+                (random_disk_point(rng, 0.85), 1) for _ in range(int(rng.integers(0, 3)))
+            ]
+            f = sm.FiniteBlaschkeProduct(cmath.exp(2j * math.pi * rng.random()), zeros)
+            cps = sm.critical_points(f)
+            assert (zeros[0][0], 2) in cps
+            assert sum(m for _, m in cps) == f.degree - 1
 
 
 class TestSchwarzPick:
