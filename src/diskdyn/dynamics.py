@@ -35,6 +35,7 @@ from .selfmap import (
     _polish,
     _root_groups,
     _stages,
+    _substitute,
     angular_derivative,
     degree,
     evaluate,
@@ -197,18 +198,14 @@ def denjoy_wolff(f) -> MapClass:
 
 
 def _fixed_point_poly(f) -> np.ndarray:
-    """Coefficients (low to high) of P = A - z B for f = A / B, built by
-    substituting each stage's zero factors u (z - c) / (1 - conj(c) z) into
-    the previous A / B, where the 1/B cancels.  A real P comes back real, so
-    its roots stay exactly conjugate-symmetric."""
-    a, b = np.array([0.0, 1.0 + 0.0j]), np.array([1.0 + 0.0j])
+    """Coefficients (low to high) of P = A - z B for f = A / B, with A and B
+    of equal length: each stage is substituted into the previous A / B by
+    selfmap._substitute.  A real P comes back real, so its roots stay
+    exactly conjugate-symmetric."""
+    a, b = np.array([0.0, 1.0 + 0.0j]), np.array([1.0 + 0.0j, 0.0])
     for stage in _stages(f):
-        na, nb = np.array([stage.gamma]), np.array([1.0 + 0.0j])
-        for c, c_conj, u, mult in stage.factors:
-            fa, fb = u * npp.polysub(a, c * b), npp.polysub(b, c_conj * a)
-            for _ in range(mult):
-                na, nb = npp.polymul(na, fa), npp.polymul(nb, fb)
-        a, b = na, nb
+        a, b = _substitute(stage, a, b)
+        a = stage.gamma * a
     p = npp.polysub(a, npp.polymulx(b))
     return p if p.imag.any() else p.real
 

@@ -101,26 +101,33 @@ class FiniteBlaschkeProduct:
     def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients (low to high) of N, D with f = gamma * N / D.
 
-        Each nonzero zero a contributes numerator -(a/|a|)(z - a) and
-        denominator (1 - conj(a) z); a zero at the origin contributes z.
+        ``_substitute`` of z = [0, 1] / [1, 0]: N and D have length
+        degree + 1, and a zero at the origin leaves trailing zeros in D.
         Built on first use: most products are only ever evaluated.
         """
-        num = np.array([1.0 + 0.0j])
-        den = np.array([1.0 + 0.0j])
-        for a, ac, u, mult in self.factors:
-            if a == 0:
-                fac_n = np.array([0.0, 1.0 + 0.0j])
-                fac_d = np.array([1.0 + 0.0j])
-            else:
-                fac_n = np.array([-u * a, u])
-                fac_d = np.array([1.0 + 0.0j, -ac])
-            for _ in range(mult):
-                num = npp.polymul(num, fac_n)
-                den = npp.polymul(den, fac_d)
+        num, den = _substitute(self, np.array([0.0, 1.0 + 0.0j]), np.array([1.0 + 0.0j, 0.0]))
         # every caller shares these arrays
         num.flags.writeable = False
         den.flags.writeable = False
         return num, den
+
+
+def _substitute(f: FiniteBlaschkeProduct, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """N, D with f(a / b) = gamma * N / D, for coefficient arrays a, b
+    (low to high) of equal length.
+
+    Each zero factor u (z - c) / (1 - conj(c) z) becomes
+    u (a - c b) / (b - conj(c) a), where the 1/b cancels; the origin's
+    factor (c = 0, u = 1) is a / b.  N and D have equal length.  gamma is
+    left to the caller: multiplying it in here changes fiber roots by
+    rounding.
+    """
+    num = den = np.ones(1, dtype=complex)
+    for c, c_conj, u, mult in f.factors:
+        fac_n, fac_d = u * (a - c * b), b - c_conj * a
+        for _ in range(mult):
+            num, den = np.convolve(num, fac_n), np.convolve(den, fac_d)
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -353,7 +360,7 @@ def _preimages_fbp(f: FiniteBlaschkeProduct, w: complex) -> list[tuple[complex, 
     num, den = f.coefficients
     cands = _merge_pseudo_hyperbolic([
         (_newton_polish(f, z, target=w) if m == 1 else z, m)
-        for z, m in _root_groups(npp.polysub(f.gamma * num, w * den))
+        for z, m in _root_groups(f.gamma * num - w * den)
     ])
     result: list[tuple[complex, int]] = []
     worst = 0.0
@@ -493,29 +500,15 @@ def angular_derivative(f, omega: complex) -> BoundaryDerivativeReport:
 # ----------------------------------------------------------------------------
 
 
-def _transport_poly(p: np.ndarray, omega: complex, deg: int) -> np.ndarray:
-    """Coefficients of (w + 1)^deg * p(omega (w - 1)/(w + 1)), low to high."""
-    acc = np.zeros(deg + 1, dtype=complex)
-    wm1 = np.array([-1.0 + 0.0j, 1.0])
-    wp1 = np.array([1.0 + 0.0j, 1.0])
-    for j, c in enumerate(p):
-        term = np.array([c * omega ** j])
-        for _ in range(j):
-            term = npp.polymul(term, wm1)
-        for _ in range(deg - j):
-            term = npp.polymul(term, wp1)
-        acc[: len(term)] += term
-    return acc
-
-
 class HalfPlaneConjugate:
     """The map transported to the right half-plane with the attracting
     boundary point sent to infinity.
 
-    apply() evaluates C(conj(omega) f(omega C^{-1}(w))) through rational
-    stage forms, switching to 1/w coordinates for |w| > 1 so that orbits
-    may grow to ~1e280 without losing accuracy near the fixed point; like
-    evaluate, it returns a Python complex.
+    apply() evaluates C(conj(omega) f(omega C^{-1}(w))) through one rational
+    form a(w)/b(w) per stage, built by ``_substitute``; the Cayley transports
+    between stages telescope.  It switches to 1/w coordinates for |w| > 1 so
+    that orbits may grow to ~1e280 without losing accuracy near the fixed
+    point; like evaluate, it returns a Python complex.
     """
 
     def __init__(self, f, omega: complex = 1.0):
@@ -528,25 +521,20 @@ class HalfPlaneConjugate:
         stages = _stages(f)
         built = []
         for idx, stage in enumerate(stages):
-            num, den = stage.coefficients
-            d = stage.degree
             in_rot = self.omega if idx == 0 else 1.0
-            tn = _transport_poly(num, in_rot, d) * stage.gamma
-            td = _transport_poly(den, in_rot, d)
             out_rot = self.omega.conjugate() if idx == len(stages) - 1 else 1.0
-            a = npp.polyadd(td, out_rot * tn)
-            b = npp.polysub(td, out_rot * tn)
+            # z = in_rot (w - 1) / (w + 1) gives stage(z) = gamma tn / td
+            tn, td = _substitute(stage, in_rot * np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
+            gtn = out_rot * stage.gamma * tn
+            a, b = td + gtn, td - gtn
             # a stage fixing infinity has exact zero leading denominator
             # coefficient; snap rounding noise so huge orbits stay stable
             if abs(b[-1]) < 1e-9 * np.max(np.abs(b)):
-                b = b.copy()
                 b[-1] = 0.0
-            # pad to one length; keep (a_k, b_k) pairs as Python complex
-            # (faster than numpy scalars in apply), highest degree first for
-            # w and lowest first for 1/w
-            n = max(len(a), len(b))
-            a = np.pad(a, (0, n - len(a))).tolist()
-            b = np.pad(b, (0, n - len(b))).tolist()
+            # keep (a_k, b_k) pairs as Python complex (faster than numpy
+            # scalars in apply), highest degree first for w and lowest
+            # first for 1/w
+            a, b = a.tolist(), b.tolist()
             built.append((tuple(zip(a[::-1], b[::-1])), tuple(zip(a, b))))
         self._stages = built
 

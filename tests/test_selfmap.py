@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
+from diskdyn import dynamics as dyn
 from diskdyn import geometry as g
 from diskdyn import presets
 from diskdyn import selfmap as sm
@@ -129,6 +131,37 @@ class TestEvaluate:
             z = random_disk_point(rng)
             lhs = sm.evaluate(f, z.conjugate())
             assert lhs == pytest.approx(sm.evaluate(f, z).conjugate(), abs=1e-14)
+
+
+class TestPolynomialForms:
+    """The coefficient forms built by substituting zero factors, against
+    evaluate."""
+
+    def test_coefficients_give_the_map(self):
+        gamma, c = cmath.exp(0.9j), 0.4 - 0.3j
+        f = sm.FiniteBlaschkeProduct(gamma, ((0.0, 1), (c, 3)))
+        num, den = f.coefficients
+        assert len(num) == len(den) == f.degree + 1
+        for z in (0.0, 0.3 + 0.2j, -0.7j, 0.85 - 0.1j, cmath.exp(2.0j)):
+            value = gamma * npp.polyval(z, num) / npp.polyval(z, den)
+            assert abs(value - sm.evaluate(f, z)) <= 1e-15
+
+    def test_fixed_point_poly_is_f_minus_z_times_b(self):
+        # B of a composite s2 o s1 is D1^deg(s2) * D2(s1), where D_k is the
+        # product of the (1 - conj(c) z)^m of stage k
+        r = cmath.exp(1.0j)
+        s1 = sm.FiniteBlaschkeProduct(r ** -3, ((-r / 3.0, 2),))
+        s2 = sm.FiniteBlaschkeProduct(cmath.exp(0.3j), ((0.0, 1), (0.2 * r, 1)))
+        f = sm.compose(s2, s1)
+        p = dyn._fixed_point_poly(f)
+        assert len(p) == f.degree + 2
+
+        def den(stage, z):
+            return math.prod((1 - c.conjugate() * z) ** m for c, m in stage.zeros)
+
+        for z in (0.0, 0.3 + 0.2j, -0.7j, 0.85 - 0.1j, cmath.exp(2.0j)):
+            b = den(s1, z) ** s2.degree * den(s2, sm.evaluate(s1, z))
+            assert abs(npp.polyval(z, p) / b - (sm.evaluate(f, z) - z)) <= 1e-15
 
 
 class TestDerivative:
@@ -374,6 +407,18 @@ class TestHalfPlaneConjugate:
     def test_exact_translation_form(self):
         hp = sm.HalfPlaneConjugate(presets.translation(), 1.0)
         assert hp.apply(3.0 + 2.0j) == 3.0 + 1.0j
+
+    def test_rotated_attracting_point(self):
+        # e^{it} f(e^{-it} z) for f = example62 fixes omega = e^{it}
+        omega = cmath.exp(1.0j)
+        f = sm.FiniteBlaschkeProduct(omega ** -3, ((-omega / 3.0, 2),))
+        hp = sm.HalfPlaneConjugate(f, omega)
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            z = random_disk_point(rng, 0.8)
+            w = g.cayley_to_rhp(omega.conjugate() * z)
+            expected = g.cayley_to_rhp(omega.conjugate() * sm.evaluate(f, z))
+            assert hp.apply(w) == pytest.approx(expected, rel=1e-12)
 
     def test_composite_stages(self):
         f = presets.example61(0.5)
