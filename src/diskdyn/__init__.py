@@ -60,7 +60,6 @@ from .abel import (
 from .eigen import (
     SingularEigenfunction,
     TauEstimate,
-    TruncatedEigenfunction,
     build_truncated_eigenfunction,
     eigen_residual,
     estimate_tau,

@@ -20,32 +20,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _boundary_class
-from .geometry import cayley_to_rhp, ensure_unimodular
 from .selfmap import HalfPlaneConjugate
 
 
-class HalfPlaneMap:
-    """A non-elliptic disk map transported so its attracting point is infinity.
+class HalfPlaneMap(HalfPlaneConjugate):
+    """The HalfPlaneConjugate of a non-elliptic disk map at its attracting
+    point, so that point is infinity.
 
-    Carries the map's step verdict ("positive" or "zero", from its
+    Adds the map's step verdict ("positive" or "zero", from its
     classification) and the cached base orbit from w_0 = 1 (the image of the
     disk origin); the cache is append-only and shared by all evaluations.
     """
 
     def __init__(self, diskmap):
         cls = _boundary_class(diskmap, "half-plane transport")
-        self.omega = ensure_unimodular(cls.dw_point)
+        super().__init__(diskmap, cls.dw_point)
         self.step = cls.step
-        self._conj = HalfPlaneConjugate(diskmap, self.omega)
         self._orbit: list[complex] = [1.0 + 0.0j]
 
-    def to_halfplane(self, z_disk: complex) -> complex:
-        return cayley_to_rhp(self.omega.conjugate() * z_disk)
-
-    def apply(self, w: complex) -> complex:
-        return self._conj.apply(w)
-
     def orbit_point(self, n: int) -> complex:
+        if n < 0:
+            raise ValueError("orbit index must be nonnegative")
         while len(self._orbit) <= n:
             w = self.apply(self._orbit[-1])
             if not w.real > 0:
@@ -69,6 +64,8 @@ class HalfPlaneMap:
         return n
 
     def iterate(self, w: complex, n: int) -> complex:
+        if n < 0:
+            raise ValueError("iteration count must be nonnegative")
         w = complex(w)
         if w.real <= 0:
             raise ValueError(f"half-plane point needed, got {w!r}")
@@ -77,11 +74,19 @@ class HalfPlaneMap:
         return w
 
 
+def _scale_normalized(kind: str) -> bool:
+    """True for kind "pommerenke_g", False for "baker_pommerenke_h"."""
+    if kind not in ("pommerenke_g", "baker_pommerenke_h"):
+        raise ValueError(f"kind must be pommerenke_g or baker_pommerenke_h, got {kind!r}")
+    return kind == "pommerenke_g"
+
+
 def _normalized(hpmap: HalfPlaneMap, kind: str, n: int, wn: complex) -> complex:
     """F_n(z) from wn = phi^n(z): (wn - i y_n)/x_n for kind "pommerenke_g",
-    else (wn - z_n)/(z_{n+1} - z_n)."""
+    (wn - z_n)/(z_{n+1} - z_n) for kind "baker_pommerenke_h"."""
+    scale = _scale_normalized(kind)
     zn = hpmap.orbit_point(n)
-    if kind == "pommerenke_g":
+    if scale:
         return (wn - 1j * zn.imag) / zn.real
     dz = hpmap.orbit_point(n + 1) - zn
     if abs(dz) < 1e-300:
@@ -107,9 +112,10 @@ def baker_pommerenke_h(hpmap: HalfPlaneMap, z: complex, n: int) -> complex:
 def abel_residual(h_eval, mapping, probes) -> float:
     """max over probes of |h(phi(z)) - h(z) - 1|.
 
-    `mapping` may be a HalfPlaneMap or any callable on half-plane points.
+    `mapping` may be a HalfPlaneConjugate (a HalfPlaneMap is one) or any
+    callable on half-plane points.
     """
-    apply = mapping.apply if isinstance(mapping, HalfPlaneMap) else mapping
+    apply = mapping.apply if isinstance(mapping, HalfPlaneConjugate) else mapping
     worst = 0.0
     for w in probes:
         worst = max(worst, abs(h_eval(apply(w)) - h_eval(w) - 1.0))
@@ -168,7 +174,8 @@ def extract_semiconjugacy(hpmap: HalfPlaneMap, n: int, probes) -> MobiusFit:
     """Fit the Moebius map psi with g_n(phi(z)) ~ psi(g_n(z)) over probes.
 
     Only meaningful for positive-step maps; refuses zero-step inputs, where
-    the normalized iterates collapse to the constant 1.
+    the normalized iterates collapse to the constant 1.  Each probe's
+    trajectory is walked once: phi^n(phi(z)) is the next point after phi^n(z).
     """
     probes = list(probes)
     if len(probes) < 8:
@@ -180,9 +187,9 @@ def extract_semiconjugacy(hpmap: HalfPlaneMap, n: int, probes) -> MobiusFit:
         )
     pairs = []
     for w in probes:
-        u = pommerenke_g(hpmap, w, n)
-        v = pommerenke_g(hpmap, hpmap.apply(w), n)
-        pairs.append((u, v))
+        wn = hpmap.iterate(w, n)
+        pairs.append((_normalized(hpmap, "pommerenke_g", n, wn),
+                      _normalized(hpmap, "pommerenke_g", n, hpmap.apply(wn))))
     return _fit_mobius(pairs)
 
 
@@ -195,6 +202,7 @@ def residual_table(hpmap: HalfPlaneMap, kind: str, ns, probes) -> list[tuple]:
     Each probe's trajectory is walked once, to max(ns) + 1: phi^n(phi(z)) is
     its next point.
     """
+    scale = _scale_normalized(kind)
     wanted = set(ns)
     found = {}  # (n, probe_id) -> (F_n(z), residual)
     for pid, probe in enumerate(probes):
@@ -203,7 +211,7 @@ def residual_table(hpmap: HalfPlaneMap, kind: str, ns, probes) -> list[tuple]:
             w_next = hpmap.apply(w)
             if n in wanted:
                 val = _normalized(hpmap, kind, n, w)
-                if kind == "pommerenke_g":
+                if scale:
                     res = abs(val - 1.0)
                 else:
                     res = abs(_normalized(hpmap, kind, n, w_next) - val - 1.0)

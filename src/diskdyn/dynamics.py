@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .geometry import (
-    Horodisk,
-    cayley_to_rhp,
-    ensure_disk_point,
-    ensure_unimodular,
-    halfplane_pseudo_hyperbolic,
-)
+from .geometry import Horodisk, ensure_disk_point, halfplane_pseudo_hyperbolic
 from .selfmap import (
     PREIMAGE_RESIDUAL_TOL,
     CompositeMap,
@@ -257,16 +251,16 @@ def _boundary_class(f, purpose: str) -> MapClass:
     return cls
 
 
-def _orbit_rho_sequence(f, points, n_max, omega):
-    """Pseudo-hyperbolic distances between the orbits of `points`, walked in
-    half-plane coordinates, with a frozen tail once the values stagnate.
+def _orbit_rho_sequence(hp: HalfPlaneConjugate, points, n_max):
+    """Pseudo-hyperbolic distances between the orbits of the disk `points`,
+    walked in the half-plane coordinates of hp, with a frozen tail once the
+    values stagnate.
 
     points is a list of one start (consecutive-step mode) or two starts.
     Returns (values array of length n_max + 1, frozen_at, last_w).
     """
-    hp = HalfPlaneConjugate(f, omega)
     consec = len(points) == 1
-    ws = [cayley_to_rhp(omega.conjugate() * ensure_disk_point(p)) for p in points]
+    ws = [hp.to_halfplane(p) for p in points]
     if consec:
         ws.append(hp.apply(ws[0]))
     u, v = ws
@@ -296,9 +290,8 @@ def hyperbolic_step(f, z0: complex = 0.0, n_max: int = 10000) -> StepReport:
     positive limit for positive step and decays to 0 for zero step."""
     z0 = ensure_disk_point(z0)
     cls = _boundary_class(f, "hyperbolic step")
-    omega = ensure_unimodular(cls.dw_point)
-
-    vals, frozen_at, last_w = _orbit_rho_sequence(f, [z0], n_max, omega)
+    hp = HalfPlaneConjugate(f, cls.dw_point)
+    vals, frozen_at, last_w = _orbit_rho_sequence(hp, [z0], n_max)
     if abs(last_w) > 1e200:
         angle = math.atan2(last_w.imag, last_w.real)
     else:
@@ -317,8 +310,8 @@ def orbit_merging(f, z0: complex, w0: complex, n_max: int = 10000) -> np.ndarray
     """Sequence rho(orbit of z0, orbit of w0) for n = 0..n_max."""
     z0 = ensure_disk_point(z0)
     w0 = ensure_disk_point(w0)
-    omega = ensure_unimodular(_boundary_class(f, "orbit merging").dw_point)
-    vals, _, _ = _orbit_rho_sequence(f, [z0, w0], n_max, omega)
+    hp = HalfPlaneConjugate(f, _boundary_class(f, "orbit merging").dw_point)
+    vals, _, _ = _orbit_rho_sequence(hp, [z0, w0], n_max)
     return vals
 
 
@@ -341,13 +334,14 @@ def julia_containment_check(f, M: float, samples: int = 1000, seed: int = 0) -> 
     omega is the attracting boundary point and a its derivative there; the
     allowed slack on the quotient bound is 1e-9 relative.
     """
+    if samples < 1:
+        raise ValueError(f"containment check needs at least one sample, got {samples}")
     if is_identity(f):
         # every boundary point gives exact quotient preservation
         omega, a = 1.0 + 0.0j, 1.0
     else:
         cls = _boundary_class(f, "containment check")
-        omega = ensure_unimodular(cls.dw_point)
-        a = float(cls.angular_derivative)
+        omega, a = cls.dw_point, float(cls.angular_derivative)
 
     disk = Horodisk(omega, M)
     center, radius = disk.center, disk.radius

@@ -29,18 +29,7 @@ class UnboundedCandidateWarning(UserWarning):
     """The supplied linearizer takes values with negative imaginary part."""
 
 
-@dataclass
-class TruncatedEigenfunction:
-    """Finite product over a grand-orbit truncation, zeros in node order."""
-
-    product: FiniteBlaschkeProduct
-    truncation: GrandOrbitTruncation
-
-    def __call__(self, z: complex) -> complex:
-        return evaluate(self.product, z)
-
-
-def build_truncated_eigenfunction(truncation: GrandOrbitTruncation) -> TruncatedEigenfunction:
+def build_truncated_eigenfunction(truncation: GrandOrbitTruncation) -> FiniteBlaschkeProduct:
     """Product of the zero factors over the truncation nodes, gamma = 1.
 
     Factor order is the deterministic node enumeration order, so repeated
@@ -48,9 +37,7 @@ def build_truncated_eigenfunction(truncation: GrandOrbitTruncation) -> Truncated
     """
     if not truncation.nodes:
         raise ValueError("cannot build a product over an empty truncation")
-    zeros = tuple((n.point, n.multiplicity) for n in truncation.nodes)
-    product = FiniteBlaschkeProduct(1.0, zeros)
-    return TruncatedEigenfunction(product=product, truncation=truncation)
+    return FiniteBlaschkeProduct(1.0, tuple((n.point, n.multiplicity) for n in truncation.nodes))
 
 
 @dataclass(frozen=True)
@@ -91,14 +78,6 @@ def _geometric_median(points: list[complex]) -> complex:
     return x
 
 
-def _candidate_zeros(candidate) -> tuple[tuple[complex, int], ...]:
-    if isinstance(candidate, TruncatedEigenfunction):
-        return candidate.product.zeros
-    if isinstance(candidate, FiniteBlaschkeProduct):
-        return candidate.zeros
-    return ()
-
-
 def _admissible(z: complex, zeros) -> bool:
     return all(pseudo_hyperbolic(z, a) > ADMISSIBLE_RADIUS for a, _ in zeros)
 
@@ -111,10 +90,10 @@ def ring_samples(radius: float, count: int = 16) -> list[complex]:
 def estimate_tau(candidate, f, samples) -> TauEstimate:
     """Geometric median of the ratios candidate(f(z))/candidate(z).
 
-    Samples within the admissibility radius of a zero of the candidate, or
-    whose image is, are discarded; at least 8 must survive.
+    Samples within the admissibility radius of a zero of a product
+    candidate, or whose image is, are discarded; at least 8 must survive.
     """
-    zeros = _candidate_zeros(candidate)
+    zeros = candidate.zeros if isinstance(candidate, FiniteBlaschkeProduct) else ()
     ratios: list[complex] = []
     for z in samples:
         fz = evaluate(f, z)

@@ -18,6 +18,7 @@ from numpy.polynomial import polynomial as npp
 
 from .geometry import (
     DISK_MARGIN,
+    cayley_to_rhp,
     ensure_disk_point,
     ensure_unimodular,
     same_point,
@@ -537,6 +538,10 @@ class HalfPlaneConjugate:
             a, b = a.tolist(), b.tolist()
             built.append((tuple(zip(a[::-1], b[::-1])), tuple(zip(a, b))))
         self._stages = built
+
+    def to_halfplane(self, z_disk: complex) -> complex:
+        """The half-plane point C(conj(omega) z) of a disk point z."""
+        return cayley_to_rhp(self.omega.conjugate() * z_disk)
 
     def apply(self, w: complex) -> complex:
         if self._exact is not None:

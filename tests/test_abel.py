@@ -5,6 +5,7 @@ import pytest
 
 from diskdyn import abel
 from diskdyn import presets
+from diskdyn.selfmap import HalfPlaneConjugate
 
 PROBE_RING = [1.0 + 0.5 * cmath.exp(2j * math.pi * k / 10) for k in range(10)]
 
@@ -23,6 +24,21 @@ class TestHalfPlaneMap:
     def test_rejects_elliptic(self):
         with pytest.raises(ValueError):
             abel.HalfPlaneMap(presets.power_map(2))
+
+    def test_is_the_transport_itself(self, parabolic_map):
+        assert isinstance(parabolic_map, HalfPlaneConjugate)
+        assert parabolic_map.omega == 1.0
+        assert parabolic_map.to_halfplane(0.0) == parabolic_map.orbit_point(0)
+
+    def test_negative_counts_rejected(self):
+        hm = abel.HalfPlaneMap(presets.example62())
+        hm.orbit_point(5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            hm.orbit_point(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            hm.iterate(2.0 + 1.0j, -3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            abel.pommerenke_g(hm, 2.0, -1)
 
     def test_base_orbit_starts_at_one(self, parabolic_map):
         assert parabolic_map.orbit_point(0) == 1.0
@@ -133,6 +149,13 @@ class TestAbelResidual:
     def test_exact_preset_linearizer(self, translation_map):
         assert abel.abel_residual(abel.translation_abel, translation_map, PROBE_RING) == 0.0
 
+    def test_bare_conjugate_is_a_mapping(self, parabolic_map):
+        h = abel.translation_abel
+        bare = HalfPlaneConjugate(presets.translation())
+        assert abel.abel_residual(h, bare, PROBE_RING) == 0.0
+        assert abel.abel_residual(h, HalfPlaneConjugate(presets.example62()), PROBE_RING) \
+            == abel.abel_residual(h, parabolic_map, PROBE_RING)
+
 
 class TestSemiconjugacy:
     def test_translation_recovers_the_translation(self, translation_map):
@@ -167,6 +190,19 @@ class TestSemiconjugacy:
         with pytest.raises(ValueError, match="at least 8"):
             abel.extract_semiconjugacy(translation_map, 5, PROBE_RING[:5])
 
+    def test_one_trajectory_per_probe(self):
+        n = 332
+        hpmap = abel.HalfPlaneMap(presets.example61(0.6))
+        hpmap.orbit_point(n)  # the base orbit is not what is counted
+        pairs = [(abel.pommerenke_g(hpmap, w, n),
+                  abel.pommerenke_g(hpmap, hpmap.apply(w), n)) for w in PROBE_RING]
+        calls = []
+        conj_apply = hpmap.apply
+        hpmap.apply = lambda w: calls.append(w) or conj_apply(w)
+        fit = abel.extract_semiconjugacy(hpmap, n, PROBE_RING)
+        assert len(calls) == len(PROBE_RING) * (n + 1)
+        assert fit.coefficients == abel._fit_mobius(pairs).coefficients
+
 
 class TestResidualTable:
     def test_rows_and_diffs(self, parabolic_map):
@@ -196,6 +232,14 @@ class TestResidualTable:
             assert [r[:3] for r in rows] == [e[:3] for e in expected]
             for row, (*_, diff) in zip(rows, expected):
                 assert math.isnan(row[3]) if diff is None else row[3] == diff
+
+    def test_unknown_kind_rejected(self, parabolic_map):
+        with pytest.raises(ValueError, match="bogus"):
+            abel.residual_table(parabolic_map, "bogus", (5, 10), PROBE_RING[:2])
+        with pytest.raises(ValueError, match="bogus"):
+            abel.residual_table(parabolic_map, "bogus", (5,), [])
+        with pytest.raises(ValueError, match="bogus"):
+            abel._normalized(parabolic_map, "bogus", 5, 2.0 + 1.0j)
 
     @pytest.mark.parametrize("kind", ["baker_pommerenke_h", "pommerenke_g"])
     def test_one_trajectory_per_probe(self, kind):

@@ -264,6 +264,14 @@ class TestCommands:
                          "--out-dir", str(tmp_path / "o")])
         assert code == 2
 
+    def test_julia_check_without_samples_rejected(self, tmp_path):
+        code = cli.main(["julia-check", "--preset", "example62", "--samples", "0",
+                         "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        summary = read_summary(tmp_path / "o")["result"]
+        assert summary["error_class"] == "validation"
+        assert "passed" not in summary
+
     def test_validation_exit_codes(self, tmp_path):
         assert cli.main(["classify", "--out-dir", str(tmp_path / "a")]) == 2
         bad = tmp_path / "bad.json"

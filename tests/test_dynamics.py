@@ -252,6 +252,12 @@ class TestJuliaContainment:
         with pytest.raises(ValueError):
             dyn.julia_containment_check(presets.example62(), 0.0)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_rejected(self, samples):
+        # an empty sample set would pass vacuously with -inf quotients
+        with pytest.raises(ValueError, match="at least one sample"):
+            dyn.julia_containment_check(presets.example62(), 1.0, samples=samples)
+
 
 class TestPreimageHorodiskEscalation:
     def test_fibers_escape_successive_horodisks(self):

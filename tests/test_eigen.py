@@ -30,10 +30,10 @@ def deep_b(truncations):
 class TestBuild:
     def test_zero_multiset_matches_nodes(self, truncations, deep_b):
         tr = truncations[8]
-        assert deep_b.product.zeros == tuple(
+        assert deep_b.zeros == tuple(
             (n.point, n.multiplicity) for n in tr.nodes
         )
-        assert deep_b.product.gamma == 1.0
+        assert deep_b.gamma == 1.0
 
     def test_vanishes_at_origin(self, deep_b):
         assert deep_b(0.0) == 0.0
@@ -84,7 +84,7 @@ class TestEstimateTau:
         assert est.dispersion < 1e-15
 
     def test_inadmissible_samples_rejected(self, deep_b):
-        zeros = [z for z, _ in deep_b.product.zeros[:10]]
+        zeros = [z for z, _ in deep_b.zeros[:10]]
         with pytest.raises(ValueError, match="sample ring"):
             eigen.estimate_tau(deep_b, presets.example61(0.5), zeros)
 
