@@ -26,7 +26,9 @@ phi = example61(0.5)
 # forward orbit z_m plus every backward fiber, deduplicated, each node
 # weighted by the local degree of the iterate that maps it onto the orbit.
 
-tr = grand_orbit(phi, 0.0, forward_n=12, backward_depth=6)
+# enumerate once, to depth 8; a shallower truncation is a prefix of it
+deepest = grand_orbit(phi, 0.0, forward_n=12, backward_depth=8)
+tr = deepest.prefix(6)
 print("nodes:", len(tr.nodes), " truncated:", tr.truncated)
 print("first few:", [f"{n.point:.4f} (x{n.multiplicity})" for n in tr.nodes[:6]])
 
@@ -51,13 +53,13 @@ print("total:", round(blaschke_sum(tr), 4))
 samples = ring_samples(0.4, 16)
 print("\ndepth  nodes   tau estimate         residual(tau=-1)")
 for depth in (2, 4, 6, 8):
-    t = grand_orbit(phi, 0.0, forward_n=12, backward_depth=depth)
+    t = deepest.prefix(depth)
     b = build_truncated_eigenfunction(t)
     est = estimate_tau(b, phi, samples)
     res = eigen_residual(b, phi, -1.0, samples)
     print(f"{depth:3d} {len(t.nodes):7d}   {est.tau:.6f}   {res:.3e}")
 
 # the square of the candidate is then nearly invariant: B^2(phi(z)) = B^2(z)
-deep = build_truncated_eigenfunction(grand_orbit(phi, 0.0, 12, 8))
+deep = build_truncated_eigenfunction(deepest)
 print("\nsquare-trick residual:", f"{square_trick_check(deep, phi, samples):.2e}")
 print("B(0) =", deep(0.0), "  B(0.7) =", f"{deep(0.7):.6f}")

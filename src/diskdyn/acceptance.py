@@ -177,9 +177,9 @@ def criterion_6_eigenpair(tol):
     samples = eigen.ring_samples(0.4, 16)
     residuals = []
     last = None
+    deepest = orbits.grand_orbit(f, 0.0, forward_n=12, backward_depth=8)
     for depth in (4, 6, 8):
-        tr = orbits.grand_orbit(f, 0.0, forward_n=12, backward_depth=depth)
-        b = eigen.build_truncated_eigenfunction(tr)
+        b = eigen.build_truncated_eigenfunction(deepest.prefix(depth))
         residuals.append(eigen.eigen_residual(b, f, -1.0, samples))
         last = b
     est = eigen.estimate_tau(last, f, samples)

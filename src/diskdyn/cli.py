@@ -162,11 +162,12 @@ def _run_grand_orbit(cfg: ExperimentConfig):
 def _run_eigen(cfg: ExperimentConfig):
     f = cfg.resolve_map()
     samples = eigen.ring_samples(0.4, 16)
-    depths = list(range(2, cfg.depth + 1, 2)) or [cfg.depth]
+    # one grand orbit; the shallower rows are its prefixes
+    deepest = orbits.grand_orbit(f, 0.0, forward_n=cfg.forward_n,
+                                 backward_depth=cfg.depth)
     rows = []
-    for depth in depths:
-        tr = orbits.grand_orbit(f, 0.0, forward_n=cfg.forward_n,
-                                backward_depth=depth)
+    for depth in [*range(2, cfg.depth, 2), cfg.depth]:
+        tr = deepest.prefix(depth)
         b = eigen.build_truncated_eigenfunction(tr)
         est = eigen.estimate_tau(b, f, samples)
         res = eigen.eigen_residual(b, f, est.tau, samples)

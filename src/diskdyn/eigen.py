@@ -15,8 +15,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .abel import translation_abel
-from .geometry import cayley_to_rhp, ensure_disk_point, mobius_factor, pseudo_hyperbolic
+from .geometry import cayley_to_rhp, ensure_disk_point, mobius_factor
 from .orbits import GrandOrbitTruncation
 from .selfmap import FiniteBlaschkeProduct, evaluate
 
@@ -78,8 +80,12 @@ def _geometric_median(points: list[complex]) -> complex:
     return x
 
 
-def _admissible(z: complex, zeros) -> bool:
-    return all(pseudo_hyperbolic(z, a) > ADMISSIBLE_RADIUS for a, _ in zeros)
+def _admissible(z: complex, zeros: np.ndarray) -> bool:
+    """pseudo_hyperbolic(z, a) > ADMISSIBLE_RADIUS for every zero a, as one
+    array expression over the (validated) zeros."""
+    z = ensure_disk_point(z)
+    rho = np.abs((zeros - z) / (1.0 - zeros.conj() * z))
+    return bool((rho > ADMISSIBLE_RADIUS).all())
 
 
 def ring_samples(radius: float, count: int = 16) -> list[complex]:
@@ -93,11 +99,13 @@ def estimate_tau(candidate, f, samples) -> TauEstimate:
     Samples within the admissibility radius of a zero of a product
     candidate, or whose image is, are discarded; at least 8 must survive.
     """
-    zeros = candidate.zeros if isinstance(candidate, FiniteBlaschkeProduct) else ()
+    zeros = None
+    if isinstance(candidate, FiniteBlaschkeProduct):
+        zeros = np.array([a for a, _ in candidate.zeros])
     ratios: list[complex] = []
     for z in samples:
         fz = evaluate(f, z)
-        if zeros and not (_admissible(z, zeros) and _admissible(fz, zeros)):
+        if zeros is not None and not (_admissible(z, zeros) and _admissible(fz, zeros)):
             continue
         bz = candidate(z)
         if bz == 0:

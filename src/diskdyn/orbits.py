@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .dynamics import _boundary_class
 from .geometry import PointIndex, ensure_disk_point, same_point
-from .selfmap import RootFindingError, degree, evaluate, preimages, critical_points
+from .selfmap import RootFindingError, _fibers, critical_points, degree, evaluate
 
 DEFAULT_NODE_CAP = 20000
 
@@ -39,6 +39,28 @@ class GrandOrbitTruncation:
     def points(self) -> list[complex]:
         return [n.point for n in self.nodes]
 
+    def prefix(self, backward_depth: int) -> GrandOrbitTruncation:
+        """The truncation grand_orbit returns for this map and base point
+        at a backward_depth up to this one's: its first generations.
+
+        Generation k depends only on generations < k, so the nodes, partial
+        sums and node-cap verdict are those of a fresh enumeration.
+        """
+        if not 0 <= backward_depth <= self.backward_depth:
+            raise ValueError(
+                f"prefix depth must lie in [0, {self.backward_depth}], got {backward_depth}"
+            )
+        # a truncated run stopped before generation len(sums)
+        truncated = self.truncated and len(self.blaschke_partial_sums) <= backward_depth
+        return GrandOrbitTruncation(
+            base_point=self.base_point,
+            forward_n=self.forward_n,
+            backward_depth=backward_depth,
+            nodes=tuple(n for n in self.nodes if n.backward_depth <= backward_depth),
+            blaschke_partial_sums=self.blaschke_partial_sums[: backward_depth + 1],
+            truncated=truncated,
+        )
+
 
 def grand_orbit(
     f,
@@ -51,7 +73,8 @@ def grand_orbit(
 
     Forward orbit points get generation 0; generation k holds the preimages
     of generation k - 1 that are not already enumerated, sorted by (re, im).
-    Stops with the truncated flag set if node_cap would be exceeded.
+    Each generation's fibers are solved together (selfmap._fibers).  Stops
+    with the truncated flag set if node_cap would be exceeded.
     """
     z0 = ensure_disk_point(z0)
     d = degree(f)
@@ -86,14 +109,13 @@ def grand_orbit(
     generation = list(nodes)
     for depth in range(1, backward_depth + 1):
         batch: list[GrandOrbitNode] = []
-        for parent in generation:
-            try:
-                fiber = preimages(f, parent.point)
-            except RootFindingError as exc:
+        fibers = _fibers(f, [parent.point for parent in generation])
+        for parent, fiber in zip(generation, fibers):
+            if isinstance(fiber, RootFindingError):
                 raise RootFindingError(
                     f"fiber solve failed at generation {depth} "
-                    f"(parent {parent.point!r})", exc.residual
-                ) from exc
+                    f"(parent {parent.point!r})", fiber.residual
+                ) from fiber
             for child, local_mult in fiber:
                 if index.find(child) is not None:
                     continue

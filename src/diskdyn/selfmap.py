@@ -31,9 +31,10 @@ PREIMAGE_RESIDUAL_TOL = 1e-10
 # polynomial roots closer than this are tested as one multiple root
 CLUSTER_RADIUS = 1e-3
 
-# |p| <= this * sum |p_k| (rounding: <= 2e-15 at example62's triple fixed
-# point) at a cluster's polished mean makes it one multiple root; at the
-# midpoint of two simple roots delta apart |p| is about |p''| delta^2 / 8
+# |p| <= this * sum |p_k| |z|^k (Horner's rounding scale; <= 2e-15 at
+# example62's triple fixed point) at a cluster's polished mean z makes it one
+# multiple root; at the midpoint of two simple roots delta apart |p| is about
+# |p''| delta^2 / 8
 MULTIPLE_ROOT_TOL = 1e-13
 
 
@@ -320,24 +321,51 @@ def _polish(p: np.ndarray, z: complex, order: int = 0) -> complex:
     return complex(z)
 
 
-def _root_groups(poly: np.ndarray) -> list[tuple[complex, int]]:
+def _stacked_roots(polys: np.ndarray) -> np.ndarray:
+    """Roots of each row of polys, sorted, from one stacked eigenvalue solve.
+
+    Each row gets the companion matrix of ``npp.polycompanion`` and the
+    stack goes through one ``np.linalg.eigvals`` call, so a row's roots are
+    those of ``npp.polyroots`` on it, bit for bit.  Rows have nonzero
+    leading coefficients.
+    """
+    k, n = polys.shape[0], polys.shape[1] - 1
+    if n == 1:
+        return -polys[:, :1] / polys[:, 1:]
+    mat = np.zeros((k, n, n), dtype=polys.dtype)
+    sub = np.arange(n - 1)
+    mat[:, sub + 1, sub] = 1
+    mat[:, :, -1] -= polys[:, :-1] / polys[:, -1:]
+    return np.sort(np.linalg.eigvals(mat), axis=-1)
+
+
+def _root_groups(poly: np.ndarray, roots=None) -> list[tuple[complex, int]]:
     """Roots of poly with multiplicities, by the one multiple-root rule.
 
     A cluster of m roots within CLUSTER_RADIUS is one m-fold root at its
-    mean polished on poly^(m-1) if |poly| <= MULTIPLE_ROOT_TOL * sum |p_k|
-    there; otherwise that mean has landed between distinct roots.  Those
-    roots and singletons come back unpolished with multiplicity 1.
+    mean polished on poly^(m-1) if |poly| there is at most MULTIPLE_ROOT_TOL
+    times the Horner rounding scale sum |p_k| |center|^k; otherwise that
+    mean has landed between distinct roots.  Those roots and singletons come
+    back unpolished with multiplicity 1.  ``roots`` are poly's roots when
+    already solved (``npp.polyroots`` otherwise).
     """
-    roots = npp.polyroots(poly)
+    if roots is None:
+        roots = npp.polyroots(poly)
     groups: list[tuple[complex, int]] = []
     for group in _cluster(roots):
         if len(group) > 1:
             center = _polish(poly, complex(sum(roots[group])) / len(group), len(group) - 1)
-            if abs(npp.polyval(center, poly)) <= MULTIPLE_ROOT_TOL * np.abs(poly).sum():
+            scale = npp.polyval(abs(center), np.abs(poly))
+            if abs(npp.polyval(center, poly)) <= MULTIPLE_ROOT_TOL * scale:
                 groups.append((center, len(group)))
                 continue
         groups.extend((complex(roots[i]), 1) for i in group)
     return groups
+
+
+def _re_im(pair) -> tuple[float, float]:
+    """Sort key of a (point, multiplicity) pair: the point's (re, im)."""
+    return pair[0].real, pair[0].imag
 
 
 def _merge_pseudo_hyperbolic(cands: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
@@ -353,15 +381,11 @@ def _merge_pseudo_hyperbolic(cands: list[tuple[complex, int]]) -> list[tuple[com
     return merged
 
 
-def _preimages_fbp(f: FiniteBlaschkeProduct, w: complex) -> list[tuple[complex, int]]:
-    w = ensure_disk_point(w)
-    if w == 0:
-        # the (merged) zero multiset is the exact fiber over 0
-        return sorted(f.zeros, key=lambda t: (t[0].real, t[0].imag))
-    num, den = f.coefficients
+def _fiber(f: FiniteBlaschkeProduct, w: complex, poly, roots) -> list[tuple[complex, int]]:
+    """The fiber of f over w != 0 from the roots of poly = gamma N - w D."""
     cands = _merge_pseudo_hyperbolic([
         (_newton_polish(f, z, target=w) if m == 1 else z, m)
-        for z, m in _root_groups(f.gamma * num - w * den)
+        for z, m in _root_groups(poly, roots)
     ])
     result: list[tuple[complex, int]] = []
     worst = 0.0
@@ -383,8 +407,60 @@ def _preimages_fbp(f: FiniteBlaschkeProduct, w: complex) -> list[tuple[complex, 
         raise RootFindingError(
             f"preimage count {total} does not match degree {f.degree} for {w!r}", worst
         )
-    result.sort(key=lambda t: (t[0].real, t[0].imag))
+    result.sort(key=_re_im)
     return result
+
+
+def _product_fibers(f: FiniteBlaschkeProduct, targets: list[complex]) -> list:
+    """_fiber over each validated target, the roots of all nonzero targets
+    from one ``_stacked_roots`` call.  Over 0 the fiber is the exact
+    (merged) zero list.  A failed fiber is its RootFindingError."""
+    num, den = f.coefficients
+    nonzero = np.array([w for w in targets if w != 0], dtype=complex)
+    # |gamma N_d| = 1 > |w D_d| for |w| < 1, so no leading coefficient is 0
+    polys = f.gamma * num - nonzero[:, None] * den
+    roots = _stacked_roots(polys) if len(nonzero) else None
+    fibers: list = []
+    k = 0
+    for w in targets:
+        if w == 0:
+            fibers.append(sorted(f.zeros, key=_re_im))
+            continue
+        try:
+            fibers.append(_fiber(f, w, polys[k], roots[k]))
+        except RootFindingError as exc:
+            fibers.append(exc)
+        k += 1
+    return fibers
+
+
+def _fibers(f, targets) -> list:
+    """preimages(f, w) for every target w, solved together: one stacked
+    root solve per product stage for the whole batch.
+
+    Entry i is the fiber over targets[i], or the RootFindingError that
+    preimages(f, targets[i]) raises, so a caller can name the failed target.
+    Composites are solved stage by stage over the whole layer.
+    """
+    if isinstance(f, FiniteBlaschkeProduct):
+        return _product_fibers(f, [ensure_disk_point(w) for w in targets])
+    if not isinstance(f, CompositeMap):
+        raise TypeError(f"preimages requires a Blaschke-type map, got {f!r}")
+    layers: list = [[(ensure_disk_point(w), 1)] for w in targets]
+    for stage in reversed(f.stages):
+        points = [z for layer in layers if isinstance(layer, list) for z, _ in layer]
+        solved = iter(_product_fibers(stage, points))
+        for i, layer in enumerate(layers):
+            if isinstance(layer, list):
+                fibers = [next(solved) for _ in layer]
+                failed = [fiber for fiber in fibers if isinstance(fiber, RootFindingError)]
+                layers[i] = failed[0] if failed else _merge_pseudo_hyperbolic([
+                    (z, m * mult) for (_, mult), fiber in zip(layer, fibers) for z, m in fiber
+                ])
+    for layer in layers:
+        if isinstance(layer, list):
+            layer.sort(key=_re_im)
+    return layers
 
 
 def preimages(f, w: complex) -> list[tuple[complex, int]]:
@@ -394,19 +470,10 @@ def preimages(f, w: complex) -> list[tuple[complex, int]]:
     degrees equal to the stage degrees.  Returns pairs sorted by (re, im);
     the fiber of a product over 0 is its merged zero list in that order.
     """
-    if isinstance(f, FiniteBlaschkeProduct):
-        return _preimages_fbp(f, w)
-    if isinstance(f, CompositeMap):
-        layer: list[tuple[complex, int]] = [(complex(w), 1)]
-        for stage in reversed(f.stages):
-            nxt: list[tuple[complex, int]] = []
-            for point, mult in layer:
-                for z, m in _preimages_fbp(stage, point):
-                    nxt.append((z, m * mult))
-            layer = _merge_pseudo_hyperbolic(nxt)
-        layer.sort(key=lambda t: (t[0].real, t[0].imag))
-        return layer
-    raise TypeError(f"preimages requires a Blaschke-type map, got {f!r}")
+    fiber = _fibers(f, [w])[0]
+    if isinstance(fiber, RootFindingError):
+        raise fiber
+    return fiber
 
 
 def critical_points(f) -> list[tuple[complex, int]]:
@@ -424,7 +491,7 @@ def critical_points(f) -> list[tuple[complex, int]]:
                     result.append((z, m * mz))
             prefix = CompositeMap(stages[: k + 1])
         result = _merge_pseudo_hyperbolic(result)
-        result.sort(key=lambda t: (t[0].real, t[0].imag))
+        result.sort(key=_re_im)
         return result
 
     f = stages[0]
@@ -446,7 +513,7 @@ def critical_points(f) -> list[tuple[complex, int]]:
         raise RootFindingError(
             f"found {total} critical points for a degree-{f.degree} product", math.nan
         )
-    inside.sort(key=lambda t: (t[0].real, t[0].imag))
+    inside.sort(key=_re_im)
     return inside
 
 

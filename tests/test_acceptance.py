@@ -33,3 +33,18 @@ def test_tampered_tolerance_fails_by_name():
 def test_unknown_tolerance_rejected():
     with pytest.raises(ValueError, match="unknown tolerance"):
         acceptance.run_all(tolerances={"nope": 1})
+
+
+def test_eigenpair_criterion_builds_one_grand_orbit(monkeypatch):
+    # depths 4 and 6 are prefixes of the depth-8 grand orbit
+    calls = []
+    real = acceptance.orbits.grand_orbit
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["backward_depth"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance.orbits, "grand_orbit", counted)
+    r = acceptance.criterion_6_eigenpair(acceptance.DEFAULT_TOLERANCES)
+    assert r.passed
+    assert calls == [8]

@@ -165,6 +165,33 @@ class TestCommands:
         assert lines[0] == "depth,nodes,tau_re,tau_im,dispersion,residual"
         assert len(lines) == 5
 
+    def test_eigen_odd_depth_reports_it(self, tmp_path):
+        out = tmp_path / "o"
+        code = cli.main([
+            "eigen", "--preset", "example61", "--alpha", "0.6",
+            "--depth", "7", "--out-dir", str(out),
+        ])
+        assert code == 0
+        assert read_summary(out)["result"]["depth"] == 7
+        lines = (out / "eigen_depths.csv").read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "4", "6", "7"]
+
+    def test_eigen_builds_one_grand_orbit(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.orbits.grand_orbit
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["backward_depth"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.orbits, "grand_orbit", counted)
+        code = cli.main([
+            "eigen", "--preset", "example61", "--alpha", "0.6",
+            "--depth", "6", "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 0
+        assert calls == [6]
+
     def test_julia_check(self, tmp_path):
         out = tmp_path / "o"
         code = cli.main([

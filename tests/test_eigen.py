@@ -8,7 +8,7 @@ from diskdyn import eigen
 from diskdyn import orbits as ob
 from diskdyn import presets
 from diskdyn import selfmap as sm
-from diskdyn.geometry import mobius_factor
+from diskdyn.geometry import mobius_factor, pseudo_hyperbolic
 
 SAMPLES = eigen.ring_samples(0.4, 16)
 
@@ -87,6 +87,33 @@ class TestEstimateTau:
         zeros = [z for z, _ in deep_b.zeros[:10]]
         with pytest.raises(ValueError, match="sample ring"):
             eigen.estimate_tau(deep_b, presets.example61(0.5), zeros)
+
+    def test_array_admissibility_is_the_scalar_rule(self, deep_b):
+        f = presets.example61(0.5)
+        zeros = [a for a, _ in deep_b.zeros]
+        arr = np.array(zeros)
+        on_zero = zeros[40]
+        # a preimage of a node outside the truncation's zero set
+        (image_on_zero, _), *_ = sm.preimages(f, zeros[-1])
+        assert abs(sm.evaluate(f, image_on_zero) - zeros[-1]) < 1e-12
+        rng = np.random.default_rng(3)
+        samples = SAMPLES + [on_zero, image_on_zero, zeros[-1] + 0.03, 0.0] + [
+            complex(*rng.uniform(-0.6, 0.6, 2)) for _ in range(200)
+        ]
+        kept = 0
+        for z in samples:
+            for point in (z, sm.evaluate(f, z)):
+                scalar = all(pseudo_hyperbolic(point, a) > eigen.ADMISSIBLE_RADIUS
+                             for a in zeros)
+                assert eigen._admissible(point, arr) == scalar
+            kept += eigen._admissible(z, arr) and eigen._admissible(sm.evaluate(f, z), arr)
+        assert not eigen._admissible(on_zero, arr)
+        assert not eigen._admissible(sm.evaluate(f, image_on_zero), arr)
+        assert 0 < kept < len(samples)
+
+    def test_sample_outside_the_disk_rejected(self, deep_b):
+        with pytest.raises(ValueError, match="not strictly inside"):
+            eigen.estimate_tau(deep_b, presets.example61(0.5), SAMPLES + [1.0])
 
 
 class TestEigenResidual:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,53 @@ class TestGrandOrbit:
         a = ob.grand_orbit(presets.example61(0.5), 0.0, 6, 4)
         b = ob.grand_orbit(presets.example61(0.5), 0.0, 6, 4)
         assert a.nodes == b.nodes
+
+    def test_fiber_failure_names_generation_and_parent(self, monkeypatch):
+        # no residual passes a negative tolerance; the first parent, 0, has
+        # the exact fiber over 0, so the second forward point fails
+        monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", -1.0)
+        f = presets.example61(0.5)
+        parent = sm.evaluate(f, 0.0)
+        with pytest.raises(sm.RootFindingError,
+                           match=re.escape(f"generation 1 (parent {parent!r})")):
+            ob.grand_orbit(f, 0.0, forward_n=3, backward_depth=2)
+
+
+def assert_same_truncation(a, b):
+    assert a.base_point == b.base_point
+    assert a.forward_n == b.forward_n
+    assert a.backward_depth == b.backward_depth
+    assert a.nodes == b.nodes
+    assert a.blaschke_partial_sums == b.blaschke_partial_sums
+    assert a.truncated == b.truncated
+
+
+class TestPrefix:
+    def test_prefix_is_the_shallower_grand_orbit(self):
+        f = presets.example61(0.6)
+        deep = ob.grand_orbit(f, 0.0, forward_n=12, backward_depth=6)
+        for k in range(7):
+            assert_same_truncation(
+                deep.prefix(k), ob.grand_orbit(f, 0.0, forward_n=12, backward_depth=k)
+            )
+
+    def test_prefix_under_node_cap(self):
+        # the cap stops the depth-8 run part way: shallower prefixes are
+        # complete, deeper ones carry the flag
+        f = presets.example61(0.5)
+        deep = ob.grand_orbit(f, 0.0, forward_n=6, backward_depth=8, node_cap=50)
+        assert deep.truncated
+        flags = []
+        for k in range(9):
+            fresh = ob.grand_orbit(f, 0.0, forward_n=6, backward_depth=k, node_cap=50)
+            assert_same_truncation(deep.prefix(k), fresh)
+            flags.append(fresh.truncated)
+        assert not flags[0] and flags[-1]
+
+    def test_prefix_depth_out_of_range(self, example_truncation):
+        for k in (-1, example_truncation.backward_depth + 1):
+            with pytest.raises(ValueError, match="prefix depth"):
+                example_truncation.prefix(k)
 
 
 class TestBlaschkeSum:

@@ -309,6 +309,103 @@ class TestPreimages:
         with pytest.raises(TypeError):
             sm.preimages(lambda z: z / 2, 0.1)
 
+    @pytest.mark.parametrize("zero", [0.0, 0.3])
+    def test_tiny_target_near_a_triple_zero_has_three_simple_preimages(self, zero):
+        # the roots lie (1 - |a|^2) |w|^(1/3), 4.2e-5 to 4.6e-5, from the
+        # zero a: three points, not one triple root
+        f = sm.FiniteBlaschkeProduct(1.0, ((zero, 3),))
+        fiber = sm.preimages(f, 1e-13)
+        assert [m for _, m in fiber] == [1, 1, 1]
+        for z, _ in fiber:
+            assert abs(z - zero) == pytest.approx((1 - zero ** 2) * 1e-13 ** (1 / 3), rel=1e-4)
+            assert abs(sm.evaluate(f, z) - 1e-13) < 1e-20
+
+    def test_critical_value_at_the_origin_stays_a_double_root(self):
+        f = sm.FiniteBlaschkeProduct(1.0, ((0.1, 1), (-0.1, 1)))
+        assert sm.preimages(f, sm.evaluate(f, 0.0)) == [(0j, 2)]
+
+
+def bits(fiber):
+    """A fiber with its points as exact bit patterns (-0.0 != 0.0)."""
+    return [(z.real.hex(), z.imag.hex(), m) for z, m in fiber]
+
+
+class TestBatchedFibers:
+    """sm._fibers solves many targets at once; each entry must be the
+    preimages of its target bit for bit."""
+
+    def assert_batch_matches(self, f, targets):
+        batch = sm._fibers(f, targets)
+        assert len(batch) == len(targets)
+        for w, fiber in zip(targets, batch):
+            assert bits(fiber) == bits(sm.preimages(f, w))
+
+    def test_degree_two_product(self):
+        f = presets.example61(0.6)
+        rng = np.random.default_rng(7)
+        targets = [random_disk_point(rng, 0.9) for _ in range(50)]
+        targets += [sm.iterate(f, n, 0.0) for n in range(12)]
+        self.assert_batch_matches(f, targets)
+
+    def test_degree_four_product_with_double_zero(self):
+        f = sm.FiniteBlaschkeProduct(1j, ((0.2 + 0.1j, 2), (-0.5j, 1), (0.7, 1)))
+        rng = np.random.default_rng(8)
+        self.assert_batch_matches(f, [random_disk_point(rng, 0.9) for _ in range(40)])
+
+    def test_two_stage_composite(self):
+        c = sm.compose(presets.example61(0.5), presets.example62())
+        rng = np.random.default_rng(9)
+        self.assert_batch_matches(c, [random_disk_point(rng, 0.8) for _ in range(20)])
+
+    def test_zero_target_among_others(self):
+        f = sm.FiniteBlaschkeProduct(1j, ((0.2 + 0.1j, 2), (-0.5j, 1), (0.7, 1)))
+        targets = [0.3 - 0.1j, 0.0, 0.5j, 0.0, -0.2]
+        batch = sm._fibers(f, targets)
+        assert batch[1] == batch[3] == sorted(f.zeros, key=lambda t: (t[0].real, t[0].imag))
+        self.assert_batch_matches(f, targets)
+        c = sm.compose(f, presets.example61(0.5))
+        self.assert_batch_matches(c, targets)
+
+    def test_fiber_over_a_critical_value(self):
+        f = sm.FiniteBlaschkeProduct(-1.0, ((0.2, 1), (-0.4, 1)))
+        (crit, _), = sm.critical_points(f)
+        targets = [0.1, sm.evaluate(f, crit), -0.3j]
+        batch = sm._fibers(f, targets)
+        assert [m for _, m in batch[1]] == [2]
+        self.assert_batch_matches(f, targets)
+
+    def test_empty_batch(self):
+        assert sm._fibers(presets.example61(0.5), []) == []
+
+    def test_stacked_roots_are_companion_eigenvalues(self):
+        rng = np.random.default_rng(10)
+        for degree in (1, 2, 5):
+            polys = rng.normal(size=(30, degree + 1)) + 1j * rng.normal(size=(30, degree + 1))
+            stacked = sm._stacked_roots(polys)
+            for row, roots in zip(polys, stacked):
+                if degree == 1:
+                    expected = np.array([-row[0] / row[1]])
+                else:
+                    expected = np.sort(np.linalg.eigvals(npp.polycompanion(row)))
+                assert np.array_equal(roots, expected)
+
+    def test_failed_fiber_is_returned_not_raised(self, monkeypatch):
+        # no residual passes a negative tolerance, so only the exact fiber
+        # over 0 survives
+        monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", -1.0)
+        f = presets.example61(0.5)
+        batch = sm._fibers(f, [0.25, 0.0])
+        assert isinstance(batch[0], sm.RootFindingError)
+        assert batch[1] == [((-0.5 + 0j), 2)]
+        with pytest.raises(sm.RootFindingError, match="did not converge"):
+            sm.preimages(f, 0.25)
+        composite = sm._fibers(sm.compose(f, f), [0.0, 0.25])
+        assert all(isinstance(fiber, sm.RootFindingError) for fiber in composite)
+
+    def test_target_outside_the_disk_rejected(self):
+        with pytest.raises(ValueError):
+            sm._fibers(presets.example61(0.5), [0.1, 1.5])
+
 
 class TestAngularDerivative:
     def test_hyperbolic_contact(self):
