@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .geometry import Horodisk, ensure_disk_point, halfplane_pseudo_hyperbolic
+from .geometry import Horodisk, ensure_disk_point
 from .selfmap import (
     PREIMAGE_RESIDUAL_TOL,
     CompositeMap,
@@ -257,30 +257,37 @@ def _orbit_rho_sequence(hp: HalfPlaneConjugate, points, n_max):
     values stagnate.
 
     points is a list of one start (consecutive-step mode) or two starts.
-    Returns (values array of length n_max + 1, frozen_at, last_w).
+    Returns (values array of length n_max + 1, frozen_at, last_w).  Each
+    value is geometry.halfplane_pseudo_hyperbolic(u, v), written out inline.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    apply = hp.apply
     consec = len(points) == 1
     ws = [hp.to_halfplane(p) for p in points]
     if consec:
-        ws.append(hp.apply(ws[0]))
+        ws.append(apply(ws[0]))
     u, v = ws
     vals = np.empty(n_max + 1)
     frozen_at = None
     stagnant = 0
     for n in range(n_max + 1):
-        rho = halfplane_pseudo_hyperbolic(u, v)
+        if u.real <= 0.0 or v.real <= 0.0:
+            raise ValueError("half-plane points need positive real part")
+        den = v + u.conjugate()
+        rho = 1.0 if den == 0 else abs((v - u) / den)
         vals[n] = rho
         if n > 8:
             if rho > 0 and abs(rho - prev) <= 5e-16 * rho:
                 stagnant += 1
             else:
                 stagnant = 0
-            if stagnant >= 8 or max(abs(u), abs(v)) > 1e250 or rho < 1e-300:
+            if stagnant >= 8 or abs(u) > 1e250 or abs(v) > 1e250 or rho < 1e-300:
                 vals[n + 1:] = rho
                 frozen_at = n
                 break
         prev = rho
-        u, v = (v if consec else hp.apply(u)), hp.apply(v)
+        u, v = (v if consec else apply(u)), apply(v)
     return vals, frozen_at, u
 
 

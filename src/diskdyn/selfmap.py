@@ -601,9 +601,10 @@ class HalfPlaneConjugate:
                 b[-1] = 0.0
             # keep (a_k, b_k) pairs as Python complex (faster than numpy
             # scalars in apply), highest degree first for w and lowest
-            # first for 1/w
+            # first for 1/w, each split into its Horner head and tail
             a, b = a.tolist(), b.tolist()
-            built.append((tuple(zip(a[::-1], b[::-1])), tuple(zip(a, b))))
+            in_w, in_inverse = tuple(zip(a[::-1], b[::-1])), tuple(zip(a, b))
+            built.append((in_w[0], in_w[1:], in_inverse[0], in_inverse[1:]))
         self._stages = built
 
     def to_halfplane(self, z_disk: complex) -> complex:
@@ -615,10 +616,12 @@ class HalfPlaneConjugate:
             return self._exact(w)
         # per-stage Cayley transports telescope, so stages chain directly;
         # each stage is a Horner step in w, or in 1/w once |w| > 1
-        for in_w, in_inverse in self._stages:
-            x, coeffs = (w, in_w) if abs(w) <= 1.0 else (1.0 / w, in_inverse)
-            p, q = coeffs[0]
-            for ca, cb in coeffs[1:]:
+        for head_w, tail_w, head_inv, tail_inv in self._stages:
+            if abs(w) <= 1.0:
+                (p, q), x, tail = head_w, w, tail_w
+            else:
+                (p, q), x, tail = head_inv, 1.0 / w, tail_inv
+            for ca, cb in tail:
                 p = ca + p * x
                 q = cb + q * x
             w = p / q

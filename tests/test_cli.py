@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
-from diskdyn import cli, presets
+from diskdyn import cli, dynamics, presets
 from diskdyn.selfmap import CompositeMap, FiniteBlaschkeProduct, evaluate
 
 
@@ -360,6 +362,47 @@ class TestDeterminism:
         a = (tmp_path / "r1" / "grand_orbit.csv").read_bytes()
         b = (tmp_path / "r2" / "grand_orbit.csv").read_bytes()
         assert a == b
+
+
+def reference_csv(header, rows) -> bytes:
+    """The per-value rule: every value through cli._fmt."""
+    lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvWriter:
+    """_write_csv formats rows with one %-format taken from the first row;
+    its bytes must equal the per-value rule on every table."""
+
+    MIXED = [
+        (1, 0.5, np.float64(1 / 3), math.nan, True, None, "a b"),
+        (2, 1e-300, np.float64(-0.0), math.inf, False, None, "x"),
+        (0.1, 0.1, np.float64(2.0), -math.nan, True, None, ""),  # float where int began
+        (4, True, np.float64(7.0), 1.0, False, None, "y"),  # bool where float began
+        [5, 2.0 ** 0.5, np.float64(1e308), math.nan, True, None, "list row"],
+    ]
+    HEADER = ("i", "f", "np", "nan", "flag", "none", "text")
+
+    @pytest.mark.parametrize("header, rows", [
+        (HEADER, MIXED),
+        (HEADER, []),
+        (("x",), [(1.5,), (2,), (0.1,)]),
+        (("n", "rho"), ((n, 1.0 / (n + 1)) for n in range(5))),
+    ], ids=["mixed", "empty", "one-column", "generator"])
+    def test_matches_per_value_rule(self, tmp_path, header, rows):
+        rows = list(rows)
+        cli._write_csv(tmp_path / "t.csv", header, iter(rows))
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, rows)
+
+    @pytest.mark.parametrize("n_max", [0, 4095, 4096, 4097])
+    def test_step_rows_across_chunk_edges(self, tmp_path, n_max):
+        out = tmp_path / "o"
+        assert cli.main(["step", "--preset", "example62", "--n-max", str(n_max),
+                         "--out-dir", str(out)]) == 0
+        seq = dynamics.hyperbolic_step(presets.example62(), 0.0, n_max).sequence
+        written = (out / "step_sequence.csv").read_bytes()
+        assert written.count(b"\n") == n_max + 2
+        assert written == reference_csv(("n", "rho"), enumerate(seq))
 
 
 class TestPaperSuiteExit:

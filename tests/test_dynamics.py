@@ -7,7 +7,7 @@ import pytest
 from diskdyn import dynamics as dyn
 from diskdyn import presets
 from diskdyn import selfmap as sm
-from diskdyn.geometry import julia_quotient
+from diskdyn.geometry import halfplane_pseudo_hyperbolic, julia_quotient
 
 
 def parabolic_closed_form(x):
@@ -202,6 +202,58 @@ class TestOrbitMerging:
     def test_non_increasing_generic(self):
         seq = dyn.orbit_merging(presets.example61(0.5), 0.1, -0.3 + 0.2j, n_max=500)
         assert np.all(np.diff(seq) <= 1e-12)
+
+
+class _LeavingConjugate:
+    """A stand-in conjugate whose orbits reach Re w = 0 on the fourth step."""
+
+    def to_halfplane(self, z):
+        return 1.0 + 0.0j
+
+    def apply(self, w):
+        return w - 0.25
+
+
+class TestOrbitLoop:
+    """_orbit_rho_sequence computes the half-plane distance inline; each
+    value must still be geometry.halfplane_pseudo_hyperbolic of the orbit
+    pair that hp.apply gives, bit for bit, up to the freeze."""
+
+    MAPS = {
+        "example62": presets.example62,
+        "rotated": lambda: sm.FiniteBlaschkeProduct(
+            cmath.exp(-3j * 1.234), ((-cmath.exp(1.234j) / 3.0, 2),)),
+        "translation": presets.translation,
+    }
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    @pytest.mark.parametrize("mode", ["step", "merging"])
+    def test_values_are_the_public_distance(self, name, mode):
+        f = self.MAPS[name]()
+        hp = sm.HalfPlaneConjugate(f, dyn.classify(f).dw_point)
+        points = [0.0] if mode == "step" else [0.0, 0.5j]
+        n_max = 3000
+        vals, frozen_at, _ = dyn._orbit_rho_sequence(hp, points, n_max)
+        stop = n_max if frozen_at is None else frozen_at
+        u = hp.to_halfplane(points[0])
+        v = hp.apply(u) if mode == "step" else hp.to_halfplane(points[1])
+        for n in range(stop + 1):
+            assert vals[n] == halfplane_pseudo_hyperbolic(u, v), n
+            u, v = (v if mode == "step" else hp.apply(u)), hp.apply(v)
+        assert np.all(vals[stop:] == vals[stop])
+
+    @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
+    def test_leaving_the_half_plane_raises(self, points):
+        with pytest.raises(ValueError, match="^half-plane points need positive real part$"):
+            dyn._orbit_rho_sequence(_LeavingConjugate(), points, 100)
+
+    @pytest.mark.parametrize("n_max", [-1, -3])
+    def test_negative_n_max(self, n_max):
+        f = presets.example62()
+        with pytest.raises(ValueError, match="n_max"):
+            dyn.hyperbolic_step(f, 0.0, n_max)
+        with pytest.raises(ValueError, match="n_max"):
+            dyn.orbit_merging(f, 0.0, 0.5j, n_max)
 
 
 class TestRotationInvariance:
