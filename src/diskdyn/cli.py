@@ -20,6 +20,8 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import abel, acceptance, counting, dynamics, eigen, orbits, presets, selfmap
 from .selfmap import RootFindingError
 
@@ -105,8 +107,9 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _enumerated(values):
-    """(n, values[n]) rows of a float array as Python floats, which format
-    faster than numpy scalars; converted 4096 at a time, not all at once."""
+    """(n, values[n]) rows of an array as Python floats or complex numbers,
+    which format faster than numpy scalars; converted 4096 at a time, not
+    all at once."""
     for start in range(0, len(values), 4096):
         yield from enumerate(values[start:start + 4096].tolist(), start)
 
@@ -138,23 +141,31 @@ def _run_step(cfg: ExperimentConfig):
     return _report(rep, "sequence"), {"step_sequence.csv": (("n", "rho"), rows)}
 
 
-def _run_orbit(cfg: ExperimentConfig):
-    f = cfg.resolve_map()
-    n_steps = min(cfg.n_max, 100000)
-    z = 0.0 + 0.0j
-    rows = []
+def _orbit_rows(points):
+    """orbit.csv rows (n, re, im, 1 - |z|, pseudo-hyperbolic step from the
+    previous point) of an orbit array, produced as they are written."""
     prev = None
-    for n in range(n_steps + 1):
-        if prev is not None and z == prev:
-            break  # orbit numerically stationary; stop the table here
+    for n, z in _enumerated(points):
         step = float("nan") if prev is None else (
             abs((z - prev) / (1.0 - z.conjugate() * prev))
         )
-        rows.append((n, z.real, z.imag, 1.0 - abs(z), step))
+        yield n, z.real, z.imag, 1.0 - abs(z), step
         prev = z
+
+
+def _run_orbit(cfg: ExperimentConfig):
+    f = cfg.resolve_map()
+    points = np.empty(min(cfg.n_max, 100000) + 1, dtype=complex)
+    z, prev, count = 0.0 + 0.0j, None, 0
+    # a numerically stationary orbit ends the table
+    while count < len(points) and z != prev:
+        points[count] = prev = z
+        count += 1
         z = selfmap.evaluate(f, z)
-    summary = {"steps": len(rows) - 1, "final": _cnum(prev)}
-    return summary, {"orbit.csv": (("n", "re", "im", "one_minus_abs", "rho_step"), rows)}
+    points = points[:count]
+    summary = {"steps": count - 1, "final": _cnum(complex(points[-1]))}
+    return summary, {"orbit.csv": (("n", "re", "im", "one_minus_abs", "rho_step"),
+                                   _orbit_rows(points))}
 
 
 def _run_grand_orbit(cfg: ExperimentConfig):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .abel import translation_abel
 from .geometry import cayley_to_rhp, ensure_disk_point, mobius_factor
+from .lanes import mul, quot
 from .orbits import GrandOrbitTruncation
 from .selfmap import FiniteBlaschkeProduct, evaluate
 
@@ -80,12 +81,23 @@ def _geometric_median(points: list[complex]) -> complex:
     return x
 
 
-def _admissible(z: complex, zeros: np.ndarray) -> bool:
-    """pseudo_hyperbolic(z, a) > ADMISSIBLE_RADIUS for every zero a, as one
-    array expression over the (validated) zeros."""
+def _admissible(z: complex, zeros: tuple[np.ndarray, np.ndarray]) -> bool:
+    """pseudo_hyperbolic(z, a) > ADMISSIBLE_RADIUS for every zero a, with
+    the zeros as (re, im) arrays.  Each distance that can decide it is the
+    scalar one bit for bit: its quotient (a - z) / (1 - conj(a) z) and abs
+    are computed in lanes (lanes.quot, np.hypot)."""
     z = ensure_disk_point(z)
-    rho = np.abs((zeros - z) / (1.0 - zeros.conj() * z))
-    return bool((rho > ADMISSIBLE_RADIUS).all())
+    ar, ai = zeros
+    dr, di = ar - z.real, ai - z.imag
+    # |1 - conj(a) z| < 2, so a zero more than twice the radius away (with a
+    # margin for rounding) lies beyond it
+    near = dr * dr + di * di <= (2.0 * ADMISSIBLE_RADIUS) ** 2 * (1.0 + 1e-9)
+    if not near.any():
+        return True
+    ar, ai = ar[near], ai[near]
+    xr, xi = mul(ar, -ai, z.real, z.imag)
+    rr, ri = quot(dr[near], di[near], 1.0 - xr, 0.0 - xi)
+    return bool((np.hypot(rr, ri) > ADMISSIBLE_RADIUS).all())
 
 
 def ring_samples(radius: float, count: int = 16) -> list[complex]:
@@ -101,7 +113,8 @@ def estimate_tau(candidate, f, samples) -> TauEstimate:
     """
     zeros = None
     if isinstance(candidate, FiniteBlaschkeProduct):
-        zeros = np.array([a for a, _ in candidate.zeros])
+        zeros = (np.array([a.real for a, _ in candidate.zeros]),
+                 np.array([a.imag for a, _ in candidate.zeros]))
     ratios: list[complex] = []
     for z in samples:
         fz = evaluate(f, z)

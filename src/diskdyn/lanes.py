@@ -1,0 +1,91 @@
+"""Lanes: float64 arrays that round like Python complex scalars.
+
+A lane holds one complex number as the float64 pair (re, im), kept in two
+arrays.  Every operation repeats CPython's own formula
+(Objects/complexobject.c), so a lane result equals the Python complex result
+bit for bit; numpy's complex ufuncs and np.abs of a complex array round
+differently.  A float operand is promoted to complex(x, 0.0), as Python 3.10
+to 3.12 do.  A division by exact 0, which Python raises, gives a NaN lane.
+
+``value`` and ``jet`` evaluate a finite Blaschke product the way
+``selfmap._eval_fbp`` and ``selfmap._jet_fbp`` do, operation for operation,
+which stay the definition.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def mul(ar, ai, br, bi):
+    """c_prod: a * b."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def quot(ar, ai, br, bi):
+    """_Py_c_quot: a / b, scaled by the larger of |b.real| and |b.imag|."""
+    # the branch's operands picked per lane: (b.real, b.imag, a.real, a.imag)
+    # when |b.real| >= |b.imag|, else (b.imag, b.real, a.imag, a.real)
+    by_real = np.abs(br) >= np.abs(bi)
+    big, small = np.where(by_real, br, bi), np.where(by_real, bi, br)
+    p, q = np.where(by_real, ar, ai), np.where(by_real, ai, ar)
+    # b = 0, where Python raises, is 0 / 0 here
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = small / big
+        denom = big + small * ratio
+        pr = p * ratio
+        return (p + q * ratio) / denom, np.where(by_real, q - pr, pr - q) / denom
+
+
+def powu(xr, xi, n: int):
+    """c_powu: z ** n for an integer n >= 1, by binary powering from 1."""
+    rr, ri = 1.0, 0.0
+    mask = 1
+    while mask <= n:
+        if n & mask:
+            rr, ri = mul(rr, ri, xr, xi)
+        mask <<= 1
+        if mask <= n:
+            xr, xi = mul(xr, xi, xr, xi)
+    return rr, ri
+
+
+def _factor(zr, zi, a, ac, u):
+    """(den, fac) of a nonzero zero's factor: den = 1.0 - ac z and
+    fac = u (z - a) / den."""
+    pr, pi = mul(ac.real, ac.imag, zr, zi)
+    er, ei = 1.0 - pr, 0.0 - pi
+    return er, ei, *quot(*mul(u.real, u.imag, zr - a.real, zi - a.imag), er, ei)
+
+
+def value(f, zr, zi):
+    """f at the lanes z = zr + i zi, as _eval_fbp computes it for a product
+    of at most 32 zeros."""
+    vr, vi = f.gamma.real, f.gamma.imag
+    for a, ac, u, mult in f.factors:
+        if a == 0:
+            fr, fi = zr, zi
+        else:
+            _, _, fr, fi = _factor(zr, zi, a, ac, u)
+        if mult > 1:
+            fr, fi = powu(fr, fi, mult)
+        vr, vi = mul(vr, vi, fr, fi)
+    return vr, vi
+
+
+def jet(f, zr, zi):
+    """(f, f') at the lanes z = zr + i zi, as _jet_fbp computes them."""
+    vr, vi, dr, di = f.gamma.real, f.gamma.imag, 0.0, 0.0
+    for a, ac, u, mult in f.factors:
+        if a == 0:
+            fr, fi, gr, gi = zr, zi, 1.0, 0.0
+        else:
+            er, ei, fr, fi = _factor(zr, zi, a, ac, u)
+            k = u * (1.0 - abs(a) ** 2)
+            gr, gi = quot(k.real, k.imag, *powu(er, ei, 2))
+        for _ in range(mult):
+            xr, xi = mul(dr, di, fr, fi)
+            yr, yi = mul(vr, vi, gr, gi)
+            vr, vi = mul(vr, vi, fr, fi)
+            dr, di = xr + yr, xi + yi
+    return vr, vi, dr, di

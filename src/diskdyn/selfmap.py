@@ -16,8 +16,10 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
+from . import lanes
 from .geometry import (
     DISK_MARGIN,
+    SAME_POINT_TOL,
     cayley_to_rhp,
     ensure_disk_point,
     ensure_unimodular,
@@ -30,6 +32,12 @@ PREIMAGE_RESIDUAL_TOL = 1e-10
 
 # polynomial roots closer than this are tested as one multiple root
 CLUSTER_RADIUS = 1e-3
+
+# batches of at least this many nonzero targets polish their fibers in lanes
+# (_lane_fibers), where on a degree-2 product the lanes and the per-fiber
+# loop took the same time; smaller batches, and every lone preimages call,
+# go fiber by fiber
+_LANE_MIN_TARGETS = 20
 
 # |p| <= this * sum |p_k| |z|^k (Horner's rounding scale; <= 2e-15 at
 # example62's triple fixed point) at a cluster's polished mean z makes it one
@@ -411,25 +419,72 @@ def _fiber(f: FiniteBlaschkeProduct, w: complex, poly, roots) -> list[tuple[comp
     return result
 
 
+def _lane_fibers(f: FiniteBlaschkeProduct, w: np.ndarray, roots: np.ndarray) -> list:
+    """_fiber over each target w[k] from its row roots[k], in lanes.
+
+    Per row: the cluster test on every pair of roots, two guarded Newton
+    steps on each root, the same-point test on every pair, the residual and
+    open-disk checks, and the (re, im) sort.  A row that needs more than that
+    (a cluster, a merge, a failed check, an error) is None, for _fiber to
+    solve; every other row is what _fiber returns, bit for bit.
+    """
+    i, j = np.triu_indices(roots.shape[1], 1)
+    gap = roots[:, i] - roots[:, j]
+    ok = ~(np.hypot(gap.real, gap.imag) <= CLUSTER_RADIUS).any(axis=1)
+    zr, zi = roots.real, roots.imag
+    wr, wi = w.real[:, None], w.imag[:, None]
+    # rows that fail a check may overflow or divide by zero on the way
+    with np.errstate(all="ignore"):
+        # _newton_polish: a lane stops at f' = 0 or a step longer than 0.1
+        live = np.ones(roots.shape, dtype=bool)
+        for _ in range(2):
+            vr, vi, dr, di = lanes.jet(f, zr, zi)
+            sr, si = lanes.quot(vr - wr, vi - wi, dr, di)
+            live &= ((dr != 0) | (di != 0)) & ~(np.hypot(sr, si) > 0.1)
+            zr, zi = np.where(live, zr - sr, zr), np.where(live, zi - si, zi)
+        # same_point(z_j, z_i) for i < j, as _merge_pseudo_hyperbolic asks it
+        xr, xi = lanes.mul(zr[:, i], -zi[:, i], zr[:, j], zi[:, j])
+        er, ei = 1.0 - xr, 0.0 - xi
+        qr, qi = lanes.quot(zr[:, i] - zr[:, j], zi[:, i] - zi[:, j], er, ei)
+        ok &= ~(((er != 0) | (ei != 0)) & (np.hypot(qr, qi) <= SAME_POINT_TOL)).any(axis=1)
+        vr, vi = lanes.value(f, zr, zi)
+        ok &= (np.hypot(vr - wr, vi - wi) <= PREIMAGE_RESIDUAL_TOL).all(axis=1)
+        ok &= (np.hypot(zr, zi) < 1.0 - DISK_MARGIN).all(axis=1)
+    order = np.lexsort((zi, zr), axis=-1)
+    points = np.empty(roots.shape, dtype=complex)
+    points.real = np.take_along_axis(zr, order, -1)
+    points.imag = np.take_along_axis(zi, order, -1)
+    return [[(z, 1) for z in row] if good else None
+            for row, good in zip(points.tolist(), ok.tolist())]
+
+
 def _product_fibers(f: FiniteBlaschkeProduct, targets: list[complex]) -> list:
     """_fiber over each validated target, the roots of all nonzero targets
     from one ``_stacked_roots`` call.  Over 0 the fiber is the exact
-    (merged) zero list.  A failed fiber is its RootFindingError."""
+    (merged) zero list.  A failed fiber is its RootFindingError.  A batch of
+    at least _LANE_MIN_TARGETS nonzero targets, on a product of at most 32
+    zeros, goes through _lane_fibers first."""
     num, den = f.coefficients
     nonzero = np.array([w for w in targets if w != 0], dtype=complex)
     # |gamma N_d| = 1 > |w D_d| for |w| < 1, so no leading coefficient is 0
     polys = f.gamma * num - nonzero[:, None] * den
     roots = _stacked_roots(polys) if len(nonzero) else None
+    certified = None
+    if len(nonzero) >= _LANE_MIN_TARGETS and f._arrays is None:
+        certified = _lane_fibers(f, nonzero, roots)
     fibers: list = []
     k = 0
     for w in targets:
         if w == 0:
             fibers.append(sorted(f.zeros, key=_re_im))
             continue
-        try:
-            fibers.append(_fiber(f, w, polys[k], roots[k]))
-        except RootFindingError as exc:
-            fibers.append(exc)
+        fiber = None if certified is None else certified[k]
+        if fiber is None:
+            try:
+                fiber = _fiber(f, w, polys[k], roots[k])
+            except RootFindingError as exc:
+                fiber = exc
+        fibers.append(fiber)
         k += 1
     return fibers
 

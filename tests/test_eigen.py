@@ -91,7 +91,7 @@ class TestEstimateTau:
     def test_array_admissibility_is_the_scalar_rule(self, deep_b):
         f = presets.example61(0.5)
         zeros = [a for a, _ in deep_b.zeros]
-        arr = np.array(zeros)
+        arr = (np.array([a.real for a in zeros]), np.array([a.imag for a in zeros]))
         on_zero = zeros[40]
         # a preimage of a node outside the truncation's zero set
         (image_on_zero, _), *_ = sm.preimages(f, zeros[-1])
@@ -110,6 +110,32 @@ class TestEstimateTau:
         assert not eigen._admissible(on_zero, arr)
         assert not eigen._admissible(sm.evaluate(f, image_on_zero), arr)
         assert 0 < kept < len(samples)
+
+    def test_admissibility_at_the_radius_is_the_scalar_rule(self, truncations):
+        # points a few ulps off the 0.05 circle around a zero, and preimages
+        # of such points, whose images land within a few ulps of it
+        f = presets.example61(0.5)
+        zeros = [n.point for n in truncations[4].nodes]
+        arr = np.array(zeros)
+        parts = (arr.real.copy(), arr.imag.copy())
+        circle = []
+        for a in zeros[::40]:
+            for k in range(24):
+                t = eigen.ADMISSIBLE_RADIUS * cmath.exp(2j * math.pi * k / 24)
+                z = (a + t) / (1.0 + a.conjugate() * t)
+                circle += [complex(z.real + dx * math.ulp(z.real), z.imag + dy * math.ulp(z.imag))
+                           for dx in (-2, 0, 2) for dy in (-2, 0, 2)]
+        images = [sm.evaluate(f, z) for p in circle[::9] for z, _ in sm.preimages(f, p)]
+        numpy_rule = 0
+        for point in circle + images:
+            scalar = all(pseudo_hyperbolic(point, a) > eigen.ADMISSIBLE_RADIUS for a in zeros)
+            assert eigen._admissible(point, parts) == scalar
+            rho = np.abs((arr - point) / (1.0 - arr.conj() * point))
+            numpy_rule += bool((rho > eigen.ADMISSIBLE_RADIUS).all()) != scalar
+        kept = sum(eigen._admissible(point, parts) for point in circle + images)
+        assert 0 < kept < len(circle + images)
+        # the numpy complex quotient with np.abs decides some differently
+        assert numpy_rule > 0
 
     def test_sample_outside_the_disk_rejected(self, deep_b):
         with pytest.raises(ValueError, match="not strictly inside"):

@@ -7,6 +7,8 @@ from numpy.polynomial import polynomial as npp
 
 from diskdyn import dynamics as dyn
 from diskdyn import geometry as g
+from diskdyn import lanes
+from diskdyn import orbits
 from diskdyn import presets
 from diskdyn import selfmap as sm
 
@@ -405,6 +407,200 @@ class TestBatchedFibers:
     def test_target_outside_the_disk_rejected(self):
         with pytest.raises(ValueError):
             sm._fibers(presets.example61(0.5), [0.1, 1.5])
+
+
+def lane_mismatches(f, points) -> int:
+    """Points where the lane kernel's f, and f and f', differ in any bit
+    from _eval_fbp and _jet_fbp."""
+    zr = np.array([z.real for z in points])
+    zi = np.array([z.imag for z in points])
+    got = np.column_stack([*lanes.value(f, zr, zi), *lanes.jet(f, zr, zi)])
+    scalar = []
+    for z in points:
+        v, (j0, j1, _) = sm._eval_fbp(f, z), sm._jet_fbp(f, z)
+        scalar.append((v.real, v.imag, j0.real, j0.imag, j1.real, j1.imag))
+    return int((got.view(np.int64) != np.array(scalar).view(np.int64)).any(axis=1).sum())
+
+
+def lane_test_product(rng) -> sm.FiniteBlaschkeProduct:
+    """Degree 1 to 6 with multiplicities 1 to 4: zeros at the origin, on the
+    real axis (where signed zeros show), inside, and within 1e-3 to 1e-14 of
+    the circle; gamma real or not."""
+    left = int(rng.integers(1, 7))
+    zeros = []
+    while left:
+        mult = int(rng.integers(1, min(left, 4) + 1))
+        left -= mult
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            a = 0.0
+        elif kind == 1:
+            a = rng.uniform(-0.9, 0.9)
+        elif kind == 2:
+            a = random_disk_point(rng)
+        else:
+            a = (1.0 - 10.0 ** -rng.uniform(3, 14)) * cmath.exp(2j * math.pi * rng.random())
+        zeros.append((a, mult))
+    gamma = rng.choice([1.0, -1.0, cmath.exp(2j * math.pi * rng.random())])
+    return sm.FiniteBlaschkeProduct(gamma, zeros)
+
+
+LANE_POINTS = [
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    complex(5e-324, -0.0), complex(-0.0, -5e-324), complex(-1e-310, 2.5e-320),
+    complex(0.3, 1e-315), 1 + 0j, -1 + 0j, 1j, complex(-0.0, -1.0),
+] + [cmath.exp(1j * t) for t in (0.1, 2.0, -2.5)]
+
+
+class TestLanes:
+    """The lane kernel rounds like Python complex scalars, and a wide batch
+    of fibers polished in lanes is what preimages returns, bit for bit."""
+
+    def test_operations_match_python(self):
+        rng = np.random.default_rng(11)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 2.0, 0.5, 3.0, -3.0]
+        parts = np.concatenate([
+            rng.choice(special, 4000),
+            rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-8, 8, 4000),
+        ])
+        a = [complex(x, y) for x, y in zip(rng.permutation(parts), rng.permutation(parts))]
+        b = [complex(x, y) for x, y in zip(rng.permutation(parts), rng.permutation(parts))]
+        # |b.real| == |b.imag| on both sides of the quotient's branch
+        b[:4] = [1 + 1j, -2 + 2j, 3 - 3j, complex(-0.5, -0.5)]
+        b = [z if z != 0 else 1 + 0j for z in b]
+        ar, ai = np.array([z.real for z in a]), np.array([z.imag for z in a])
+        br, bi = np.array([z.real for z in b]), np.array([z.imag for z in b])
+        cases = [(lanes.mul(ar, ai, br, bi), [x * y for x, y in zip(a, b)]),
+                 (lanes.quot(ar, ai, br, bi), [x / y for x, y in zip(a, b)]),
+                 ((np.hypot(ar, ai), np.zeros(len(a))), [complex(abs(x), 0.0) for x in a])]
+        small = [complex(x.real % 10.0, x.imag % 10.0) for x in a]
+        sr, si = np.array([z.real for z in small]), np.array([z.imag for z in small])
+        cases += [(lanes.powu(sr, si, m), [z ** m for z in small]) for m in (1, 2, 3, 4, 7)]
+        for (re, im), expected in cases:
+            want = np.array([(z.real, z.imag) for z in expected])
+            assert np.array_equal(np.column_stack([re, im]).view(np.int64), want.view(np.int64))
+
+    def test_value_and_derivative_match_the_scalar_loops(self):
+        rng = np.random.default_rng(12)
+        degrees = set()
+        for _ in range(150):
+            f = lane_test_product(rng)
+            degrees.add(f.degree)
+            points = LANE_POINTS + [random_disk_point(rng, 0.999) for _ in range(40)]
+            assert lane_mismatches(f, points) == 0
+        assert degrees == {1, 2, 3, 4, 5, 6}
+
+    def test_numpy_complex_division_fails_the_bit_test(self, monkeypatch):
+        def numpy_quot(ar, ai, br, bi):
+            q = (np.asarray(ar) + 1j * np.asarray(ai)) / (np.asarray(br) + 1j * np.asarray(bi))
+            return q.real, q.imag
+
+        monkeypatch.setattr(lanes, "quot", numpy_quot)
+        rng = np.random.default_rng(12)
+        points = LANE_POINTS + [random_disk_point(rng, 0.999) for _ in range(40)]
+        assert sum(lane_mismatches(lane_test_product(rng), points) for _ in range(20)) > 0
+
+    assert_batch_matches = TestBatchedFibers.assert_batch_matches
+
+    def assert_wide_batch_matches(self, f, targets):
+        assert sum(w != 0 for w in targets) >= sm._LANE_MIN_TARGETS
+        self.assert_batch_matches(f, targets)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.55, 0.6, 0.7])
+    def test_example61_generations(self, alpha):
+        f = presets.example61(alpha)
+        tr = orbits.grand_orbit(f, 0.0, forward_n=12, backward_depth=6)
+        for depth in range(1, tr.backward_depth + 1):
+            generation = [n.point for n in tr.nodes if n.backward_depth == depth - 1]
+            if len(generation) >= sm._LANE_MIN_TARGETS:
+                self.assert_wide_batch_matches(f, generation)
+
+    def test_lanes_certify_simple_rows_and_leave_clusters(self):
+        f = sm.FiniteBlaschkeProduct(-1.0, ((0.2, 1), (-0.4, 1)))
+        (crit, _), = sm.critical_points(f)
+        rng = np.random.default_rng(13)
+        targets = [random_disk_point(rng, 0.9) for _ in range(30)]
+        targets[7] = sm.evaluate(f, crit)
+        w = np.array(targets)
+        num, den = f.coefficients
+        polys = f.gamma * num - w[:, None] * den
+        certified = sm._lane_fibers(f, w, sm._stacked_roots(polys))
+        assert [k for k, fiber in enumerate(certified) if fiber is None] == [7]
+        self.assert_wide_batch_matches(f, targets)
+        assert [m for _, m in sm._fibers(f, targets)[7]] == [2]
+
+    def test_rows_from_moved_roots_are_fiber_rows_or_left_out(self, monkeypatch):
+        # start Newton off the true roots: ten rows each where both roots
+        # sit 1.2e-3 apart around one root (no cluster; polished onto one
+        # point, which _fiber merges), where one root is 0.15 off (a step
+        # over 0.1, which Newton refuses), and where both are 1e-4 off
+        f = presets.example61(0.6)
+        rng = np.random.default_rng(17)
+        w = np.array([random_disk_point(rng, 0.9) for _ in range(30)])
+        num, den = f.coefficients
+        polys = f.gamma * num - w[:, None] * den
+        roots = sm._stacked_roots(polys)
+        moved = roots.copy()
+        moved[:10] = roots[:10, :1] + np.array([6e-4, -6e-4])
+        moved[10:20, 0] += 0.15
+        moved[20:] += 1e-4
+
+        def outcomes():
+            """(certified, length of _fiber's fiber or False) per row, with
+            each certified row checked against _fiber's."""
+            found = []
+            for k, fiber in enumerate(sm._lane_fibers(f, w, moved)):
+                try:
+                    expected = sm._fiber(f, complex(w[k]), polys[k], moved[k])
+                except sm.RootFindingError:
+                    expected = None
+                if fiber is not None:
+                    assert bits(fiber) == bits(expected)
+                found.append((fiber is not None, expected is not None and len(expected)))
+            return found
+
+        assert outcomes() == [(False, 1)] * 10 + [(False, False)] * 10 + [(True, 2)] * 10
+        # with every residual accepted, a refused step leaves its root as it
+        # was, in the lanes as in _fiber
+        monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", 1.0)
+        assert sum(certified for certified, _ in outcomes()[10:20]) >= 5
+
+    def test_zero_targets_and_a_composite(self):
+        f = sm.FiniteBlaschkeProduct(1j, ((0.2 + 0.1j, 2), (-0.5j, 1), (0.7, 1)))
+        rng = np.random.default_rng(14)
+        targets = [random_disk_point(rng, 0.8) for _ in range(24)]
+        targets[3] = targets[11] = 0.0
+        self.assert_wide_batch_matches(f, targets)
+        self.assert_wide_batch_matches(sm.compose(f, presets.example61(0.5)), targets)
+
+    def test_failing_rows_are_root_finding_errors(self, monkeypatch):
+        f = presets.example61(0.6)
+        rng = np.random.default_rng(15)
+        targets = [random_disk_point(rng, 0.9) for _ in range(40)]
+        # a tolerance near the polished residuals fails some rows only
+        monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", 1e-16)
+        batch = sm._fibers(f, targets)
+        failed = sum(isinstance(fiber, sm.RootFindingError) for fiber in batch)
+        assert 0 < failed < len(targets)
+        for w, fiber in zip(targets, batch):
+            try:
+                lone = sm.preimages(f, w)
+            except sm.RootFindingError as exc:
+                assert isinstance(fiber, sm.RootFindingError)
+                assert str(fiber) == str(exc)
+            else:
+                assert bits(fiber) == bits(lone)
+
+    def test_product_with_many_zeros_stays_scalar(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        f = sm.FiniteBlaschkeProduct(1.0, [(random_disk_point(rng, 0.8), 1) for _ in range(33)])
+        assert f._arrays is not None
+
+        def refuse(*args):
+            raise AssertionError("lanes used on a product with more than 32 zeros")
+
+        monkeypatch.setattr(sm, "_lane_fibers", refuse)
+        self.assert_wide_batch_matches(f, [random_disk_point(rng, 0.5) for _ in range(20)])
 
 
 class TestAngularDerivative:
