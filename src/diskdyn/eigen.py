@@ -113,8 +113,8 @@ def estimate_tau(candidate, f, samples) -> TauEstimate:
     """
     zeros = None
     if isinstance(candidate, FiniteBlaschkeProduct):
-        zeros = (np.array([a.real for a, _ in candidate.zeros]),
-                 np.array([a.imag for a, _ in candidate.zeros]))
+        a = np.fromiter((a for a, _ in candidate.zeros), complex, len(candidate.zeros))
+        zeros = (a.real, a.imag)
     ratios: list[complex] = []
     for z in samples:
         fz = evaluate(f, z)

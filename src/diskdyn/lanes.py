@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import SAME_POINT_TOL
+
 
 def mul(ar, ai, br, bi):
     """c_prod: a * b."""
@@ -35,6 +37,23 @@ def quot(ar, ai, br, bi):
         denom = big + small * ratio
         pr = p * ratio
         return (p + q * ratio) / denom, np.where(by_real, q - pr, pr - q) / denom
+
+
+def same_point(zr, zi, wr, wi):
+    """geometry.same_point(z, w): den = 1.0 - conj(w) z, then
+    |(w - z) / den| <= SAME_POINT_TOL; den = 0 gives a NaN lane, so the
+    points differ."""
+    xr, xi = mul(wr, -wi, zr, zi)
+    qr, qi = quot(wr - zr, wi - zi, 1.0 - xr, 0.0 - xi)
+    return np.hypot(qr, qi) <= SAME_POINT_TOL
+
+
+def direction(ar, ai):
+    """geometry.unit_direction(a) of nonzero a: a scaled by the larger of
+    |a.real| and |a.imag|, then divided by its abs as complex(abs, 0.0)."""
+    m = np.maximum(np.abs(ar), np.abs(ai))
+    br, bi = ar / m, ai / m
+    return quot(br, bi, np.hypot(br, bi), 0.0)
 
 
 def powu(xr, xi, n: int):

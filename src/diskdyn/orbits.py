@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import lanes
 from .dynamics import _boundary_class
-from .geometry import PointIndex, ensure_disk_point, same_point
+from .geometry import SAME_POINT_TOL, PointIndex, ensure_disk_point, same_point
 from .selfmap import RootFindingError, _fibers, critical_points, degree, evaluate
 
 DEFAULT_NODE_CAP = 20000
@@ -62,6 +65,43 @@ class GrandOrbitTruncation:
         )
 
 
+# any pair within pseudo-hyperbolic SAME_POINT_TOL is within Euclidean
+# 2 SAME_POINT_TOL, as |1 - conj(w) z| < 2; twice that leaves room for rounding
+_WINDOW = 4 * SAME_POINT_TOL
+
+
+def _new_points(nr, ni, cr, ci) -> np.ndarray:
+    """Mask of the children (cr, ci), in enumeration order, that join the
+    nodes (nr, ni): a child joins unless same_point(child, p) for a node p
+    or for a child that joined before it, as a PointIndex loop decides.
+
+    Every pair of points within _WINDOW in both parts is tested in lanes; a
+    child whose only hits are earlier children is settled in order, since a
+    child that does not join drops no later one.
+    """
+    zr, zi = np.concatenate((nr, cr)), np.concatenate((ni, ci))
+    order = np.argsort(zr)
+    ordered = zr[order]
+    lo = np.searchsorted(ordered, cr - _WINDOW, "left")
+    count = np.searchsorted(ordered, cr + _WINDOW, "right") - lo
+    # child c pairs with the sorted positions lo[c] .. lo[c] + count[c] - 1
+    child = np.repeat(np.arange(len(cr)), count)
+    first = np.repeat(lo - np.cumsum(count) + count, count)
+    other = order[first + np.arange(len(child))]
+    n = len(nr)
+    near = (other < n + child) & (np.abs(zi[other] - ci[child]) <= _WINDOW)
+    child, other = child[near], other[near]
+    hit = lanes.same_point(cr[child], ci[child], zr[other], zi[other])
+    child, other = child[hit], other[hit] - n
+    joins = np.ones(len(cr), dtype=bool)
+    joins[child[other < 0]] = False
+    later = other >= 0
+    for c, o in sorted(zip(child[later].tolist(), other[later].tolist())):
+        if joins[o]:
+            joins[c] = False
+    return joins
+
+
 def grand_orbit(
     f,
     z0: complex,
@@ -73,43 +113,51 @@ def grand_orbit(
 
     Forward orbit points get generation 0; generation k holds the preimages
     of generation k - 1 that are not already enumerated, sorted by (re, im).
-    Each generation's fibers are solved together (selfmap._fibers).  Stops
-    with the truncated flag set if node_cap would be exceeded.
+    Each generation's fibers are solved together (selfmap._fibers) and its
+    children deduplicated together (_new_points).  Stops with the truncated
+    flag set if node_cap would be exceeded; a cap below the forward orbit's
+    node count is an error.
     """
+    for name, value in (("forward_n", forward_n), ("backward_depth", backward_depth),
+                        ("node_cap", node_cap)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     z0 = ensure_disk_point(z0)
     d = degree(f)
     if d is None or d < 2:
         raise ValueError("grand orbits need a Blaschke-type map of degree >= 2")
     _boundary_class(f, "grand orbit")
 
-    index = PointIndex()
-    nodes: list[GrandOrbitNode] = []
-    sums: list[float] = []
-
+    forward = []
     z = z0
-    total = 0.0
     for m in range(forward_n + 1):
         if m > 0:
             z = evaluate(f, z)
         try:
-            z = ensure_disk_point(z)
+            forward.append(ensure_disk_point(z))
         except ValueError as exc:
             raise ValueError(
                 f"forward orbit left the representable disk at index {m}; "
                 f"reduce forward_n"
             ) from exc
-        if index.find(z) is not None:
-            continue
-        nodes.append(GrandOrbitNode(z, 1, m, 0))
-        index.add(z)
-        total += 1.0 - abs(z)
-    sums.append(total)
+    pts = np.array(forward)
+    joins = _new_points(np.empty(0), np.empty(0), pts.real, pts.imag).tolist()
+    nodes = [GrandOrbitNode(z, 1, m, 0) for m, z in enumerate(forward) if joins[m]]
+    if len(nodes) > node_cap:
+        raise ValueError(
+            f"node_cap {node_cap} is below the {len(nodes)} forward-orbit nodes"
+        )
+    nr, ni = pts.real[joins], pts.imag[joins]
+    total = 0.0
+    for node in nodes:
+        total += 1.0 - abs(node.point)
+    sums = [total]
 
     truncated = False
-    generation = list(nodes)
+    generation = nodes
     for depth in range(1, backward_depth + 1):
-        batch: list[GrandOrbitNode] = []
         fibers = _fibers(f, [parent.point for parent in generation])
+        children: list[tuple[complex, int, int]] = []
         for parent, fiber in zip(generation, fibers):
             if isinstance(fiber, RootFindingError):
                 raise RootFindingError(
@@ -117,22 +165,17 @@ def grand_orbit(
                     f"(parent {parent.point!r})", fiber.residual
                 ) from fiber
             for child, local_mult in fiber:
-                if index.find(child) is not None:
-                    continue
-                batch.append(
-                    GrandOrbitNode(
-                        point=child,
-                        multiplicity=local_mult * parent.multiplicity,
-                        forward_index=parent.forward_index,
-                        backward_depth=depth,
-                    )
-                )
-                index.add(child)
-        batch.sort(key=lambda n: (n.point.real, n.point.imag))
+                children.append((child, local_mult * parent.multiplicity, parent.forward_index))
+        pts = np.array([c[0] for c in children], dtype=complex)
+        joins = _new_points(nr, ni, pts.real, pts.imag)
+        cr, ci = pts.real[joins], pts.imag[joins]
+        kept = np.flatnonzero(joins)[np.lexsort((ci, cr))]
+        batch = [GrandOrbitNode(*children[k], depth) for k in kept.tolist()]
         if len(nodes) + len(batch) > node_cap:
             truncated = True
             break
         nodes.extend(batch)
+        nr, ni = np.concatenate((nr, cr)), np.concatenate((ni, ci))
         total += sum(n.multiplicity * (1.0 - abs(n.point)) for n in batch)
         sums.append(total)
         generation = batch

@@ -19,7 +19,6 @@ from numpy.polynomial import polynomial as npp
 from . import lanes
 from .geometry import (
     DISK_MARGIN,
-    SAME_POINT_TOL,
     cayley_to_rhp,
     ensure_disk_point,
     ensure_unimodular,
@@ -73,6 +72,36 @@ def _normalize_zeros(zeros) -> tuple[tuple[complex, int], ...]:
     return tuple(merged.items())
 
 
+def _lane_table(entries):
+    """(zeros, factors, _arrays) of a product of more than 32 zeros, from
+    lanes, bit for bit as FiniteBlaschkeProduct's scalar loop builds them;
+    None for input only that loop can take: other than a list or tuple of
+    (complex, int) pairs, a multiplicity below 1, a repeated zero, or a zero
+    outside the disk."""
+    if not (isinstance(entries, (tuple, list)) and len(entries) > 32
+            and set(map(type, entries)) == {tuple} and set(map(len, entries)) == {2}):
+        return None
+    points, mults = zip(*entries)
+    if set(map(type, points)) != {complex} or set(map(type, mults)) != {int}:
+        return None
+    a, m = np.array(points), np.array(mults)
+    ordered = np.sort(a)
+    if (m.dtype != np.int64 or not (m >= 1).all() or (ordered[1:] == ordered[:-1]).any()
+            or not (np.hypot(a.real, a.imag) < 1.0 - DISK_MARGIN).all()):
+        return None
+    origin = a == 0
+    # -unit_direction(a), and direction 1 at the origin
+    u = np.ones(len(a), dtype=complex)
+    ur, ui = lanes.direction(a.real[~origin], a.imag[~origin])
+    u.real[~origin], u.imag[~origin] = -ur, -ui
+    ac = a.conjugate()
+    u_list = u.tolist()
+    for k in np.flatnonzero(origin).tolist():
+        u_list[k] = 1.0
+    return (tuple(entries), tuple(zip(points, ac.tolist(), u_list, mults)),
+            (origin, a, ac, u, m))
+
+
 class FiniteBlaschkeProduct:
     """gamma * prod over zeros (a, mult) of mobius_factor(a, .)^mult.
 
@@ -83,16 +112,20 @@ class FiniteBlaschkeProduct:
 
     def __init__(self, gamma: complex = 1.0, zeros=((0.0, 1),), hp_exact=None):
         self.gamma = ensure_unimodular(gamma)
-        self.zeros = _normalize_zeros(zeros)
-        self.factors = tuple(
-            (a, a.conjugate(), 1.0 if a == 0 else -unit_direction(a), mult)
-            for a, mult in self.zeros
-        )
-        # products with many zeros are evaluated as numpy arrays
-        self._arrays = None
-        if len(self.zeros) > 32:
-            a, ac, u, m = (np.array(col) for col in zip(*self.factors))
-            self._arrays = (a == 0, a, ac, u, m)
+        table = _lane_table(zeros)
+        if table is not None:
+            self.zeros, self.factors, self._arrays = table
+        else:
+            self.zeros = _normalize_zeros(zeros)
+            self.factors = tuple(
+                (a, a.conjugate(), 1.0 if a == 0 else -unit_direction(a), mult)
+                for a, mult in self.zeros
+            )
+            # products with many zeros are evaluated as numpy arrays
+            self._arrays = None
+            if len(self.zeros) > 32:
+                a, ac, u, m = (np.array(col) for col in zip(*self.factors))
+                self._arrays = (a == 0, a, ac, u, m)
         # optional exact right-half-plane form (used by presets that are
         # defined natively in half-plane coordinates)
         self.hp_exact = hp_exact
@@ -443,10 +476,7 @@ def _lane_fibers(f: FiniteBlaschkeProduct, w: np.ndarray, roots: np.ndarray) -> 
             live &= ((dr != 0) | (di != 0)) & ~(np.hypot(sr, si) > 0.1)
             zr, zi = np.where(live, zr - sr, zr), np.where(live, zi - si, zi)
         # same_point(z_j, z_i) for i < j, as _merge_pseudo_hyperbolic asks it
-        xr, xi = lanes.mul(zr[:, i], -zi[:, i], zr[:, j], zi[:, j])
-        er, ei = 1.0 - xr, 0.0 - xi
-        qr, qi = lanes.quot(zr[:, i] - zr[:, j], zi[:, i] - zi[:, j], er, ei)
-        ok &= ~(((er != 0) | (ei != 0)) & (np.hypot(qr, qi) <= SAME_POINT_TOL)).any(axis=1)
+        ok &= ~lanes.same_point(zr[:, j], zi[:, j], zr[:, i], zi[:, i]).any(axis=1)
         vr, vi = lanes.value(f, zr, zi)
         ok &= (np.hypot(vr - wr, vi - wi) <= PREIMAGE_RESIDUAL_TOL).all(axis=1)
         ok &= (np.hypot(zr, zi) < 1.0 - DISK_MARGIN).all(axis=1)

@@ -111,6 +111,21 @@ class TestEstimateTau:
         assert not eigen._admissible(sm.evaluate(f, image_on_zero), arr)
         assert 0 < kept < len(samples)
 
+    def test_estimate_tau_tests_every_zero_exactly(self, deep_b, monkeypatch):
+        seen = []
+        admissible = eigen._admissible
+
+        def record(z, zeros):
+            seen.append(zeros)
+            return admissible(z, zeros)
+
+        monkeypatch.setattr(eigen, "_admissible", record)
+        eigen.estimate_tau(deep_b, presets.example61(0.5), SAMPLES)
+        want = np.array([(a.real, a.imag) for a, _ in deep_b.zeros])
+        assert seen
+        for re, im in seen:
+            assert np.array_equal(np.column_stack([re, im]).view(np.int64), want.view(np.int64))
+
     def test_admissibility_at_the_radius_is_the_scalar_rule(self, truncations):
         # points a few ulps off the 0.05 circle around a zero, and preimages
         # of such points, whose images land within a few ulps of it

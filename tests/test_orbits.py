@@ -6,7 +6,8 @@ import pytest
 from diskdyn import orbits as ob
 from diskdyn import presets
 from diskdyn import selfmap as sm
-from diskdyn.geometry import julia_quotient, pseudo_hyperbolic
+from diskdyn.geometry import (PointIndex, ensure_disk_point, julia_quotient, pseudo_hyperbolic,
+                              same_point)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,170 @@ class TestPrefix:
         for k in (-1, example_truncation.backward_depth + 1):
             with pytest.raises(ValueError, match="prefix depth"):
                 example_truncation.prefix(k)
+
+
+def reference_grand_orbit(f, z0, forward_n, backward_depth, node_cap=ob.DEFAULT_NODE_CAP):
+    """grand_orbit with every child looked up in a PointIndex of the nodes
+    enumerated before it, one child at a time."""
+    index = PointIndex()
+    nodes, sums = [], []
+    z = z0 = ensure_disk_point(z0)
+    total = 0.0
+    for m in range(forward_n + 1):
+        if m > 0:
+            z = ensure_disk_point(sm.evaluate(f, z))
+        if index.find(z) is not None:
+            continue
+        nodes.append(ob.GrandOrbitNode(z, 1, m, 0))
+        index.add(z)
+        total += 1.0 - abs(z)
+    sums.append(total)
+    truncated = False
+    generation = list(nodes)
+    for depth in range(1, backward_depth + 1):
+        batch = []
+        for parent, fiber in zip(generation, sm._fibers(f, [p.point for p in generation])):
+            for child, local_mult in fiber:
+                if index.find(child) is not None:
+                    continue
+                batch.append(ob.GrandOrbitNode(child, local_mult * parent.multiplicity,
+                                               parent.forward_index, depth))
+                index.add(child)
+        batch.sort(key=lambda n: (n.point.real, n.point.imag))
+        if len(nodes) + len(batch) > node_cap:
+            truncated = True
+            break
+        nodes.extend(batch)
+        total += sum(n.multiplicity * (1.0 - abs(n.point)) for n in batch)
+        sums.append(total)
+        generation = batch
+    return ob.GrandOrbitTruncation(z0, forward_n, backward_depth, tuple(nodes),
+                                   tuple(sums), truncated)
+
+
+def exact_nodes(truncation):
+    return [(n.point.real.hex(), n.point.imag.hex(), n.multiplicity, n.forward_index,
+             n.backward_depth) for n in truncation.nodes]
+
+
+def assert_exactly_reference(f, z0, forward_n, backward_depth, **kw):
+    got = ob.grand_orbit(f, z0, forward_n, backward_depth, **kw)
+    want = reference_grand_orbit(f, z0, forward_n, backward_depth, **kw)
+    assert exact_nodes(got) == exact_nodes(want)
+    assert ([x.hex() for x in got.blaschke_partial_sums]
+            == [x.hex() for x in want.blaschke_partial_sums])
+    assert got.truncated == want.truncated
+    assert_same_truncation(got, want)
+    return got
+
+
+def new_points(nodes, children) -> list[bool]:
+    nodes, children = np.array(nodes, dtype=complex), np.array(children, dtype=complex)
+    return ob._new_points(nodes.real, nodes.imag, children.real, children.imag).tolist()
+
+
+def reference_new_points(nodes, children) -> list[bool]:
+    index = PointIndex()
+    for z in nodes:
+        index.add(z)
+    joins = []
+    for z in children:
+        joins.append(index.find(z) is None)
+        if joins[-1]:
+            index.add(z)
+    return joins
+
+
+class TestGenerationDedup:
+    """Each generation's children are deduplicated together, as a PointIndex
+    lookup per child decides it, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.5123, 0.6, 0.7])
+    def test_example61_depth_8(self, alpha):
+        tr = assert_exactly_reference(presets.example61(alpha), 0.0, 12, 8)
+        assert len(tr.nodes) == 3328
+
+    def test_example62(self):
+        assert_exactly_reference(presets.example62(), 0.0, 12, 6)
+
+    def test_two_stage_composite(self):
+        f = sm.compose(presets.example61(0.6), presets.example61(0.55))
+        assert_exactly_reference(f, 0.1j, 6, 4)
+
+    def test_node_cap_and_a_split_zero(self):
+        assert_exactly_reference(presets.example61(0.5), 0.0, 6, 8, node_cap=50)
+        split = sm.FiniteBlaschkeProduct(1, [(-0.5, 1), (-0.5, 1)])
+        assert_exactly_reference(split, 0.3, 12, 5)
+
+    def check(self, nodes, children, expected):
+        assert reference_new_points(nodes, children) == expected
+        assert new_points(nodes, children) == expected
+
+    def test_chain_keeps_the_child_after_a_dropped_one(self):
+        # c1 ~ c2 ~ c3 but c1 and c3 differ: c2 joins no node, so c3 is kept
+        c1 = 0.3 + 0.1j
+        c2, c3 = c1 + 7e-9, c1 + 1.4e-8
+        assert pseudo_hyperbolic(c1, c3) > 1e-8
+        self.check([], [c1, c2, c3], [True, False, True])
+        self.check([c1], [c2, c3], [False, True])
+        self.check([-0.5], [c3, c2, c1], [True, False, True])
+
+    def test_same_point_across_a_cell_edge(self):
+        edge = 7 * PointIndex.CELL
+        left, right = complex(edge - 3e-9, -edge - 3e-9), complex(edge + 3e-9, -edge + 3e-9)
+        self.check([left], [right, 0.2], [False, True])
+        self.check([], [0.2, left, right], [True, True, False])
+
+    def test_euclidean_neighbours_near_the_circle_differ(self):
+        z = 0.999999 * np.exp(0.7j)
+        w = z + 1.5e-8 * np.exp(2.0j)
+        assert pseudo_hyperbolic(z, w) > 1e-8
+        self.check([z], [w], [True])
+        self.check([], [w, z, z], [True, True, False])
+
+    def test_zero_denominator_means_the_points_differ(self):
+        # conj(1j) 1j = 1: same_point refuses the pair, so both are kept
+        self.check([1j], [1j, -1j], [True, True])
+        self.check([], [1j, 1j], [True, True])
+        # (1 - 2^-53)(1 + 2^-52) rounds to 1 while the points differ
+        self.check([1 - 2 ** -53], [1 + 2 ** -52], [True])
+
+    @pytest.mark.parametrize("earlier, child", [
+        (-2.5954576770943826e-09 + 1.6395875882476095e-09j,
+         6.87456591077307e-09 + 4.8518536490268335e-09j),
+        (1.4997344995572858e-09 - 2.016344080753044e-09j,
+         1.1318924142268214e-08 - 1.2332671145120262e-10j),
+    ])
+    def test_child_is_tested_against_the_earlier_point(self, earlier, child):
+        # at the tolerance, swapping same_point's arguments flips the verdict
+        dropped = same_point(child, earlier)
+        assert dropped != same_point(earlier, child)
+        self.check([earlier], [child], [not dropped])
+        self.check([], [earlier, child], [True, not dropped])
+
+    def test_random_clusters(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            seeds = 0.9 * np.sqrt(rng.random(6)) * np.exp(2j * np.pi * rng.random(6))
+            points = [complex(s + 1e-8 * rng.standard_normal() * np.exp(2j * np.pi * rng.random()))
+                      for s in rng.choice(seeds, 40)]
+            nodes, children = points[:10], points[10:]
+            assert new_points(nodes, children) == reference_new_points(nodes, children)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("name", ["forward_n", "backward_depth", "node_cap"])
+    def test_negative_argument_is_named(self, name):
+        kw = {"forward_n": 4, "backward_depth": 3, name: -3}
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative, got -3"):
+            ob.grand_orbit(presets.example61(0.5), 0.0, **kw)
+
+    def test_cap_below_the_forward_orbit_raises(self):
+        f = presets.example61(0.5)
+        with pytest.raises(ValueError, match="node_cap 5 is below the 13 forward-orbit nodes"):
+            ob.grand_orbit(f, 0.0, forward_n=12, backward_depth=2, node_cap=5)
+        tr = ob.grand_orbit(f, 0.0, forward_n=12, backward_depth=2, node_cap=13)
+        assert len(tr.nodes) == 13 and tr.truncated
 
 
 class TestBlaschkeSum:

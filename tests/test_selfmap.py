@@ -603,6 +603,110 @@ class TestLanes:
         self.assert_wide_batch_matches(f, [random_disk_point(rng, 0.5) for _ in range(20)])
 
 
+def scalar_table(entries):
+    """zeros, factors and _arrays of a product as the scalar loop of
+    FiniteBlaschkeProduct.__init__ builds them."""
+    zeros = sm._normalize_zeros(entries)
+    factors = tuple((a, a.conjugate(), 1.0 if a == 0 else -g.unit_direction(a), m)
+                    for a, m in zeros)
+    a, ac, u, m = (np.array(col) for col in zip(*factors))
+    return zeros, factors, (a == 0, a, ac, u, m)
+
+
+def exact(value):
+    """A value's type with its bits."""
+    if isinstance(value, complex):
+        return "complex", value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return "float", value.hex()
+    return type(value).__name__, value
+
+
+def assert_table_is_scalar(f, entries):
+    zeros, factors, arrays = scalar_table(entries)
+    assert [tuple(map(exact, z)) for z in f.zeros] == [tuple(map(exact, z)) for z in zeros]
+    assert ([tuple(map(exact, row)) for row in f.factors]
+            == [tuple(map(exact, row)) for row in factors])
+    assert len(f._arrays) == len(arrays)
+    for got, want in zip(f._arrays, arrays):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def special_zeros(rng, n) -> list:
+    """n (zero, multiplicity) pairs led by the origin as -0.0 - 0.0j,
+    subnormal parts, signed zero parts and parts of equal magnitude."""
+    lead = [complex(-0.0, -0.0), complex(5e-324, 0.3), complex(1e-310, -1e-310),
+            complex(-5e-324, -0.0), complex(-1e-320, 2e-320), complex(-0.0, 0.5),
+            complex(0.3, -0.0), complex(0.0, -0.7), complex(-0.4, 0.4),
+            complex(1 - 2e-15, 0.0)]
+    points = lead + [random_disk_point(rng, 0.999) for _ in range(n - len(lead))]
+    return [(z, int(m)) for z, m in zip(points, rng.integers(1, 4, n))]
+
+
+class TestLargeProductTable:
+    """A product of more than 32 zeros builds its factor table in lanes, as
+    the scalar loop does, bit for bit; input the lanes cannot certify goes
+    through that loop."""
+
+    @pytest.mark.parametrize("n", [33, 100])
+    def test_special_zeros(self, n):
+        entries = special_zeros(np.random.default_rng(n), n)
+        assert sm._lane_table(entries) is not None
+        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, entries), entries)
+        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, tuple(entries)), entries)
+
+    def test_grand_orbit_product(self):
+        tr = orbits.grand_orbit(presets.example61(0.6), 0.0, 12, 8)
+        entries = tuple((n.point, n.multiplicity) for n in tr.nodes)
+        assert len(entries) == 3328 and sm._lane_table(entries) is not None
+        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, entries), entries)
+
+    def test_repeated_zeros_merge_into_the_first(self):
+        entries = special_zeros(np.random.default_rng(7), 40)
+        # the origin again with other signs, and two more exact repeats
+        entries += [(0j, 2), entries[5], (entries[20][0], 3)]
+        assert sm._lane_table(entries) is None
+        f = sm.FiniteBlaschkeProduct(1.0, entries)
+        assert len(f.zeros) == 40
+        assert exact(f.zeros[0][0]) == exact(complex(-0.0, -0.0))
+        assert_table_is_scalar(f, entries)
+
+    @pytest.mark.parametrize("spell", [
+        lambda z, m: (z.real, m) if z.imag == 0 else (z, m),
+        lambda z, m: (z, float(m)),
+        lambda z, m: (z, np.int64(m)),
+        lambda z, m: (z, True) if m == 1 else (z, m),
+    ])
+    def test_other_spellings_take_the_scalar_loop(self, spell):
+        entries = [spell(z, m) for z, m in special_zeros(np.random.default_rng(8), 40)]
+        assert sm._lane_table(entries) is None
+        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, entries), entries)
+
+    def test_bare_points_and_iterators_take_the_scalar_loop(self):
+        entries = special_zeros(np.random.default_rng(11), 40)
+        points = [z for z, _ in entries]
+        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, points), points)
+        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, iter(entries)), entries)
+
+    @pytest.mark.parametrize("bad", [
+        (complex(1 - 1e-16, 0.0), 1), (complex(0.6, 0.8), 1), (-1.5j, 2),
+        (0.2j, 0), (0.2j, -1), (0.2j, "two"), (0.2j, None), (0.2j, 1.5j),
+    ])
+    def test_invalid_input_raises_the_scalar_error(self, bad):
+        entries = special_zeros(np.random.default_rng(9), 50)
+        entries[30] = bad
+        with pytest.raises(Exception) as want:
+            scalar_table(entries)
+        with pytest.raises(type(want.value)) as got:
+            sm.FiniteBlaschkeProduct(1.0, entries)
+        assert str(got.value) == str(want.value)
+
+    def test_fractional_multiplicity_truncates_as_the_scalar_loop(self):
+        entries = special_zeros(np.random.default_rng(10), 50)
+        entries[12] = (entries[12][0], 2.5)
+        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, entries), entries)
+
+
 class TestAngularDerivative:
     def test_hyperbolic_contact(self):
         rep = sm.angular_derivative(presets.example61(0.6), 1.0)
