@@ -18,6 +18,7 @@ import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -84,34 +85,58 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     return cfg
 
 
+# tables are formatted a block of rows at a time: _BLOCK rows of an array's
+# (n, value) table, and a quarter of that of a table given as rows, whose
+# rows hold more values (orbit.csv has five); a 4,096-row orbit.csv block
+# held 2.3 MB
+_BLOCK = 4096
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return "%.17g" % x
     return str(x)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Rows as _fmt writes them: one %-format, built from the first row, for
-    rows of the first row's value types, and _fmt for any other row."""
+def _blocks(rows):
+    """A table as column blocks of at most _BLOCK rows.  A 1-D array stands
+    for its (n, values[n]) rows, taken straight from .tolist() chunks; any
+    other table is an iterable of rows of equal length."""
+    if isinstance(rows, np.ndarray):
+        for start in range(0, len(rows), _BLOCK):
+            chunk = rows[start:start + _BLOCK].tolist()
+            yield range(start, start + len(chunk)), chunk
+        return
     rows = iter(rows)
+    # transposed as taken, so each block's row tuples are freed at once
+    while columns := tuple(zip(*islice(rows, _BLOCK // 4), strict=True)):
+        yield columns
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """Every value as _fmt writes it, one % over a format string per block
+    of rows: a column of floats takes %.17g, a column without floats %s, and
+    a column that mixes them goes through _fmt."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        first = next(rows, None)
-        if first is None:
-            return
-        types = tuple(map(type, first))
-        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
-        fh.write(fmt % tuple(first))
-        fh.writelines(fmt % tuple(row) if tuple(map(type, row)) == types
-                      else ",".join(map(_fmt, row)) + "\n" for row in rows)
+        for columns in _blocks(rows):
+            width, height = len(columns), len(columns[0])
+            fmts, flat = [], [None] * (width * height)
+            for j, col in enumerate(columns):
+                floats = {issubclass(t, float) for t in set(map(type, col))}
+                if len(floats) > 1:
+                    col = list(map(_fmt, col))
+                fmts.append("%.17g" if floats == {True} else "%s")
+                flat[j::width] = col
+            fh.write(((",".join(fmts) + "\n") * height) % tuple(flat))
 
 
 def _enumerated(values):
     """(n, values[n]) rows of an array as Python floats or complex numbers,
-    which format faster than numpy scalars; converted 4096 at a time, not
+    which format faster than numpy scalars; converted _BLOCK at a time, not
     all at once."""
-    for start in range(0, len(values), 4096):
-        yield from enumerate(values[start:start + 4096].tolist(), start)
+    for start in range(0, len(values), _BLOCK):
+        yield from enumerate(values[start:start + _BLOCK].tolist(), start)
 
 
 def _cnum(z: complex) -> dict:
@@ -137,8 +162,7 @@ def _run_classify(cfg: ExperimentConfig):
 def _run_step(cfg: ExperimentConfig):
     f = cfg.resolve_map()
     rep = dynamics.hyperbolic_step(f, 0.0, n_max=cfg.n_max)
-    rows = _enumerated(rep.sequence)
-    return _report(rep, "sequence"), {"step_sequence.csv": (("n", "rho"), rows)}
+    return _report(rep, "sequence"), {"step_sequence.csv": (("n", "rho"), rep.sequence)}
 
 
 def _orbit_rows(points):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
+from . import lanes
 from .geometry import Horodisk, ensure_disk_point
 from .selfmap import (
     PREIMAGE_RESIDUAL_TOL,
@@ -251,6 +252,66 @@ def _boundary_class(f, purpose: str) -> MapClass:
     return cls
 
 
+# the boundary orbit loop walks chunks of this many pairs, doubling up to
+# _CHUNK_MAX: an orbit that freezes early walks at most one chunk too far
+_CHUNK_MIN = 64
+_CHUNK_MAX = 2048
+
+
+def _walk(apply, orbit: list, count: int):
+    """Append the next count points w = apply(w) of the orbit to the list.
+    An apply that raises ends the walk; its exception is returned, for the
+    caller to raise only if no earlier pair ends the sequence."""
+    w = orbit[-1]
+    append = orbit.append
+    try:
+        for _ in range(count):
+            w = apply(w)
+            append(w)
+    except Exception as exc:
+        return exc
+    return None
+
+
+def _settle(u, v, start, prev, run):
+    """Distances and freeze tests of the pairs (u[k], v[k]), complex arrays,
+    at steps start + k, following the value prev and a stagnation run of
+    length run: returns (rho, stagnation run at each pair, first frozen k or
+    None).  Each test is the per-step loop's in lanes that round like its
+    Python complex arithmetic, and raises that loop's error at the first
+    pair that leaves the half-plane or whose abs overflows, unless an
+    earlier pair freezes."""
+    ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
+    with np.errstate(all="ignore"):
+        outside = (ur <= 0.0) | (vr <= 0.0)
+        # rho = |(v - u) / (v + conj u)|, whose denominator is 0 only
+        # outside the half-plane; Python's abs gives one NaN, sign bit clear
+        dr, di = vr + ur, vi - ui
+        rho = np.hypot(*lanes.quot(vr - ur, vi - ui, dr, di))
+        rho[np.isnan(rho)] = np.nan
+        idx = np.arange(len(rho))
+        checked = idx + start > 8
+        steady = checked & (rho > 0) & (np.abs(rho - np.append(prev, rho[:-1])) <= 5e-16 * rho)
+        run_at = idx - np.maximum.accumulate(np.where(steady, -1 - run, idx))
+        hu, hv = np.hypot(ur, ui), np.hypot(vr, vi)
+        frozen = checked & ((run_at >= 8) | (hu > 1e250) | (hv > 1e250) | (rho < 1e-300))
+        # Python's abs raises OverflowError where a finite point's modulus
+        # overflows; the freeze test reads abs(u) only before 8 stagnant
+        # steps, and abs(v) only when abs(u) <= 1e250 too
+        ou = np.isinf(hu) & np.isfinite(ur) & np.isfinite(ui)
+        ov = np.isinf(hv) & np.isfinite(vr) & np.isfinite(vi)
+        overflow = checked & (run_at < 8) & (ou | ((hu <= 1e250) & ov))
+    ends = np.flatnonzero(outside | frozen)
+    if not ends.size:
+        return rho, run_at, None
+    k = int(ends[0])
+    if outside[k]:
+        raise ValueError("half-plane points need positive real part")
+    if overflow[k]:
+        raise OverflowError("absolute value too large")
+    return rho, run_at, k
+
+
 def _orbit_rho_sequence(hp: HalfPlaneConjugate, points, n_max):
     """Pseudo-hyperbolic distances between the orbits of the disk `points`,
     walked in the half-plane coordinates of hp, with a frozen tail once the
@@ -258,37 +319,55 @@ def _orbit_rho_sequence(hp: HalfPlaneConjugate, points, n_max):
 
     points is a list of one start (consecutive-step mode) or two starts.
     Returns (values array of length n_max + 1, frozen_at, last_w).  Each
-    value is geometry.halfplane_pseudo_hyperbolic(u, v), written out inline.
+    value is geometry.halfplane_pseudo_hyperbolic(u, v) of the pair (u, v)
+    at step n.  From n = 9 the sequence freezes at the first step that ends
+    a run of 8 stagnant values, has |u| or |v| > 1e250, or has rho < 1e-300.
+
+    The orbits are walked a chunk at a time by hp.apply alone (_walk), and
+    each chunk's pairs are settled in lanes (_settle).  Values, frozen_at,
+    last_w and errors are those of the loop that measures each pair before
+    it applies hp.apply once more; an apply that raises past the freeze is
+    never seen.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     apply = hp.apply
-    consec = len(points) == 1
-    ws = [hp.to_halfplane(p) for p in points]
+    orbits = [[hp.to_halfplane(p)] for p in points]
+    consec = len(orbits) == 1
     if consec:
-        ws.append(apply(ws[0]))
-    u, v = ws
+        orbits[0].append(apply(orbits[0][0]))
     vals = np.empty(n_max + 1)
-    frozen_at = None
-    stagnant = 0
-    for n in range(n_max + 1):
-        if u.real <= 0.0 or v.real <= 0.0:
-            raise ValueError("half-plane points need positive real part")
-        den = v + u.conjugate()
-        rho = 1.0 if den == 0 else abs((v - u) / den)
-        vals[n] = rho
-        if n > 8:
-            if rho > 0 and abs(rho - prev) <= 5e-16 * rho:
-                stagnant += 1
-            else:
-                stagnant = 0
-            if stagnant >= 8 or abs(u) > 1e250 or abs(v) > 1e250 or rho < 1e-300:
-                vals[n + 1:] = rho
-                frozen_at = n
-                break
-        prev = rho
-        u, v = (v if consec else apply(u)), apply(v)
-    return vals, frozen_at, u
+    start, size = 0, _CHUNK_MIN
+    prev, run = math.nan, 0
+    while True:
+        # walk on to the pair start + count, the next chunk's first
+        count = min(size, n_max + 1 - start)
+        size = min(2 * size, _CHUNK_MAX)
+        error, walked = None, count
+        for orbit in orbits:
+            base = len(orbit)
+            failed = _walk(apply, orbit, walked)
+            if failed is not None:
+                # a later orbit walks no further, so its error comes first
+                error, walked = failed, len(orbit) - base
+        # the pairs start .. start + settle - 1, up to the one an error stops
+        settle = min(count, walked + 1)
+        w = [np.array(orbit, dtype=complex) for orbit in orbits]
+        u, v = (w[0][:-1], w[0][1:]) if consec else w
+        rho, run_at, frozen = _settle(u[:settle], v[:settle], start, prev, run)
+        vals[start:start + settle] = rho
+        if frozen is not None:
+            vals[start + frozen:] = rho[frozen]
+            return vals, start + frozen, orbits[0][frozen]
+        if error is not None:
+            raise error
+        start += settle
+        if start > n_max:
+            return vals, None, orbits[0][settle]
+        prev, run = rho[-1], int(run_at[-1])
+        # keep only the next chunk's first pair
+        for orbit in orbits:
+            del orbit[:settle]
 
 
 def hyperbolic_step(f, z0: complex = 0.0, n_max: int = 10000) -> StepReport:

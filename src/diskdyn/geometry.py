@@ -21,17 +21,19 @@ SAME_POINT_TOL = 1e-8
 
 
 def ensure_disk_point(z: complex) -> complex:
-    """Validate that z lies strictly inside the unit disk and return it."""
+    """Validate that z lies strictly inside the unit disk and return it; a
+    NaN part fails the test."""
     z = complex(z)
-    if abs(z) >= 1.0 - DISK_MARGIN:
+    if not abs(z) < 1.0 - DISK_MARGIN:
         raise ValueError(f"point {z!r} is not strictly inside the unit disk")
     return z
 
 
 def ensure_unimodular(w: complex, tol: float = UNIMODULAR_TOL) -> complex:
-    """Validate that |w| = 1 within tol and return w."""
+    """Validate that |w| = 1 within tol and return w; a NaN part fails the
+    test."""
     w = complex(w)
-    if abs(abs(w) - 1.0) > tol:
+    if not abs(abs(w) - 1.0) <= tol:
         raise ValueError(f"point {w!r} is not unimodular (|w| = {abs(w)!r})")
     return w
 

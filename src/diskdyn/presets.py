@@ -95,7 +95,8 @@ def _stage_from_dict(obj: dict) -> FiniteBlaschkeProduct:
     _check_fields(obj, {"gamma", "zeros"}, "map stage")
     try:
         gre, gim = obj["gamma"]
-        zeros = [(complex(zr, zi), int(m)) for zr, zi, m in obj["zeros"]]
+        # FiniteBlaschkeProduct refuses a multiplicity that is not integral
+        zeros = [(complex(zr, zi), m) for zr, zi, m in obj["zeros"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed map stage {obj!r}") from exc
     return FiniteBlaschkeProduct(complex(gre, gim), zeros)

@@ -53,6 +53,18 @@ class RootFindingError(RuntimeError):
         self.residual = residual
 
 
+def _multiplicity(mult) -> int:
+    """int(mult) of an integral multiplicity; 2.5, NaN or infinity is
+    refused, not truncated."""
+    try:
+        m = int(mult)
+    except (TypeError, ValueError, OverflowError):
+        m = None
+    if m is None or m != mult:
+        raise ValueError(f"zero multiplicity must be an integer, got {mult!r}")
+    return m
+
+
 def _normalize_zeros(zeros) -> tuple[tuple[complex, int], ...]:
     """Validated (zero, multiplicity) pairs; exactly equal zeros are merged
     into their first occurrence, keeping first-occurrence order."""
@@ -63,7 +75,7 @@ def _normalize_zeros(zeros) -> tuple[tuple[complex, int], ...]:
         else:
             a, mult = entry, 1
         a = ensure_disk_point(a)
-        mult = int(mult)
+        mult = _multiplicity(mult)
         if mult < 1:
             raise ValueError(f"zero multiplicity must be >= 1, got {mult}")
         merged[a] = merged.get(a, 0) + mult
@@ -227,7 +239,7 @@ def _eval_fbp(f: FiniteBlaschkeProduct, z: complex) -> complex:
 def evaluate(f, z: complex) -> complex:
     """Evaluate a map at z with |z| <= 1 (boundary allowed)."""
     z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
+    if not abs(z) <= 1.0 + 1e-12:
         raise ValueError(f"evaluation point {z!r} is outside the closed disk")
     if not isinstance(f, (FiniteBlaschkeProduct, CompositeMap)):
         return complex(f(z))

@@ -49,6 +49,14 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             presets.map_from_dict({"stages": []})
 
+    def test_fractional_multiplicity_rejected(self):
+        stage = {"gamma": [1, 0], "zeros": [[0.3, 0.0, 2.5]]}
+        with pytest.raises(ValueError, match="multiplicity must be an integer, got 2.5"):
+            presets.map_from_dict({"stages": [stage]})
+        # JSON's integral floats stay multiplicities
+        stage["zeros"] = [[0.3, 0.0, 2.0]]
+        assert presets.map_from_dict({"stages": [stage]}).zeros == ((0.3 + 0j, 2),)
+
     def test_alpha_only_for_the_parametric_preset(self):
         with pytest.raises(ValueError, match="no alpha"):
             presets.map_from_dict({"preset": "example62", "alpha": 0.4})
@@ -439,6 +447,20 @@ class TestOrbitTable:
         assert read_summary(out)["result"] == {
             "steps": len(rows) - 1, "final": {"re": rows[-1][1], "im": rows[-1][2]},
         }
+
+    @pytest.mark.parametrize("n_max", [31, 4096])
+    def test_step_table_of_a_freezing_orbit(self, tmp_path, n_max):
+        # the orbit of 0 under example61(0.6) freezes at n = 31, and the
+        # table repeats the frozen value to n_max
+        out = tmp_path / "o"
+        assert cli.main(["step", "--preset", "example61", "--alpha", "0.6",
+                         "--n-max", str(n_max), "--out-dir", str(out)]) == 0
+        rep = dynamics.hyperbolic_step(presets.example61(0.6), 0.0, n_max)
+        assert rep.frozen_at == 31
+        assert read_summary(out)["result"]["frozen_at"] == 31
+        assert np.all(rep.sequence[31:] == rep.sequence[31])
+        assert (out / "step_sequence.csv").read_bytes() == reference_csv(
+            ("n", "rho"), enumerate(rep.sequence.tolist()))
 
     def test_rows_are_streamed(self, tmp_path):
         out = str(tmp_path / "o")

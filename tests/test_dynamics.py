@@ -214,10 +214,89 @@ class _LeavingConjugate:
         return w - 0.25
 
 
+class _StubConjugate:
+    """A stand-in conjugate: the disk point z starts at origin + z, and
+    apply is the given step."""
+
+    def __init__(self, origin, step):
+        self.origin, self.apply = origin, step
+
+    def to_halfplane(self, z):
+        return self.origin + z
+
+
+def per_step_rho_sequence(hp, points, n_max):
+    """The boundary orbit loop one step at a time, pair by pair: the
+    reference that dynamics._orbit_rho_sequence equals bit for bit."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    apply = hp.apply
+    consec = len(points) == 1
+    ws = [hp.to_halfplane(p) for p in points]
+    if consec:
+        ws.append(apply(ws[0]))
+    u, v = ws
+    vals = np.empty(n_max + 1)
+    frozen_at = None
+    stagnant = 0
+    for n in range(n_max + 1):
+        if u.real <= 0.0 or v.real <= 0.0:
+            raise ValueError("half-plane points need positive real part")
+        den = v + u.conjugate()
+        rho = 1.0 if den == 0 else abs((v - u) / den)
+        vals[n] = rho
+        if n > 8:
+            if rho > 0 and abs(rho - prev) <= 5e-16 * rho:
+                stagnant += 1
+            else:
+                stagnant = 0
+            if stagnant >= 8 or abs(u) > 1e250 or abs(v) > 1e250 or rho < 1e-300:
+                vals[n + 1:] = rho
+                frozen_at = n
+                break
+        prev = rho
+        u, v = (v if consec else apply(u)), apply(v)
+    return vals, frozen_at, u
+
+
+def outcome(loop, hp, points, n_max):
+    """The values (as int64 bits), frozen_at and last_w (its type and bits)
+    a loop returns, or the type and message of what it raises."""
+    try:
+        vals, frozen_at, last_w = loop(hp, points, n_max)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (vals.view(np.int64).tolist(), frozen_at, type(last_w),
+            np.array([last_w], dtype=complex).view(np.int64).tolist())
+
+
+def chunk_ends(count):
+    """The first count pair totals at which the chunks of the orbit walk end."""
+    ends, size = [dyn._CHUNK_MIN], dyn._CHUNK_MIN
+    while len(ends) < count:
+        size = min(2 * size, dyn._CHUNK_MAX)
+        ends.append(ends[-1] + size)
+    return ends
+
+
+def _past_stagnation(w):
+    """Two orbits, counting steps in their imaginary parts: v_n = 1 +
+    (n + 1/2) i, and u_n = 1e-300 (1 + n i), until both jump at n = 16 to
+    points where rho is still 1, u to one whose abs overflows."""
+    if w.real == 1.0 and w.imag >= 0.5:
+        return complex(1.0, w.imag + 1.0) if w.imag < 15.0 else complex(1.0, 1.5e308)
+    return complex(1e-300, w.imag + 1e-300) if w.imag < 14.5e-300 else complex(1.5e308, 1.5e308)
+
+
+_ROTATED_STAGE = sm.FiniteBlaschkeProduct(cmath.exp(-3j), ((-cmath.exp(1j) / 3.0, 2),))
+
+
 class TestOrbitLoop:
-    """_orbit_rho_sequence computes the half-plane distance inline; each
-    value must still be geometry.halfplane_pseudo_hyperbolic of the orbit
-    pair that hp.apply gives, bit for bit, up to the freeze."""
+    """_orbit_rho_sequence walks the orbits a chunk at a time and settles
+    each chunk in lanes; its values, frozen_at, last_w and errors must equal
+    the per-step loop's, and each value must be
+    geometry.halfplane_pseudo_hyperbolic of the orbit pair that hp.apply
+    gives, bit for bit, up to the freeze."""
 
     MAPS = {
         "example62": presets.example62,
@@ -225,6 +304,19 @@ class TestOrbitLoop:
             cmath.exp(-3j * 1.234), ((-cmath.exp(1.234j) / 3.0, 2),)),
         "translation": presets.translation,
     }
+    # example61 at 0.6 and 0.9 freezes on stagnation (n = 16 to 32 from
+    # these starts), and translation, with its exact half-plane form, at
+    # n = 16 to 25; the rest run to n_max
+    LOOP_MAPS = {
+        **MAPS,
+        "example61-0.34": lambda: presets.example61(0.34),
+        "example61-0.6": lambda: presets.example61(0.6),
+        "example61-0.9": lambda: presets.example61(0.9),
+        "composite": lambda: sm.CompositeMap((_ROTATED_STAGE, _ROTATED_STAGE)),
+    }
+    STARTS = {"origin": [0.0], "off-axis": [0.3 + 0.2j], "merging": [0.0, 0.5j]}
+    # every chunk end up to the second full-size chunk, and one step either side
+    N_MAX = [0, 1, 8, 9, 16, 17] + [e + d for e in chunk_ends(7) for d in (-2, -1, 0)]
 
     @pytest.mark.parametrize("name", sorted(MAPS))
     @pytest.mark.parametrize("mode", ["step", "merging"])
@@ -241,6 +333,117 @@ class TestOrbitLoop:
             assert vals[n] == halfplane_pseudo_hyperbolic(u, v), n
             u, v = (v if mode == "step" else hp.apply(u)), hp.apply(v)
         assert np.all(vals[stop:] == vals[stop])
+
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    @pytest.mark.parametrize("name", sorted(LOOP_MAPS))
+    def test_matches_the_per_step_loop(self, name, start):
+        f = self.LOOP_MAPS[name]()
+        hp = sm.HalfPlaneConjugate(f, dyn.classify(f).dw_point)
+        for n_max in self.N_MAX:
+            assert (outcome(dyn._orbit_rho_sequence, hp, self.STARTS[start], n_max)
+                    == outcome(per_step_rho_sequence, hp, self.STARTS[start], n_max)), n_max
+
+    @pytest.mark.parametrize("start", ["origin", "merging"])
+    @pytest.mark.parametrize("name", ["composite", "example62"])
+    def test_long_orbits_match_the_per_step_loop(self, name, start):
+        f = self.LOOP_MAPS[name]()
+        hp = sm.HalfPlaneConjugate(f, dyn.classify(f).dw_point)
+        assert (outcome(dyn._orbit_rho_sequence, hp, self.STARTS[start], 20000)
+                == outcome(per_step_rho_sequence, hp, self.STARTS[start], 20000))
+
+    @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
+    @pytest.mark.parametrize("n_max", [0, 63, 64, 5000])
+    def test_one_apply_per_point(self, points, n_max):
+        f = presets.example62()
+        hp = sm.HalfPlaneConjugate(f, dyn.classify(f).dw_point)
+        calls = []
+        apply = hp.apply
+        hp.apply = lambda w: calls.append(w) or apply(w)
+        _, frozen_at, _ = dyn._orbit_rho_sequence(hp, points, n_max)
+        assert frozen_at is None
+        # the orbit points up to the pair after the last
+        assert len(calls) == (n_max + 2 if len(points) == 1 else 2 * (n_max + 1))
+
+    # in consecutive-step mode, unless named: |v| > 1e250 at n = 12
+    # (u = 1e240); |u| > 1e250 at n = 9 in merging, where v stays put;
+    # rho = 0 < 1e-300 at n = 9; a finite v whose abs overflows raises
+    # OverflowError at n = 11, but not at n = 9 with |u| > 1e250 (the
+    # freeze test never reads abs(v)), nor in merging at n = 16 with
+    # u = 1.5e308 (1 + i) after 8 steps of rho = 1 (nor abs(u)); a point
+    # with Re w = 0 and |w| > 1e250 leaves the half-plane (v at n = 9, u at
+    # n = 10 in merging) before it can freeze
+    STUBS = {
+        "huge-v": lambda: _StubConjugate(1.0, lambda w: 1e20 * w),
+        "huge-u": lambda: _StubConjugate(1.0, lambda w: 1e30 * w if w.imag == 0 else w),
+        "tiny-rho": lambda: _StubConjugate(1.0, lambda w: w),
+        "overflow": lambda: _StubConjugate(
+            1.0, lambda w: w + 1.0 if w.real < 12.0 else complex(1.5e308, 1.5e308)),
+        "overflow-past-huge-u": lambda: _StubConjugate(
+            1.0, lambda w: w + 1.0 if w.real < 9.0
+            else complex(1e300, 0.0) if w.real < 1e299 else complex(1.5e308, 1.5e308)),
+        "overflow-past-stagnation": lambda: _StubConjugate(1.0, _past_stagnation),
+        "huge-on-the-axis": lambda: _StubConjugate(
+            1.0, lambda w: complex(0.0, 1e260) if w.imag == 0 and w.real >= 10.0 else w + 1.0),
+    }
+
+    @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
+    @pytest.mark.parametrize("stub", sorted(STUBS))
+    def test_freeze_rules(self, stub, points):
+        hp = self.STUBS[stub]()
+        want = outcome(per_step_rho_sequence, hp, points, 1000)
+        assert outcome(dyn._orbit_rho_sequence, hp, points, 1000) == want
+
+    def test_stubs_stop_as_documented(self):
+        def stop(stub, points):
+            return outcome(per_step_rho_sequence, self.STUBS[stub](), points, 1000)[1]
+
+        assert stop("huge-v", [0.0]) == 12
+        assert stop("huge-u", [0.0, 0.5j]) == 9
+        assert stop("tiny-rho", [0.0]) == 9
+        assert stop("overflow", [0.0]) == "absolute value too large"
+        assert stop("overflow-past-huge-u", [0.0]) == 9
+        assert stop("overflow-past-stagnation", [0.0, 0.5j]) == 16
+        for points in ([0.0], [0.0, 0.5j]):
+            assert stop("huge-on-the-axis", points) == "half-plane points need positive real part"
+
+    @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
+    @pytest.mark.parametrize("chunk", [0, 1])
+    def test_stagnation_runs_across_chunk_ends(self, chunk, points):
+        # w + 1 up to Re w >= t, then 2 w: rho turns constant near the step
+        # t, so the run of 8 stagnant values ends in every place around the
+        # chunk end
+        end = chunk_ends(2)[chunk]
+        for t in range(end - 14, end + 2):
+            hp = _StubConjugate(1.0, lambda w, t=t: w + 1.0 if w.real < t else 2.0 * w)
+            want = outcome(per_step_rho_sequence, hp, points, 1000)
+            assert end - 8 <= want[1] <= end + 9
+            assert outcome(dyn._orbit_rho_sequence, hp, points, 1000) == want, t
+
+    @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
+    @pytest.mark.parametrize("pair", [0, 1, 32, 63, 64, 128, 191, 192, 448])
+    def test_leaving_the_half_plane_at_a_chunk_position(self, pair, points):
+        # Re w_n = pair + 1 - n (merging: pair - n) reaches 0 in the pair
+        # `pair` and stays there
+        hp = _StubConjugate(pair + 2.0 - len(points), lambda w: w - 1.0 if w.real > 0 else w)
+        want = outcome(per_step_rho_sequence, hp, points, 1000)
+        assert want == (ValueError, "half-plane points need positive real part")
+        assert outcome(dyn._orbit_rho_sequence, hp, points, 1000) == want
+
+    @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
+    @pytest.mark.parametrize("k", [0, 1, 8, 15, 16, 17, 18, 40, 63, 64, 65, 100])
+    def test_apply_raising_around_the_freeze(self, k, points):
+        # w_n = 2^n: rho stays 1/3 and freezes on stagnation at n = 16, so
+        # an apply raising from 2^k surfaces only for k <= 16 (consecutive
+        # steps, the pair (w_16, w_17)) or k <= 15 (merging, (a_16, b_16))
+        def double(w):
+            if w.real >= 2.0 ** k:
+                raise RuntimeError(f"no step from {w!r}")
+            return 2.0 * w
+
+        hp = _StubConjugate(1.0, double)
+        want = outcome(per_step_rho_sequence, hp, points, 1000)
+        assert (want[0] is RuntimeError) == (k <= (16 if len(points) == 1 else 15))
+        assert outcome(dyn._orbit_rho_sequence, hp, points, 1000) == want
 
     @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
     def test_leaving_the_half_plane_raises(self, points):

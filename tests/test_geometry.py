@@ -110,6 +110,19 @@ def test_disk_point_margin():
     assert g.ensure_disk_point(1.0 - 1e-14) == 1.0 - 1e-14
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.3, math.nan),
+                               complex(math.inf, 0.0), complex(math.nan, math.inf)])
+def test_disk_point_refuses_nan_and_inf(z):
+    with pytest.raises(ValueError, match="is not strictly inside the unit disk"):
+        g.ensure_disk_point(z)
+
+
+@pytest.mark.parametrize("w", [complex(math.nan, 0.0), complex(1.0, math.nan), math.nan])
+def test_unimodular_refuses_nan(w):
+    with pytest.raises(ValueError, match="is not unimodular"):
+        g.ensure_unimodular(w)
+
+
 @given(disk_points, disk_points)
 @settings(max_examples=200)
 def test_symmetry(z, w):

@@ -106,6 +106,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             sm.evaluate(presets.example62(), 1.1)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                   complex(math.inf, 0.0)])
+    def test_rejects_nan_and_inf_points(self, z):
+        with pytest.raises(ValueError, match="is outside the closed disk"):
+            sm.evaluate(presets.example62(), z)
+
+    def test_rejects_a_nan_gamma(self):
+        with pytest.raises(ValueError, match="is not unimodular"):
+            sm.FiniteBlaschkeProduct(complex(math.nan, 0.0), ((0.3, 1),))
+
     def test_many_zeros_match_factor_product(self):
         # more than 32 zeros takes the numpy path
         rng = np.random.default_rng(17)
@@ -691,6 +701,8 @@ class TestLargeProductTable:
     @pytest.mark.parametrize("bad", [
         (complex(1 - 1e-16, 0.0), 1), (complex(0.6, 0.8), 1), (-1.5j, 2),
         (0.2j, 0), (0.2j, -1), (0.2j, "two"), (0.2j, None), (0.2j, 1.5j),
+        (complex(math.nan, 0.3), 1), (complex(0.3, math.nan), 1), (complex(math.inf, 0.0), 1),
+        (0.2j, math.nan), (0.2j, math.inf),
     ])
     def test_invalid_input_raises_the_scalar_error(self, bad):
         entries = special_zeros(np.random.default_rng(9), 50)
@@ -701,10 +713,25 @@ class TestLargeProductTable:
             sm.FiniteBlaschkeProduct(1.0, entries)
         assert str(got.value) == str(want.value)
 
-    def test_fractional_multiplicity_truncates_as_the_scalar_loop(self):
+    def test_fractional_multiplicity_is_refused(self):
         entries = special_zeros(np.random.default_rng(10), 50)
         entries[12] = (entries[12][0], 2.5)
+        message = "^zero multiplicity must be an integer, got 2.5$"
+        for zeros in (entries, [(0.3, 2.5)], [(0.3, 1), (0.2j, 2.5)]):
+            with pytest.raises(ValueError, match=message):
+                sm.FiniteBlaschkeProduct(1.0, zeros)
+        # an integral float is the integer
+        entries[12] = (entries[12][0], 2.0)
         assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, entries), entries)
+        assert sm.FiniteBlaschkeProduct(1.0, [(0.3, 2.0)]).zeros == ((0.3 + 0j, 2),)
+
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_nan_and_inf_zeros_are_refused(self, n):
+        entries = special_zeros(np.random.default_rng(12), n)
+        for bad in (complex(math.nan, 0.2), complex(0.2, math.inf)):
+            entries[-1] = (bad, 1)
+            with pytest.raises(ValueError, match="is not strictly inside the unit disk"):
+                sm.FiniteBlaschkeProduct(1.0, entries)
 
 
 class TestAngularDerivative:
