@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import abel, counting, dynamics, eigen, orbits, presets, selfmap
-from .geometry import julia_quotient, mobius_factor, pseudo_hyperbolic
+from . import abel, counting, dynamics, eigen, orbits, presets, properties, selfmap
+from .geometry import julia_quotient, pseudo_hyperbolic
 
 DEFAULT_TOLERANCES = {
     "dw_location": 1e-6,
@@ -42,9 +42,6 @@ DEFAULT_TOLERANCES = {
     "nevanlinna_closed_form": 1e-12,
     "comparability_band": (0.8, 0.9),
 }
-
-# sampling sizes for the randomized suites; seeds are fixed below
-PROPERTY_CASES = 1000
 
 
 @dataclass(frozen=True)
@@ -255,91 +252,8 @@ def criterion_9_orbit_merging(tol):
                    f"nonincreasing={nonincreasing}, below 1e-3 from n={first}")
 
 
-def _random_blaschke(rng, max_degree=4):
-    d = int(rng.integers(1, max_degree + 1))
-    zeros = []
-    for _ in range(d):
-        r = 0.85 * math.sqrt(rng.random())
-        phi = 2.0 * math.pi * rng.random()
-        zeros.append((r * cmath.exp(1j * phi), 1))
-    gamma = cmath.exp(2j * math.pi * rng.random())
-    return selfmap.FiniteBlaschkeProduct(gamma, zeros)
-
-
-def _random_disk_point(rng, radius=0.95):
-    return radius * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
-
-
 def criterion_10_property_suites(tol):
-    rng = np.random.default_rng(987654321)
-    failures = []
-
-    worst_sp = 0.0
-    for _ in range(PROPERTY_CASES):
-        f = _random_blaschke(rng)
-        z, w = _random_disk_point(rng), _random_disk_point(rng)
-        lhs = pseudo_hyperbolic(selfmap.evaluate(f, z), selfmap.evaluate(f, w))
-        worst_sp = max(worst_sp, lhs - pseudo_hyperbolic(z, w))
-    if worst_sp > tol["schwarz_pick"]:
-        failures.append(f"contraction violated by {worst_sp:.2e}")
-
-    worst_back = 0.0
-    for _ in range(PROPERTY_CASES):
-        f = _random_blaschke(rng)
-        w = _random_disk_point(rng, 0.8)
-        fiber = selfmap.preimages(f, w)
-        if sum(m for _, m in fiber) != f.degree:
-            failures.append(f"fiber count mismatch for degree {f.degree}")
-            break
-        worst_back = max(
-            worst_back,
-            max(abs(selfmap.evaluate(f, z) - w) for z, _ in fiber),
-        )
-    if worst_back > tol["preimage_back_eval"]:
-        failures.append(f"fiber back-evaluation off by {worst_back:.2e}")
-
-    for _ in range(200):
-        f = _random_blaschke(rng, 3)
-        g = _random_blaschke(rng, 3)
-        comp = selfmap.compose(f, g)
-        w = _random_disk_point(rng, 0.8)
-        fiber = selfmap.preimages(comp, w)
-        if sum(m for _, m in fiber) != f.degree * g.degree:
-            failures.append("composite fiber count != degree product")
-            break
-
-    circle = np.exp(2j * math.pi * np.arange(256) / 256)
-    worst_mod = 0.0
-    for _ in range(PROPERTY_CASES // 4):
-        f = _random_blaschke(rng)
-        worst_mod = max(
-            worst_mod,
-            max(abs(abs(selfmap.evaluate(f, zc)) - 1.0) for zc in circle[::4]),
-        )
-    if worst_mod > tol["boundary_modulus"]:
-        failures.append(f"boundary modulus off by {worst_mod:.2e}")
-
-    worst_mi = 0.0
-    for _ in range(PROPERTY_CASES):
-        a = _random_disk_point(rng, 0.9)
-        z, w = _random_disk_point(rng), _random_disk_point(rng)
-        worst_mi = max(
-            worst_mi,
-            abs(
-                pseudo_hyperbolic(mobius_factor(a, z), mobius_factor(a, w))
-                - pseudo_hyperbolic(z, w)
-            ),
-        )
-    if worst_mi > tol["mobius_invariance"]:
-        failures.append(f"distance invariance off by {worst_mi:.2e}")
-
-    ok = not failures
-    detail = "all randomized invariants hold" if ok else "; ".join(failures)
-    detail += (
-        f" (contraction {worst_sp:.1e}, back-eval {worst_back:.1e}, "
-        f"modulus {worst_mod:.1e}, invariance {worst_mi:.1e})"
-    )
-    return _result(10, "randomized property suites", ok, detail)
+    return _result(10, "randomized property suites", *properties._property_suites(tol))
 
 
 def criterion_11_julia_containment(tol):

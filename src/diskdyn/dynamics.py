@@ -30,13 +30,13 @@ from .selfmap import (
     _polish,
     _root_groups,
     _stages,
-    _substitute,
     angular_derivative,
     degree,
     evaluate,
     is_identity,
     jet,
 )
+from .stacks import _substitute
 
 # boundary attraction is parabolic inside this band around a = 1, and then
 # has zero step when the shift |b| is inside it too
@@ -195,11 +195,11 @@ def denjoy_wolff(f) -> MapClass:
 def _fixed_point_poly(f) -> np.ndarray:
     """Coefficients (low to high) of P = A - z B for f = A / B, with A and B
     of equal length: each stage is substituted into the previous A / B by
-    selfmap._substitute.  A real P comes back real, so its roots stay
+    stacks._substitute.  A real P comes back real, so its roots stay
     exactly conjugate-symmetric."""
     a, b = np.array([0.0, 1.0 + 0.0j]), np.array([1.0 + 0.0j, 0.0])
     for stage in _stages(f):
-        a, b = _substitute(stage, a, b)
+        a, b = (rows[0] for rows in _substitute(stage._stack, a, b))
         a = stage.gamma * a
     p = npp.polysub(a, npp.polymulx(b))
     return p if p.imag.any() else p.real
@@ -283,7 +283,8 @@ def _settle(u, v, start, prev, run):
     earlier pair freezes."""
     ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
     with np.errstate(all="ignore"):
-        outside = (ur <= 0.0) | (vr <= 0.0)
+        # a NaN real part is outside too, as in geometry's half-plane checks
+        outside = ~(ur > 0.0) | ~(vr > 0.0)
         # rho = |(v - u) / (v + conj u)|, whose denominator is 0 only
         # outside the half-plane; Python's abs gives one NaN, sign bit clear
         dr, di = vr + ur, vi - ui

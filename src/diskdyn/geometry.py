@@ -154,18 +154,20 @@ class Horodisk:
 def cayley_to_rhp(z: complex) -> complex:
     """Map the disk onto the right half-plane by z -> (1 + z)/(1 - z).
 
-    The boundary point 1 corresponds to infinity; 0 maps to 1.
+    The boundary point 1 corresponds to infinity; 0 maps to 1.  A NaN
+    point fails the test.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ValueError(f"cayley_to_rhp requires |z| < 1, got {z!r}")
     return (1.0 + z) / (1.0 - z)
 
 
 def cayley_from_rhp(w: complex) -> complex:
-    """Inverse of cayley_to_rhp: w -> (w - 1)/(w + 1) for Re w > 0."""
+    """Inverse of cayley_to_rhp: w -> (w - 1)/(w + 1) for Re w > 0; a NaN
+    real part fails the test."""
     w = complex(w)
-    if w.real <= 0.0:
+    if not w.real > 0.0:
         raise ValueError(f"cayley_from_rhp requires Re w > 0, got {w!r}")
     return (w - 1.0) / (w + 1.0)
 
@@ -174,10 +176,11 @@ def halfplane_pseudo_hyperbolic(z: complex, w: complex) -> float:
     """Pseudo-hyperbolic distance |(w - z)/(w + conj(z))| on the right half-plane.
 
     Equals the disk distance of the Cayley preimages; stable for large |w|.
+    A NaN real part fails the test.
     """
     z = complex(z)
     w = complex(w)
-    if z.real <= 0.0 or w.real <= 0.0:
+    if not z.real > 0.0 or not w.real > 0.0:
         raise ValueError("half-plane points need positive real part")
     num = w - z
     den = w + z.conjugate()

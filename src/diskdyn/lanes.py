@@ -7,9 +7,10 @@ bit for bit; numpy's complex ufuncs and np.abs of a complex array round
 differently.  A float operand is promoted to complex(x, 0.0), as Python 3.10
 to 3.12 do.  A division by exact 0, which Python raises, gives a NaN lane.
 
-``value`` and ``jet`` evaluate a finite Blaschke product the way
+``value`` and ``jet`` evaluate a stack of finite Blaschke products
+(``stacks._ProductStack``, a single product being a stack of one) the way
 ``selfmap._eval_fbp`` and ``selfmap._jet_fbp`` do, operation for operation,
-which stay the definition.
+which stay the definition; each row of lanes reads its own row's constants.
 """
 
 from __future__ import annotations
@@ -39,13 +40,17 @@ def quot(ar, ai, br, bi):
         return (p + q * ratio) / denom, np.where(by_real, q - pr, pr - q) / denom
 
 
-def same_point(zr, zi, wr, wi):
-    """geometry.same_point(z, w): den = 1.0 - conj(w) z, then
-    |(w - z) / den| <= SAME_POINT_TOL; den = 0 gives a NaN lane, so the
-    points differ."""
+def pseudo_hyperbolic(zr, zi, wr, wi):
+    """geometry.pseudo_hyperbolic(z, w) of validated points:
+    |(w - z) / den| with den = 1.0 - conj(w) z; den = 0 gives a NaN lane."""
     xr, xi = mul(wr, -wi, zr, zi)
-    qr, qi = quot(wr - zr, wi - zi, 1.0 - xr, 0.0 - xi)
-    return np.hypot(qr, qi) <= SAME_POINT_TOL
+    return np.hypot(*quot(wr - zr, wi - zi, 1.0 - xr, 0.0 - xi))
+
+
+def same_point(zr, zi, wr, wi):
+    """geometry.same_point(z, w): pseudo-hyperbolic distance at most
+    SAME_POINT_TOL; a NaN lane (den = 0) means the points differ."""
+    return pseudo_hyperbolic(zr, zi, wr, wi) <= SAME_POINT_TOL
 
 
 def direction(ar, ai):
@@ -78,11 +83,11 @@ def _factor(zr, zi, a, ac, u):
 
 
 def value(f, zr, zi):
-    """f at the lanes z = zr + i zi, as _eval_fbp computes it for a product
-    of at most 32 zeros."""
+    """The stack f at the lanes z = zr + i zi, as _eval_fbp computes it for
+    products of at most 32 zeros."""
     vr, vi = f.gamma.real, f.gamma.imag
-    for a, ac, u, mult in f.factors:
-        if a == 0:
+    for (a, ac, u, mult), origin in zip(f.factors, f.origin):
+        if origin:
             fr, fi = zr, zi
         else:
             _, _, fr, fi = _factor(zr, zi, a, ac, u)
@@ -93,14 +98,14 @@ def value(f, zr, zi):
 
 
 def jet(f, zr, zi):
-    """(f, f') at the lanes z = zr + i zi, as _jet_fbp computes them."""
+    """(f, f') of the stack f at the lanes z = zr + i zi, as _jet_fbp
+    computes them; f' from the stack's slopes u (1 - |a|^2)."""
     vr, vi, dr, di = f.gamma.real, f.gamma.imag, 0.0, 0.0
-    for a, ac, u, mult in f.factors:
-        if a == 0:
+    for (a, ac, u, mult), k, origin in zip(f.factors, f.slopes, f.origin):
+        if origin:
             fr, fi, gr, gi = zr, zi, 1.0, 0.0
         else:
             er, ei, fr, fi = _factor(zr, zi, a, ac, u)
-            k = u * (1.0 - abs(a) ** 2)
             gr, gi = quot(k.real, k.imag, *powu(er, ei, 2))
         for _ in range(mult):
             xr, xi = mul(dr, di, fr, fi)

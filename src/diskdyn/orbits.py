@@ -11,6 +11,7 @@ of the iterate that maps it onto the forward orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .selfmap import RootFindingError, _fibers, critical_points, degree, evaluat
 DEFAULT_NODE_CAP = 20000
 
 
-@dataclass(frozen=True)
-class GrandOrbitNode:
+class GrandOrbitNode(NamedTuple):
+    """One grand-orbit point: a tuple, as it is built thousands of times
+    per grand orbit."""
+
     point: complex
     multiplicity: int
     forward_index: int

@@ -25,6 +25,7 @@ from .geometry import (
     same_point,
     unit_direction,
 )
+from .stacks import _ProductStack, _substitute
 
 # residual |f(root) - w| required after polishing
 PREIMAGE_RESIDUAL_TOL = 1e-10
@@ -160,29 +161,17 @@ class FiniteBlaschkeProduct:
         degree + 1, and a zero at the origin leaves trailing zeros in D.
         Built on first use: most products are only ever evaluated.
         """
-        num, den = _substitute(self, np.array([0.0, 1.0 + 0.0j]), np.array([1.0 + 0.0j, 0.0]))
+        num, den = (rows[0] for rows in self._stack.coefficients)
         # every caller shares these arrays
         num.flags.writeable = False
         den.flags.writeable = False
         return num, den
 
-
-def _substitute(f: FiniteBlaschkeProduct, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """N, D with f(a / b) = gamma * N / D, for coefficient arrays a, b
-    (low to high) of equal length.
-
-    Each zero factor u (z - c) / (1 - conj(c) z) becomes
-    u (a - c b) / (b - conj(c) a), where the 1/b cancels; the origin's
-    factor (c = 0, u = 1) is a / b.  N and D have equal length.  gamma is
-    left to the caller: multiplying it in here changes fiber roots by
-    rounding.
-    """
-    num = den = np.ones(1, dtype=complex)
-    for c, c_conj, u, mult in f.factors:
-        fac_n, fac_d = u * (a - c * b), b - c_conj * a
-        for _ in range(mult):
-            num, den = np.convolve(num, fac_n), np.convolve(den, fac_d)
-    return num, den
+    @cached_property
+    def _stack(self) -> _ProductStack:
+        """This product as a stack of one."""
+        return _ProductStack(np.array([self.gamma]), np.array([[a for a, _ in self.zeros]]),
+                             [m for _, m in self.zeros], self)
 
 
 @dataclass(frozen=True)
@@ -464,8 +453,9 @@ def _fiber(f: FiniteBlaschkeProduct, w: complex, poly, roots) -> list[tuple[comp
     return result
 
 
-def _lane_fibers(f: FiniteBlaschkeProduct, w: np.ndarray, roots: np.ndarray) -> list:
-    """_fiber over each target w[k] from its row roots[k], in lanes.
+def _lane_fibers(f: _ProductStack, w: np.ndarray, roots: np.ndarray) -> list:
+    """_fiber over each target w[k] from its row roots[k], in lanes, under
+    row k of the stack f (or its one product).
 
     Per row: the cluster test on every pair of roots, two guarded Newton
     steps on each root, the same-point test on every pair, the residual and
@@ -500,35 +490,86 @@ def _lane_fibers(f: FiniteBlaschkeProduct, w: np.ndarray, roots: np.ndarray) -> 
             for row, good in zip(points.tolist(), ok.tolist())]
 
 
-def _product_fibers(f: FiniteBlaschkeProduct, targets: list[complex]) -> list:
-    """_fiber over each validated target, the roots of all nonzero targets
-    from one ``_stacked_roots`` call.  Over 0 the fiber is the exact
-    (merged) zero list.  A failed fiber is its RootFindingError.  A batch of
-    at least _LANE_MIN_TARGETS nonzero targets, on a product of at most 32
-    zeros, goes through _lane_fibers first."""
+def _row_product(f: _ProductStack, r: int) -> FiniteBlaschkeProduct:
+    """Row r of the stack as a FiniteBlaschkeProduct, for the scalar paths."""
+    if f.product is not None:
+        return f.product
+    return FiniteBlaschkeProduct(complex(f.gamma[r, 0]), list(zip(f.zeros[r].tolist(), f.mults)))
+
+
+def _product_fibers(f: _ProductStack, rows: np.ndarray, targets: list[complex]) -> list:
+    """_fiber over each validated targets[i] under product rows[i] of the
+    stack f, the roots of all nonzero targets from one ``_stacked_roots``
+    call.  Over 0 the fiber is the exact (merged) zero list.  A failed fiber
+    is its RootFindingError.  A batch of at least _LANE_MIN_TARGETS nonzero
+    targets, on products of at most 32 zeros, goes through _lane_fibers
+    first."""
     num, den = f.coefficients
-    nonzero = np.array([w for w in targets if w != 0], dtype=complex)
+    nonzero = [k for k, w in enumerate(targets) if w != 0]
+    held = rows[nonzero]
+    w = np.array([targets[k] for k in nonzero], dtype=complex)
     # |gamma N_d| = 1 > |w D_d| for |w| < 1, so no leading coefficient is 0
-    polys = f.gamma * num - nonzero[:, None] * den
-    roots = _stacked_roots(polys) if len(nonzero) else None
+    polys = f.gamma[held] * num[held] - w[:, None] * den[held]
+    roots = _stacked_roots(polys) if len(w) else None
     certified = None
-    if len(nonzero) >= _LANE_MIN_TARGETS and f._arrays is None:
-        certified = _lane_fibers(f, nonzero, roots)
+    if len(w) >= _LANE_MIN_TARGETS and len(f.mults) <= 32:
+        certified = _lane_fibers(f.take(held), w, roots)
     fibers: list = []
     k = 0
-    for w in targets:
-        if w == 0:
-            fibers.append(sorted(f.zeros, key=_re_im))
+    for target, r in zip(targets, rows.tolist()):
+        if target == 0:
+            fibers.append(sorted(zip(f.zeros[r].tolist(), f.mults), key=_re_im))
             continue
         fiber = None if certified is None else certified[k]
         if fiber is None:
             try:
-                fiber = _fiber(f, w, polys[k], roots[k])
+                fiber = _fiber(_row_product(f, r), target, polys[k], roots[k])
             except RootFindingError as exc:
                 fiber = exc
         fibers.append(fiber)
         k += 1
     return fibers
+
+
+def _stacked_fibers(stacks, which, rows, targets) -> list:
+    """_product_fibers over each validated targets[i] under product rows[i]
+    of stacks[which[i]], one call per stack."""
+    fibers: list = [None] * len(targets)
+    for s, stack in enumerate(stacks):
+        sel = np.flatnonzero(which == s).tolist()
+        if sel:
+            solved = _product_fibers(stack, rows[sel], [targets[i] for i in sel])
+            for i, fiber in zip(sel, solved):
+                fibers[i] = fiber
+    return fibers
+
+
+def _composite_fibers(stages, owners, targets) -> list:
+    """The fiber over each validated targets[i] under composite owners[i],
+    back-solved stage by stage over the whole layer.
+
+    stages[s] = (stacks, which, row) holds stage s of every composite,
+    stages[0] first: composite c's is product row[c] of stacks[which[c]].
+    Entry i is a fiber sorted by (re, im), or the first RootFindingError of
+    the last stage whose fiber failed, as preimages raises it.
+    """
+    layers: list = [[(w, 1)] for w in targets]
+    for stacks, which, row in reversed(stages):
+        live = [i for i, layer in enumerate(layers) if isinstance(layer, list)]
+        held = np.array([owners[i] for i in live for _ in layers[i]], dtype=np.intp)
+        points = [z for i in live for z, _ in layers[i]]
+        solved = iter(_stacked_fibers(stacks, which[held], row[held], points))
+        for i in live:
+            layer = layers[i]
+            fibers = [next(solved) for _ in layer]
+            failed = [fiber for fiber in fibers if isinstance(fiber, RootFindingError)]
+            layers[i] = failed[0] if failed else _merge_pseudo_hyperbolic([
+                (z, m * mult) for (_, mult), fiber in zip(layer, fibers) for z, m in fiber
+            ])
+    for layer in layers:
+        if isinstance(layer, list):
+            layer.sort(key=_re_im)
+    return layers
 
 
 def _fibers(f, targets) -> list:
@@ -539,25 +580,13 @@ def _fibers(f, targets) -> list:
     preimages(f, targets[i]) raises, so a caller can name the failed target.
     Composites are solved stage by stage over the whole layer.
     """
-    if isinstance(f, FiniteBlaschkeProduct):
-        return _product_fibers(f, [ensure_disk_point(w) for w in targets])
-    if not isinstance(f, CompositeMap):
+    if not isinstance(f, (FiniteBlaschkeProduct, CompositeMap)):
         raise TypeError(f"preimages requires a Blaschke-type map, got {f!r}")
-    layers: list = [[(ensure_disk_point(w), 1)] for w in targets]
-    for stage in reversed(f.stages):
-        points = [z for layer in layers if isinstance(layer, list) for z, _ in layer]
-        solved = iter(_product_fibers(stage, points))
-        for i, layer in enumerate(layers):
-            if isinstance(layer, list):
-                fibers = [next(solved) for _ in layer]
-                failed = [fiber for fiber in fibers if isinstance(fiber, RootFindingError)]
-                layers[i] = failed[0] if failed else _merge_pseudo_hyperbolic([
-                    (z, m * mult) for (_, mult), fiber in zip(layer, fibers) for z, m in fiber
-                ])
-    for layer in layers:
-        if isinstance(layer, list):
-            layer.sort(key=_re_im)
-    return layers
+    targets = [ensure_disk_point(w) for w in targets]
+    one = np.zeros(len(targets), dtype=np.intp)
+    if isinstance(f, FiniteBlaschkeProduct):
+        return _product_fibers(f._stack, one, targets)
+    return _composite_fibers([([s._stack], one[:1], one[:1]) for s in f.stages], one, targets)
 
 
 def preimages(f, w: complex) -> list[tuple[complex, int]]:
@@ -689,7 +718,8 @@ class HalfPlaneConjugate:
             in_rot = self.omega if idx == 0 else 1.0
             out_rot = self.omega.conjugate() if idx == len(stages) - 1 else 1.0
             # z = in_rot (w - 1) / (w + 1) gives stage(z) = gamma tn / td
-            tn, td = _substitute(stage, in_rot * np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
+            tn, td = (rows[0] for rows in _substitute(
+                stage._stack, in_rot * np.array([-1.0, 1.0]), np.array([1.0, 1.0])))
             gtn = out_rot * stage.gamma * tn
             a, b = td + gtn, td - gtn
             # a stage fixing infinity has exact zero leading denominator

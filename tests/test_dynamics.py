@@ -240,7 +240,7 @@ def per_step_rho_sequence(hp, points, n_max):
     frozen_at = None
     stagnant = 0
     for n in range(n_max + 1):
-        if u.real <= 0.0 or v.real <= 0.0:
+        if not u.real > 0.0 or not v.real > 0.0:
             raise ValueError("half-plane points need positive real part")
         den = v + u.conjugate()
         rho = 1.0 if den == 0 else abs((v - u) / den)
@@ -371,7 +371,8 @@ class TestOrbitLoop:
     # freeze test never reads abs(v)), nor in merging at n = 16 with
     # u = 1.5e308 (1 + i) after 8 steps of rho = 1 (nor abs(u)); a point
     # with Re w = 0 and |w| > 1e250 leaves the half-plane (v at n = 9, u at
-    # n = 10 in merging) before it can freeze
+    # n = 10 in merging) before it can freeze; a NaN point from the fourth
+    # step on is not in the half-plane either (n = 3, and n = 4 in merging)
     STUBS = {
         "huge-v": lambda: _StubConjugate(1.0, lambda w: 1e20 * w),
         "huge-u": lambda: _StubConjugate(1.0, lambda w: 1e30 * w if w.imag == 0 else w),
@@ -384,6 +385,8 @@ class TestOrbitLoop:
         "overflow-past-stagnation": lambda: _StubConjugate(1.0, _past_stagnation),
         "huge-on-the-axis": lambda: _StubConjugate(
             1.0, lambda w: complex(0.0, 1e260) if w.imag == 0 and w.real >= 10.0 else w + 1.0),
+        "nan": lambda: _StubConjugate(
+            1.0, lambda w: w + 1.0 if w.real < 4.0 else complex(math.nan, 0.0)),
     }
 
     @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
@@ -405,6 +408,7 @@ class TestOrbitLoop:
         assert stop("overflow-past-stagnation", [0.0, 0.5j]) == 16
         for points in ([0.0], [0.0, 0.5j]):
             assert stop("huge-on-the-axis", points) == "half-plane points need positive real part"
+            assert stop("nan", points) == "half-plane points need positive real part"
 
     @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
     @pytest.mark.parametrize("chunk", [0, 1])

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from diskdyn import acceptance, presets
+from diskdyn import presets, properties
 from diskdyn import dynamics as dyn
 from diskdyn import selfmap as sm
 
@@ -132,9 +132,9 @@ class TestReferences:
     @pytest.fixture(scope="class")
     def random_maps(self):
         rng = np.random.default_rng(987654321)
-        maps = [acceptance._random_blaschke(rng) for _ in range(300)]
-        maps += [sm.compose(acceptance._random_blaschke(rng, 3),
-                            acceptance._random_blaschke(rng, 3)) for _ in range(50)]
+        maps = [properties._random_blaschke(rng) for _ in range(300)]
+        maps += [sm.compose(properties._random_blaschke(rng, 3),
+                            properties._random_blaschke(rng, 3)) for _ in range(50)]
         return maps
 
     def test_degree_one_against_mpmath(self, random_maps):

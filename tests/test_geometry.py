@@ -102,6 +102,17 @@ def test_cayley_rejects_bad_inputs():
         g.cayley_to_rhp(1.0)
 
 
+def test_half_plane_helpers_reject_nan():
+    nan = complex(math.nan, 0.0)
+    with pytest.raises(ValueError, match=r"cayley_to_rhp requires \|z\| < 1, got \(nan\+0j\)"):
+        g.cayley_to_rhp(nan)
+    with pytest.raises(ValueError, match=r"cayley_from_rhp requires Re w > 0, got \(nan\+0j\)"):
+        g.cayley_from_rhp(nan)
+    for z, w in ((nan, 1.0), (1.0, nan)):
+        with pytest.raises(ValueError, match="half-plane points need positive real part"):
+            g.halfplane_pseudo_hyperbolic(z, w)
+
+
 def test_disk_point_margin():
     with pytest.raises(ValueError):
         g.ensure_disk_point(1.0 - 1e-16)

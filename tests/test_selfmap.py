@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
+from diskdyn import properties
 from diskdyn import dynamics as dyn
 from diskdyn import geometry as g
 from diskdyn import lanes
 from diskdyn import orbits
 from diskdyn import presets
 from diskdyn import selfmap as sm
+from diskdyn import stacks as ps
 
 
 def random_blaschke(rng, max_degree=4):
@@ -422,9 +424,11 @@ class TestBatchedFibers:
 def lane_mismatches(f, points) -> int:
     """Points where the lane kernel's f, and f and f', differ in any bit
     from _eval_fbp and _jet_fbp."""
-    zr = np.array([z.real for z in points])
-    zi = np.array([z.imag for z in points])
-    got = np.column_stack([*lanes.value(f, zr, zi), *lanes.jet(f, zr, zi)])
+    zr = np.array([[z.real for z in points]])
+    zi = np.array([[z.imag for z in points]])
+    stack = f._stack
+    got = np.column_stack([x[0] for x in (*lanes.value(stack, zr, zi),
+                                          *lanes.jet(stack, zr, zi))])
     scalar = []
     for z in points:
         v, (j0, j1, _) = sm._eval_fbp(f, z), sm._jet_fbp(f, z)
@@ -534,7 +538,7 @@ class TestLanes:
         w = np.array(targets)
         num, den = f.coefficients
         polys = f.gamma * num - w[:, None] * den
-        certified = sm._lane_fibers(f, w, sm._stacked_roots(polys))
+        certified = sm._lane_fibers(f._stack, w, sm._stacked_roots(polys))
         assert [k for k, fiber in enumerate(certified) if fiber is None] == [7]
         self.assert_wide_batch_matches(f, targets)
         assert [m for _, m in sm._fibers(f, targets)[7]] == [2]
@@ -559,7 +563,7 @@ class TestLanes:
             """(certified, length of _fiber's fiber or False) per row, with
             each certified row checked against _fiber's."""
             found = []
-            for k, fiber in enumerate(sm._lane_fibers(f, w, moved)):
+            for k, fiber in enumerate(sm._lane_fibers(f._stack, w, moved)):
                 try:
                     expected = sm._fiber(f, complex(w[k]), polys[k], moved[k])
                 except sm.RootFindingError:
@@ -732,6 +736,216 @@ class TestLargeProductTable:
             entries[-1] = (bad, 1)
             with pytest.raises(ValueError, match="is not strictly inside the unit disk"):
                 sm.FiniteBlaschkeProduct(1.0, entries)
+
+
+def convolve_substitute(f, a, b):
+    """_substitute of one product as np.convolve computes it, factor by
+    factor: the reference of the stacked windowed dot."""
+    num = den = np.ones(1, dtype=complex)
+    for c, c_conj, u, mult in f.factors:
+        fac_n, fac_d = u * (a - c * b), b - c_conj * a
+        for _ in range(mult):
+            num, den = np.convolve(num, fac_n), np.convolve(den, fac_d)
+    return num, den
+
+
+# nonzero zeros with subnormal or signed-zero parts, one per column
+EDGE_ZEROS = [complex(5e-324, 0.3), complex(1e-310, -1e-310), complex(-0.0, 0.5),
+              complex(0.3, -0.0), complex(0.0, -0.7), complex(-1e-320, 2e-320)]
+
+
+def special_stack(rng, n, mults, at_origin=()):
+    """A stack of n products with the given multiplicities: the columns in
+    at_origin are the origin in every row (as 0 with either sign in each
+    part), every other column mixes random disk points, zeros within 1e-14
+    of the circle and EDGE_ZEROS; gamma real or not."""
+    cols = []
+    for j in range(len(mults)):
+        if j in at_origin:
+            signed = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+            cols.append([signed[k] for k in rng.integers(0, 4, n)])
+            continue
+        kinds = rng.integers(0, 3, n)
+        cols.append([random_disk_point(rng, 0.95) if kind == 0
+                     else (1.0 - 1e-14) * cmath.exp(2j * math.pi * rng.random()) if kind == 1
+                     else EDGE_ZEROS[j] for kind in kinds])
+    gamma = [rng.choice([1.0, -1.0, cmath.exp(2j * math.pi * rng.random())]) for _ in range(n)]
+    gamma, zeros = np.array(gamma, dtype=complex), np.array(cols, dtype=complex).T
+    return ps._ProductStack(gamma, zeros, mults)
+
+
+def special_stacks(rng):
+    """Stacks of degree 1 to 4: a zero at the origin, a double zero, both,
+    and simple zeros only."""
+    patterns = [((1,), ()), ((1,), (0,)), ((2,), ()), ((1, 1), (0,)), ((2, 1), ()),
+                ((1, 2), (0,)), ((1, 1, 1), ()), ((1, 1, 1, 1), (2,)), ((2, 2), ()),
+                ((3, 1), (1,))]
+    return [special_stack(rng, 40, mults, origin) for mults, origin in patterns]
+
+
+def criterion_stacks(count=300, max_degree=4, seed=21):
+    """Products drawn as criterion 10 draws them, stacked."""
+    rng = np.random.default_rng(seed)
+    products = [properties._random_product(rng, max_degree) for _ in range(count)]
+    return products, properties._stack_products(products)
+
+
+def outcome(fiber):
+    """A fiber's exact bits, or its error's type and message."""
+    if isinstance(fiber, Exception):
+        return type(fiber).__name__, str(fiber)
+    return bits(fiber)
+
+
+def lone_outcome(f, w):
+    try:
+        return outcome(sm.preimages(f, w))
+    except sm.RootFindingError as exc:
+        return outcome(exc)
+
+
+class TestProductStacks:
+    """A stack of products of one zero pattern gives, row by row, what each
+    product gives on its own, bit for bit: constants, N and D, values and
+    derivatives in lanes, and fibers with their order, multiplicities and
+    errors."""
+
+    def test_constants_are_the_products(self):
+        rng = np.random.default_rng(30)
+        _, (stacks, _, _) = criterion_stacks()
+        for stack in stacks + special_stacks(rng):
+            for r in range(len(stack)):
+                f = sm._row_product(stack, r)
+                assert exact(complex(stack.gamma[r, 0])) == exact(f.gamma)
+                for (a, ac, u, m), k, (fa, fac, fu, fm) in zip(stack.factors, stack.slopes,
+                                                               f.factors):
+                    assert m == fm
+                    assert [exact(complex(x[r, 0])) for x in (a, ac)] == [exact(fa), exact(fac)]
+                    if fa != 0:
+                        assert exact(complex(u[r, 0])) == exact(fu)
+                        assert exact(complex(k[r, 0])) == exact(fu * (1.0 - abs(fa) ** 2))
+
+    def test_coefficients_are_np_convolve(self):
+        rng = np.random.default_rng(31)
+        _, (stacks, _, _) = criterion_stacks()
+        forms = [(np.array([0.0, 1.0 + 0.0j]), np.array([1.0 + 0.0j, 0.0])),
+                 (np.array([-1.0, 1.0]), np.array([1.0, 1.0])),
+                 (cmath.exp(0.7j) * np.array([-1.0, 1.0]), np.array([1.0, 1.0])),
+                 (rng.normal(size=5) + 1j * rng.normal(size=5),
+                  rng.normal(size=5) + 1j * rng.normal(size=5))]
+        for stack in stacks + special_stacks(rng):
+            for a, b in forms:
+                num, den = ps._substitute(stack, a, b)
+                for r in range(len(stack)):
+                    want = convolve_substitute(sm._row_product(stack, r), a, b)
+                    assert num[r].tobytes() == want[0].tobytes()
+                    assert den[r].tobytes() == want[1].tobytes()
+
+    def test_values_and_jets_are_the_scalar_loops(self):
+        rng = np.random.default_rng(32)
+        _, (stacks, _, _) = criterion_stacks()
+        for stack in stacks + special_stacks(rng):
+            points = np.array([[random_disk_point(rng, 0.999) for _ in range(20)] + LANE_POINTS
+                               for _ in range(len(stack))])
+            got = [lanes.value(stack, points.real, points.imag),
+                   lanes.jet(stack, points.real, points.imag)]
+            got = np.stack([x for pair in got for x in pair], axis=-1)
+            want = np.array([[(v.real, v.imag, j0.real, j0.imag, j1.real, j1.imag)
+                              for v, (j0, j1, _) in ((sm._eval_fbp(f, z), sm._jet_fbp(f, z))
+                                                     for z in row.tolist())]
+                             for f, row in ((sm._row_product(stack, r), points[r])
+                                            for r in range(len(stack)))])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_stacked_values_are_evaluate(self):
+        products, stacked = criterion_stacks()
+        rng = np.random.default_rng(33)
+        points = np.array([[random_disk_point(rng, 1.0) for _ in range(3)] + [1j, -1.0]
+                           for _ in products])
+        values = properties._stacked_values(*stacked, points)
+        want = [[sm.evaluate(sm.FiniteBlaschkeProduct(*p), z) for z in row.tolist()]
+                for p, row in zip(products, points)]
+        assert [[exact(complex(v)) for v in row] for row in values.tolist()] == \
+            [[exact(v) for v in row] for row in want]
+        points[7, 2] = 1.5
+        with pytest.raises(ValueError, match="outside the closed disk"):
+            properties._stacked_values(*stacked, points)
+
+    def test_fibers_are_preimages(self):
+        rng = np.random.default_rng(34)
+        doubled = 0
+        for stack in special_stacks(rng):
+            rows = rng.integers(0, len(stack), 90)
+            targets = [random_disk_point(rng, 0.9) for _ in rows]
+            targets[::9] = [0.0] * len(targets[::9])
+            # over a critical value the fiber has a double point, which
+            # only _fiber finds (critical_points itself is left to products
+            # with plain zeros)
+            for k in range(4, 90, 9):
+                f = sm._row_product(stack, rows[k])
+                if all(1e-3 < abs(a) < 0.99 for a, _ in f.zeros) and f.degree > 1:
+                    targets[k] = sm.evaluate(f, sm.critical_points(f)[0][0])
+            fibers = sm._product_fibers(stack, rows, [complex(w) for w in targets])
+            assert [outcome(fiber) for fiber in fibers] == \
+                [lone_outcome(sm._row_product(stack, r), w)
+                 for r, w in zip(rows.tolist(), targets)]
+            doubled += sum(isinstance(fiber, list) and any(m == 2 for _, m in fiber)
+                           for k, fiber in enumerate(fibers) if k % 9 == 4)
+        assert doubled >= 10
+
+    def test_criterion_fibers_are_preimages(self, monkeypatch):
+        products, (stacks, which, row) = criterion_stacks(600)
+        rng = np.random.default_rng(35)
+        targets = [random_disk_point(rng, 0.8) for _ in products]
+        for tol in (sm.PREIMAGE_RESIDUAL_TOL, 3e-16):
+            # the tighter tolerance fails some fibers of every degree
+            monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", tol)
+            fibers = sm._stacked_fibers(stacks, which, row, targets)
+            want = [lone_outcome(sm.FiniteBlaschkeProduct(*p), w)
+                    for p, w in zip(products, targets)]
+            assert [outcome(fiber) for fiber in fibers] == want
+        failed = {len(p[1]) for p, w in zip(products, want) if w[0] == "RootFindingError"}
+        assert failed == {1, 2, 3, 4}
+
+    def test_composite_fibers_are_preimages(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        inner = [properties._random_product(rng, 3) for _ in range(150)]
+        outer = [properties._random_product(rng, 3) for _ in range(150)]
+        targets = [random_disk_point(rng, 0.8) for _ in inner]
+        targets[5] = 0.0
+        stages = [properties._stack_products(inner), properties._stack_products(outer)]
+        for tol in (sm.PREIMAGE_RESIDUAL_TOL, 5e-16):
+            monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", tol)
+            fibers = sm._composite_fibers(stages, np.arange(len(targets)), targets)
+            want = [lone_outcome(sm.compose(sm.FiniteBlaschkeProduct(*f),
+                                            sm.FiniteBlaschkeProduct(*g)), w)
+                    for g, f, w in zip(inner, outer, targets)]
+            assert [outcome(fiber) for fiber in fibers] == want
+
+    def test_odd_products_are_stacks_of_one(self):
+        plain = [(1j, [0.5]), (-1.0, [0.2, -0.3j]), (1.0, [0.1j])]
+        # a zero at the origin, a repeated zero, and zeros equal up to the
+        # sign of a zero part
+        odd = [(1.0, [0.0, 0.4]), (1.0, [0.3, 0.3]), (1.0, [0.3j, complex(-0.0, 0.3), 0.5])]
+        products = [plain[0], odd[0], plain[1], odd[1], plain[2], odd[2]]
+        stacks, which, row = properties._stack_products(products)
+        assert [len(s) for s in stacks] == [2, 1, 1, 1, 1]
+        assert which.tolist() == [0, 2, 1, 3, 0, 4] and row.tolist() == [0, 0, 0, 0, 1, 0]
+        assert stacks[2].origin == (True, False)
+        assert stacks[3].mults == (2,) and stacks[4].mults == (2, 1)
+        for (gamma, zeros), s, r in zip(products, which.tolist(), row.tolist()):
+            want = sm.FiniteBlaschkeProduct(gamma, zeros).zeros
+            assert sm._row_product(stacks[s], r).zeros == want
+
+    @pytest.mark.parametrize("bad, message", [
+        ((1.0, [0.5, 1.2]), "not strictly inside"),
+        ((1.0, [0.5, complex(math.nan, 0.0)]), "not strictly inside"),
+        ((1.5, [0.5]), "not unimodular"),
+    ])
+    def test_invalid_products_raise_their_error(self, bad, message):
+        products = [(1.0, [0.1]), bad, (1.0, [0.2]), (2.0, [0.1])]
+        with pytest.raises(ValueError, match=message):
+            properties._stack_products(products)
 
 
 class TestAngularDerivative:
