@@ -9,8 +9,9 @@ the linearizing equation h(phi(z)) = h(z) + 1 for zero-step parabolic maps.
 All computations run on the right half-plane with the attracting point at
 infinity and base orbit z_n = phi^n(1); disk data must be transported with
 :meth:`HalfPlaneMap.to_halfplane` first.  Anchor identities g_n(z_0) = 1,
-h_n(z_0) = 0 and h_n(z_1) = 1 are exact because apply is deterministic:
-iterating an orbit point repeats the base orbit's arithmetic bit for bit.
+h_n(z_0) = 0 and h_n(z_1) = 1 are exact because apply and iterate run the
+one transport kernel: iterating an orbit point repeats the base orbit's
+arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -69,9 +70,11 @@ class HalfPlaneMap(HalfPlaneConjugate):
         w = complex(w)
         if w.real <= 0:
             raise ValueError(f"half-plane point needed, got {w!r}")
-        for _ in range(n):
-            w = self.apply(w)
-        return w
+        orbit = [w]
+        error = self.walk(orbit, n)
+        if error is not None:
+            raise error
+        return orbit[-1]
 
 
 def _scale_normalized(kind: str) -> bool:

@@ -258,21 +258,6 @@ _CHUNK_MIN = 64
 _CHUNK_MAX = 2048
 
 
-def _walk(apply, orbit: list, count: int):
-    """Append the next count points w = apply(w) of the orbit to the list.
-    An apply that raises ends the walk; its exception is returned, for the
-    caller to raise only if no earlier pair ends the sequence."""
-    w = orbit[-1]
-    append = orbit.append
-    try:
-        for _ in range(count):
-            w = apply(w)
-            append(w)
-    except Exception as exc:
-        return exc
-    return None
-
-
 def _settle(u, v, start, prev, run):
     """Distances and freeze tests of the pairs (u[k], v[k]), complex arrays,
     at steps start + k, following the value prev and a stagnation run of
@@ -283,8 +268,8 @@ def _settle(u, v, start, prev, run):
     earlier pair freezes."""
     ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
     with np.errstate(all="ignore"):
-        # a NaN real part is outside too, as in geometry's half-plane checks
-        outside = ~(ur > 0.0) | ~(vr > 0.0)
+        # a NaN part is outside too, as in geometry's half-plane checks
+        outside = ~(ur > 0.0) | ~(vr > 0.0) | np.isnan(ui) | np.isnan(vi)
         # rho = |(v - u) / (v + conj u)|, whose denominator is 0 only
         # outside the half-plane; Python's abs gives one NaN, sign bit clear
         dr, di = vr + ur, vi - ui
@@ -324,19 +309,18 @@ def _orbit_rho_sequence(hp: HalfPlaneConjugate, points, n_max):
     at step n.  From n = 9 the sequence freezes at the first step that ends
     a run of 8 stagnant values, has |u| or |v| > 1e250, or has rho < 1e-300.
 
-    The orbits are walked a chunk at a time by hp.apply alone (_walk), and
-    each chunk's pairs are settled in lanes (_settle).  Values, frozen_at,
-    last_w and errors are those of the loop that measures each pair before
-    it applies hp.apply once more; an apply that raises past the freeze is
-    never seen.
+    The orbits are walked a chunk at a time by hp.walk, the transport
+    kernel's orbit loop, and each chunk's pairs are settled in lanes
+    (_settle).  Values, frozen_at, last_w and errors are those of the loop
+    that measures each pair before it applies hp.apply once more; a step
+    that raises past the freeze is never seen.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    apply = hp.apply
     orbits = [[hp.to_halfplane(p)] for p in points]
     consec = len(orbits) == 1
     if consec:
-        orbits[0].append(apply(orbits[0][0]))
+        orbits[0].append(hp.apply(orbits[0][0]))
     vals = np.empty(n_max + 1)
     start, size = 0, _CHUNK_MIN
     prev, run = math.nan, 0
@@ -347,7 +331,7 @@ def _orbit_rho_sequence(hp: HalfPlaneConjugate, points, n_max):
         error, walked = None, count
         for orbit in orbits:
             base = len(orbit)
-            failed = _walk(apply, orbit, walked)
+            failed = hp.walk(orbit, walked)
             if failed is not None:
                 # a later orbit walks no further, so its error comes first
                 error, walked = failed, len(orbit) - base

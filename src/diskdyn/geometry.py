@@ -165,9 +165,9 @@ def cayley_to_rhp(z: complex) -> complex:
 
 def cayley_from_rhp(w: complex) -> complex:
     """Inverse of cayley_to_rhp: w -> (w - 1)/(w + 1) for Re w > 0; a NaN
-    real part fails the test."""
+    part fails the test."""
     w = complex(w)
-    if not w.real > 0.0:
+    if not w.real > 0.0 or math.isnan(w.imag):
         raise ValueError(f"cayley_from_rhp requires Re w > 0, got {w!r}")
     return (w - 1.0) / (w + 1.0)
 
@@ -176,11 +176,11 @@ def halfplane_pseudo_hyperbolic(z: complex, w: complex) -> float:
     """Pseudo-hyperbolic distance |(w - z)/(w + conj(z))| on the right half-plane.
 
     Equals the disk distance of the Cayley preimages; stable for large |w|.
-    A NaN real part fails the test.
+    A NaN part fails the test.
     """
     z = complex(z)
     w = complex(w)
-    if not z.real > 0.0 or not w.real > 0.0:
+    if not z.real > 0.0 or not w.real > 0.0 or math.isnan(z.imag) or math.isnan(w.imag):
         raise ValueError("half-plane points need positive real part")
     num = w - z
     den = w + z.conjugate()

@@ -26,6 +26,7 @@ from .geometry import (
     unit_direction,
 )
 from .stacks import _ProductStack, _substitute
+from .transport import _kernel
 
 # residual |f(root) - w| required after polishing
 PREIMAGE_RESIDUAL_TOL = 1e-10
@@ -389,9 +390,15 @@ def _root_groups(poly: np.ndarray, roots=None) -> list[tuple[complex, int]]:
     times the Horner rounding scale sum |p_k| |center|^k; otherwise that
     mean has landed between distinct roots.  Those roots and singletons come
     back unpolished with multiplicity 1.  ``roots`` are poly's roots when
-    already solved (``npp.polyroots`` otherwise).
+    already solved (``npp.polyroots`` otherwise, which divides by the last
+    nonzero coefficient: a quotient that overflows raises RootFindingError).
     """
     if roots is None:
+        lead = np.trim_zeros(poly, "b")
+        with np.errstate(all="ignore"):
+            monic = lead[:-1] / lead[-1:]
+        if not np.isfinite(monic).all():
+            raise RootFindingError("non-finite normalized polynomial coefficients", math.inf)
         roots = npp.polyroots(poly)
     groups: list[tuple[complex, int]] = []
     for group in _cluster(roots):
@@ -702,18 +709,17 @@ class HalfPlaneConjugate:
     form a(w)/b(w) per stage, built by ``_substitute``; the Cayley transports
     between stages telescope.  It switches to 1/w coordinates for |w| > 1 so
     that orbits may grow to ~1e280 without losing accuracy near the fixed
-    point; like evaluate, it returns a Python complex.
+    point; like evaluate, it returns a Python complex.  Both apply and
+    walk(orbit, count) run its kernel from diskdyn.transport.
     """
 
     def __init__(self, f, omega: complex = 1.0):
         self.omega = ensure_unimodular(omega)
         if getattr(f, "hp_exact", None) is not None and self.omega == 1.0:
-            self._exact = f.hp_exact
-            self._stages = None
+            self._step, self.walk = _kernel(None)(f.hp_exact)
             return
-        self._exact = None
         stages = _stages(f)
-        built = []
+        coef = []
         for idx, stage in enumerate(stages):
             in_rot = self.omega if idx == 0 else 1.0
             out_rot = self.omega.conjugate() if idx == len(stages) - 1 else 1.0
@@ -726,30 +732,14 @@ class HalfPlaneConjugate:
             # coefficient; snap rounding noise so huge orbits stay stable
             if abs(b[-1]) < 1e-9 * np.max(np.abs(b)):
                 b[-1] = 0.0
-            # keep (a_k, b_k) pairs as Python complex (faster than numpy
-            # scalars in apply), highest degree first for w and lowest
-            # first for 1/w, each split into its Horner head and tail
-            a, b = a.tolist(), b.tolist()
-            in_w, in_inverse = tuple(zip(a[::-1], b[::-1])), tuple(zip(a, b))
-            built.append((in_w[0], in_w[1:], in_inverse[0], in_inverse[1:]))
-        self._stages = built
+            # Python complex coefficients: faster than numpy scalars
+            coef.append((a.tolist(), b.tolist()))
+        factory = _kernel(tuple(len(a) - 1 for a, _ in coef))
+        self._step, self.walk = factory(*(c for a, b in coef for c in a + b))
 
     def to_halfplane(self, z_disk: complex) -> complex:
         """The half-plane point C(conj(omega) z) of a disk point z."""
         return cayley_to_rhp(self.omega.conjugate() * z_disk)
 
     def apply(self, w: complex) -> complex:
-        if self._exact is not None:
-            return self._exact(w)
-        # per-stage Cayley transports telescope, so stages chain directly;
-        # each stage is a Horner step in w, or in 1/w once |w| > 1
-        for head_w, tail_w, head_inv, tail_inv in self._stages:
-            if abs(w) <= 1.0:
-                (p, q), x, tail = head_w, w, tail_w
-            else:
-                (p, q), x, tail = head_inv, 1.0 / w, tail_inv
-            for ca, cb in tail:
-                p = ca + p * x
-                q = cb + q * x
-            w = p / q
-        return w
+        return self._step(w)

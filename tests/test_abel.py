@@ -196,9 +196,18 @@ class TestSemiconjugacy:
         hpmap.orbit_point(n)  # the base orbit is not what is counted
         pairs = [(abel.pommerenke_g(hpmap, w, n),
                   abel.pommerenke_g(hpmap, hpmap.apply(w), n)) for w in PROBE_RING]
+        # transport steps: apply calls plus the points the kernel walks
         calls = []
-        conj_apply = hpmap.apply
+        conj_apply, conj_walk = hpmap.apply, hpmap.walk
         hpmap.apply = lambda w: calls.append(w) or conj_apply(w)
+
+        def walk(orbit, count):
+            start = len(orbit)
+            error = conj_walk(orbit, count)
+            calls.extend(orbit[start:])
+            return error
+
+        hpmap.walk = walk
         fit = abel.extract_semiconjugacy(hpmap, n, PROBE_RING)
         assert len(calls) == len(PROBE_RING) * (n + 1)
         assert fit.coefficients == abel._fit_mobius(pairs).coefficients

@@ -7,6 +7,7 @@ import pytest
 from diskdyn import dynamics as dyn
 from diskdyn import presets
 from diskdyn import selfmap as sm
+from diskdyn import transport
 from diskdyn.geometry import halfplane_pseudo_hyperbolic, julia_quotient
 
 
@@ -204,25 +205,21 @@ class TestOrbitMerging:
         assert np.all(np.diff(seq) <= 1e-12)
 
 
-class _LeavingConjugate:
-    """A stand-in conjugate whose orbits reach Re w = 0 on the fourth step."""
-
-    def to_halfplane(self, z):
-        return 1.0 + 0.0j
-
-    def apply(self, w):
-        return w - 0.25
-
-
 class _StubConjugate:
     """A stand-in conjugate: the disk point z starts at origin + z, and
-    apply is the given step."""
+    apply and walk are the opaque-step transport kernel of the given step."""
 
     def __init__(self, origin, step):
-        self.origin, self.apply = origin, step
+        self.origin = origin
+        self.apply, self.walk = transport._kernel(None)(step)
 
     def to_halfplane(self, z):
         return self.origin + z
+
+
+def _leaving_conjugate():
+    """A stand-in conjugate whose orbits reach Re w = 0 on the fourth step."""
+    return _StubConjugate(1.0, lambda w: w - 0.25)
 
 
 def per_step_rho_sequence(hp, points, n_max):
@@ -240,7 +237,8 @@ def per_step_rho_sequence(hp, points, n_max):
     frozen_at = None
     stagnant = 0
     for n in range(n_max + 1):
-        if not u.real > 0.0 or not v.real > 0.0:
+        if (not u.real > 0.0 or not v.real > 0.0
+                or math.isnan(u.imag) or math.isnan(v.imag)):
             raise ValueError("half-plane points need positive real part")
         den = v + u.conjugate()
         rho = 1.0 if den == 0 else abs((v - u) / den)
@@ -356,13 +354,26 @@ class TestOrbitLoop:
     def test_one_apply_per_point(self, points, n_max):
         f = presets.example62()
         hp = sm.HalfPlaneConjugate(f, dyn.classify(f).dw_point)
+        apply, walk = hp.apply, hp.walk
+        # the transport step of hp, counted in the opaque-step kernel
         calls = []
-        apply = hp.apply
-        hp.apply = lambda w: calls.append(w) or apply(w)
-        _, frozen_at, _ = dyn._orbit_rho_sequence(hp, points, n_max)
-        assert frozen_at is None
+        counted = _StubConjugate(0.0, lambda w: calls.append(w) or apply(w))
+        counted.to_halfplane = hp.to_halfplane
+        # and hp's own kernel: its apply calls plus the points it walks
+        steps = []
+
+        def counted_walk(orbit, count):
+            start = len(orbit)
+            error = walk(orbit, count)
+            steps.extend(orbit[start:])
+            return error
+
+        hp.apply, hp.walk = (lambda w: steps.append(w) or apply(w)), counted_walk
+        got = outcome(dyn._orbit_rho_sequence, hp, points, n_max)
+        assert got[1] is None
+        assert outcome(dyn._orbit_rho_sequence, counted, points, n_max) == got
         # the orbit points up to the pair after the last
-        assert len(calls) == (n_max + 2 if len(points) == 1 else 2 * (n_max + 1))
+        assert len(calls) == len(steps) == (n_max + 2 if len(points) == 1 else 2 * (n_max + 1))
 
     # in consecutive-step mode, unless named: |v| > 1e250 at n = 12
     # (u = 1e240); |u| > 1e250 at n = 9 in merging, where v stays put;
@@ -371,8 +382,9 @@ class TestOrbitLoop:
     # freeze test never reads abs(v)), nor in merging at n = 16 with
     # u = 1.5e308 (1 + i) after 8 steps of rho = 1 (nor abs(u)); a point
     # with Re w = 0 and |w| > 1e250 leaves the half-plane (v at n = 9, u at
-    # n = 10 in merging) before it can freeze; a NaN point from the fourth
-    # step on is not in the half-plane either (n = 3, and n = 4 in merging)
+    # n = 10 in merging) before it can freeze; a point with a NaN part from
+    # the fourth step on is not in the half-plane either (n = 3, and n = 4
+    # in merging)
     STUBS = {
         "huge-v": lambda: _StubConjugate(1.0, lambda w: 1e20 * w),
         "huge-u": lambda: _StubConjugate(1.0, lambda w: 1e30 * w if w.imag == 0 else w),
@@ -387,6 +399,8 @@ class TestOrbitLoop:
             1.0, lambda w: complex(0.0, 1e260) if w.imag == 0 and w.real >= 10.0 else w + 1.0),
         "nan": lambda: _StubConjugate(
             1.0, lambda w: w + 1.0 if w.real < 4.0 else complex(math.nan, 0.0)),
+        "nan-imag": lambda: _StubConjugate(
+            1.0, lambda w: w + 1.0 if w.real < 4.0 else complex(w.real + 1.0, math.nan)),
     }
 
     @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
@@ -409,6 +423,12 @@ class TestOrbitLoop:
         for points in ([0.0], [0.0, 0.5j]):
             assert stop("huge-on-the-axis", points) == "half-plane points need positive real part"
             assert stop("nan", points) == "half-plane points need positive real part"
+            assert stop("nan-imag", points) == "half-plane points need positive real part"
+
+    @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
+    def test_a_nan_imaginary_part_leaves_the_half_plane(self, points):
+        with pytest.raises(ValueError, match="^half-plane points need positive real part$"):
+            dyn._orbit_rho_sequence(self.STUBS["nan-imag"](), points, 1000)
 
     @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
     @pytest.mark.parametrize("chunk", [0, 1])
@@ -452,7 +472,7 @@ class TestOrbitLoop:
     @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
     def test_leaving_the_half_plane_raises(self, points):
         with pytest.raises(ValueError, match="^half-plane points need positive real part$"):
-            dyn._orbit_rho_sequence(_LeavingConjugate(), points, 100)
+            dyn._orbit_rho_sequence(_leaving_conjugate(), points, 100)
 
     @pytest.mark.parametrize("n_max", [-1, -3])
     def test_negative_n_max(self, n_max):

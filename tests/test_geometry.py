@@ -113,6 +113,15 @@ def test_half_plane_helpers_reject_nan():
             g.halfplane_pseudo_hyperbolic(z, w)
 
 
+def test_half_plane_helpers_reject_a_nan_imaginary_part():
+    nan = complex(1.0, math.nan)
+    with pytest.raises(ValueError, match=r"cayley_from_rhp requires Re w > 0, got \(1\+nanj\)"):
+        g.cayley_from_rhp(nan)
+    for z, w in ((nan, 1.0), (1.0, nan)):
+        with pytest.raises(ValueError, match="^half-plane points need positive real part$"):
+            g.halfplane_pseudo_hyperbolic(z, w)
+
+
 def test_disk_point_margin():
     with pytest.raises(ValueError):
         g.ensure_disk_point(1.0 - 1e-16)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -992,6 +993,15 @@ class TestCriticalPoints:
             assert sum(m for _, m in cps) == f.degree - 1
             for c, _ in cps:
                 assert abs(sm.derivative(f, c)) < 1e-8
+
+    def test_overflowing_companion_matrix_is_a_root_finding_error(self):
+        # a zero 1.4e-310 from the origin: the critical-point polynomial's
+        # leading coefficient is subnormal, and normalizing by it overflows
+        f = sm.FiniteBlaschkeProduct(-1.0, [(0j, 1), (1e-310 - 1e-310j, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sm.RootFindingError, match="non-finite"):
+                sm.critical_points(f)
 
     def test_triple_zero_is_an_exact_double_critical_point(self):
         rng = np.random.default_rng(7)
