@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lanes
 from .abel import translation_abel
 from .geometry import cayley_to_rhp, ensure_disk_point, mobius_factor
-from .lanes import mul, quot
 from .orbits import GrandOrbitTruncation
 from .selfmap import FiniteBlaschkeProduct, evaluate
 
@@ -84,8 +84,7 @@ def _geometric_median(points: list[complex]) -> complex:
 def _admissible(z: complex, zeros: tuple[np.ndarray, np.ndarray]) -> bool:
     """pseudo_hyperbolic(z, a) > ADMISSIBLE_RADIUS for every zero a, with
     the zeros as (re, im) arrays.  Each distance that can decide it is the
-    scalar one bit for bit: its quotient (a - z) / (1 - conj(a) z) and abs
-    are computed in lanes (lanes.quot, np.hypot)."""
+    scalar one bit for bit, from lanes.pseudo_hyperbolic."""
     z = ensure_disk_point(z)
     ar, ai = zeros
     dr, di = ar - z.real, ai - z.imag
@@ -94,10 +93,8 @@ def _admissible(z: complex, zeros: tuple[np.ndarray, np.ndarray]) -> bool:
     near = dr * dr + di * di <= (2.0 * ADMISSIBLE_RADIUS) ** 2 * (1.0 + 1e-9)
     if not near.any():
         return True
-    ar, ai = ar[near], ai[near]
-    xr, xi = mul(ar, -ai, z.real, z.imag)
-    rr, ri = quot(dr[near], di[near], 1.0 - xr, 0.0 - xi)
-    return bool((np.hypot(rr, ri) > ADMISSIBLE_RADIUS).all())
+    rho = lanes.pseudo_hyperbolic(z.real, z.imag, ar[near], ai[near])
+    return bool((rho > ADMISSIBLE_RADIUS).all())
 
 
 def ring_samples(radius: float, count: int = 16) -> list[complex]:
@@ -113,8 +110,7 @@ def estimate_tau(candidate, f, samples) -> TauEstimate:
     """
     zeros = None
     if isinstance(candidate, FiniteBlaschkeProduct):
-        a = np.fromiter((a for a, _ in candidate.zeros), complex, len(candidate.zeros))
-        zeros = (a.real, a.imag)
+        zeros = (candidate._stack.zeros[0].real, candidate._stack.zeros[0].imag)
     ratios: list[complex] = []
     for z in samples:
         fz = evaluate(f, z)

@@ -53,42 +53,6 @@ def same_point(z: complex, w: complex) -> bool:
     return den != 0 and abs((w - z) / den) <= SAME_POINT_TOL
 
 
-class PointIndex:
-    """Spatial hash answering :func:`same_point` queries against added points.
-
-    Cell size 1e-6 Euclidean: any pair within pseudo-hyperbolic 1e-8 is
-    within Euclidean 2e-8, hence in the same or an adjacent cell.
-    """
-
-    CELL = 1e-6
-
-    def __init__(self):
-        self._cells: dict[tuple[int, int], list[tuple[int, complex]]] = {}
-        self._count = 0
-
-    def _key(self, z: complex) -> tuple[int, int]:
-        return (math.floor(z.real / self.CELL), math.floor(z.imag / self.CELL))
-
-    def find(self, z: complex) -> int | None:
-        """Insertion index of the first added point that is the same point
-        as z, or None."""
-        kx, ky = self._key(z)
-        first = None
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for i, p in self._cells.get((kx + dx, ky + dy), ()):
-                    if same_point(z, p):
-                        # a cell lists its points in insertion order
-                        if first is None or i < first:
-                            first = i
-                        break
-        return first
-
-    def add(self, z: complex) -> None:
-        self._cells.setdefault(self._key(z), []).append((self._count, z))
-        self._count += 1
-
-
 def hyperbolic_distance(z: complex, w: complex) -> float:
     """Hyperbolic metric log((1 + rho) / (1 - rho)); maps rho in [0,1) onto [0,inf)."""
     rho = pseudo_hyperbolic(z, w)

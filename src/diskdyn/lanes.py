@@ -83,8 +83,8 @@ def _factor(zr, zi, a, ac, u):
 
 
 def value(f, zr, zi):
-    """The stack f at the lanes z = zr + i zi, as _eval_fbp computes it for
-    products of at most 32 zeros."""
+    """The stack f at the lanes z = zr + i zi, as _eval_fbp's factor loop
+    computes it; products of more than 32 zeros are evaluated with numpy."""
     vr, vi = f.gamma.real, f.gamma.imag
     for (a, ac, u, mult), origin in zip(f.factors, f.origin):
         if origin:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lanes
 from .dynamics import _boundary_class
-from .geometry import SAME_POINT_TOL, PointIndex, ensure_disk_point, same_point
+from .geometry import SAME_POINT_TOL, ensure_disk_point
 from .selfmap import RootFindingError, _fibers, critical_points, degree, evaluate
 
 DEFAULT_NODE_CAP = 20000
@@ -73,29 +73,38 @@ class GrandOrbitTruncation:
 _WINDOW = 4 * SAME_POINT_TOL
 
 
+def _same_pairs(zr, zi, pr, pi, stop=None) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (q, p) of every pair with same_point(z[q], points[p]),
+    and p < stop[q] if stop is given, for disk points z = zr + i zi and
+    points = pr + i pi: each pair within _WINDOW in both parts, found by a
+    search in real-part order, is tested in lanes in that orientation.
+    Pairs come grouped by q, in no set order within a group."""
+    order = np.argsort(pr)
+    ordered = pr[order]
+    lo = np.searchsorted(ordered, zr - _WINDOW, "left")
+    count = np.searchsorted(ordered, zr + _WINDOW, "right") - lo
+    # z[q] pairs with the sorted positions lo[q] .. lo[q] + count[q] - 1
+    q = np.repeat(np.arange(len(zr)), count)
+    first = np.repeat(lo - np.cumsum(count) + count, count)
+    p = order[first + np.arange(len(q))]
+    near = np.abs(pi[p] - zi[q]) <= _WINDOW
+    if stop is not None:
+        near &= p < stop[q]
+    q, p = q[near], p[near]
+    hit = lanes.same_point(zr[q], zi[q], pr[p], pi[p])
+    return q[hit], p[hit]
+
+
 def _new_points(nr, ni, cr, ci) -> np.ndarray:
     """Mask of the children (cr, ci), in enumeration order, that join the
     nodes (nr, ni): a child joins unless same_point(child, p) for a node p
-    or for a child that joined before it, as a PointIndex loop decides.
-
-    Every pair of points within _WINDOW in both parts is tested in lanes; a
-    child whose only hits are earlier children is settled in order, since a
-    child that does not join drops no later one.
-    """
-    zr, zi = np.concatenate((nr, cr)), np.concatenate((ni, ci))
-    order = np.argsort(zr)
-    ordered = zr[order]
-    lo = np.searchsorted(ordered, cr - _WINDOW, "left")
-    count = np.searchsorted(ordered, cr + _WINDOW, "right") - lo
-    # child c pairs with the sorted positions lo[c] .. lo[c] + count[c] - 1
-    child = np.repeat(np.arange(len(cr)), count)
-    first = np.repeat(lo - np.cumsum(count) + count, count)
-    other = order[first + np.arange(len(child))]
+    or for a child that joined before it, as a point-by-point lookup decides.
+    A child whose only hits (_same_pairs) are earlier children is settled in
+    order, since a child that does not join drops no later one."""
     n = len(nr)
-    near = (other < n + child) & (np.abs(zi[other] - ci[child]) <= _WINDOW)
-    child, other = child[near], other[near]
-    hit = lanes.same_point(cr[child], ci[child], zr[other], zi[other])
-    child, other = child[hit], other[hit] - n
+    child, other = _same_pairs(cr, ci, np.concatenate((nr, cr)), np.concatenate((ni, ci)),
+                               n + np.arange(len(cr)))
+    other = other - n
     joins = np.ones(len(cr), dtype=bool)
     joins[child[other < 0]] = False
     later = other >= 0
@@ -199,31 +208,28 @@ def blaschke_sum(truncation: GrandOrbitTruncation) -> float:
 
 
 def critical_orbit_intersection(f, truncation: GrandOrbitTruncation):
-    """Nodes that are the same point as a critical point of f.
+    """Nodes that are the same point as a critical point of f, as pairs
+    (node, critical point) in node order, then critical-point order.
 
     An empty list certifies that all enumerated zeros are simple at this
     truncation; hits are handled upstream by multiplicities, not exclusion.
     """
-    crits = critical_points(f)
-    hits = []
-    for node in truncation.nodes:
-        for c, _ in crits:
-            if same_point(node.point, c):
-                hits.append((node, c))
-    return hits
+    crits = [c for c, _ in critical_points(f)]
+    z, c = np.array(truncation.points(), dtype=complex), np.array(crits, dtype=complex)
+    q, p = _same_pairs(z.real, z.imag, c.real, c.imag)
+    return [(truncation.nodes[i], crits[j]) for i, j in sorted(zip(q.tolist(), p.tolist()))]
 
 
 def conjugation_closure_check(truncation: GrandOrbitTruncation) -> bool:
     """True iff the node multiset is closed under complex conjugation: each
-    node's conjugate is the same point as a node of equal multiplicity."""
-    index = PointIndex()
-    for node in truncation.nodes:
-        index.add(node.point)
-    for node in truncation.nodes:
-        j = index.find(node.point.conjugate())
-        if j is None or truncation.nodes[j].multiplicity != node.multiplicity:
-            return False
-    return True
+    node's conjugate is the same point as a node of equal multiplicity, the
+    first such node in node order deciding."""
+    z = np.array(truncation.points(), dtype=complex)
+    q, p = _same_pairs(z.real, -z.imag, z.real, z.imag)
+    first = np.full(len(z), len(z))
+    np.minimum.at(first, q, p)
+    mults = np.array([n.multiplicity for n in truncation.nodes])
+    return bool((first < len(z)).all() and (mults[first] == mults).all())
 
 
 def truncation_rows(truncation: GrandOrbitTruncation) -> list[tuple]:

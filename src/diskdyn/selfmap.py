@@ -86,34 +86,24 @@ def _normalize_zeros(zeros) -> tuple[tuple[complex, int], ...]:
     return tuple(merged.items())
 
 
-def _lane_table(entries):
-    """(zeros, factors, _arrays) of a product of more than 32 zeros, from
-    lanes, bit for bit as FiniteBlaschkeProduct's scalar loop builds them;
-    None for input only that loop can take: other than a list or tuple of
-    (complex, int) pairs, a multiplicity below 1, a repeated zero, or a zero
-    outside the disk."""
+def _lane_zeros(entries):
+    """(zeros, multiplicities, zero array) of a product of more than 32 zeros
+    for the stack's lane constructor, which builds its table bit for bit as
+    the scalar loop does; None for input only that loop can take: other than
+    a list or tuple of (complex, int) pairs, a multiplicity outside [1, 2**63)
+    (the stack's int64), a repeated zero, or a zero outside the disk."""
     if not (isinstance(entries, (tuple, list)) and len(entries) > 32
             and set(map(type, entries)) == {tuple} and set(map(len, entries)) == {2}):
         return None
     points, mults = zip(*entries)
     if set(map(type, points)) != {complex} or set(map(type, mults)) != {int}:
         return None
-    a, m = np.array(points), np.array(mults)
+    a = np.array(points)
     ordered = np.sort(a)
-    if (m.dtype != np.int64 or not (m >= 1).all() or (ordered[1:] == ordered[:-1]).any()
+    if (not 1 <= min(mults) <= max(mults) < 2 ** 63 or (ordered[1:] == ordered[:-1]).any()
             or not (np.hypot(a.real, a.imag) < 1.0 - DISK_MARGIN).all()):
         return None
-    origin = a == 0
-    # -unit_direction(a), and direction 1 at the origin
-    u = np.ones(len(a), dtype=complex)
-    ur, ui = lanes.direction(a.real[~origin], a.imag[~origin])
-    u.real[~origin], u.imag[~origin] = -ur, -ui
-    ac = a.conjugate()
-    u_list = u.tolist()
-    for k in np.flatnonzero(origin).tolist():
-        u_list[k] = 1.0
-    return (tuple(entries), tuple(zip(points, ac.tolist(), u_list, mults)),
-            (origin, a, ac, u, m))
+    return points, mults, a
 
 
 class FiniteBlaschkeProduct:
@@ -121,25 +111,27 @@ class FiniteBlaschkeProduct:
 
     Repeated entries of one zero are merged, so every spelling of a map has
     the same ``zeros``.  ``factors`` holds (a, conj(a), -a/|a|, mult) per zero
-    (direction 1 at the origin), computed once and read by every consumer.
+    (direction 1 at the origin), and ``_stack`` the same columns as arrays.
     """
 
     def __init__(self, gamma: complex = 1.0, zeros=((0.0, 1),), hp_exact=None):
         self.gamma = ensure_unimodular(gamma)
-        table = _lane_table(zeros)
-        if table is not None:
-            self.zeros, self.factors, self._arrays = table
+        lane = _lane_zeros(zeros)
+        if lane is not None:
+            points, mults, a = lane
+            # not kept by its stack: a cycle would wait for a full collection
+            self._stack = stack = _ProductStack(np.array([self.gamma]), a[None], mults)
+            self.zeros = tuple(zeros)
+            u = stack._u[0].tolist()
+            for k in np.flatnonzero(stack._origin).tolist():
+                u[k] = 1.0
+            self.factors = tuple(zip(points, stack._conj[0].tolist(), u, mults))
         else:
             self.zeros = _normalize_zeros(zeros)
             self.factors = tuple(
                 (a, a.conjugate(), 1.0 if a == 0 else -unit_direction(a), mult)
                 for a, mult in self.zeros
             )
-            # products with many zeros are evaluated as numpy arrays
-            self._arrays = None
-            if len(self.zeros) > 32:
-                a, ac, u, m = (np.array(col) for col in zip(*self.factors))
-                self._arrays = (a == 0, a, ac, u, m)
         # optional exact right-half-plane form (used by presets that are
         # defined natively in half-plane coordinates)
         self.hp_exact = hp_exact
@@ -212,10 +204,10 @@ def degree(f) -> int | None:
 
 
 def _eval_fbp(f: FiniteBlaschkeProduct, z: complex) -> complex:
-    if f._arrays is not None:
-        origin, a, ac, u, m = f._arrays
-        factors = np.where(origin, z, u * (z - a) / (1.0 - ac * z))
-        return complex(f.gamma * np.prod(factors ** m))
+    if len(f.factors) > 32:
+        s = f._stack
+        factors = np.where(s._origin, z, s._u[0] * (z - s.zeros[0]) / (1.0 - s._conj[0] * z))
+        return complex(f.gamma * np.prod(factors ** s._mult))
     val = f.gamma
     for a, ac, u, mult in f.factors:
         if a == 0:
@@ -632,10 +624,12 @@ def critical_points(f) -> list[tuple[complex, int]]:
         return []
     num, den = f.coefficients
     dnum = npp.polysub(npp.polymul(npp.polyder(num), den), npp.polymul(num, npp.polyder(den)))
-    # an m-fold zero is an exact (m-1)-fold critical point: divide it out
+    # an m-fold zero is an exact (m-1)-fold critical point: divide it out, and
+    # its mirror (1 - conj(a) z)^(m-1), whose roots may round into the disk
     multiple = [(a, m - 1) for a, m in f.zeros if m > 1]
     for a, m in multiple:
         dnum = npp.polydiv(dnum, npp.polypow([-a, 1.0], m))[0]
+        dnum = npp.polydiv(dnum, npp.polypow([1.0, -a.conjugate()], m))[0]
     inside = _merge_pseudo_hyperbolic(multiple + [
         (_newton_polish(f, z, order=1), m)
         for z, m in _root_groups(dnum)

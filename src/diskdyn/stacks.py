@@ -22,12 +22,12 @@ class _ProductStack:
 
     Row r is gamma[r] times the product over columns j of the factor of
     zeros[r, j] to the power mults[j]; a column is the origin in every row
-    or in none (``origin``).  ``factors`` holds per column (a, conj(a), u,
-    mult) and ``slopes`` u (1 - |a|^2), as (rows, 1) arrays built bit for
-    bit as FiniteBlaschkeProduct and _jet_fbp build these scalars, so that
-    each row of a lane batch reads its own product's constants.  A single
-    product is a stack of one (FiniteBlaschkeProduct._stack), which takes
-    u from the product's own factor table and keeps the product.
+    or in none (``origin``, a mask ``_origin``).  ``factors`` holds per
+    column (a, conj(a), u, mult) and ``slopes`` u (1 - |a|^2), as (rows, 1)
+    arrays built bit for bit as FiniteBlaschkeProduct and _jet_fbp build
+    these scalars, so that each row of a lane batch reads its own product's
+    constants.  A single product is a stack of one, its one array table
+    (FiniteBlaschkeProduct._stack), which keeps a product not built in lanes.
     """
 
     def __init__(self, gamma, zeros, mults, product=None):
@@ -37,16 +37,14 @@ class _ProductStack:
         self.degree = sum(self.mults)
         self.product = product
         self._conj = zeros.conj()
-        if product is not None:
-            self.origin = tuple(a == 0 for a, _ in product.zeros)
-            self._u = np.array([[u for _, _, u, _ in product.factors]], dtype=complex)
-            return
-        self.origin = tuple((zeros == 0).all(axis=0).tolist())
-        off = ~np.array(self.origin)
-        # u = -unit_direction(a), and 1 at the origin
-        ur, ui = lanes.direction(zeros.real[:, off], zeros.imag[:, off])
-        self._u = np.ones(zeros.shape, dtype=complex)
-        self._u.real[:, off], self._u.imag[:, off] = -ur, -ui
+        self._mult = np.array(self.mults)
+        self._origin = (zeros == 0).all(axis=0)
+        self.origin = tuple(self._origin.tolist())
+        # u = -unit_direction(a), and 1 at the origin (which has no direction)
+        ur, ui = lanes.direction(np.where(self._origin, 1.0, zeros.real), zeros.imag)
+        self._u = np.empty(zeros.shape, dtype=complex)
+        self._u.real = np.where(self._origin, 1.0, -ur)
+        self._u.imag = np.where(self._origin, 0.0, -ui)
 
     def __len__(self) -> int:
         return len(self.gamma)
@@ -65,7 +63,7 @@ class _ProductStack:
         # u (1 - abs(a) ** 2), abs(a) ** 2 by Python's float pow (libm's
         # pow), which numpy's square and power differ from in the last bit
         # for some inputs; 0 at the origin
-        off = ~np.array(self.origin)
+        off = ~self._origin
         h = np.hypot(self.zeros.real[:, off], self.zeros.imag[:, off])
         s = 1.0 - np.array([x ** 2 for x in h.ravel().tolist()]).reshape(h.shape)
         u = self._u[:, off]

@@ -180,20 +180,3 @@ def test_same_point_threshold_and_no_validation():
     assert not g.same_point(outside, 0.5)
     # zero denominator: conj(w) z = 1
     assert not g.same_point(2.0, 0.5)
-
-
-def test_point_index_finds_across_a_cell_edge():
-    edge = 7 * g.PointIndex.CELL
-    index = g.PointIndex()
-    index.add(complex(edge - 5e-10, -edge - 5e-10))
-    assert index.find(complex(edge + 5e-10, -edge + 5e-10)) == 0
-    assert index.find(complex(edge + 1e-7, -edge)) is None
-
-
-def test_point_index_returns_first_inserted_match():
-    edge = 3 * g.PointIndex.CELL
-    index = g.PointIndex()
-    index.add(complex(edge + 4e-9, 0.1))
-    index.add(complex(edge - 4e-9, 0.1))
-    assert index.find(complex(edge - 4e-9, 0.1)) == 0
-    assert index.find(complex(edge + 2e-7, 0.1)) is None

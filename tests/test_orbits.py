@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -6,8 +7,63 @@ import pytest
 from diskdyn import orbits as ob
 from diskdyn import presets
 from diskdyn import selfmap as sm
-from diskdyn.geometry import (PointIndex, ensure_disk_point, julia_quotient, pseudo_hyperbolic,
-                              same_point)
+from diskdyn.geometry import ensure_disk_point, julia_quotient, pseudo_hyperbolic, same_point
+
+
+# the scalar definition of a same-point search, the reference of the lane
+# pair finder (orbits._same_pairs) in grand-orbit dedup, the conjugation
+# check and the critical intersection
+class PointIndex:
+    """Spatial hash answering :func:`same_point` queries against added points.
+
+    Cell size 1e-6 Euclidean: any pair within pseudo-hyperbolic 1e-8 is
+    within Euclidean 2e-8, hence in the same or an adjacent cell.
+    """
+
+    CELL = 1e-6
+
+    def __init__(self):
+        self._cells: dict[tuple[int, int], list[tuple[int, complex]]] = {}
+        self._count = 0
+
+    def _key(self, z: complex) -> tuple[int, int]:
+        return (math.floor(z.real / self.CELL), math.floor(z.imag / self.CELL))
+
+    def find(self, z: complex) -> int | None:
+        """Insertion index of the first added point that is the same point
+        as z, or None."""
+        kx, ky = self._key(z)
+        first = None
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for i, p in self._cells.get((kx + dx, ky + dy), ()):
+                    if same_point(z, p):
+                        # a cell lists its points in insertion order
+                        if first is None or i < first:
+                            first = i
+                        break
+        return first
+
+    def add(self, z: complex) -> None:
+        self._cells.setdefault(self._key(z), []).append((self._count, z))
+        self._count += 1
+
+
+def test_point_index_finds_across_a_cell_edge():
+    edge = 7 * PointIndex.CELL
+    index = PointIndex()
+    index.add(complex(edge - 5e-10, -edge - 5e-10))
+    assert index.find(complex(edge + 5e-10, -edge + 5e-10)) == 0
+    assert index.find(complex(edge + 1e-7, -edge)) is None
+
+
+def test_point_index_returns_first_inserted_match():
+    edge = 3 * PointIndex.CELL
+    index = PointIndex()
+    index.add(complex(edge + 4e-9, 0.1))
+    index.add(complex(edge - 4e-9, 0.1))
+    assert index.find(complex(edge - 4e-9, 0.1)) == 0
+    assert index.find(complex(edge + 2e-7, 0.1)) is None
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +388,147 @@ class TestBlaschkeSum:
         inc = np.diff(tr.blaschke_partial_sums)
         tail = inc[3:]
         assert np.all(np.diff(tail) < 0)
+
+
+def reference_closure(truncation) -> bool:
+    """conjugation_closure_check as a PointIndex of the nodes decides it."""
+    index = PointIndex()
+    for node in truncation.nodes:
+        index.add(node.point)
+    for node in truncation.nodes:
+        j = index.find(node.point.conjugate())
+        if j is None or truncation.nodes[j].multiplicity != node.multiplicity:
+            return False
+    return True
+
+
+def reference_intersection(f, truncation) -> list:
+    """critical_orbit_intersection as a loop over nodes, then critical points."""
+    crits = sm.critical_points(f)
+    return [(node, c) for node in truncation.nodes for c, _ in crits if same_point(node.point, c)]
+
+
+def truncation_of(points, mults=None):
+    mults = mults or [1] * len(points)
+    nodes = tuple(ob.GrandOrbitNode(z, m, 0, k) for k, (z, m) in enumerate(zip(points, mults)))
+    return ob.GrandOrbitTruncation(0.0, 0, len(nodes), nodes, (0.0,), False)
+
+
+def at_distance(c: complex, rho: float, angle: float) -> complex:
+    """The point at pseudo-hyperbolic distance rho from c in direction angle."""
+    t = rho * np.exp(1j * angle)
+    return complex((c + t) / (1 + c.conjugate() * t))
+
+
+def exact_hits(hits) -> list:
+    return [(node, c.real.hex(), c.imag.hex()) for node, c in hits]
+
+
+class TestSamePointChecksMatchReferences:
+    """The conjugation check and the critical intersection, found in lanes
+    (orbits._same_pairs), equal the PointIndex and double-loop references."""
+
+    def check(self, f, truncation):
+        closed = ob.conjugation_closure_check(truncation)
+        assert closed is reference_closure(truncation)
+        if f is not None:
+            got = ob.critical_orbit_intersection(f, truncation)
+            assert exact_hits(got) == exact_hits(reference_intersection(f, truncation))
+        return closed
+
+    # at alpha 0.6 both read "not closed", as the grand-orbit command reports
+    @pytest.mark.parametrize("alpha, closed", [(0.5, True), (0.6, False)])
+    def test_grand_orbits(self, alpha, closed):
+        f = presets.example61(alpha)
+        tr = ob.grand_orbit(f, 0.0, 12, 8)
+        assert len(tr.nodes) == 3328
+        assert self.check(f, tr) is closed
+        # one node's conjugate gone, or its multiplicity changed
+        k = next(i for i, n in enumerate(tr.nodes) if n.point.imag > 1e-3)
+        nodes = list(tr.nodes)
+        assert not self.check(f, truncation_of([n.point for n in nodes[:k] + nodes[k + 1:]],
+                                               [n.multiplicity for n in nodes[:k] + nodes[k + 1:]]))
+        mults = [n.multiplicity for n in nodes]
+        mults[k] += 1
+        assert not self.check(f, truncation_of([n.point for n in nodes], mults))
+
+    @pytest.mark.parametrize("rho, hit", [(0.99e-8, True), (1.01e-8, False)])
+    def test_pairs_at_the_tolerance(self, rho, hit):
+        f = sm.compose(presets.example61(0.6), presets.example61(0.55))
+        crits = [c for c, _ in sm.critical_points(f)]
+        assert len(crits) == 3
+        for angle in np.random.default_rng(3).uniform(0, 2 * np.pi, 8):
+            for c in (0.3 + 0.4j, -0.7 + 0.1j, -0.01 + 0.02j):
+                w = at_distance(c.conjugate(), rho, angle)
+                assert (pseudo_hyperbolic(c.conjugate(), w) <= 1e-8) is hit
+                assert self.check(f, truncation_of([c, w])) is hit
+                assert self.check(f, truncation_of([w, 0.1, c])) is hit
+            for c in crits:
+                tr = truncation_of([0.5j, at_distance(c, rho, angle), -0.5j])
+                self.check(f, tr)
+                assert bool(ob.critical_orbit_intersection(f, tr)) is hit
+
+    def test_pairs_straddling_a_cell_edge(self):
+        f = sm.FiniteBlaschkeProduct(1.0, [(0.0, 1), (complex(7e-6, 3e-6), 2), (0.5, 1)])
+        edge = complex(7 * PointIndex.CELL, 3 * PointIndex.CELL)
+        points = [edge + complex(dx, dy) for dx in (-4e-9, 4e-9) for dy in (-4e-9, 4e-9)]
+        points += [p.conjugate() for p in points]
+        assert self.check(f, truncation_of(points))
+        assert self.check(f, truncation_of(points[:-1]))
+        assert ob.critical_orbit_intersection(f, truncation_of(points))
+
+    def test_the_first_inserted_same_point_decides(self):
+        z = 0.3 + 0.2j
+        near = at_distance(z, 5e-9, 1.0)
+        # conj(near) finds conj(z) first: its multiplicity 1 decides
+        for mults, closed in (([1, 1, 1], True), ([1, 2, 1], False), ([2, 1, 2], False)):
+            for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+                points = [[z, near, z.conjugate()][k] for k in order]
+                tr = truncation_of(points, [mults[k] for k in order])
+                assert self.check(None, tr) is reference_closure(tr)
+            tr = truncation_of([z, near, z.conjugate()], mults)
+            assert self.check(None, tr) is closed
+        # several same points of one conjugate, with different multiplicities
+        tr = truncation_of([z.conjugate(), at_distance(z.conjugate(), 4e-9, 2.0), z,
+                            at_distance(z, 6e-9, -1.0)], [3, 1, 3, 3])
+        assert not self.check(None, tr)
+        tr = truncation_of([z.conjugate(), at_distance(z.conjugate(), 4e-9, 2.0), z], [3, 1, 3])
+        assert not self.check(None, tr)
+
+    def test_random_clusters(self):
+        rng = np.random.default_rng(11)
+        f = sm.FiniteBlaschkeProduct(1.0, [(0.2, 2), (-0.4 + 0.3j, 1), (-0.4 - 0.3j, 1)])
+        crits = [c for c, _ in sm.critical_points(f)]
+        verdicts = []
+        for _ in range(200):
+            seeds = list(0.9 * np.sqrt(rng.random(4)) * np.exp(2j * np.pi * rng.random(4)))
+            seeds += crits[:2]
+            seed_mults = rng.integers(1, 3, len(seeds))
+            points, mults = [], []
+            for k in rng.integers(0, len(seeds), 12):
+                # a conjugate pair, now and then missing a point or split in
+                # multiplicity; clusters of points up to 1.2e-8 apart
+                m = [int(seed_mults[k])] * 2
+                m[1] += rng.random() < 0.02
+                for w, mw in zip((seeds[k], seeds[k].conjugate()), m):
+                    if rng.random() < 0.99:
+                        points.append(at_distance(w, 6e-9 * rng.random(), 2 * np.pi * rng.random()))
+                        mults.append(mw)
+            verdicts.append(self.check(f, truncation_of(points, mults)))
+        assert 20 < sum(verdicts) < 180
+
+    def test_float_points(self):
+        f = sm.FiniteBlaschkeProduct(1.0, [(0.25, 2)])
+        assert sm.critical_points(f) == [(0.25, 1)]
+        tr = truncation_of([0.25, -0.5, complex(-0.5, 0.0)])
+        assert self.check(f, tr)
+        assert [n.point for n, _ in ob.critical_orbit_intersection(f, tr)] == [0.25]
+
+    def test_degree_one_map_has_no_critical_points(self, example_truncation):
+        assert sm.critical_points(presets.translation()) == []
+        assert self.check(presets.translation(), example_truncation)
+        assert self.check(presets.translation(), truncation_of([]))
+        assert ob.critical_orbit_intersection(presets.translation(), example_truncation) == []
 
 
 class TestCriticalIntersection:

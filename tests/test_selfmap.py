@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -609,7 +610,8 @@ class TestLanes:
     def test_product_with_many_zeros_stays_scalar(self, monkeypatch):
         rng = np.random.default_rng(16)
         f = sm.FiniteBlaschkeProduct(1.0, [(random_disk_point(rng, 0.8), 1) for _ in range(33)])
-        assert f._arrays is not None
+        # built as its stack of one, which its evaluation reads
+        assert "_stack" in vars(f)
 
         def refuse(*args):
             raise AssertionError("lanes used on a product with more than 32 zeros")
@@ -619,13 +621,15 @@ class TestLanes:
 
 
 def scalar_table(entries):
-    """zeros, factors and _arrays of a product as the scalar loop of
-    FiniteBlaschkeProduct.__init__ builds them."""
+    """zeros and factors of a product as the scalar loop of
+    FiniteBlaschkeProduct.__init__ builds them, and from them the columns of
+    its stack of one: zeros, _conj and _u as (1, k) arrays, the origin mask
+    _origin and the multiplicities _mult."""
     zeros = sm._normalize_zeros(entries)
     factors = tuple((a, a.conjugate(), 1.0 if a == 0 else -g.unit_direction(a), m)
                     for a, m in zeros)
-    a, ac, u, m = (np.array(col) for col in zip(*factors))
-    return zeros, factors, (a == 0, a, ac, u, m)
+    a, ac, u, m = (np.array([col]) for col in zip(*factors))
+    return zeros, factors, {"zeros": a, "_conj": ac, "_u": u, "_origin": a[0] == 0, "_mult": m[0]}
 
 
 def exact(value):
@@ -638,13 +642,31 @@ def exact(value):
 
 
 def assert_table_is_scalar(f, entries):
-    zeros, factors, arrays = scalar_table(entries)
+    built_in_lanes = lane_route(f)
+    zeros, factors, columns = scalar_table(entries)
     assert [tuple(map(exact, z)) for z in f.zeros] == [tuple(map(exact, z)) for z in zeros]
     assert ([tuple(map(exact, row)) for row in f.factors]
             == [tuple(map(exact, row)) for row in factors])
-    assert len(f._arrays) == len(arrays)
-    for got, want in zip(f._arrays, arrays):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    stack = f._stack
+    assert stack.product is (None if built_in_lanes else f)
+    if built_in_lanes:
+        # the scalar paths rebuild the product from the stack's row
+        row = sm._row_product(stack, 0)
+        assert [tuple(map(exact, z)) for z in row.zeros] == [tuple(map(exact, z)) for z in zeros]
+        assert ([tuple(map(exact, r)) for r in row.factors]
+                == [tuple(map(exact, r)) for r in factors])
+    for name, want in columns.items():
+        got = getattr(stack, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+    assert stack.origin == tuple(columns["_origin"].tolist())
+    assert stack.mults == tuple(m for _, m in zeros)
+
+
+def lane_route(f) -> bool:
+    """Whether f was built as its stack of one, in lanes (the scalar loop
+    leaves the stack to first use)."""
+    return "_stack" in vars(f)
 
 
 def special_zeros(rng, n) -> list:
@@ -659,30 +681,45 @@ def special_zeros(rng, n) -> list:
 
 
 class TestLargeProductTable:
-    """A product of more than 32 zeros builds its factor table in lanes, as
-    the scalar loop does, bit for bit; input the lanes cannot certify goes
-    through that loop."""
+    """A product of more than 32 zeros is built as its stack of one, in
+    lanes, and its factors read off the stack's columns, as the scalar loop
+    builds them, bit for bit; input the lanes cannot certify goes through
+    that loop.  Either way the stack's columns are the scalar table's."""
 
     @pytest.mark.parametrize("n", [33, 100])
     def test_special_zeros(self, n):
         entries = special_zeros(np.random.default_rng(n), n)
-        assert sm._lane_table(entries) is not None
-        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, entries), entries)
-        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, tuple(entries)), entries)
+        for zeros in (entries, tuple(entries)):
+            f = sm.FiniteBlaschkeProduct(1.0, zeros)
+            assert lane_route(f)
+            assert_table_is_scalar(f, entries)
+        # at most 32 zeros: the scalar loop, and the stack on first use
+        f = sm.FiniteBlaschkeProduct(1.0, entries[:32])
+        assert not lane_route(f)
+        assert_table_is_scalar(f, entries[:32])
 
     def test_grand_orbit_product(self):
         tr = orbits.grand_orbit(presets.example61(0.6), 0.0, 12, 8)
         entries = tuple((n.point, n.multiplicity) for n in tr.nodes)
-        assert len(entries) == 3328 and sm._lane_table(entries) is not None
-        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, entries), entries)
+        f = sm.FiniteBlaschkeProduct(1.0, entries)
+        assert len(entries) == 3328 and lane_route(f)
+        assert_table_is_scalar(f, entries)
+
+    def test_product_built_in_lanes_is_freed_by_reference_counting(self):
+        # a product and its stack in a reference cycle waited for a full
+        # collection, and an eigen job's peak memory rose by 7 MB
+        f = sm.FiniteBlaschkeProduct(1.0, special_zeros(np.random.default_rng(33), 40))
+        assert lane_route(f)
+        gone = weakref.ref(f)
+        del f
+        assert gone() is None
 
     def test_repeated_zeros_merge_into_the_first(self):
         entries = special_zeros(np.random.default_rng(7), 40)
         # the origin again with other signs, and two more exact repeats
         entries += [(0j, 2), entries[5], (entries[20][0], 3)]
-        assert sm._lane_table(entries) is None
         f = sm.FiniteBlaschkeProduct(1.0, entries)
-        assert len(f.zeros) == 40
+        assert not lane_route(f) and len(f.zeros) == 40
         assert exact(f.zeros[0][0]) == exact(complex(-0.0, -0.0))
         assert_table_is_scalar(f, entries)
 
@@ -691,17 +728,22 @@ class TestLargeProductTable:
         lambda z, m: (z, float(m)),
         lambda z, m: (z, np.int64(m)),
         lambda z, m: (z, True) if m == 1 else (z, m),
+        # beyond int64
+        lambda z, m: (z, 2 ** 63) if m == 3 else (z, m),
     ])
     def test_other_spellings_take_the_scalar_loop(self, spell):
         entries = [spell(z, m) for z, m in special_zeros(np.random.default_rng(8), 40)]
-        assert sm._lane_table(entries) is None
-        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, entries), entries)
+        f = sm.FiniteBlaschkeProduct(1.0, entries)
+        assert not lane_route(f)
+        assert_table_is_scalar(f, entries)
 
     def test_bare_points_and_iterators_take_the_scalar_loop(self):
         entries = special_zeros(np.random.default_rng(11), 40)
         points = [z for z, _ in entries]
-        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, points), points)
-        assert_table_is_scalar(sm.FiniteBlaschkeProduct(1.0, iter(entries)), entries)
+        for zeros, spelled in ((points, points), (iter(entries), entries)):
+            f = sm.FiniteBlaschkeProduct(1.0, zeros)
+            assert not lane_route(f)
+            assert_table_is_scalar(f, spelled)
 
     @pytest.mark.parametrize("bad", [
         (complex(1 - 1e-16, 0.0), 1), (complex(0.6, 0.8), 1), (-1.5j, 2),
@@ -1013,6 +1055,18 @@ class TestCriticalPoints:
             cps = sm.critical_points(f)
             assert (zeros[0][0], 2) in cps
             assert sum(m for _, m in cps) == f.degree - 1
+
+    def test_multiple_zero_near_the_circle(self):
+        # N'D - ND' also carries the mirror factor (1 - conj(a) z)^(m-1),
+        # whose root 1e-14 outside the circle rounded back inside
+        a = -0.7309684097015199 + 0.6824113012094767j
+        assert sm.critical_points(sm.FiniteBlaschkeProduct(1.0, [(a, 2)])) == [(a, 1)]
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            a = (1 - 10 ** rng.uniform(-14.5, -12)) * cmath.exp(2j * math.pi * rng.random())
+            m = int(rng.integers(2, 5))
+            f = sm.FiniteBlaschkeProduct(cmath.exp(2j * math.pi * rng.random()), [(a, m)])
+            assert sm.critical_points(f) == [(a, m - 1)]
 
 
 class TestSchwarzPick:
