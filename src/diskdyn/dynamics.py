@@ -1,8 +1,8 @@
 """Attracting-point location, map classification, and hyperbolic-step analysis.
 
-Blaschke-type maps are classified from the roots of one fixed-point
-polynomial and the jet at the attracting point; plain callables, which have
-no polynomial, from a disk orbit.
+Every map is a finite Blaschke product or a composite of them, classified
+from the roots of one fixed-point polynomial and the jet at the attracting
+point.
 
 Orbits of non-elliptic maps drift to a boundary point, so the step and
 merging sequences walk them from the start in right-half-plane coordinates
@@ -24,14 +24,10 @@ from . import lanes
 from .geometry import Horodisk, ensure_disk_point
 from .selfmap import (
     PREIMAGE_RESIDUAL_TOL,
-    CompositeMap,
-    FiniteBlaschkeProduct,
     HalfPlaneConjugate,
     _polish,
     _root_groups,
     _stages,
-    angular_derivative,
-    degree,
     evaluate,
     is_identity,
     jet,
@@ -44,9 +40,6 @@ PARABOLIC_BAND = 1e-4
 
 # fixed-point roots this close to the circle are boundary fixed points
 CIRCLE_BAND = 1e-3
-
-# plain callables: an orbit converging beyond this radius is a boundary orbit
-TRANSPORT_RADIUS = 0.999
 
 ELLIPTIC_INTERIOR = "elliptic-interior"
 HYPERBOLIC = "hyperbolic"
@@ -106,35 +99,6 @@ def _interior_refine(f, z):
     return z
 
 
-def _boundary_refine(f, omega):
-    """Newton on the circle map theta -> arg(e^-itheta f(e^itheta)).
-
-    The attracting point is a simple zero for hyperbolic contact and a double
-    zero for parabolic contact; the step switches to the double-root form
-    when the derivative degenerates.
-    """
-    theta = cmath.phase(omega)
-    for _ in range(60):
-        z = cmath.exp(1j * theta)
-        v, d1, _ = jet(f, z)
-        err = cmath.phase(v / z)
-        if err == 0.0:
-            break
-        slope = (z * d1 / v).real - 1.0
-        if abs(slope) > 1e-6:
-            step = err / slope
-            if abs(slope) < 0.5:
-                step *= 2.0  # near-parabolic: double zero of the angle error
-        else:
-            break
-        if abs(step) > 0.3:
-            break
-        theta -= step
-        if abs(step) < 1e-15:
-            break
-    return cmath.exp(1j * theta) if theta != 0.0 else 1.0 + 0.0j
-
-
 def _interior_class(f, p) -> MapClass:
     return MapClass(ELLIPTIC_INTERIOR, p, interior_derivative=jet(f, p)[1],
                     residual=abs(evaluate(f, p) - p))
@@ -160,36 +124,11 @@ def _attracting(f, contacts) -> MapClass:
 
 
 def denjoy_wolff(f) -> MapClass:
-    """Locate the attracting point and classify the map.
-
-    Blaschke-type maps are solved through their fixed-point polynomial.  A
-    plain callable is iterated from the origin for at most 10000 steps:
-    interior convergence is refined by Newton on f(z) - z; boundary escape
-    is estimated from the mean of the last 16 normalized iterates, polished
-    on the unit circle, and confirmed by the extrapolated boundary derivative.
-    """
+    """Locate the attracting point and classify the map, through the roots
+    of its fixed-point polynomial (_fixed_point_class)."""
     if is_identity(f):
         raise ValueError("the identity map has no distinguished fixed point")
-    if degree(f) is not None:
-        return _fixed_point_class(f)
-
-    z, tail, settled = 0.0 + 0.0j, [], False
-    for _ in range(10000):
-        z, z_prev = evaluate(f, z), z
-        settled = abs(z) > 1.0 - 1e-13 or abs(z - z_prev) < 1e-9
-        if settled:
-            break
-        if abs(z) > 0.5:
-            tail = tail[-15:] + [z / abs(z)]
-    if settled and abs(z) <= TRANSPORT_RADIUS:  # else it settled on the boundary
-        return _interior_class(f, _interior_refine(f, z))
-    guess = sum(tail) / len(tail) if tail else z
-    # no convergence seen: accept only clear boundary drift evidence
-    if not settled and not (
-            abs(z) > 0.9 and len(tail) == 16 and max(abs(t - guess) for t in tail) < 0.05):
-        raise ClassificationError(f"orbit did not settle after 10000 iterations (last z = {z!r})")
-    omega = _boundary_refine(f, guess / abs(guess))
-    return _attracting(f, [(angular_derivative(f, omega).angular_derivative, omega)])
+    return _fixed_point_class(f)
 
 
 def _fixed_point_poly(f) -> np.ndarray:
@@ -228,16 +167,14 @@ def _fixed_point_class(f) -> MapClass:
     return _attracting(f, [(abs(jet(f, w)[1]), w) for w in contacts])
 
 
-# verdicts of the (never mutated) Blaschke-type map objects still alive;
-# keyed by the object, so nothing outlives its map
+# verdicts of the (never mutated) map objects still alive; keyed by the
+# object, so nothing outlives its map
 _CLASSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def classify(f) -> MapClass:
-    """denjoy_wolff(f), computed once per Blaschke-type map object; plain
-    callables are classified on every call."""
-    if not isinstance(f, (FiniteBlaschkeProduct, CompositeMap)):
-        return denjoy_wolff(f)
+    """denjoy_wolff(f), computed once per map object."""
+    _stages(f)  # refuses anything else before the weak-keyed lookup
     cls = _CLASSES.get(f)
     if cls is None:
         cls = _CLASSES[f] = denjoy_wolff(f)

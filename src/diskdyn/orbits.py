@@ -18,7 +18,7 @@ import numpy as np
 from . import lanes
 from .dynamics import _boundary_class
 from .geometry import SAME_POINT_TOL, ensure_disk_point
-from .selfmap import RootFindingError, _fibers, critical_points, degree, evaluate
+from .selfmap import RootFindingError, _fibers, _stages, critical_points, evaluate
 
 DEFAULT_NODE_CAP = 20000
 
@@ -135,8 +135,8 @@ def grand_orbit(
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     z0 = ensure_disk_point(z0)
-    d = degree(f)
-    if d is None or d < 2:
+    _stages(f)
+    if f.degree < 2:
         raise ValueError("grand orbits need a Blaschke-type map of degree >= 2")
     _boundary_class(f, "grand orbit")
 

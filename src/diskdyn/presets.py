@@ -9,7 +9,7 @@ are rejected so committed experiment fixtures stay unambiguous.
 from __future__ import annotations
 
 from .geometry import cayley_from_rhp, cayley_to_rhp
-from .selfmap import CompositeMap, FiniteBlaschkeProduct
+from .selfmap import CompositeMap, FiniteBlaschkeProduct, _stages
 
 
 def squared_mobius(alpha: float) -> FiniteBlaschkeProduct:
@@ -121,18 +121,12 @@ def map_from_dict(obj: dict):
 
 def map_to_dict(f) -> dict:
     """Serialize a map to its wire description."""
-    if isinstance(f, FiniteBlaschkeProduct):
-        stages = [f]
-    elif isinstance(f, CompositeMap):
-        stages = list(f.stages)
-    else:
-        raise TypeError(f"cannot serialize {f!r}")
     return {
         "stages": [
             {
                 "gamma": [s.gamma.real, s.gamma.imag],
                 "zeros": [[a.real, a.imag, m] for a, m in s.zeros],
             }
-            for s in stages
+            for s in _stages(f)
         ]
     }

@@ -189,18 +189,13 @@ class CompositeMap:
 
 
 def _stages(f) -> tuple[FiniteBlaschkeProduct, ...]:
+    """The product stages of a map, first applied first: the one place that
+    refuses anything but a product or a composite."""
     if isinstance(f, FiniteBlaschkeProduct):
         return (f,)
     if isinstance(f, CompositeMap):
         return f.stages
     raise TypeError(f"not a Blaschke-type map: {f!r}")
-
-
-def degree(f) -> int | None:
-    """Degree of a map, or None for a plain callable."""
-    if isinstance(f, (FiniteBlaschkeProduct, CompositeMap)):
-        return f.degree
-    return None
 
 
 def _eval_fbp(f: FiniteBlaschkeProduct, z: complex) -> complex:
@@ -223,8 +218,6 @@ def evaluate(f, z: complex) -> complex:
     z = complex(z)
     if not abs(z) <= 1.0 + 1e-12:
         raise ValueError(f"evaluation point {z!r} is outside the closed disk")
-    if not isinstance(f, (FiniteBlaschkeProduct, CompositeMap)):
-        return complex(f(z))
     for stage in _stages(f):
         z = _eval_fbp(stage, z)
     return z
@@ -255,18 +248,11 @@ def jet(f, z: complex) -> tuple[complex, complex, complex]:
     z = complex(z)
     if isinstance(f, FiniteBlaschkeProduct):
         return _jet_fbp(f, z)
-    if isinstance(f, CompositeMap):
-        v, d1, d2 = z, 1.0 + 0.0j, 0.0 + 0.0j
-        for stage in f.stages:
-            sv, sd1, sd2 = _jet_fbp(stage, v)
-            v, d1, d2 = sv, sd1 * d1, sd2 * d1 ** 2 + sd1 * d2
-        return v, d1, d2
-    # plain callable: central differences
-    h = 1e-6
-    fp = complex(f(z + h))
-    fm = complex(f(z - h))
-    fz = complex(f(z))
-    return fz, (fp - fm) / (2 * h), (fp - 2 * fz + fm) / h ** 2
+    v, d1, d2 = z, 1.0 + 0.0j, 0.0 + 0.0j
+    for stage in _stages(f):
+        sv, sd1, sd2 = _jet_fbp(stage, v)
+        v, d1, d2 = sv, sd1 * d1, sd2 * d1 ** 2 + sd1 * d2
+    return v, d1, d2
 
 
 def derivative(f, z: complex) -> complex:
@@ -295,11 +281,7 @@ def identity_map() -> FiniteBlaschkeProduct:
 
 
 def is_identity(f) -> bool:
-    if isinstance(f, FiniteBlaschkeProduct):
-        return f.gamma == 1.0 and f.zeros == ((0.0 + 0.0j, 1),)
-    if isinstance(f, CompositeMap):
-        return all(is_identity(s) for s in f.stages)
-    return False
+    return all(s.gamma == 1.0 and s.zeros == ((0.0 + 0.0j, 1),) for s in _stages(f))
 
 
 # ----------------------------------------------------------------------------
@@ -579,13 +561,12 @@ def _fibers(f, targets) -> list:
     preimages(f, targets[i]) raises, so a caller can name the failed target.
     Composites are solved stage by stage over the whole layer.
     """
-    if not isinstance(f, (FiniteBlaschkeProduct, CompositeMap)):
-        raise TypeError(f"preimages requires a Blaschke-type map, got {f!r}")
+    stages = _stages(f)
     targets = [ensure_disk_point(w) for w in targets]
     one = np.zeros(len(targets), dtype=np.intp)
     if isinstance(f, FiniteBlaschkeProduct):
         return _product_fibers(f._stack, one, targets)
-    return _composite_fibers([([s._stack], one[:1], one[:1]) for s in f.stages], one, targets)
+    return _composite_fibers([([s._stack], one[:1], one[:1]) for s in stages], one, targets)
 
 
 def preimages(f, w: complex) -> list[tuple[complex, int]]:
@@ -664,7 +645,9 @@ def angular_derivative(f, omega: complex) -> BoundaryDerivativeReport:
 
     Samples r = 1 - 2^-k for k = 4..24 and runs a Richardson tableau for
     the error series in powers of 1 - r.  The residual is the gap between
-    the last two extrapolants and is reported untouched.
+    the last two extrapolants and is reported untouched.  It reads only
+    values of f, so it checks the angular derivative |f'(omega)| that
+    classification takes from the jet by a route that shares none of it.
     """
     omega = ensure_unimodular(omega)
     radii = [1.0 - 2.0 ** (-k) for k in range(4, 25)]

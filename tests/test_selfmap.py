@@ -321,9 +321,28 @@ class TestPreimages:
         for z, _ in fiber:
             assert abs(sm.evaluate(c, z) - w) < 1e-10
 
-    def test_requires_blaschke_map(self):
-        with pytest.raises(TypeError):
-            sm.preimages(lambda z: z / 2, 0.1)
+    @pytest.mark.parametrize("call", [
+        lambda f: sm.evaluate(f, 0.1),
+        lambda f: sm.jet(f, 0.1),
+        lambda f: sm.derivative(f, 0.1),
+        lambda f: sm.iterate(f, 1, 0.1),
+        sm.is_identity,
+        lambda f: sm.preimages(f, 0.1),
+        sm.critical_points,
+        lambda f: sm.angular_derivative(f, 1.0),
+        dyn.denjoy_wolff,
+        dyn.classify,
+        lambda f: dyn.hyperbolic_step(f, 0.0, 10),
+        lambda f: dyn.julia_containment_check(f, 1.0, samples=10),
+        lambda f: orbits.grand_orbit(f, 0.0, forward_n=2, backward_depth=1),
+    ], ids=["evaluate", "jet", "derivative", "iterate", "is_identity", "preimages",
+            "critical_points", "angular_derivative", "denjoy_wolff", "classify",
+            "hyperbolic_step", "julia_containment_check", "grand_orbit"])
+    def test_requires_blaschke_map(self, call):
+        # every map is a product or a composite; selfmap._stages refuses
+        # anything else, a plain callable too
+        with pytest.raises(TypeError, match="^not a Blaschke-type map: "):
+            call(lambda z: z / 2)
 
     @pytest.mark.parametrize("zero", [0.0, 0.3])
     def test_tiny_target_near_a_triple_zero_has_three_simple_preimages(self, zero):
@@ -1135,4 +1154,5 @@ class TestIdentityHelpers:
     def test_is_identity(self):
         assert sm.is_identity(sm.identity_map())
         assert not sm.is_identity(presets.example62())
-        assert not sm.is_identity(lambda z: z)
+        with pytest.raises(TypeError, match="^not a Blaschke-type map: "):
+            sm.is_identity(lambda z: z)
