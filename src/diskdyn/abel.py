@@ -67,14 +67,19 @@ class HalfPlaneMap(HalfPlaneConjugate):
     def iterate(self, w: complex, n: int) -> complex:
         if n < 0:
             raise ValueError("iteration count must be nonnegative")
-        w = complex(w)
-        if w.real <= 0:
-            raise ValueError(f"half-plane point needed, got {w!r}")
-        orbit = [w]
+        orbit = [_halfplane_point(w)]
         error = self.walk(orbit, n)
         if error is not None:
             raise error
         return orbit[-1]
+
+
+def _halfplane_point(w) -> complex:
+    """complex(w), refused unless its real part is positive."""
+    w = complex(w)
+    if w.real <= 0:
+        raise ValueError(f"half-plane point needed, got {w!r}")
+    return w
 
 
 def _scale_normalized(kind: str) -> bool:
@@ -202,24 +207,24 @@ def residual_table(hpmap: HalfPlaneMap, kind: str, ns, probes) -> list[tuple]:
     residual is the pointwise linearization defect |F_n(phi(z)) - F_n(z) - 1|
     for the step-normalized sequence and |F_n(z) - 1| for the
     scale-normalized one; diff_from_prev compares F at consecutive listed n.
-    Each probe's trajectory is walked once, to max(ns) + 1: phi^n(phi(z)) is
-    its next point.
+    Each probe's trajectory is walked once in the transport kernel, to
+    max(ns) + 1: phi^n(phi(z)) is its next point.  A walk that ends early
+    raises its error at the first listed n whose n + 1 it did not reach.
     """
     scale = _scale_normalized(kind)
-    wanted = set(ns)
     found = {}  # (n, probe_id) -> (F_n(z), residual)
     for pid, probe in enumerate(probes):
-        w = hpmap.iterate(probe, 0)  # checks that the probe is a half-plane point
-        for n in range(max(ns) + 1):
-            w_next = hpmap.apply(w)
-            if n in wanted:
-                val = _normalized(hpmap, kind, n, w)
-                if scale:
-                    res = abs(val - 1.0)
-                else:
-                    res = abs(_normalized(hpmap, kind, n, w_next) - val - 1.0)
-                found[n, pid] = (val, res)
-            w = w_next
+        orbit = [_halfplane_point(probe)]
+        error = hpmap.walk(orbit, max(ns) + 1)
+        for n in sorted(set(ns)):
+            if n + 1 >= len(orbit):
+                raise error
+            val = _normalized(hpmap, kind, n, orbit[n])
+            if scale:
+                res = abs(val - 1.0)
+            else:
+                res = abs(_normalized(hpmap, kind, n, orbit[n + 1]) - val - 1.0)
+            found[n, pid] = (val, res)
     rows, prev_n = [], None
     for n in ns:
         for pid in range(len(probes)):

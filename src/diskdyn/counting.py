@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ensure_disk_point
-from .selfmap import evaluate, preimages
+from .selfmap import _checked, _fibers, evaluate, preimages
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,17 @@ def nevanlinna(f, w: complex) -> CountingSample:
     """Multiplicity-weighted sum of 1 - |a| over the fiber above w."""
     w = ensure_disk_point(w)
     fiber = preimages(f, w)
-    value = sum(m * (1.0 - abs(a)) for a, m in fiber)
-    count = sum(m for _, m in fiber)
-    return CountingSample(point=w, value=value, preimage_count=count)
+    return CountingSample(w, _weighted(fiber), sum(m for _, m in fiber))
+
+
+def _weighted(fiber) -> float:
+    return sum(m * (1.0 - abs(a)) for a, m in fiber)
+
+
+def _scan(f, radii) -> list[float]:
+    """N_f(r) at every radius, the fibers solved together (the first failed
+    one raised)."""
+    return [_weighted(_checked(fiber)) for fiber in _fibers(f, radii)]
 
 
 def lm_functional(f, theta_map, w: complex) -> float:
@@ -62,19 +70,9 @@ def inner_comparability_scan(f, radii) -> ComparabilityScan:
     radii = tuple(float(r) for r in radii)
     if not radii or not all(0.0 < r < 1.0 for r in radii):
         raise ValueError("radii must lie strictly inside (0, 1)")
-    values = []
-    ratios = []
-    for r in radii:
-        n = nevanlinna(f, r).value
-        values.append(n)
-        ratios.append(n / (1.0 - r * r))
-    return ComparabilityScan(
-        radii=radii,
-        values=tuple(values),
-        ratios=tuple(ratios),
-        ratio_min=min(ratios),
-        ratio_max=max(ratios),
-    )
+    values = tuple(_scan(f, radii))
+    ratios = tuple(n / (1.0 - r * r) for r, n in zip(radii, values))
+    return ComparabilityScan(radii, values, ratios, min(ratios), max(ratios))
 
 
 def dyadic_radii(k_min: float, k_max: float, count: int) -> list[float]:
@@ -84,10 +82,8 @@ def dyadic_radii(k_min: float, k_max: float, count: int) -> list[float]:
 
 
 def scan_rows(f, theta_map, radii) -> list[tuple]:
-    """Rows (r, N, ratio, lm_value) for CSV export, one fiber solve per radius."""
-    rows = []
-    for r in radii:
-        sample = nevanlinna(f, r)
-        n = sample.value
-        rows.append((r, n, n / (1.0 - r * r), _lm_value(n, theta_map, sample.point)))
-    return rows
+    """Rows (r, N, ratio, lm_value) for CSV export, the fibers of all radii
+    solved together."""
+    radii = list(radii)
+    return [(r, n, n / (1.0 - r * r), _lm_value(n, theta_map, complex(r)))
+            for r, n in zip(radii, _scan(f, radii))]

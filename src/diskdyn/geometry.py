@@ -29,11 +29,11 @@ def ensure_disk_point(z: complex) -> complex:
     return z
 
 
-def ensure_unimodular(w: complex, tol: float = UNIMODULAR_TOL) -> complex:
-    """Validate that |w| = 1 within tol and return w; a NaN part fails the
-    test."""
+def ensure_unimodular(w: complex) -> complex:
+    """Validate that |w| = 1 within UNIMODULAR_TOL and return w; a NaN part
+    fails the test."""
     w = complex(w)
-    if not abs(abs(w) - 1.0) <= tol:
+    if not abs(abs(w) - 1.0) <= UNIMODULAR_TOL:
         raise ValueError(f"point {w!r} is not unimodular (|w| = {abs(w)!r})")
     return w
 

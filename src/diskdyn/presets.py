@@ -12,13 +12,14 @@ from .geometry import cayley_from_rhp, cayley_to_rhp
 from .selfmap import CompositeMap, FiniteBlaschkeProduct, _stages
 
 
-def squared_mobius(alpha: float) -> FiniteBlaschkeProduct:
-    """((z + alpha)/(1 + alpha z))^2 for 0 < alpha < 1: a degree-2 self-map
-    with attracting boundary point 1.
+def example61(alpha: float = 0.5) -> FiniteBlaschkeProduct:
+    """The member family ((z + alpha)/(1 + alpha z))^2 for 0 < alpha < 1: a
+    degree-2 self-map with attracting boundary point 1.
 
-    Hyperbolic for alpha > 1/3 with boundary derivative 2(1 - alpha)/(1 + alpha);
-    parabolic at alpha = 1/3.  The inner Mobius factor is exactly the zero
-    factor at -alpha, so gamma = 1 reproduces the rational form.
+    Hyperbolic for alpha > 1/3, with positive step and boundary derivative
+    2(1 - alpha)/(1 + alpha); parabolic at alpha = 1/3.  The inner Mobius
+    factor is exactly the zero factor at -alpha, so gamma = 1 reproduces the
+    rational form.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -26,14 +27,9 @@ def squared_mobius(alpha: float) -> FiniteBlaschkeProduct:
     return FiniteBlaschkeProduct(1.0, ((-alpha, 2),))
 
 
-def example61(alpha: float = 0.5) -> FiniteBlaschkeProduct:
-    """The hyperbolic member family; alpha in (1/3, 1) gives positive step."""
-    return squared_mobius(alpha)
-
-
 def example62() -> FiniteBlaschkeProduct:
     """The parabolic zero-step member: alpha = 1/3."""
-    return squared_mobius(1.0 / 3.0)
+    return example61(1.0 / 3.0)
 
 
 def _translation_apply_disk(z: complex) -> complex:

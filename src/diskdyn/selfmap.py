@@ -147,20 +147,6 @@ class FiniteBlaschkeProduct:
         return f"FiniteBlaschkeProduct(gamma={self.gamma!r}, zeros={self.zeros!r})"
 
     @cached_property
-    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients (low to high) of N, D with f = gamma * N / D.
-
-        ``_substitute`` of z = [0, 1] / [1, 0]: N and D have length
-        degree + 1, and a zero at the origin leaves trailing zeros in D.
-        Built on first use: most products are only ever evaluated.
-        """
-        num, den = (rows[0] for rows in self._stack.coefficients)
-        # every caller shares these arrays
-        num.flags.writeable = False
-        den.flags.writeable = False
-        return num, den
-
-    @cached_property
     def _stack(self) -> _ProductStack:
         """This product as a stack of one."""
         return _ProductStack(np.array([self.gamma]), np.array([[a for a, _ in self.zeros]]),
@@ -544,9 +530,12 @@ def _composite_fibers(stages, owners, targets) -> list:
             layer = layers[i]
             fibers = [next(solved) for _ in layer]
             failed = [fiber for fiber in fibers if isinstance(fiber, RootFindingError)]
-            layers[i] = failed[0] if failed else _merge_pseudo_hyperbolic([
-                (z, m * mult) for (_, mult), fiber in zip(layer, fibers) for z, m in fiber
-            ])
+            if failed:
+                layers[i] = failed[0]
+                continue
+            cands = [(z, m * mult) for (_, mult), fiber in zip(layer, fibers) for z, m in fiber]
+            # one point's fiber is merged already (over 0, its zero list as given)
+            layers[i] = cands if len(layer) == 1 else _merge_pseudo_hyperbolic(cands)
     for layer in layers:
         if isinstance(layer, list):
             layer.sort(key=_re_im)
@@ -576,7 +565,11 @@ def preimages(f, w: complex) -> list[tuple[complex, int]]:
     degrees equal to the stage degrees.  Returns pairs sorted by (re, im);
     the fiber of a product over 0 is its merged zero list in that order.
     """
-    fiber = _fibers(f, [w])[0]
+    return _checked(_fibers(f, [w])[0])
+
+
+def _checked(fiber) -> list[tuple[complex, int]]:
+    """A fiber from _fibers, or its RootFindingError raised."""
     if isinstance(fiber, RootFindingError):
         raise fiber
     return fiber
@@ -588,14 +581,12 @@ def critical_points(f) -> list[tuple[complex, int]]:
     if len(stages) > 1:
         # f = s_k o ... o s_1; critical points are those of s_1 plus the
         # preimages under the partial compositions of later-stage ones
-        result: list[tuple[complex, int]] = []
-        prefix: CompositeMap | FiniteBlaschkeProduct = stages[0]
-        result.extend(critical_points(stages[0]))
+        result = critical_points(stages[0])
         for k in range(1, len(stages)):
-            for c, m in critical_points(stages[k]):
-                for z, mz in preimages(prefix, c):
-                    result.append((z, m * mz))
-            prefix = CompositeMap(stages[: k + 1])
+            prefix = stages[0] if k == 1 else CompositeMap(stages[:k])
+            crits = critical_points(stages[k])
+            for (_, m), fiber in zip(crits, _fibers(prefix, [c for c, _ in crits])):
+                result.extend((z, m * mz) for z, mz in _checked(fiber))
         result = _merge_pseudo_hyperbolic(result)
         result.sort(key=_re_im)
         return result
@@ -603,7 +594,7 @@ def critical_points(f) -> list[tuple[complex, int]]:
     f = stages[0]
     if f.degree == 1:
         return []
-    num, den = f.coefficients
+    num, den = (rows[0] for rows in f._stack.coefficients)
     dnum = npp.polysub(npp.polymul(npp.polyder(num), den), npp.polymul(num, npp.polyder(den)))
     # an m-fold zero is an exact (m-1)-fold critical point: divide it out, and
     # its mirror (1 - conj(a) z)^(m-1), whose roots may round into the disk

@@ -85,7 +85,9 @@ class _ProductStack:
 
     @cached_property
     def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, FiniteBlaschkeProduct.coefficients."""
+        """Per row, the coefficients (low to high) of N, D with f = gamma N / D:
+        ``_substitute`` of z = [0, 1] / [1, 0], so a zero at the origin
+        leaves trailing zeros in D."""
         return _substitute(self, np.array([0.0, 1.0 + 0.0j]), np.array([1.0 + 0.0j, 0.0]))
 
 

@@ -6,6 +6,7 @@ import pytest
 from diskdyn import abel
 from diskdyn import presets
 from diskdyn.selfmap import HalfPlaneConjugate
+from diskdyn.transport import _kernel
 
 PROBE_RING = [1.0 + 0.5 * cmath.exp(2j * math.pi * k / 10) for k in range(10)]
 
@@ -254,8 +255,101 @@ class TestResidualTable:
     def test_one_trajectory_per_probe(self, kind):
         hpmap = abel.HalfPlaneMap(presets.example62())
         hpmap.orbit_point(101)  # the base orbit is not what is counted
+        # transport steps: apply calls plus the points the kernel walks
         calls = []
-        conj_apply = hpmap.apply
+        conj_apply, conj_walk = hpmap.apply, hpmap.walk
         hpmap.apply = lambda w: calls.append(w) or conj_apply(w)
+
+        def walk(orbit, count):
+            start = len(orbit)
+            error = conj_walk(orbit, count)
+            calls.extend(orbit[start:])
+            return error
+
+        hpmap.walk = walk
         abel.residual_table(hpmap, kind, (10, 50, 100), PROBE_RING[:3])
         assert len(calls) == 3 * (100 + 1)
+
+
+def table_by_step(hpmap, kind, ns, probes):
+    """residual_table with one apply call per step of each probe."""
+    scale = abel._scale_normalized(kind)
+    wanted = set(ns)
+    found = {}
+    for pid, probe in enumerate(probes):
+        w = hpmap.iterate(probe, 0)
+        for n in range(max(ns) + 1):
+            w_next = hpmap.apply(w)
+            if n in wanted:
+                val = abel._normalized(hpmap, kind, n, w)
+                if scale:
+                    res = abs(val - 1.0)
+                else:
+                    res = abs(abel._normalized(hpmap, kind, n, w_next) - val - 1.0)
+                found[n, pid] = (val, res)
+            w = w_next
+    rows, prev_n = [], None
+    for n in ns:
+        for pid in range(len(probes)):
+            val, res = found[n, pid]
+            diff = float("nan") if prev_n is None else abs(val - found[prev_n, pid][0])
+            rows.append((n, pid, res, diff))
+        prev_n = n
+    return rows
+
+
+def stub_map(base_limit, probe_limit):
+    """A HalfPlaneMap stepping w -> 1.01 (w + 1), apply and walk alike: past
+    Re w = base_limit a real point leaves the half-plane (so the base orbit
+    from 1 fails), past Re w = probe_limit a point above Im w = 0.3 raises."""
+    def step(w):
+        if w.imag > 0.3 and w.real > probe_limit:
+            raise OverflowError(f"stub step refused {w!r}")
+        if w.imag == 0 and w.real > base_limit:
+            return -w
+        return 1.01 * (w + 1.0)
+
+    hpmap = abel.HalfPlaneMap(presets.example62())
+    hpmap._step, hpmap.walk = _kernel(None)(step)
+    return hpmap
+
+
+def table_outcome(table, limits, kind, ns, probes):
+    """repr of the rows (exact float bits, nan included) on a fresh stub map,
+    or the error's type and message."""
+    try:
+        return repr(table(stub_map(*limits), kind, ns, probes))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestResidualTableAgainstSteps:
+    """residual_table walks each probe in the kernel; it gives the rows, or
+    raises the error, of one apply call per step."""
+
+    @pytest.mark.parametrize("kind", ["baker_pommerenke_h", "pommerenke_g"])
+    @pytest.mark.parametrize("limits, ns, expected", [
+        ((math.inf, math.inf), (3, 8, 20, 40), None),
+        ((math.inf, math.inf), (40, 3, 20, 8, 20), None),
+        # the first probe rises above Im w = 0.3 and walks to w_25, the last
+        # point before Re w = 30: n = 24 is the last n it can list
+        ((math.inf, 30.0), (3, 8, 20, 40), "OverflowError"),
+        ((math.inf, 30.0), (40, 3, 20, 8, 20), "OverflowError"),
+        ((math.inf, 30.0), (3, 8, 24), None),
+        ((math.inf, 30.0), (3, 8, 25), "OverflowError"),
+        # the base orbit leaves the half-plane near index 10: n = 20 raises
+        # that before n = 40 could raise the first probe's walk error
+        ((10.0, 30.0), (3, 8, 20, 40), "ArithmeticError"),
+        ((10.0, 30.0), (40, 3, 20, 8, 20), "ArithmeticError"),
+    ])
+    def test_same_rows_or_error(self, kind, limits, ns, expected):
+        probes = PROBE_RING[1:5]
+        want = table_outcome(table_by_step, limits, kind, ns, probes)
+        assert table_outcome(abel.residual_table, limits, kind, ns, probes) == want
+        assert isinstance(want, str) if expected is None else want[0] == expected
+
+    def test_real_parabolic_map(self, parabolic_map):
+        ns, probes = (1, 62, 125, 250, 500, 1000), PROBE_RING
+        want = table_by_step(parabolic_map, "baker_pommerenke_h", ns, probes)
+        got = abel.residual_table(parabolic_map, "baker_pommerenke_h", ns, probes)
+        assert repr(got) == repr(want)

@@ -260,20 +260,21 @@ class TestCommands:
         from diskdyn import counting
 
         calls = []
-        original = counting.preimages
+        original = counting._fibers
 
-        def solve(f, w):
-            calls.append(w)
-            return original(f, w)
+        def solve(f, targets):
+            calls.append(list(targets))
+            return original(f, targets)
 
-        monkeypatch.setattr(counting, "preimages", solve)
+        monkeypatch.setattr(counting, "_fibers", solve)
         code = cli.main([
             "nevanlinna", "--preset", "example61", "--alpha", "0.5",
             "--out-dir", str(tmp_path / "o"),
         ])
         assert code == 0
-        assert len(calls) == 25
-        assert len(set(calls)) == 25
+        (radii,) = calls
+        assert len(radii) == 25
+        assert len(set(radii)) == 25
 
     def test_paper_suite_end_to_end(self, tmp_path):
         out = tmp_path / "o"

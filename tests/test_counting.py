@@ -98,3 +98,79 @@ def test_scan_rows_shape():
     assert r == 0.5
     assert n == pytest.approx(2 * (1 - math.sqrt(0.5)), abs=1e-12)
     assert ratio == pytest.approx(n / 0.75, abs=1e-12)
+
+
+def scan_by_radius(f, radii):
+    """inner_comparability_scan with one nevanlinna call per radius."""
+    radii = tuple(float(r) for r in radii)
+    if not radii or not all(0.0 < r < 1.0 for r in radii):
+        raise ValueError("radii must lie strictly inside (0, 1)")
+    values, ratios = [], []
+    for r in radii:
+        n = ct.nevanlinna(f, r).value
+        values.append(n)
+        ratios.append(n / (1.0 - r * r))
+    return ct.ComparabilityScan(radii, tuple(values), tuple(ratios), min(ratios), max(ratios))
+
+
+def rows_by_radius(f, theta_map, radii):
+    """scan_rows with one nevanlinna call per radius."""
+    rows = []
+    for r in radii:
+        sample = ct.nevanlinna(f, r)
+        n = sample.value
+        rows.append((r, n, n / (1.0 - r * r), ct._lm_value(n, theta_map, sample.point)))
+    return rows
+
+
+def outcome(fn, *args):
+    """repr of fn's result (exact float bits, nan included), or its error's
+    type and message."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestBatchedScans:
+    """Both scans solve every radius's fiber in one _fibers call; each must
+    give what one nevanlinna call per radius gives, bit for bit, and raise
+    the same error."""
+
+    MAPS = [
+        presets.example61(0.5),
+        sm.identity_map(),
+        sm.FiniteBlaschkeProduct(1j, ((0.2 + 0.1j, 2), (-0.5j, 1), (0.7, 1))),
+        sm.compose(presets.example61(0.6), presets.example62()),
+    ]
+
+    def assert_scans_match(self, f, theta_map, radii):
+        assert outcome(ct.inner_comparability_scan, f, radii) == outcome(scan_by_radius, f, radii)
+        want = outcome(rows_by_radius, f, theta_map, radii)
+        assert outcome(ct.scan_rows, f, theta_map, radii) == want
+        return want
+
+    @pytest.mark.parametrize("f", MAPS)
+    @pytest.mark.parametrize("count", [3, 24])
+    def test_every_radius_as_alone(self, f, count):
+        # 24 nonzero targets are solved in lanes, 3 fiber by fiber
+        want = self.assert_scans_match(f, presets.example61(0.5), ct.dyadic_radii(1, 9, count))
+        assert isinstance(want, str)
+
+    def test_radius_outside_the_disk(self):
+        radii = ct.dyadic_radii(1, 9, 24)
+        radii[5] = 1.5
+        want = self.assert_scans_match(self.MAPS[0], sm.identity_map(), radii)
+        assert want == ("ValueError", "point (1.5+0j) is not strictly inside the unit disk")
+
+    @pytest.mark.parametrize("f", [MAPS[0], MAPS[3]])
+    def test_first_failed_fiber(self, f, monkeypatch):
+        # the tighter tolerance fails radius 8 of 24 first on the product,
+        # radius 1 on the composite, and later ones after them
+        monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", 3e-16)
+        want = self.assert_scans_match(f, sm.identity_map(), ct.dyadic_radii(1, 9, 24))
+        assert want[0] == "RootFindingError"
+
+    def test_theta_map_not_blaschke_type(self):
+        want = self.assert_scans_match(self.MAPS[0], lambda z: z, ct.dyadic_radii(1, 9, 24))
+        assert want[0] == "TypeError" and "not a Blaschke-type map" in want[1]

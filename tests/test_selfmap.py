@@ -156,7 +156,7 @@ class TestPolynomialForms:
     def test_coefficients_give_the_map(self):
         gamma, c = cmath.exp(0.9j), 0.4 - 0.3j
         f = sm.FiniteBlaschkeProduct(gamma, ((0.0, 1), (c, 3)))
-        num, den = f.coefficients
+        num, den = (rows[0] for rows in f._stack.coefficients)
         assert len(num) == len(den) == f.degree + 1
         for z in (0.0, 0.3 + 0.2j, -0.7j, 0.85 - 0.1j, cmath.exp(2.0j)):
             value = gamma * npp.polyval(z, num) / npp.polyval(z, den)
@@ -424,6 +424,26 @@ class TestBatchedFibers:
                     expected = np.sort(np.linalg.eigvals(npp.polycompanion(row)))
                 assert np.array_equal(roots, expected)
 
+    def test_one_point_layer_keeps_its_stage_fiber(self):
+        # zeros 1e-10 apart are distinct zeros of the product, and the fiber
+        # over 0 is its zero list: a one-stage composite gives that list too
+        # (it merged the two into ((0.3+0j), 2)), and agrees off 0
+        p = sm.FiniteBlaschkeProduct(1.0, [(0.3, 1), (0.3 + 1e-10, 1), (-0.5j, 1)])
+        one = sm.CompositeMap((p,))
+        for w in (0.0, 0.2 - 0.1j):
+            assert bits(sm.preimages(one, w)) == bits(sm.preimages(p, w))
+            assert bits(sm._fibers(one, [w, w])[1]) == bits(sm.preimages(p, w))
+        assert [m for _, m in sm.preimages(one, 0.0)] == [1, 1, 1]
+        # the fiber over 0 of a last stage with a double zero is that zero
+        # with multiplicity 2, which each point of the first stage's fiber
+        # above it keeps
+        cubic = sm.FiniteBlaschkeProduct(1.0, [(-0.5, 3)])
+        quadratic = sm.FiniteBlaschkeProduct(1.0, [(-1 / 3, 2)])
+        assert sm.preimages(quadratic, 0.0) == [(-1 / 3 + 0j, 2)]
+        fiber = sm.preimages(sm.CompositeMap((cubic, quadratic)), 0.0)
+        assert [m for _, m in fiber] == [2, 2, 2]
+        assert bits(fiber) == bits([(z, 2) for z, _ in sm.preimages(cubic, -1 / 3)])
+
     def test_failed_fiber_is_returned_not_raised(self, monkeypatch):
         # no residual passes a negative tolerance, so only the exact fiber
         # over 0 survives
@@ -557,7 +577,7 @@ class TestLanes:
         targets = [random_disk_point(rng, 0.9) for _ in range(30)]
         targets[7] = sm.evaluate(f, crit)
         w = np.array(targets)
-        num, den = f.coefficients
+        num, den = (rows[0] for rows in f._stack.coefficients)
         polys = f.gamma * num - w[:, None] * den
         certified = sm._lane_fibers(f._stack, w, sm._stacked_roots(polys))
         assert [k for k, fiber in enumerate(certified) if fiber is None] == [7]
@@ -572,7 +592,7 @@ class TestLanes:
         f = presets.example61(0.6)
         rng = np.random.default_rng(17)
         w = np.array([random_disk_point(rng, 0.9) for _ in range(30)])
-        num, den = f.coefficients
+        num, den = (rows[0] for rows in f._stack.coefficients)
         polys = f.gamma * num - w[:, None] * den
         roots = sm._stacked_roots(polys)
         moved = roots.copy()
@@ -1086,6 +1106,72 @@ class TestCriticalPoints:
             m = int(rng.integers(2, 5))
             f = sm.FiniteBlaschkeProduct(cmath.exp(2j * math.pi * rng.random()), [(a, m)])
             assert sm.critical_points(f) == [(a, m - 1)]
+
+
+def critical_points_by_value(f):
+    """critical_points of a composite with one preimages call per critical
+    point of each later stage."""
+    stages = f.stages
+    result = list(sm.critical_points(stages[0]))
+    prefix = stages[0]
+    for k in range(1, len(stages)):
+        for c, m in sm.critical_points(stages[k]):
+            for z, mz in sm.preimages(prefix, c):
+                result.append((z, m * mz))
+        prefix = sm.CompositeMap(stages[: k + 1])
+    result = sm._merge_pseudo_hyperbolic(result)
+    result.sort(key=sm._re_im)
+    return result
+
+
+def stage_of_degree(rng, degree, double=False):
+    """A seeded product of the given degree, its first zero double if asked."""
+    zeros = [(random_disk_point(rng, 0.85), 1) for _ in range(degree - double)]
+    if double:
+        zeros[0] = (zeros[0][0], 2)
+    return sm.FiniteBlaschkeProduct(cmath.exp(2j * math.pi * rng.random()), zeros)
+
+
+def outcome_of(fn, f):
+    """("ok", bits) of fn(f), or its RootFindingError's type and message."""
+    try:
+        return "ok", bits(fn(f))
+    except sm.RootFindingError as exc:
+        return outcome(exc)
+
+
+class TestCompositeCriticalPoints:
+    """A composite's later-stage critical points are pulled back through the
+    prefix in one _fibers call per stage; the result, or the error, is that
+    of one preimages call per point, bit for bit."""
+
+    # (stage degrees, index of the stage with a double zero); the last
+    # pulls 5 points back through a degree-12 prefix, a first-stage layer
+    # of 20 points, which is solved in lanes
+    SHAPES = [((2, 3), None), ((3, 2), 1), ((2, 2, 3), 0), ((3, 4, 6), 2)]
+
+    def composites(self, seed):
+        rng = np.random.default_rng(seed)
+        for degrees, double in self.SHAPES:
+            yield sm.CompositeMap(tuple(stage_of_degree(rng, d, k == double)
+                                        for k, d in enumerate(degrees)))
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_as_one_point_at_a_time(self, seed):
+        for f in self.composites(seed):
+            cps = sm.critical_points(f)
+            assert bits(cps) == bits(critical_points_by_value(f))
+            assert sum(m for _, m in cps) == f.degree - 1
+
+    def test_first_failed_fiber(self, monkeypatch):
+        monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", 3e-16)
+        errors = 0
+        for seed in (41, 42, 43):
+            for f in self.composites(seed):
+                want = outcome_of(critical_points_by_value, f)
+                assert outcome_of(sm.critical_points, f) == want
+                errors += want[0] == "RootFindingError"
+        assert errors > 0
 
 
 class TestSchwarzPick:
