@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _boundary_class
+from .geometry import in_halfplane
 from .selfmap import HalfPlaneConjugate
 
 
@@ -44,7 +45,7 @@ class HalfPlaneMap(HalfPlaneConjugate):
             raise ValueError("orbit index must be nonnegative")
         while len(self._orbit) <= n:
             w = self.apply(self._orbit[-1])
-            if not w.real > 0:
+            if not in_halfplane(w):
                 raise ArithmeticError(f"transported orbit left the half-plane at {w!r}")
             if abs(w) > 1e280:
                 raise ArithmeticError(
@@ -75,9 +76,9 @@ class HalfPlaneMap(HalfPlaneConjugate):
 
 
 def _halfplane_point(w) -> complex:
-    """complex(w), refused unless its real part is positive."""
+    """complex(w), refused unless it is a half-plane point (in_halfplane)."""
     w = complex(w)
-    if w.real <= 0:
+    if not in_halfplane(w):
         raise ValueError(f"half-plane point needed, got {w!r}")
     return w
 

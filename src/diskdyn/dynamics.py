@@ -205,7 +205,7 @@ def _settle(u, v, start, prev, run):
     earlier pair freezes."""
     ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
     with np.errstate(all="ignore"):
-        # a NaN part is outside too, as in geometry's half-plane checks
+        # geometry.in_halfplane of each point: a NaN part is outside too
         outside = ~(ur > 0.0) | ~(vr > 0.0) | np.isnan(ui) | np.isnan(vi)
         # rho = |(v - u) / (v + conj u)|, whose denominator is 0 only
         # outside the half-plane; Python's abs gives one NaN, sign bit clear

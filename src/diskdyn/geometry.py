@@ -127,11 +127,16 @@ def cayley_to_rhp(z: complex) -> complex:
     return (1.0 + z) / (1.0 - z)
 
 
+def in_halfplane(w: complex) -> bool:
+    """Whether w is in the open right half-plane; a NaN part fails the test."""
+    return w.real > 0.0 and not math.isnan(w.imag)
+
+
 def cayley_from_rhp(w: complex) -> complex:
     """Inverse of cayley_to_rhp: w -> (w - 1)/(w + 1) for Re w > 0; a NaN
     part fails the test."""
     w = complex(w)
-    if not w.real > 0.0 or math.isnan(w.imag):
+    if not in_halfplane(w):
         raise ValueError(f"cayley_from_rhp requires Re w > 0, got {w!r}")
     return (w - 1.0) / (w + 1.0)
 
@@ -142,13 +147,8 @@ def halfplane_pseudo_hyperbolic(z: complex, w: complex) -> float:
     Equals the disk distance of the Cayley preimages; stable for large |w|.
     A NaN part fails the test.
     """
-    z = complex(z)
-    w = complex(w)
-    if not z.real > 0.0 or not w.real > 0.0 or math.isnan(z.imag) or math.isnan(w.imag):
+    z, w = complex(z), complex(w)
+    if not (in_halfplane(z) and in_halfplane(w)):
         raise ValueError("half-plane points need positive real part")
-    num = w - z
-    den = w + z.conjugate()
-    if den == 0:
-        return 1.0
-    return abs(num / den)
+    return abs((w - z) / (w + z.conjugate()))
 

@@ -84,9 +84,9 @@ def _factor(zr, zi, a, ac, u):
 
 def value(f, zr, zi):
     """The stack f at the lanes z = zr + i zi, as _eval_fbp's factor loop
-    computes it; products of more than 32 zeros are evaluated with numpy."""
+    computes it, for at most selfmap._SCALAR_MAX_ZEROS zeros (numpy past it)."""
     vr, vi = f.gamma.real, f.gamma.imag
-    for (a, ac, u, mult), origin in zip(f.factors, f.origin):
+    for (a, ac, u, mult), origin in zip(f.factors, f._origin):
         if origin:
             fr, fi = zr, zi
         else:
@@ -101,7 +101,7 @@ def jet(f, zr, zi):
     """(f, f') of the stack f at the lanes z = zr + i zi, as _jet_fbp
     computes them; f' from the stack's slopes u (1 - |a|^2)."""
     vr, vi, dr, di = f.gamma.real, f.gamma.imag, 0.0, 0.0
-    for (a, ac, u, mult), k, origin in zip(f.factors, f.slopes, f.origin):
+    for (a, ac, u, mult), k, origin in zip(f.factors, f.slopes, f._origin):
         if origin:
             fr, fi, gr, gi = zr, zi, 1.0, 0.0
         else:

@@ -58,9 +58,9 @@ def _random_disk_point(rng, radius=0.95):
 def _stack_products(products) -> tuple[list, np.ndarray, np.ndarray]:
     """Products given as (gamma, [zero, ...]) pairs, stacked: product i is
     row row[i] of stacks[which[i]], as FiniteBlaschkeProduct(gamma, zeros)
-    builds it.  Products of d distinct zeros off the origin share the
-    degree-d stack; every other product is a stack of one built by
-    FiniteBlaschkeProduct, in order, so invalid input raises its error."""
+    builds it.  Products of d <= selfmap._SCALAR_MAX_ZEROS distinct zeros
+    off the origin share the degree-d stack; every other product, in order,
+    is a stack of one built by FiniteBlaschkeProduct (invalid input raises)."""
     which = np.zeros(len(products), dtype=np.intp)
     row = np.zeros(len(products), dtype=np.intp)
     stacks: list = []
@@ -75,7 +75,7 @@ def _stack_products(products) -> tuple[list, np.ndarray, np.ndarray]:
         i, j = np.triu_indices(d, 1)
         inside = np.hypot(zeros.real, zeros.imag) < 1.0 - DISK_MARGIN
         plain = (inside & (zeros != 0)).all(axis=1)
-        plain &= (zeros[:, i] != zeros[:, j]).all(axis=1) & (0 < d <= 32)
+        plain &= (zeros[:, i] != zeros[:, j]).all(axis=1) & (0 < d <= selfmap._SCALAR_MAX_ZEROS)
         plain &= np.abs(np.hypot(gamma.real, gamma.imag) - 1.0) <= UNIMODULAR_TOL
         members = np.array(members)
         which[members[plain]] = len(stacks)
@@ -93,8 +93,8 @@ def _stacked_values(stacks, which, rows, points) -> np.ndarray:
     """selfmap.evaluate(product rows[i] of stacks[which[i]], points[i, j])
     for every i and j, as a complex array: in lanes of products by points,
     stack by stack.  A point outside the closed disk, a value that is not
-    finite and a product of more than 32 zeros go through evaluate, which
-    raises its error."""
+    finite and a product of more than selfmap._SCALAR_MAX_ZEROS zeros go
+    through evaluate, which raises its error."""
     z = np.asarray(points, dtype=complex)
     out = np.empty(z.shape, dtype=complex)
     for s, stack in enumerate(stacks):
@@ -102,7 +102,7 @@ def _stacked_values(stacks, which, rows, points) -> np.ndarray:
         with np.errstate(all="ignore"):
             out.real[members], out.imag[members] = lanes.value(
                 stack.take(rows[members]), z.real[members], z.imag[members])
-        if len(stack.mults) > 32:
+        if len(stack.mults) > selfmap._SCALAR_MAX_ZEROS:
             out[members] = np.nan
     scalar = ~(np.hypot(z.real, z.imag) <= 1.0 + 1e-12) | ~np.isfinite(out)
     for i, j in zip(*np.nonzero(scalar)):

@@ -40,6 +40,10 @@ CLUSTER_RADIUS = 1e-3
 # go fiber by fiber
 _LANE_MIN_TARGETS = 20
 
+# products of more distinct zeros are built in lanes (_lane_zeros) and
+# evaluated with numpy by _eval_fbp, which lanes.value does not mirror
+_SCALAR_MAX_ZEROS = 32
+
 # |p| <= this * sum |p_k| |z|^k (Horner's rounding scale; <= 2e-15 at
 # example62's triple fixed point) at a cluster's polished mean z makes it one
 # multiple root; at the midpoint of two simple roots delta apart |p| is about
@@ -87,12 +91,12 @@ def _normalize_zeros(zeros) -> tuple[tuple[complex, int], ...]:
 
 
 def _lane_zeros(entries):
-    """(zeros, multiplicities, zero array) of a product of more than 32 zeros
-    for the stack's lane constructor, which builds its table bit for bit as
-    the scalar loop does; None for input only that loop can take: other than
-    a list or tuple of (complex, int) pairs, a multiplicity outside [1, 2**63)
-    (the stack's int64), a repeated zero, or a zero outside the disk."""
-    if not (isinstance(entries, (tuple, list)) and len(entries) > 32
+    """(zeros, multiplicities, zero array) of a product of more than
+    _SCALAR_MAX_ZEROS zeros, for the stack's lane constructor, which builds
+    its table bit for bit as the scalar loop does; None for input only that
+    loop can take: not a list or tuple of (complex, int) pairs, a multiplicity
+    outside [1, 2**63) (int64), a repeated zero or a zero outside the disk."""
+    if not (isinstance(entries, (tuple, list)) and len(entries) > _SCALAR_MAX_ZEROS
             and set(map(type, entries)) == {tuple} and set(map(len, entries)) == {2}):
         return None
     points, mults = zip(*entries)
@@ -119,7 +123,6 @@ class FiniteBlaschkeProduct:
         lane = _lane_zeros(zeros)
         if lane is not None:
             points, mults, a = lane
-            # not kept by its stack: a cycle would wait for a full collection
             self._stack = stack = _ProductStack(np.array([self.gamma]), a[None], mults)
             self.zeros = tuple(zeros)
             u = stack._u[0].tolist()
@@ -150,7 +153,7 @@ class FiniteBlaschkeProduct:
     def _stack(self) -> _ProductStack:
         """This product as a stack of one."""
         return _ProductStack(np.array([self.gamma]), np.array([[a for a, _ in self.zeros]]),
-                             [m for _, m in self.zeros], self)
+                             [m for _, m in self.zeros])
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ def _stages(f) -> tuple[FiniteBlaschkeProduct, ...]:
 
 
 def _eval_fbp(f: FiniteBlaschkeProduct, z: complex) -> complex:
-    if len(f.factors) > 32:
+    if len(f.factors) > _SCALAR_MAX_ZEROS:
         s = f._stack
         factors = np.where(s._origin, z, s._u[0] * (z - s.zeros[0]) / (1.0 - s._conj[0] * z))
         return complex(f.gamma * np.prod(factors ** s._mult))
@@ -422,7 +425,7 @@ def _fiber(f: FiniteBlaschkeProduct, w: complex, poly, roots) -> list[tuple[comp
 
 def _lane_fibers(f: _ProductStack, w: np.ndarray, roots: np.ndarray) -> list:
     """_fiber over each target w[k] from its row roots[k], in lanes, under
-    row k of the stack f (or its one product).
+    row k of the stack f (a stack of one serves every k).
 
     Per row: the cluster test on every pair of roots, two guarded Newton
     steps on each root, the same-point test on every pair, the residual and
@@ -459,8 +462,6 @@ def _lane_fibers(f: _ProductStack, w: np.ndarray, roots: np.ndarray) -> list:
 
 def _row_product(f: _ProductStack, r: int) -> FiniteBlaschkeProduct:
     """Row r of the stack as a FiniteBlaschkeProduct, for the scalar paths."""
-    if f.product is not None:
-        return f.product
     return FiniteBlaschkeProduct(complex(f.gamma[r, 0]), list(zip(f.zeros[r].tolist(), f.mults)))
 
 
@@ -469,8 +470,8 @@ def _product_fibers(f: _ProductStack, rows: np.ndarray, targets: list[complex]) 
     stack f, the roots of all nonzero targets from one ``_stacked_roots``
     call.  Over 0 the fiber is the exact (merged) zero list.  A failed fiber
     is its RootFindingError.  A batch of at least _LANE_MIN_TARGETS nonzero
-    targets, on products of at most 32 zeros, goes through _lane_fibers
-    first."""
+    targets, on products of at most _SCALAR_MAX_ZEROS zeros, goes through
+    _lane_fibers first."""
     num, den = f.coefficients
     nonzero = [k for k, w in enumerate(targets) if w != 0]
     held = rows[nonzero]
@@ -478,9 +479,8 @@ def _product_fibers(f: _ProductStack, rows: np.ndarray, targets: list[complex]) 
     # |gamma N_d| = 1 > |w D_d| for |w| < 1, so no leading coefficient is 0
     polys = f.gamma[held] * num[held] - w[:, None] * den[held]
     roots = _stacked_roots(polys) if len(w) else None
-    certified = None
-    if len(w) >= _LANE_MIN_TARGETS and len(f.mults) <= 32:
-        certified = _lane_fibers(f.take(held), w, roots)
+    lane = len(w) >= _LANE_MIN_TARGETS and len(f.mults) <= _SCALAR_MAX_ZEROS
+    certified = _lane_fibers(f.take(held), w, roots) if lane else None
     fibers: list = []
     k = 0
     for target, r in zip(targets, rows.tolist()):
@@ -583,9 +583,9 @@ def critical_points(f) -> list[tuple[complex, int]]:
         # preimages under the partial compositions of later-stage ones
         result = critical_points(stages[0])
         for k in range(1, len(stages)):
-            prefix = stages[0] if k == 1 else CompositeMap(stages[:k])
             crits = critical_points(stages[k])
-            for (_, m), fiber in zip(crits, _fibers(prefix, [c for c, _ in crits])):
+            fibers = _fibers(CompositeMap(stages[:k]), [c for c, _ in crits])
+            for (_, m), fiber in zip(crits, fibers):
                 result.extend((z, m * mz) for z, mz in _checked(fiber))
         result = _merge_pseudo_hyperbolic(result)
         result.sort(key=_re_im)

@@ -22,24 +22,22 @@ class _ProductStack:
 
     Row r is gamma[r] times the product over columns j of the factor of
     zeros[r, j] to the power mults[j]; a column is the origin in every row
-    or in none (``origin``, a mask ``_origin``).  ``factors`` holds per
+    or in none (the mask ``_origin``).  ``factors`` holds per
     column (a, conj(a), u, mult) and ``slopes`` u (1 - |a|^2), as (rows, 1)
     arrays built bit for bit as FiniteBlaschkeProduct and _jet_fbp build
     these scalars, so that each row of a lane batch reads its own product's
     constants.  A single product is a stack of one, its one array table
-    (FiniteBlaschkeProduct._stack), which keeps a product not built in lanes.
+    (FiniteBlaschkeProduct._stack); a row's product is rebuilt from the row.
     """
 
-    def __init__(self, gamma, zeros, mults, product=None):
+    def __init__(self, gamma, zeros, mults):
         self.gamma = gamma[:, None]
         self.zeros = zeros
         self.mults = tuple(mults)
         self.degree = sum(self.mults)
-        self.product = product
         self._conj = zeros.conj()
         self._mult = np.array(self.mults)
         self._origin = (zeros == 0).all(axis=0)
-        self.origin = tuple(self._origin.tolist())
         # u = -unit_direction(a), and 1 at the origin (which has no direction)
         ur, ui = lanes.direction(np.where(self._origin, 1.0, zeros.real), zeros.imag)
         self._u = np.empty(zeros.shape, dtype=complex)

@@ -70,6 +70,46 @@ class TestHalfPlaneMap:
         assert 100 < n < 500
         assert abs(hyper.orbit_point(n)) <= 1e100
 
+    def test_max_feasible_index_stops_where_the_orbit_fails(self):
+        # the stub's base orbit passes Re w = 10 at w_9, so w_10 is not
+        # a half-plane point
+        hpmap = stub_map(10.0, math.inf)
+        assert hpmap.max_feasible_index(100) == 9
+        with pytest.raises(ArithmeticError, match="left the half-plane"):
+            hpmap.orbit_point(10)
+
+    def test_iterate_raises_the_walk_error(self):
+        with pytest.raises(OverflowError, match="stub step refused"):
+            stub_map(math.inf, 30.0).iterate(1.0 + 0.5j, 40)
+
+
+NAN_POINTS = [complex(math.nan, 1.0), complex(1.0, math.nan)]
+
+
+class TestNanPoints:
+    """A point with a NaN part is not a half-plane point
+    (geometry.in_halfplane): each entry refuses it."""
+
+    @pytest.mark.parametrize("w", NAN_POINTS)
+    def test_entries_refuse_a_nan_part(self, w, translation_map):
+        message = "half-plane point needed"
+        with pytest.raises(ValueError, match=message):
+            translation_map.iterate(w, 5)
+        with pytest.raises(ValueError, match=message):
+            abel.pommerenke_g(translation_map, w, 5)
+        with pytest.raises(ValueError, match=message):
+            abel.baker_pommerenke_h(translation_map, w, 5)
+        with pytest.raises(ValueError, match=message):
+            abel.extract_semiconjugacy(translation_map, 5, PROBE_RING[:8] + [w])
+        with pytest.raises(ValueError, match=message):
+            abel.residual_table(translation_map, "baker_pommerenke_h", (5, 10), [w, 1.5])
+
+    def test_base_orbit_with_a_nan_part_left_the_half_plane(self):
+        hpmap = abel.HalfPlaneMap(presets.example62())
+        hpmap._step = lambda w: complex(1.0, math.nan)
+        with pytest.raises(ArithmeticError, match="left the half-plane"):
+            hpmap.orbit_point(1)
+
 
 class TestAnchors:
     @pytest.mark.parametrize("n", [1, 10, 50, 200])
@@ -190,6 +230,20 @@ class TestSemiconjugacy:
     def test_too_few_probes_refused(self, translation_map):
         with pytest.raises(ValueError, match="at least 8"):
             abel.extract_semiconjugacy(translation_map, 5, PROBE_RING[:5])
+
+    @pytest.mark.parametrize("psi, fixed, parabolic", [
+        # (2w + 1)/(w + 3): fixed points (-1 +- sqrt 5)/2
+        ((2.0, 1.0, 1.0, 3.0), sorted([(-1 - 5 ** 0.5) / 2, (-1 + 5 ** 0.5) / 2]), False),
+        # (3w - 1)/(w + 1): a double fixed point at 1
+        ((3.0, -1.0, 1.0, 1.0), [1.0, 1.0], True),
+    ])
+    def test_fit_of_a_map_that_is_not_affine(self, psi, fixed, parabolic):
+        a, b, c, d = psi
+        fit = abel._fit_mobius([(w, (a * w + b) / (c * w + d)) for w in PROBE_RING])
+        assert fit.parabolic is parabolic and fit.multiplier is None
+        assert fit.residual < 1e-12
+        assert sorted(z.real for z in fit.fixed_points) == pytest.approx(fixed, abs=1e-6)
+        assert [z.imag for z in fit.fixed_points] == pytest.approx([0.0, 0.0], abs=1e-6)
 
     def test_one_trajectory_per_probe(self):
         n = 332

@@ -180,3 +180,12 @@ def test_same_point_threshold_and_no_validation():
     assert not g.same_point(outside, 0.5)
     # zero denominator: conj(w) z = 1
     assert not g.same_point(2.0, 0.5)
+
+
+@pytest.mark.parametrize("w, inside", [
+    (1.0, True), (complex(1e-300, -5.0), True),
+    (0.0, False), (complex(-1.0, 1.0), False),
+    (complex(math.nan, 1.0), False), (complex(1.0, math.nan), False),
+])
+def test_in_halfplane(w, inside):
+    assert g.in_halfplane(complex(w)) is inside

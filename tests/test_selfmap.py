@@ -1,4 +1,5 @@
 import cmath
+import gc
 import math
 import warnings
 import weakref
@@ -365,6 +366,24 @@ def bits(fiber):
     return [(z.real.hex(), z.imag.hex(), m) for z, m in fiber]
 
 
+class TestFiberRefusals:
+    def test_roots_on_the_margin_land_outside_the_disk(self):
+        # the roots of z^2 = 1 - 2e-15 lie within DISK_MARGIN of the circle
+        with pytest.raises(sm.RootFindingError, match="landed outside the open disk"):
+            sm.preimages(presets.power_map(2), 1 - 2e-15)
+
+    def test_a_lost_root_is_a_count_error(self, monkeypatch):
+        root_groups = sm._root_groups
+        monkeypatch.setattr(sm, "_root_groups", lambda *args: root_groups(*args)[1:])
+        f = sm.FiniteBlaschkeProduct(1.0, [(0.3, 1), (-0.2j, 1), (0.5 + 0.1j, 1)])
+        with pytest.raises(sm.RootFindingError,
+                           match="preimage count 2 does not match degree 3"):
+            sm.preimages(f, 0.25)
+        with pytest.raises(sm.RootFindingError,
+                           match="found 1 critical points for a degree-3 product"):
+            sm.critical_points(f)
+
+
 class TestBatchedFibers:
     """sm._fibers solves many targets at once; each entry must be the
     preimages of its target bit for bit."""
@@ -681,24 +700,19 @@ def exact(value):
 
 
 def assert_table_is_scalar(f, entries):
-    built_in_lanes = lane_route(f)
     zeros, factors, columns = scalar_table(entries)
     assert [tuple(map(exact, z)) for z in f.zeros] == [tuple(map(exact, z)) for z in zeros]
     assert ([tuple(map(exact, row)) for row in f.factors]
             == [tuple(map(exact, row)) for row in factors])
     stack = f._stack
-    assert stack.product is (None if built_in_lanes else f)
-    if built_in_lanes:
-        # the scalar paths rebuild the product from the stack's row
-        row = sm._row_product(stack, 0)
-        assert [tuple(map(exact, z)) for z in row.zeros] == [tuple(map(exact, z)) for z in zeros]
-        assert ([tuple(map(exact, r)) for r in row.factors]
-                == [tuple(map(exact, r)) for r in factors])
+    # the scalar paths rebuild the product from the stack's row
+    row = sm._row_product(stack, 0)
+    assert [tuple(map(exact, z)) for z in row.zeros] == [tuple(map(exact, z)) for z in zeros]
+    assert [tuple(map(exact, r)) for r in row.factors] == [tuple(map(exact, r)) for r in factors]
     for name, want in columns.items():
         got = getattr(stack, name)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
-    assert stack.origin == tuple(columns["_origin"].tolist())
     assert stack.mults == tuple(m for _, m in zeros)
 
 
@@ -892,6 +906,20 @@ class TestProductStacks:
     derivatives in lanes, and fibers with their order, multiplicities and
     errors."""
 
+    def test_deleting_a_product_frees_its_stack(self):
+        # a stack holds its columns only: no reference back to the product,
+        # so no cycle waits for a collection
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            f = presets.example62()
+            stack = weakref.ref(f._stack)
+            del f
+            assert stack() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_constants_are_the_products(self):
         rng = np.random.default_rng(30)
         _, (stacks, _, _) = criterion_stacks()
@@ -1013,7 +1041,7 @@ class TestProductStacks:
         stacks, which, row = properties._stack_products(products)
         assert [len(s) for s in stacks] == [2, 1, 1, 1, 1]
         assert which.tolist() == [0, 2, 1, 3, 0, 4] and row.tolist() == [0, 0, 0, 0, 1, 0]
-        assert stacks[2].origin == (True, False)
+        assert stacks[2]._origin.tolist() == [True, False]
         assert stacks[3].mults == (2,) and stacks[4].mults == (2, 1)
         for (gamma, zeros), s, r in zip(products, which.tolist(), row.tolist()):
             want = sm.FiniteBlaschkeProduct(gamma, zeros).zeros
