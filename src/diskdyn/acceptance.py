@@ -177,9 +177,10 @@ def criterion_6_eigenpair(tol):
     deepest = orbits.grand_orbit(f, 0.0, forward_n=12, backward_depth=8)
     for depth in (4, 6, 8):
         b = eigen.build_truncated_eigenfunction(deepest.prefix(depth))
-        residuals.append(eigen.eigen_residual(b, f, -1.0, samples))
+        values = eigen.sample_values(b, f, samples)
+        residuals.append(eigen.eigen_residual(b, f, -1.0, samples, values))
         last = b
-    est = eigen.estimate_tau(last, f, samples)
+    est = eigen.estimate_tau(last, f, samples, values)
     tau_ok = abs(est.tau - (-1.0)) < tol["tau_gap"]
     decreasing = residuals[0] > residuals[1] > residuals[2]
     b0 = abs(last(0.0))

@@ -18,6 +18,7 @@ import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -220,8 +221,9 @@ def _run_eigen(cfg: ExperimentConfig):
     for depth in [*range(2, cfg.depth, 2), cfg.depth]:
         tr = deepest.prefix(depth)
         b = eigen.build_truncated_eigenfunction(tr)
-        est = eigen.estimate_tau(b, f, samples)
-        res = eigen.eigen_residual(b, f, est.tau, samples)
+        values = eigen.sample_values(b, f, samples)
+        est = eigen.estimate_tau(b, f, samples, values)
+        res = eigen.eigen_residual(b, f, est.tau, samples, values)
         rows.append((depth, len(tr.nodes), est.tau.real, est.tau.imag,
                      est.dispersion, res))
     # the summary reports the deepest truncation, the loop's last
@@ -345,7 +347,10 @@ def _write_summary(out: Path, cfg: ExperimentConfig, summary: dict) -> None:
         fh.write("\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and main is called once per job by long-lived callers."""
     parser = argparse.ArgumentParser(
         prog="diskdyn",
         description="experiments on holomorphic self-maps of the unit disk",

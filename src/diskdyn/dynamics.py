@@ -113,9 +113,6 @@ def _attracting(f, contacts) -> MapClass:
     if not fixed:
         raise ClassificationError(f"none of the boundary contacts {contacts!r} attracts")
     a, omega = min(fixed, key=lambda t: t[0])
-    if getattr(f, "hp_exact", None) is not None and abs(omega - 1.0) < 1e-6:
-        # maps carrying an exact half-plane form fix the disk point 1
-        omega = 1.0 + 0.0j
     shift = omega * jet(f, omega)[2]
     kind = PARABOLIC if abs(a - 1.0) < PARABOLIC_BAND else HYPERBOLIC
     step = "zero" if kind == PARABOLIC and abs(shift) < PARABOLIC_BAND else "positive"

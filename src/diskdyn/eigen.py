@@ -102,24 +102,36 @@ def ring_samples(radius: float, count: int = 16) -> list[complex]:
     return [radius * cmath.exp(2j * math.pi * k / count) for k in range(count)]
 
 
-def estimate_tau(candidate, f, samples) -> TauEstimate:
+def sample_values(candidate, f, samples) -> list[tuple[complex, complex, complex]]:
+    """(f(z), candidate(z), candidate(f(z))) at each sample z: what
+    estimate_tau and eigen_residual read, so that a caller running both
+    evaluates the candidate once per point."""
+    values = []
+    for z in samples:
+        fz = evaluate(f, z)
+        values.append((fz, candidate(z), candidate(fz)))
+    return values
+
+
+def estimate_tau(candidate, f, samples, values=None) -> TauEstimate:
     """Geometric median of the ratios candidate(f(z))/candidate(z).
 
     Samples within the admissibility radius of a zero of a product
     candidate, or whose image is, are discarded; at least 8 must survive.
+    values, if given, is sample_values(candidate, f, samples).
     """
+    if values is None:
+        values = sample_values(candidate, f, samples)
     zeros = None
     if isinstance(candidate, FiniteBlaschkeProduct):
         zeros = (candidate._stack.zeros[0].real, candidate._stack.zeros[0].imag)
     ratios: list[complex] = []
-    for z in samples:
-        fz = evaluate(f, z)
+    for z, (fz, bz, bfz) in zip(samples, values):
         if zeros is not None and not (_admissible(z, zeros) and _admissible(fz, zeros)):
             continue
-        bz = candidate(z)
         if bz == 0:
             continue
-        ratios.append(candidate(fz) / bz)
+        ratios.append(bfz / bz)
     if len(ratios) < 8:
         raise ValueError(
             f"only {len(ratios)} admissible samples; move the sample ring away "
@@ -130,11 +142,14 @@ def estimate_tau(candidate, f, samples) -> TauEstimate:
     return TauEstimate(tau=tau, dispersion=dispersion, sample_count=len(ratios))
 
 
-def eigen_residual(candidate, f, tau: complex, samples) -> float:
-    """max over samples of |candidate(f(z)) - tau candidate(z)|."""
+def eigen_residual(candidate, f, tau: complex, samples, values=None) -> float:
+    """max over samples of |candidate(f(z)) - tau candidate(z)|; values, if
+    given, is sample_values(candidate, f, samples)."""
+    if values is None:
+        values = sample_values(candidate, f, samples)
     worst = 0.0
-    for z in samples:
-        worst = max(worst, abs(candidate(evaluate(f, z)) - tau * candidate(z)))
+    for _, bz, bfz in values:
+        worst = max(worst, abs(bfz - tau * bz))
     return worst
 
 

@@ -37,8 +37,8 @@ def _translation_apply_disk(z: complex) -> complex:
 
 
 def translation() -> FiniteBlaschkeProduct:
-    """Parabolic disk automorphism conjugate to a vertical half-plane
-    translation, with the exact half-plane form w -> w - i attached.
+    """Parabolic disk automorphism conjugate to the vertical half-plane
+    translation w -> w - i, whose Clark form has no poles.
 
     The downward direction is the one whose canonical linearizer h(w) = i w
     has image in the upper half-plane, so exp(i theta h) is bounded.
@@ -47,8 +47,7 @@ def translation() -> FiniteBlaschkeProduct:
     a = cayley_from_rhp(1.0 + 1.0j)
     gamma = _translation_apply_disk(0.0) * abs(a) / (a * a)
     gamma /= abs(gamma)
-    f = FiniteBlaschkeProduct(gamma, ((a, 1),), hp_exact=lambda w: w - 1j)
-    return f
+    return FiniteBlaschkeProduct(gamma, ((a, 1),))
 
 
 def power_map(n: int = 2) -> FiniteBlaschkeProduct:

@@ -25,8 +25,8 @@ from .geometry import (
     same_point,
     unit_direction,
 )
-from .stacks import _ProductStack, _substitute
-from .transport import _kernel
+from .stacks import _ProductStack
+from .transport import _clark_stage, _kernel, _stage_arguments
 
 # residual |f(root) - w| required after polishing
 PREIMAGE_RESIDUAL_TOL = 1e-10
@@ -118,7 +118,7 @@ class FiniteBlaschkeProduct:
     (direction 1 at the origin), and ``_stack`` the same columns as arrays.
     """
 
-    def __init__(self, gamma: complex = 1.0, zeros=((0.0, 1),), hp_exact=None):
+    def __init__(self, gamma: complex = 1.0, zeros=((0.0, 1),)):
         self.gamma = ensure_unimodular(gamma)
         lane = _lane_zeros(zeros)
         if lane is not None:
@@ -135,9 +135,6 @@ class FiniteBlaschkeProduct:
                 (a, a.conjugate(), 1.0 if a == 0 else -unit_direction(a), mult)
                 for a, mult in self.zeros
             )
-        # optional exact right-half-plane form (used by presets that are
-        # defined natively in half-plane coordinates)
-        self.hp_exact = hp_exact
 
     @property
     def degree(self) -> int:
@@ -213,7 +210,9 @@ def evaluate(f, z: complex) -> complex:
 
 
 def _jet_fbp(f: FiniteBlaschkeProduct, z: complex) -> tuple[complex, complex, complex]:
-    """(f, f', f'') of a single product at z, assembled factor by factor."""
+    """(f, f', f'') of a single product at z, assembled factor by factor;
+    above _SCALAR_MAX_ZEROS zeros the value is _eval_fbp's, so that it is
+    evaluate's bit for bit."""
     v, d1, d2 = f.gamma, 0.0 + 0.0j, 0.0 + 0.0j
     for a, ac, u, mult in f.factors:
         if a == 0:
@@ -229,6 +228,8 @@ def _jet_fbp(f: FiniteBlaschkeProduct, z: complex) -> tuple[complex, complex, co
                 d1 * fv + v * fd1,
                 d2 * fv + 2.0 * d1 * fd1 + v * fd2,
             )
+    if len(f.factors) > _SCALAR_MAX_ZEROS:
+        v = _eval_fbp(f, z)
     return v, d1, d2
 
 
@@ -670,40 +671,31 @@ def angular_derivative(f, omega: complex) -> BoundaryDerivativeReport:
 
 
 class HalfPlaneConjugate:
-    """The map transported to the right half-plane with the attracting
-    boundary point sent to infinity.
+    """The map transported to the right half-plane with its boundary fixed
+    point omega sent to infinity.
 
-    apply() evaluates C(conj(omega) f(omega C^{-1}(w))) through one rational
-    form a(w)/b(w) per stage, built by ``_substitute``; the Cayley transports
-    between stages telescope.  It switches to 1/w coordinates for |w| > 1 so
-    that orbits may grow to ~1e280 without losing accuracy near the fixed
-    point; like evaluate, it returns a Python complex.  Both apply and
-    walk(orbit, count) run its kernel from diskdyn.transport.
+    Stage k is conjugated by the Cayley map from omega_{k-1} to omega_k =
+    s_k(omega_{k-1}), starting from omega_0 = omega, so every stage fixes
+    infinity and is kept in Clark form (diskdyn.transport):
+    F_k(w) = a_k w + i b_k + sum_j c_kj / (w - i t_kj).  The chain ends at
+    f(omega), so apply is C(conj(f(omega)) f(omega C^{-1}(w))), with both
+    points normalized; no coefficient is snapped.  omega must be a boundary
+    fixed point of f (callers pass the Denjoy-Wolff point), where that is
+    C(conj(omega) f(omega C^{-1}(w))) to rounding; for any other omega the
+    output frame is f(omega), not omega.  Like evaluate, it returns a
+    Python complex.  Both apply and walk(orbit, count) run the stages'
+    kernel from diskdyn.transport.
     """
 
     def __init__(self, f, omega: complex = 1.0):
-        self.omega = ensure_unimodular(omega)
-        if getattr(f, "hp_exact", None) is not None and self.omega == 1.0:
-            self._step, self.walk = _kernel(None)(f.hp_exact)
-            return
-        stages = _stages(f)
-        coef = []
-        for idx, stage in enumerate(stages):
-            in_rot = self.omega if idx == 0 else 1.0
-            out_rot = self.omega.conjugate() if idx == len(stages) - 1 else 1.0
-            # z = in_rot (w - 1) / (w + 1) gives stage(z) = gamma tn / td
-            tn, td = (rows[0] for rows in _substitute(
-                stage._stack, in_rot * np.array([-1.0, 1.0]), np.array([1.0, 1.0])))
-            gtn = out_rot * stage.gamma * tn
-            a, b = td + gtn, td - gtn
-            # a stage fixing infinity has exact zero leading denominator
-            # coefficient; snap rounding noise so huge orbits stay stable
-            if abs(b[-1]) < 1e-9 * np.max(np.abs(b)):
-                b[-1] = 0.0
-            # Python complex coefficients: faster than numpy scalars
-            coef.append((a.tolist(), b.tolist()))
-        factory = _kernel(tuple(len(a) - 1 for a, _ in coef))
-        self._step, self.walk = factory(*(c for a, b in coef for c in a + b))
+        self.omega = alpha = ensure_unimodular(omega)
+        shapes, args = [], []
+        for stage in _stages(f):
+            shape, stage_args = _stage_arguments(*_clark_stage(stage.zeros, alpha))
+            shapes.append(shape)
+            args += stage_args
+            alpha = _eval_fbp(stage, alpha)
+        self._step, self.walk = _kernel(tuple(shapes))(*args)
 
     def to_halfplane(self, z_disk: complex) -> complex:
         """The half-plane point C(conj(omega) z) of a disk point z."""

@@ -1,10 +1,34 @@
-"""Transport kernels of half-plane conjugates, generated per stage-degree
-sequence: step(w) runs each stage's Horner steps in w, or in 1/w once
-|w| > 1, unrolled, and walk inlines that body in the orbit loop.
-Coefficients are arguments, never source text (repr loses -0.0 parts).
+"""Half-plane stages in Clark form, and the transport kernels generated from
+them per sequence of stage shapes.
+
+A stage s, conjugated by the Cayley map C(z) = (1 + z)/(1 - z) from a
+boundary point alpha to beta = s(alpha), is F(w) = C(conj(beta) s(alpha
+C^{-1}(w))).  It maps the right half-plane into itself and fixes infinity,
+so by Foster's reactance theorem it is
+
+    F(w) = a w + i b + sum_k c_k / (w - i t_k),   a > 0, c_k > 0,
+
+with d - 1 poles for a stage of degree d.  The poles are the Cayley images
+of the stage's Clark points, where conj(beta) s(alpha z) = 1 with z != 1,
+and the c_k are its Aleksandrov-Clark weights.  Re F(w) is a sum of
+positive terms, so rounding cannot carry a step out of the half-plane.
+
+The sum cancels where F is small next to its terms.  Where that happens at
+w = 0 (F(0) = 0 for a conjugate-symmetric stage; a zero close to the
+circle makes b and a far pole's c / t large and opposite), the stage also
+has the form at 0, F(w) = F(0) + w (a - i sum (c_k / t_k) / (w - i t_k)),
+taken for |w| below half its nearest pole.
+
+step(w) runs one such line per stage, and walk inlines the same lines in
+the orbit loop.  Coefficients are arguments, never source text (repr loses
+-0.0 parts).
 """
 
+import math
+from fractions import Fraction
 from functools import cache
+
+import numpy as np
 
 _KERNEL = """\
 def factory({args}):
@@ -24,39 +48,176 @@ def factory({args}):
     return step, walk
 """
 
+# pi - math.pi, so that multiples of pi/2 are subtracted to twice the precision
+_PI_LO = 1.2246467991473532e-16
 
-def _horner(a: list[str], b: list[str], x: str) -> list[str]:
-    """Statements w = p(x) / q(x), indented for their branch, for coefficient
-    names a and b (low to high) by Horner's rule from the last coefficient
-    down; every 16 steps go to a variable, since the parser limits nesting."""
-    lines, p, q = [], a[-1], b[-1]
-    for i, (ca, cb) in enumerate(zip(a[-2::-1], b[-2::-1]), 1):
-        if i % 16 == 0:
-            lines += [f"    p = {p}", f"    q = {q}"]
-            p, q = "p", "q"
-        p, q = f"{ca} + ({p}) * {x}", f"{cb} + ({q}) * {x}"
-    return lines + [f"    w = ({p}) / ({q})"]
+
+def _clark_stage(zeros, alpha: complex) -> tuple[float, float, list[float], list[float], float]:
+    """(a, b, [c_k], [t_k], Im F(0)) of the stage with these (zero,
+    multiplicity) pairs, conjugated from alpha / |alpha| to its image.
+
+    The stage's zeros in the half-plane are p_k = C(conj(alpha) a_k) =
+    x_k + i y_k, and conj(beta) s(alpha C^{-1}(w)) = prod_k ((w - p_k) /
+    (w + conj(p_k)))^m_k, which is 1 at infinity.  So a = 1 / sum m_k x_k
+    and b = -a^2 sum m_k x_k y_k, computed in rationals from the floats and
+    correctly rounded.  In floats, translation's b comes out
+    -1.0000000000000002 (its step sequence is then not constant), and
+    1 - |z|^2 loses the digits of a zero close to the circle; the float
+    formulas fail 12 tests, the oracle bounds of tests/test_oracle.py
+    among them.
+    On w = i t the product is 1 where Psi(t) = sum m_k atan((t - y_k) / x_k)
+    is pi (d - 2j) / 2, j = 1..d-1; Psi increases, so each t_j is bracketed
+    and refined by Newton, and c_j = 1 / Psi'(t_j).  At w = 0 the product is
+    exp(i (pi d - 2 Psi(0))), so F(0) = i cot(pi d / 2 - Psi(0)).
+    """
+    ar, ai = Fraction(alpha.real), Fraction(alpha.imag)
+    # 1 / |alpha| up to (|alpha|^2 - 1)^2, below 1e-31 for a rounded point
+    inv = (3 - ar * ar - ai * ai) / 2
+    xs, ys, ms, sx, sxy = [], [], [], Fraction(0), Fraction(0)
+    for z, m in zeros:
+        zr, zi = Fraction(z.real), Fraction(z.imag)
+        u, v = (ar * zr + ai * zi) * inv, (ar * zi - ai * zr) * inv
+        n = zr * zr + zi * zi
+        den = 1 - 2 * u + n
+        x, y = (1 - n) / den, 2 * v / den
+        sx += m * x
+        sxy += m * x * y
+        xs.append(float(x))
+        ys.append(float(y))
+        ms.append(m)
+    a = 1 / sx
+    b = float(-a * a * sxy)
+    # of the two doubles within an ulp of a, a power of two is taken over the
+    # nearer: multiplying by it is exact, so orbits of nearby points keep
+    # their ratio (example61(0.6): a = 1.99999999999999986..., taken as 2)
+    two = 2.0 ** round(math.log2(a))
+    a = two if abs(a - Fraction(two)) < math.ulp(float(a)) else float(a)
+    d = sum(ms)
+    if d == 1:
+        return a, b, [], [], b
+    x, y, m = np.array(xs), np.array(ys), np.array(ms, dtype=float)
+    half = 0.5 * (d - 2 * np.arange(1, d))
+    # above every edge each atan term is at least pi half / d, so Psi(t) is
+    # at least its target, and below every edge at most: [lo, hi] brackets t
+    edge = y + x * np.tan(math.pi * half / d)[:, None]
+    lo, hi = edge.min(axis=1), edge.max(axis=1)
+    t = 0.5 * (lo + hi)
+    for _ in range(200):
+        s = t[:, None] - y
+        turns, r = _psi(s, x, m)
+        r = r + (turns / 2 - half) * math.pi + (turns / 2 - half) * _PI_LO
+        lo, hi = np.where(r < 0, t, lo), np.where(r > 0, t, hi)
+        step = t - r / (m * x / (x * x + s * s)).sum(axis=1)
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        if (step == t).all():
+            break
+        t = step
+    s = t[:, None] - y
+    c = 1.0 / (m * x / (x * x + s * s)).sum(axis=1)
+    # F(0) = i cot(pi d / 2 - Psi(0)), from the counted quarter turns and
+    # the small remainder of Psi(0)
+    turns, r = _psi(-y[None, :], x, m)
+    f0 = math.tan(r[0]) if (d - turns[0]) % 2 else -math.inf if r[0] == 0 else -1.0 / math.tan(r[0])
+    return a, b, c.tolist(), t.tolist(), f0
+
+
+def _psi(s, x, m):
+    """(quarter turns, remainder) of Psi = sum m atan(s / x) along the last
+    axis: atan(s / x) = sign(s) pi / 2 - atan(x / s) where |s| > x, and the
+    pi / 2 are counted, not rounded, so that a zero close to the circle (x
+    small, y large) does not cost the remainder its digits."""
+    big = abs(s) > x
+    small = np.where(big, -np.arctan(x / np.where(big, s, 1.0)), np.arctan(s / x))
+    return (m * np.sign(s) * big).sum(axis=-1), (m * small).sum(axis=-1)
+
+
+def _stage_arguments(a: float, b: float, c: list[float], t: list[float], f0: float):
+    """(shape, arguments) of a stage from _clark_stage.
+
+    The sum form cancels where F is small next to its terms, and two cases
+    come up at w = 0.  Poles i t and -i t of equal weight c are paired, as
+    2c / (w + t^2 / w): the two terms c / (w -+ i t) are each about c / t
+    near w = 0 and cancel, where the pair has no cancellation.  A conjugate-
+    symmetric stage (such as a product of real zeros at omega = 1) has all
+    its poles in such pairs or at 0, b = 0 and, without a pole at 0,
+    F(0) = 0.  Otherwise, near w = 0 and with the other poles away from 0,
+    F(w) = i f0 + w (a - i sum (c_k / t_k) / (w - i t_k)) keeps its digits:
+    f0 = Im F(0) comes from the zeros, not from b + sum c_k / t_k, and its
+    terms are at most |w| c_k / (|t_k| |w - i t_k|).  A stage whose F(0) is
+    below 1/16 of |b| + sum c_k / |t_k| (a zero close to the circle makes b
+    and a far pole's c / t large and opposite) takes that form for |w|
+    below half its nearest pole, and the sum form elsewhere.
+
+    shape = (pairs, other poles, 0 or 1 for the form at 0); the arguments
+    are a, i b, 2c and t^2 of each pair, c_k and i t_k of the other poles,
+    then for the form at 0 half the nearest pole, i f0 and -i c_k / t_k.
+    """
+    pairs, waiting = [], {}
+    for ck, tk in zip(c, t):
+        if tk and waiting.pop((-tk, ck), False):
+            pairs.append((2.0 * ck, tk * tk))
+        else:
+            waiting[tk, ck] = True
+    single = [(ck, tk) for tk, ck in waiting]
+    args = [a, complex(0.0, b)]
+    for pk, qk in pairs:
+        args += [pk, qk]
+    for ck, tk in single:
+        args += [ck, complex(0.0, tk)]
+    if single and all(tk for _, tk in single) and abs(f0) < (abs(b) + sum(
+            ck / abs(tk) for ck, tk in single)) / 16:
+        args += [min(abs(tk) for _, tk in single) / 2, complex(0.0, f0)]
+        args += [complex(0.0, -ck / tk) for ck, tk in single]
+        return (len(pairs), len(single), 1), args
+    return (len(pairs), len(single), 0), args
+
+
+def _sum(name: str, terms: list[str]) -> list[str]:
+    """Statements name = the sum of terms, 16 terms to a statement, since
+    the compiler limits nesting."""
+    return [f"{name} = {' + '.join(terms[:16])}"] + [
+        f"{name} = {name} + {' + '.join(terms[i:i + 16])}" for i in range(16, len(terms), 16)]
+
+
+def _stage_lines(s: int, pairs: int, single: int, origin: int) -> list[str]:
+    """The statements of stage s: w = a w + i b + sum p_k / (w + q_k / w) +
+    sum c_k / (w - i t_k), and with the form at 0, w = i f0 + w (a + sum
+    e_k / (w - i t_k)) + sum p_k / (w + q_k / w) where |w| < r."""
+    paired = [f"p{s}_{k} / (w + q{s}_{k} / w)" for k in range(pairs)]
+    terms = [f"a{s} * w", f"b{s}"] + paired + [f"c{s}_{k} / (w - t{s}_{k})" for k in range(single)]
+    lines = [f"w = {' + '.join(terms)}"] if len(terms) <= 16 else _sum("v", terms) + ["w = v"]
+    if not origin:
+        return lines
+    near = _sum("g", [f"a{s}"] + [f"e{s}_{k} / (w - t{s}_{k})" for k in range(single)])
+    near += _sum("v", [f"f{s}", "w * g"] + paired) + ["w = v"]
+    return [f"if abs(w) < r{s}:", *("    " + ln for ln in near), "else:", *("    " + ln for ln in lines)]
+
+
+def _stage_names(s: int, pairs: int, single: int, origin: int) -> list[str]:
+    names = [f"a{s}", f"b{s}"]
+    for k in range(pairs):
+        names += [f"p{s}_{k}", f"q{s}_{k}"]
+    for k in range(single):
+        names += [f"c{s}_{k}", f"t{s}_{k}"]
+    if origin:
+        names += [f"r{s}", f"f{s}", *(f"e{s}_{k}" for k in range(single))]
+    return names
 
 
 @cache
-def _kernel(degrees: tuple[int, ...] | None):
-    """The kernel factory of a stage-degree sequence, compiled once.
+def _kernel(shapes: tuple[tuple[int, int, int], ...]):
+    """The kernel factory of a sequence of stage shapes (pairs, other poles,
+    form at 0), compiled once.
 
-    It takes each stage's a_0..a_d, b_0..b_d (low to high) and returns
-    (step, walk): walk(orbit, count) appends count points w = step(w) to the
-    list and returns the exception that ends it early, if any.  degrees None
-    gives the factory of an opaque step, taking the step function itself.
+    It takes each stage's _stage_arguments and returns (step, walk):
+    walk(orbit, count) appends count points w = step(w) to the list and
+    returns the exception that ends it early, if any.
     """
-    if degrees is None:
-        args, body = ["exact"], ["w = exact(w)"]
-    else:
-        args, body = [], []
-        for s, d in enumerate(degrees):
-            a, b = ([f"{c}{s}_{k}" for k in range(d + 1)] for c in "ab")
-            args += a + b
-            body += ["if abs(w) <= 1.0:", *_horner(a, b, "w"),
-                     "else:", "    x = 1.0 / w", *_horner(a[::-1], b[::-1], "x")]
+    args, body = [], []
+    for s, shape in enumerate(shapes):
+        args += _stage_names(s, *shape)
+        body += _stage_lines(s, *shape)
     source = _KERNEL.format(args=", ".join(args), step="\n".join(" " * 8 + ln for ln in body),
                             walk="\n".join(" " * 16 + ln for ln in body))
-    exec(compile(source, f"<transport kernel {degrees}>", "exec"), namespace := {})
+    exec(compile(source, f"<transport kernel {shapes}>", "exec"), namespace := {})
     return namespace["factory"]

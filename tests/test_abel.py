@@ -6,7 +6,9 @@ import pytest
 from diskdyn import abel
 from diskdyn import presets
 from diskdyn.selfmap import HalfPlaneConjugate
-from diskdyn.transport import _kernel
+
+from walk_stub import opaque_kernel
+
 
 PROBE_RING = [1.0 + 0.5 * cmath.exp(2j * math.pi * k / 10) for k in range(10)]
 
@@ -364,7 +366,7 @@ def stub_map(base_limit, probe_limit):
         return 1.01 * (w + 1.0)
 
     hpmap = abel.HalfPlaneMap(presets.example62())
-    hpmap._step, hpmap.walk = _kernel(None)(step)
+    hpmap._step, hpmap.walk = opaque_kernel(step)
     return hpmap
 
 

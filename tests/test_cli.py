@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +365,24 @@ class TestDeterminism:
                             (out / "summary.json").read_bytes()))
         assert written[0] == written[1]
 
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # the parser is built once per process; later calls with another
+        # command and other flags report what a fresh process reports
+        assert cli.build_parser() is cli.build_parser()
+        runs = [["step", "--preset", "example61", "--alpha", "0.6", "--n-max", "40"],
+                ["julia-check", "--preset", "example62", "--samples", "30", "--seed", "3"],
+                ["step", "--preset", "example62", "--n-max", "20"]]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        for k, args in enumerate(runs):
+            assert cli.main(args + ["--out-dir", str(tmp_path / f"in{k}")]) == 0
+            subprocess.run([sys.executable, "-m", "diskdyn.cli", *args,
+                            "--out-dir", str(tmp_path / f"fresh{k}")], check=True, env=env)
+        for k in range(len(runs)):
+            summaries = [read_summary(tmp_path / f"{kind}{k}") for kind in ("in", "fresh")]
+            for summary in summaries:
+                del summary["config"]["out_dir"]
+            assert summaries[0] == summaries[1]
+
     def test_embedded_config_reproduces_run(self, tmp_path):
         cli.main(["grand-orbit", "--preset", "example61", "--alpha", "0.5",
                   "--depth", "4", "--out-dir", str(tmp_path / "r1")])
@@ -449,17 +471,18 @@ class TestOrbitTable:
             "steps": len(rows) - 1, "final": {"re": rows[-1][1], "im": rows[-1][2]},
         }
 
-    @pytest.mark.parametrize("n_max", [31, 4096])
+    @pytest.mark.parametrize("n_max", [32, 4096])
     def test_step_table_of_a_freezing_orbit(self, tmp_path, n_max):
-        # the orbit of 0 under example61(0.6) freezes at n = 31, and the
-        # table repeats the frozen value to n_max
+        # the orbit of 0 under example61(0.6) freezes at n = 32, as the
+        # 50-digit sequence of the float map does, and the table repeats the
+        # frozen value to n_max
         out = tmp_path / "o"
         assert cli.main(["step", "--preset", "example61", "--alpha", "0.6",
                          "--n-max", str(n_max), "--out-dir", str(out)]) == 0
         rep = dynamics.hyperbolic_step(presets.example61(0.6), 0.0, n_max)
-        assert rep.frozen_at == 31
-        assert read_summary(out)["result"]["frozen_at"] == 31
-        assert np.all(rep.sequence[31:] == rep.sequence[31])
+        assert rep.frozen_at == 32
+        assert read_summary(out)["result"]["frozen_at"] == 32
+        assert np.all(rep.sequence[32:] == rep.sequence[32])
         assert (out / "step_sequence.csv").read_bytes() == reference_csv(
             ("n", "rho"), enumerate(rep.sequence.tolist()))
 

@@ -7,8 +7,9 @@ import pytest
 from diskdyn import dynamics as dyn
 from diskdyn import presets
 from diskdyn import selfmap as sm
-from diskdyn import transport
 from diskdyn.geometry import halfplane_pseudo_hyperbolic, julia_quotient
+
+from walk_stub import opaque_kernel
 
 
 def parabolic_closed_form(x):
@@ -58,12 +59,24 @@ class TestDenjoyWolff:
     def test_parabolic_automorphism(self):
         cls = dyn.denjoy_wolff(presets.translation())
         assert cls.kind == dyn.PARABOLIC
-        assert cls.dw_point == 1.0
+        # the double root of the fixed-point polynomial, to rounding
+        assert abs(cls.dw_point - 1.0) < 1e-15
         assert cls.angular_derivative == pytest.approx(1.0, abs=1e-6)
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
             dyn.denjoy_wolff(sm.identity_map())
+
+    def test_translation_wire_form_takes_the_preset_path(self):
+        # the same map read back from its wire description transports
+        # through the same Clark form, w -> w - i, so its step sequence is
+        # the preset's, constant and frozen from n = 16
+        preset = presets.translation()
+        wire = presets.map_from_dict(presets.map_to_dict(preset))
+        a, b = (dyn.hyperbolic_step(f, 0.0, 10000) for f in (preset, wire))
+        assert a.sequence.tobytes() == b.sequence.tobytes()
+        assert a.frozen_at == b.frozen_at == 16
+        assert a.sequence.max() == a.sequence.min()
 
     def test_elliptic_automorphism_with_offset_fixed_point(self):
         # rotation conjugated to fix p = 0.3: T(z) = (p - z)/(1 - p z) is an
@@ -198,11 +211,11 @@ class TestOrbitMerging:
 
 class _StubConjugate:
     """A stand-in conjugate: the disk point z starts at origin + z, and
-    apply and walk are the opaque-step transport kernel of the given step."""
+    apply and walk are opaque_kernel of the given step."""
 
     def __init__(self, origin, step):
         self.origin = origin
-        self.apply, self.walk = transport._kernel(None)(step)
+        self.apply, self.walk = opaque_kernel(step)
 
     def to_halfplane(self, z):
         return self.origin + z

@@ -187,6 +187,34 @@ class TestEigenResidual:
             assert best <= eigen.eigen_residual(deep_b, f, naive, SAMPLES)
 
 
+class TestSharedSampleValues:
+    def test_shared_values_give_the_same_estimate_and_residual(self, deep_b):
+        f = presets.example61(0.5)
+        values = eigen.sample_values(deep_b, f, SAMPLES)
+        est = eigen.estimate_tau(deep_b, f, SAMPLES, values)
+        assert est == eigen.estimate_tau(deep_b, f, SAMPLES)
+        assert (eigen.eigen_residual(deep_b, f, est.tau, SAMPLES, values)
+                == eigen.eigen_residual(deep_b, f, est.tau, SAMPLES))
+
+    def test_eigen_job_evaluates_each_candidate_once_per_point(self, tmp_path, monkeypatch):
+        from diskdyn import cli
+
+        calls = {}
+        scalar = sm._eval_fbp
+
+        def counted(f, z):
+            if len(f.factors) > sm._SCALAR_MAX_ZEROS:
+                calls[len(f.factors)] = calls.get(len(f.factors), 0) + 1
+            return scalar(f, z)
+
+        monkeypatch.setattr(sm, "_eval_fbp", counted)
+        assert cli.main(["eigen", "--preset", "example61", "--alpha", "0.6", "--depth", "8",
+                         "--out-dir", str(tmp_path)]) == 0
+        # 16 samples and their 16 images per depth; estimating tau and then
+        # the residual apart made 62 each (248 in all)
+        assert calls == {52: 32, 208: 32, 832: 32, 3328: 32}
+
+
 class TestSquareTrick:
     def test_exact_sign_flip_pair_squares_to_invariant(self):
         # theta = pi gives eigenvalue -1, so the square is exactly invariant

@@ -206,6 +206,23 @@ class TestDerivative:
         assert d1 == pytest.approx(num1, abs=1e-9)
         assert d2 == pytest.approx(num2, abs=1e-5)
 
+    def test_jet_value_is_evaluate_on_large_products(self):
+        # above 32 zeros evaluate takes numpy, and the jet takes its value
+        # from there (the factor loop differed by 1.3e-17 at 0.3 + 0.1j on
+        # the depth-8 eigenfunction)
+        tr = orbits.grand_orbit(presets.example61(0.6), 0.0, forward_n=12, backward_depth=8)
+        rng = np.random.default_rng(40)
+        seeded = sm.FiniteBlaschkeProduct(cmath.exp(1j * rng.random()), [
+            (0.9 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random()), 1)
+            for _ in range(40)])
+        for f in (sm.FiniteBlaschkeProduct(1.0, [(n.point, n.multiplicity) for n in tr.nodes]),
+                  seeded):
+            assert len(f.factors) > sm._SCALAR_MAX_ZEROS
+            for z in [0.3 + 0.1j] + [random_disk_point(rng) for _ in range(20)]:
+                assert sm.jet(f, z)[0] == sm.evaluate(f, z)
+            c = sm.compose(presets.example62(), f)
+            assert sm.jet(c, 0.3 + 0.1j)[0] == sm.evaluate(c, 0.3 + 0.1j)
+
     def test_composite_chain_rule(self):
         f = presets.example61(0.5)
         c = sm.compose(f, f)
