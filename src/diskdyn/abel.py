@@ -125,9 +125,17 @@ def abel_residual(h_eval, mapping, probes) -> float:
     callable on half-plane points.
     """
     apply = mapping.apply if isinstance(mapping, HalfPlaneConjugate) else mapping
+    return worst_residual(abs(h_eval(apply(w)) - h_eval(w) - 1.0) for w in probes)
+
+
+def worst_residual(residuals) -> float:
+    """The largest of the residuals, 0.0 for none, and NaN once any is NaN:
+    max() keeps its first argument when a comparison with NaN fails, so it
+    drops a NaN that does not come first."""
     worst = 0.0
-    for w in probes:
-        worst = max(worst, abs(h_eval(apply(w)) - h_eval(w) - 1.0))
+    for r in residuals:
+        if r > worst or r != r:
+            worst = r
     return worst
 
 

@@ -251,7 +251,7 @@ def _run_abel(cfg: ExperimentConfig):
         "step_verdict": hm.step,
         "kind": kind,
         "indices": ns,
-        "final_residual": max(r for n, _, r, _ in rows if n == ns[-1]),
+        "final_residual": abel.worst_residual(r for n, _, r, _ in rows if n == ns[-1]),
     }
     if hm.step == "positive":
         fit = abel.extract_semiconjugacy(hm, ns[-1], probes)

@@ -2,7 +2,8 @@
 
 Two constructions are provided.  Truncated grand-orbit products take the
 enumerated node multiset as a zero set; as the truncation deepens, the ratio
-Psi(f(z))/Psi(z) settles toward a unimodular constant.  Exponentials of a
+Psi(f(z))/Psi(z) settles toward a unimodular constant tau, estimated away
+from the zeros (ADMISSIBLE_RADIUS, by orbits._same_pairs).  Exponentials of a
 linearizer, u_theta = exp(i theta h) with h(f(z)) = h(z) + 1, give exact
 eigenfunctions with eigenvalue exp(i theta) wherever Im h >= 0 keeps them
 bounded.
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lanes
-from .abel import translation_abel
+from .abel import translation_abel, worst_residual
 from .geometry import cayley_to_rhp, ensure_disk_point, mobius_factor
-from .orbits import GrandOrbitTruncation
+from .orbits import GrandOrbitTruncation, _same_pairs
 from .selfmap import FiniteBlaschkeProduct, evaluate
 
 # samples closer than this (pseudo-hyperbolic) to a zero of the candidate
@@ -81,22 +81,6 @@ def _geometric_median(points: list[complex]) -> complex:
     return x
 
 
-def _admissible(z: complex, zeros: tuple[np.ndarray, np.ndarray]) -> bool:
-    """pseudo_hyperbolic(z, a) > ADMISSIBLE_RADIUS for every zero a, with
-    the zeros as (re, im) arrays.  Each distance that can decide it is the
-    scalar one bit for bit, from lanes.pseudo_hyperbolic."""
-    z = ensure_disk_point(z)
-    ar, ai = zeros
-    dr, di = ar - z.real, ai - z.imag
-    # |1 - conj(a) z| < 2, so a zero more than twice the radius away (with a
-    # margin for rounding) lies beyond it
-    near = dr * dr + di * di <= (2.0 * ADMISSIBLE_RADIUS) ** 2 * (1.0 + 1e-9)
-    if not near.any():
-        return True
-    rho = lanes.pseudo_hyperbolic(z.real, z.imag, ar[near], ai[near])
-    return bool((rho > ADMISSIBLE_RADIUS).all())
-
-
 def ring_samples(radius: float, count: int = 16) -> list[complex]:
     """Equally spaced sample points on |z| = radius."""
     return [radius * cmath.exp(2j * math.pi * k / count) for k in range(count)]
@@ -116,22 +100,24 @@ def sample_values(candidate, f, samples) -> list[tuple[complex, complex, complex
 def estimate_tau(candidate, f, samples, values=None) -> TauEstimate:
     """Geometric median of the ratios candidate(f(z))/candidate(z).
 
-    Samples within the admissibility radius of a zero of a product
-    candidate, or whose image is, are discarded; at least 8 must survive.
+    Samples within pseudo-hyperbolic ADMISSIBLE_RADIUS of a zero of a
+    product candidate, or whose image is, are discarded, as one radius
+    search (orbits._same_pairs) finds them; at least 8 must survive.
     values, if given, is sample_values(candidate, f, samples).
     """
     if values is None:
         values = sample_values(candidate, f, samples)
-    zeros = None
+    kept = [bz != 0 for _, bz, _ in values]
     if isinstance(candidate, FiniteBlaschkeProduct):
-        zeros = (candidate._stack.zeros[0].real, candidate._stack.zeros[0].imag)
-    ratios: list[complex] = []
-    for z, (fz, bz, bfz) in zip(samples, values):
-        if zeros is not None and not (_admissible(z, zeros) and _admissible(fz, zeros)):
-            continue
-        if bz == 0:
-            continue
-        ratios.append(bfz / bz)
+        # the samples, then their images: point k belongs to sample k % len(values)
+        points = np.array([ensure_disk_point(z) for z in samples]
+                          + [ensure_disk_point(fz) for fz, _, _ in values], dtype=complex)
+        zeros = candidate._stack.zeros[0]
+        near, _ = _same_pairs(points.real, points.imag, zeros.real, zeros.imag,
+                              radius=ADMISSIBLE_RADIUS)
+        for k in near.tolist():
+            kept[k % len(values)] = False
+    ratios = [bfz / bz for (_, bz, bfz), keep in zip(values, kept) if keep]
     if len(ratios) < 8:
         raise ValueError(
             f"only {len(ratios)} admissible samples; move the sample ring away "
@@ -147,10 +133,7 @@ def eigen_residual(candidate, f, tau: complex, samples, values=None) -> float:
     given, is sample_values(candidate, f, samples)."""
     if values is None:
         values = sample_values(candidate, f, samples)
-    worst = 0.0
-    for _, bz, bfz in values:
-        worst = max(worst, abs(bfz - tau * bz))
-    return worst
+    return worst_residual(abs(bfz - tau * bz) for _, bz, bfz in values)
 
 
 def square_trick_check(candidate, f, samples) -> float:
@@ -159,10 +142,8 @@ def square_trick_check(candidate, f, samples) -> float:
     For tau near -1 this is bounded by (|B(f(z))| + |B(z)|) times the tau = -1
     residual on the same samples.
     """
-    worst = 0.0
-    for z in samples:
-        worst = max(worst, abs(candidate(evaluate(f, z)) ** 2 - candidate(z) ** 2))
-    return worst
+    return worst_residual(abs(candidate(evaluate(f, z)) ** 2 - candidate(z) ** 2)
+                          for z in samples)
 
 
 # ----------------------------------------------------------------------------

@@ -68,30 +68,30 @@ class GrandOrbitTruncation:
         )
 
 
-# any pair within pseudo-hyperbolic SAME_POINT_TOL is within Euclidean
-# 2 SAME_POINT_TOL, as |1 - conj(w) z| < 2; twice that leaves room for rounding
-_WINDOW = 4 * SAME_POINT_TOL
-
-
-def _same_pairs(zr, zi, pr, pi, stop=None) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (q, p) of every pair with same_point(z[q], points[p]),
-    and p < stop[q] if stop is given, for disk points z = zr + i zi and
-    points = pr + i pi: each pair within _WINDOW in both parts, found by a
-    search in real-part order, is tested in lanes in that orientation.
+def _same_pairs(zr, zi, pr, pi, stop=None,
+                radius=SAME_POINT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (q, p) of every pair of disk points z[q] = zr + i zi and
+    points[p] = pr + i pi within pseudo-hyperbolic radius (same_point at the
+    default), with p < stop[q] if stop is given: the package's one radius
+    search, also eigen's admissibility test.  Each pair within 4 radius in
+    both parts, found by a search in real-part order, is tested in lanes in
+    that orientation, lanes.pseudo_hyperbolic(z, point) <= radius; any pair
+    within the radius is within Euclidean 2 radius, as |1 - conj(w) z| < 2.
     Pairs come grouped by q, in no set order within a group."""
+    window = 4 * radius
     order = np.argsort(pr)
     ordered = pr[order]
-    lo = np.searchsorted(ordered, zr - _WINDOW, "left")
-    count = np.searchsorted(ordered, zr + _WINDOW, "right") - lo
+    lo = np.searchsorted(ordered, zr - window, "left")
+    count = np.searchsorted(ordered, zr + window, "right") - lo
     # z[q] pairs with the sorted positions lo[q] .. lo[q] + count[q] - 1
     q = np.repeat(np.arange(len(zr)), count)
     first = np.repeat(lo - np.cumsum(count) + count, count)
     p = order[first + np.arange(len(q))]
-    near = np.abs(pi[p] - zi[q]) <= _WINDOW
+    near = np.abs(pi[p] - zi[q]) <= window
     if stop is not None:
         near &= p < stop[q]
     q, p = q[near], p[near]
-    hit = lanes.same_point(zr[q], zi[q], pr[p], pi[p])
+    hit = lanes.pseudo_hyperbolic(zr[q], zi[q], pr[p], pi[p]) <= radius
     return q[hit], p[hit]
 
 

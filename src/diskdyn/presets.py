@@ -8,6 +8,8 @@ are rejected so committed experiment fixtures stay unambiguous.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .geometry import cayley_from_rhp, cayley_to_rhp
 from .selfmap import CompositeMap, FiniteBlaschkeProduct, _stages
 
@@ -90,11 +92,16 @@ def _stage_from_dict(obj: dict) -> FiniteBlaschkeProduct:
     _check_fields(obj, {"gamma", "zeros"}, "map stage")
     try:
         gre, gim = obj["gamma"]
+        gamma = complex(gre, gim)
         # FiniteBlaschkeProduct refuses a multiplicity that is not integral
         zeros = [(complex(zr, zi), m) for zr, zi, m in obj["zeros"]]
+        # complex() and int() read a bool (JSON true or false) as 1 or 0
+        numbers = [gre, gim, *(x for zero in obj["zeros"] for x in zero)]
+        if any(isinstance(x, (bool, np.bool_)) for x in numbers):
+            raise TypeError("a bool in a numeric slot")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed map stage {obj!r}") from exc
-    return FiniteBlaschkeProduct(complex(gre, gim), zeros)
+    return FiniteBlaschkeProduct(gamma, zeros)
 
 
 def map_from_dict(obj: dict):

@@ -60,10 +60,10 @@ class RootFindingError(RuntimeError):
 
 
 def _multiplicity(mult) -> int:
-    """int(mult) of an integral multiplicity; 2.5, NaN or infinity is
-    refused, not truncated."""
+    """int(mult) of an integral multiplicity; 2.5, NaN, infinity or a bool
+    is refused, not truncated or read as a number."""
     try:
-        m = int(mult)
+        m = None if isinstance(mult, (bool, np.bool_)) else int(mult)
     except (TypeError, ValueError, OverflowError):
         m = None
     if m is None or m != mult:
@@ -91,7 +91,7 @@ def _normalize_zeros(zeros) -> tuple[tuple[complex, int], ...]:
 
 
 def _lane_zeros(entries):
-    """(zeros, multiplicities, zero array) of a product of more than
+    """(multiplicities, zero array) of a product of more than
     _SCALAR_MAX_ZEROS zeros, for the stack's lane constructor, which builds
     its table bit for bit as the scalar loop does; None for input only that
     loop can take: not a list or tuple of (complex, int) pairs, a multiplicity
@@ -107,7 +107,7 @@ def _lane_zeros(entries):
     if (not 1 <= min(mults) <= max(mults) < 2 ** 63 or (ordered[1:] == ordered[:-1]).any()
             or not (np.hypot(a.real, a.imag) < 1.0 - DISK_MARGIN).all()):
         return None
-    return points, mults, a
+    return mults, a
 
 
 class FiniteBlaschkeProduct:
@@ -115,26 +115,25 @@ class FiniteBlaschkeProduct:
 
     Repeated entries of one zero are merged, so every spelling of a map has
     the same ``zeros``.  ``factors`` holds (a, conj(a), -a/|a|, mult) per zero
-    (direction 1 at the origin), and ``_stack`` the same columns as arrays.
+    (direction 1 at the origin), and ``_stack`` the same columns as arrays,
+    each built on first use; more than _SCALAR_MAX_ZEROS zeros are built as
+    the stack alone, in lanes (_lane_zeros), the one table evaluation reads.
     """
 
     def __init__(self, gamma: complex = 1.0, zeros=((0.0, 1),)):
         self.gamma = ensure_unimodular(gamma)
         lane = _lane_zeros(zeros)
         if lane is not None:
-            points, mults, a = lane
-            self._stack = stack = _ProductStack(np.array([self.gamma]), a[None], mults)
+            mults, a = lane
+            self._stack = _ProductStack(np.array([self.gamma]), a[None], mults)
             self.zeros = tuple(zeros)
-            u = stack._u[0].tolist()
-            for k in np.flatnonzero(stack._origin).tolist():
-                u[k] = 1.0
-            self.factors = tuple(zip(points, stack._conj[0].tolist(), u, mults))
         else:
             self.zeros = _normalize_zeros(zeros)
-            self.factors = tuple(
-                (a, a.conjugate(), 1.0 if a == 0 else -unit_direction(a), mult)
-                for a, mult in self.zeros
-            )
+
+    @cached_property
+    def factors(self) -> tuple:
+        return tuple((a, a.conjugate(), 1.0 if a == 0 else -unit_direction(a), mult)
+                     for a, mult in self.zeros)
 
     @property
     def degree(self) -> int:
@@ -185,7 +184,7 @@ def _stages(f) -> tuple[FiniteBlaschkeProduct, ...]:
 
 
 def _eval_fbp(f: FiniteBlaschkeProduct, z: complex) -> complex:
-    if len(f.factors) > _SCALAR_MAX_ZEROS:
+    if len(f.zeros) > _SCALAR_MAX_ZEROS:
         s = f._stack
         factors = np.where(s._origin, z, s._u[0] * (z - s.zeros[0]) / (1.0 - s._conj[0] * z))
         return complex(f.gamma * np.prod(factors ** s._mult))
@@ -228,7 +227,7 @@ def _jet_fbp(f: FiniteBlaschkeProduct, z: complex) -> tuple[complex, complex, co
                 d1 * fv + v * fd1,
                 d2 * fv + 2.0 * d1 * fd1 + v * fd2,
             )
-    if len(f.factors) > _SCALAR_MAX_ZEROS:
+    if len(f.zeros) > _SCALAR_MAX_ZEROS:
         v = _eval_fbp(f, z)
     return v, d1, d2
 

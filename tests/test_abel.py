@@ -192,6 +192,22 @@ class TestAbelResidual:
     def test_exact_preset_linearizer(self, translation_map):
         assert abel.abel_residual(abel.translation_abel, translation_map, PROBE_RING) == 0.0
 
+    def test_nan_residual_is_reported(self):
+        # max(0.0, nan) is 0.0: a fold by max() reported a NaN step as exact
+        nan = complex("nan")
+        assert math.isnan(abel.abel_residual(abel.translation_abel, lambda w: nan, [1 + 1j, 2]))
+        assert math.isnan(abel.abel_residual(
+            abel.translation_abel, lambda w: nan if w == 2 else w - 1j, [1 + 1j, 2, 3]))
+
+    @pytest.mark.parametrize("residuals, want", [
+        ([], 0.0), ([0.0], 0.0), ([2.0, 1.0, 3.0, 0.5], 3.0),
+        ([math.nan, 1.0], math.nan), ([1.0, math.nan], math.nan),
+        ([1.0, math.nan, 2.0], math.nan), ([math.inf, math.nan], math.nan),
+    ])
+    def test_worst_residual_keeps_a_nan(self, residuals, want):
+        got = abel.worst_residual(iter(residuals))
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
     def test_bare_conjugate_is_a_mapping(self, parabolic_map):
         h = abel.translation_abel
         bare = HalfPlaneConjugate(presets.translation())

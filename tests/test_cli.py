@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from diskdyn import cli, dynamics, presets
+from diskdyn.geometry import pseudo_hyperbolic
 from diskdyn.selfmap import CompositeMap, FiniteBlaschkeProduct, evaluate
 
 
@@ -52,6 +53,19 @@ class TestWireFormat:
             presets.map_from_dict({"stages": [{"gamma": [1, 0]}]})
         with pytest.raises(ValueError):
             presets.map_from_dict({"stages": []})
+        # complex("1", 0) raises TypeError
+        with pytest.raises(ValueError, match="malformed map stage"):
+            presets.map_from_dict({"stages": [{"gamma": ["1", 0], "zeros": [[0.3, 0, 2]]}]})
+
+    @pytest.mark.parametrize("slot", range(5))
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_bool_in_a_numeric_slot_rejected(self, slot, flag):
+        # complex() and int() read a bool as 1 or 0
+        numbers = [1.0, 0.0, 0.3, 0.0, 1]
+        numbers[slot] = flag
+        stage = {"gamma": numbers[:2], "zeros": [numbers[2:], [0.3, 0.2, 2]]}
+        with pytest.raises(ValueError, match="malformed map stage"):
+            presets.map_from_dict({"stages": [stage]})
 
     def test_fractional_multiplicity_rejected(self):
         stage = {"gamma": [1, 0], "zeros": [[0.3, 0.0, 2.5]]}
@@ -207,6 +221,23 @@ class TestCommands:
         assert code == 0
         assert calls == [6]
 
+    @pytest.mark.parametrize("alpha, kept", [("0.6", 15), ("0.7", 16)])
+    def test_eigen_keeps_the_admissible_samples(self, tmp_path, alpha, kept):
+        out = tmp_path / "o"
+        code = cli.main([
+            "eigen", "--preset", "example61", "--alpha", alpha,
+            "--depth", "8", "--out-dir", str(out),
+        ])
+        assert code == 0
+        assert read_summary(out)["result"]["sample_count"] == kept
+        # at alpha 0.6 the sample 0.4 lies 0.0467 from a zero and its image
+        # 0.0456, inside the 0.05 radius; at 0.7 no sample comes near one
+        f = presets.example61(float(alpha))
+        nodes = cli.orbits.grand_orbit(f, 0.0, 12, 8).nodes
+        near = [min(pseudo_hyperbolic(p, n.point) for n in nodes)
+                for p in (0.4, evaluate(f, 0.4))]
+        assert (max(near) < 0.047) if kept == 15 else (min(near) > 0.05)
+
     def test_julia_check(self, tmp_path):
         out = tmp_path / "o"
         code = cli.main([
@@ -238,6 +269,26 @@ class TestCommands:
         assert result["step_verdict"] == "zero"
         assert result["kind"] == "baker_pommerenke_h"
         assert (out / "abel_residuals.csv").exists()
+
+    def test_abel_final_residual_keeps_a_nan(self, tmp_path, monkeypatch):
+        # max() dropped a NaN residual unless it came first
+        real = cli.abel.residual_table
+
+        def with_nan(hm, kind, ns, probes):
+            rows = real(hm, kind, ns, probes)
+            last = [k for k, row in enumerate(rows) if row[0] == ns[-1]]
+            n, pid, _, diff = rows[last[1]]
+            rows[last[1]] = (n, pid, math.nan, diff)
+            return rows
+
+        monkeypatch.setattr(cli.abel, "residual_table", with_nan)
+        out = tmp_path / "o"
+        code = cli.main([
+            "abel", "--preset", "example62", "--n-max", "200",
+            "--out-dir", str(out),
+        ])
+        assert code == 0
+        assert math.isnan(read_summary(out)["result"]["final_residual"])
 
     def test_abel_positive_step(self, tmp_path):
         out = tmp_path / "o"

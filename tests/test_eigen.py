@@ -4,13 +4,48 @@ import math
 import numpy as np
 import pytest
 
-from diskdyn import eigen
+from diskdyn import eigen, lanes
 from diskdyn import orbits as ob
 from diskdyn import presets
 from diskdyn import selfmap as sm
-from diskdyn.geometry import mobius_factor, pseudo_hyperbolic
+from diskdyn.geometry import ensure_disk_point, mobius_factor, pseudo_hyperbolic
 
 SAMPLES = eigen.ring_samples(0.4, 16)
+
+
+def admissible(points, zeros) -> list[bool]:
+    """Whether each point lies more than ADMISSIBLE_RADIUS from every zero,
+    by the radius search estimate_tau makes."""
+    z, a = np.array(points, dtype=complex), np.array(zeros, dtype=complex)
+    near, _ = ob._same_pairs(z.real, z.imag, a.real, a.imag, radius=eigen.ADMISSIBLE_RADIUS)
+    ok = np.ones(len(z), dtype=bool)
+    ok[near] = False
+    return ok.tolist()
+
+
+def reference_admissible(z, zeros) -> bool:
+    """The point-by-point admissibility test estimate_tau once made: a
+    Euclidean prefilter at twice the radius, then the lane distance to each
+    zero it keeps."""
+    z = ensure_disk_point(z)
+    a = np.array(zeros, dtype=complex)
+    ar, ai = a.real, a.imag
+    dr, di = ar - z.real, ai - z.imag
+    near = dr * dr + di * di <= (2.0 * eigen.ADMISSIBLE_RADIUS) ** 2 * (1.0 + 1e-9)
+    if not near.any():
+        return True
+    rho = lanes.pseudo_hyperbolic(z.real, z.imag, ar[near], ai[near])
+    return bool((rho > eigen.ADMISSIBLE_RADIUS).all())
+
+
+def exact(value):
+    """A float's or complex's bits."""
+    return np.array(value).tobytes()
+
+
+def nan_at_one_sample(z):
+    """A candidate that is 1 but NaN at the fourth sample."""
+    return complex("nan") if z == SAMPLES[3] else 1.0
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +126,6 @@ class TestEstimateTau:
     def test_array_admissibility_is_the_scalar_rule(self, deep_b):
         f = presets.example61(0.5)
         zeros = [a for a, _ in deep_b.zeros]
-        arr = (np.array([a.real for a in zeros]), np.array([a.imag for a in zeros]))
         on_zero = zeros[40]
         # a preimage of a node outside the truncation's zero set
         (image_on_zero, _), *_ = sm.preimages(f, zeros[-1])
@@ -100,31 +134,36 @@ class TestEstimateTau:
         samples = SAMPLES + [on_zero, image_on_zero, zeros[-1] + 0.03, 0.0] + [
             complex(*rng.uniform(-0.6, 0.6, 2)) for _ in range(200)
         ]
-        kept = 0
-        for z in samples:
-            for point in (z, sm.evaluate(f, z)):
-                scalar = all(pseudo_hyperbolic(point, a) > eigen.ADMISSIBLE_RADIUS
-                             for a in zeros)
-                assert eigen._admissible(point, arr) == scalar
-            kept += eigen._admissible(z, arr) and eigen._admissible(sm.evaluate(f, z), arr)
-        assert not eigen._admissible(on_zero, arr)
-        assert not eigen._admissible(sm.evaluate(f, image_on_zero), arr)
+        images = [sm.evaluate(f, z) for z in samples]
+        searched = admissible(samples + images, zeros)
+        for point, got in zip(samples + images, searched):
+            scalar = all(pseudo_hyperbolic(point, a) > eigen.ADMISSIBLE_RADIUS
+                         for a in zeros)
+            assert got == scalar
+            assert reference_admissible(point, zeros) == scalar
+        kept = sum(s and i for s, i in zip(searched[:len(samples)], searched[len(samples):]))
+        assert admissible([on_zero, sm.evaluate(f, image_on_zero)], zeros) == [False, False]
         assert 0 < kept < len(samples)
 
     def test_estimate_tau_tests_every_zero_exactly(self, deep_b, monkeypatch):
         seen = []
-        admissible = eigen._admissible
+        search = eigen._same_pairs
 
-        def record(z, zeros):
-            seen.append(zeros)
-            return admissible(z, zeros)
+        def record(zr, zi, pr, pi, stop=None, radius=None):
+            seen.append((zr, zi, pr, pi, stop, radius))
+            return search(zr, zi, pr, pi, stop, radius)
 
-        monkeypatch.setattr(eigen, "_admissible", record)
-        eigen.estimate_tau(deep_b, presets.example61(0.5), SAMPLES)
+        monkeypatch.setattr(eigen, "_same_pairs", record)
+        f = presets.example61(0.5)
+        eigen.estimate_tau(deep_b, f, SAMPLES)
         want = np.array([(a.real, a.imag) for a, _ in deep_b.zeros])
-        assert seen
-        for re, im in seen:
-            assert np.array_equal(np.column_stack([re, im]).view(np.int64), want.view(np.int64))
+        # one search per estimate: the samples, then their images, against
+        # every zero
+        points = np.array(SAMPLES + [sm.evaluate(f, z) for z in SAMPLES])
+        [(zr, zi, pr, pi, stop, radius)] = seen
+        assert stop is None and radius == eigen.ADMISSIBLE_RADIUS
+        assert np.array_equal(np.column_stack([pr, pi]).view(np.int64), want.view(np.int64))
+        assert zr.tobytes() == points.real.tobytes() and zi.tobytes() == points.imag.tobytes()
 
     def test_admissibility_at_the_radius_is_the_scalar_rule(self, truncations):
         # points a few ulps off the 0.05 circle around a zero, and preimages
@@ -132,7 +171,6 @@ class TestEstimateTau:
         f = presets.example61(0.5)
         zeros = [n.point for n in truncations[4].nodes]
         arr = np.array(zeros)
-        parts = (arr.real.copy(), arr.imag.copy())
         circle = []
         for a in zeros[::40]:
             for k in range(24):
@@ -141,16 +179,36 @@ class TestEstimateTau:
                 circle += [complex(z.real + dx * math.ulp(z.real), z.imag + dy * math.ulp(z.imag))
                            for dx in (-2, 0, 2) for dy in (-2, 0, 2)]
         images = [sm.evaluate(f, z) for p in circle[::9] for z, _ in sm.preimages(f, p)]
+        searched = admissible(circle + images, zeros)
         numpy_rule = 0
-        for point in circle + images:
+        for point, got in zip(circle + images, searched):
             scalar = all(pseudo_hyperbolic(point, a) > eigen.ADMISSIBLE_RADIUS for a in zeros)
-            assert eigen._admissible(point, parts) == scalar
+            assert got == scalar
+            assert reference_admissible(point, zeros) == scalar
             rho = np.abs((arr - point) / (1.0 - arr.conj() * point))
             numpy_rule += bool((rho > eigen.ADMISSIBLE_RADIUS).all()) != scalar
-        kept = sum(eigen._admissible(point, parts) for point in circle + images)
-        assert 0 < kept < len(circle + images)
+        assert 0 < sum(searched) < len(searched)
         # the numpy complex quotient with np.abs decides some differently
         assert numpy_rule > 0
+
+    @pytest.mark.parametrize("alpha, kept", [(0.5, 15), (0.6, 15), (0.7, 16)])
+    def test_estimate_is_the_point_by_point_rule(self, alpha, kept):
+        # the estimate as each sample and image was once tested on its own
+        # (reference_admissible), bit for bit, at every depth of an eigen job
+        f = presets.example61(alpha)
+        deepest = ob.grand_orbit(f, 0.0, forward_n=12, backward_depth=8)
+        for depth in range(2, 9):
+            b = eigen.build_truncated_eigenfunction(deepest.prefix(depth))
+            values = eigen.sample_values(b, f, SAMPLES)
+            zeros = [a for a, _ in b.zeros]
+            ratios = [bfz / bz for z, (fz, bz, bfz) in zip(SAMPLES, values)
+                      if reference_admissible(z, zeros) and reference_admissible(fz, zeros)
+                      and bz != 0]
+            got = eigen.estimate_tau(b, f, SAMPLES, values)
+            tau = eigen._geometric_median(ratios)
+            assert got.sample_count == len(ratios) == kept
+            assert exact(got.tau) == exact(tau)
+            assert exact(got.dispersion) == exact(max(abs(r - tau) for r in ratios))
 
     def test_sample_outside_the_disk_rejected(self, deep_b):
         with pytest.raises(ValueError, match="not strictly inside"):
@@ -179,6 +237,11 @@ class TestEigenResidual:
         res = eigen.eigen_residual(lambda z: 1.0, presets.example62(), 1.0, SAMPLES)
         assert res == 0.0
 
+    def test_nan_at_one_sample_is_reported(self):
+        # a fold by max() dropped the NaN and reported 0.0
+        assert math.isnan(eigen.eigen_residual(nan_at_one_sample, sm.identity_map(), 1.0,
+                                               SAMPLES))
+
     def test_estimator_beats_naive_candidates(self, deep_b):
         f = presets.example61(0.5)
         est = eigen.estimate_tau(deep_b, f, SAMPLES)
@@ -203,8 +266,8 @@ class TestSharedSampleValues:
         scalar = sm._eval_fbp
 
         def counted(f, z):
-            if len(f.factors) > sm._SCALAR_MAX_ZEROS:
-                calls[len(f.factors)] = calls.get(len(f.factors), 0) + 1
+            if len(f.zeros) > sm._SCALAR_MAX_ZEROS:
+                calls[len(f.zeros)] = calls.get(len(f.zeros), 0) + 1
             return scalar(f, z)
 
         monkeypatch.setattr(sm, "_eval_fbp", counted)
@@ -229,6 +292,11 @@ class TestSquareTrick:
 
     def test_constant_candidate(self):
         assert eigen.square_trick_check(lambda z: 0.7j, presets.example62(), SAMPLES) == 0.0
+
+    def test_nan_at_one_sample_is_reported(self):
+        # a fold by max() dropped the NaN and reported 0.0
+        assert math.isnan(eigen.square_trick_check(nan_at_one_sample, sm.identity_map(),
+                                                   SAMPLES))
 
 
 class TestUTheta:

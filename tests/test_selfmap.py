@@ -752,9 +752,10 @@ def special_zeros(rng, n) -> list:
 
 class TestLargeProductTable:
     """A product of more than 32 zeros is built as its stack of one, in
-    lanes, and its factors read off the stack's columns, as the scalar loop
-    builds them, bit for bit; input the lanes cannot certify goes through
-    that loop.  Either way the stack's columns are the scalar table's."""
+    lanes, its columns bit for bit as the scalar loop builds them, and
+    nothing else: its scalar factors are built on first use only.  Input the
+    lanes cannot certify goes through that loop.  Either way the stack's
+    columns are the scalar table's."""
 
     @pytest.mark.parametrize("n", [33, 100])
     def test_special_zeros(self, n):
@@ -762,6 +763,9 @@ class TestLargeProductTable:
         for zeros in (entries, tuple(entries)):
             f = sm.FiniteBlaschkeProduct(1.0, zeros)
             assert lane_route(f)
+            # evaluating reads the stack alone
+            sm.evaluate(f, 0.1 - 0.2j)
+            assert "factors" not in vars(f)
             assert_table_is_scalar(f, entries)
         # at most 32 zeros: the scalar loop, and the stack on first use
         f = sm.FiniteBlaschkeProduct(1.0, entries[:32])
@@ -797,7 +801,7 @@ class TestLargeProductTable:
         lambda z, m: (z.real, m) if z.imag == 0 else (z, m),
         lambda z, m: (z, float(m)),
         lambda z, m: (z, np.int64(m)),
-        lambda z, m: (z, True) if m == 1 else (z, m),
+        lambda z, m: (z, np.uint8(m)),
         # beyond int64
         lambda z, m: (z, 2 ** 63) if m == 3 else (z, m),
     ])
@@ -819,7 +823,7 @@ class TestLargeProductTable:
         (complex(1 - 1e-16, 0.0), 1), (complex(0.6, 0.8), 1), (-1.5j, 2),
         (0.2j, 0), (0.2j, -1), (0.2j, "two"), (0.2j, None), (0.2j, 1.5j),
         (complex(math.nan, 0.3), 1), (complex(0.3, math.nan), 1), (complex(math.inf, 0.0), 1),
-        (0.2j, math.nan), (0.2j, math.inf),
+        (0.2j, math.nan), (0.2j, math.inf), (0.2j, True), (0.2j, np.True_),
     ])
     def test_invalid_input_raises_the_scalar_error(self, bad):
         entries = special_zeros(np.random.default_rng(9), 50)
@@ -829,6 +833,14 @@ class TestLargeProductTable:
         with pytest.raises(type(want.value)) as got:
             sm.FiniteBlaschkeProduct(1.0, entries)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_bool_multiplicity_is_refused(self, flag):
+        # int(True) is 1: a bool read as a number built a simple zero
+        message = f"^zero multiplicity must be an integer, got {flag!r}$"
+        for zeros in ([(0.3, flag)], [(0.3, 1), (0.2j, flag)]):
+            with pytest.raises(ValueError, match=message):
+                sm.FiniteBlaschkeProduct(1.0, zeros)
 
     def test_fractional_multiplicity_is_refused(self):
         entries = special_zeros(np.random.default_rng(10), 50)
