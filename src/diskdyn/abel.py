@@ -44,15 +44,7 @@ class HalfPlaneMap(HalfPlaneConjugate):
         if n < 0:
             raise ValueError("orbit index must be nonnegative")
         while len(self._orbit) <= n:
-            w = self.apply(self._orbit[-1])
-            if not in_halfplane(w):
-                raise ArithmeticError(f"transported orbit left the half-plane at {w!r}")
-            if abs(w) > 1e280:
-                raise ArithmeticError(
-                    f"transported orbit exceeded the numerical horizon at "
-                    f"index {len(self._orbit)}; use smaller n"
-                )
-            self._orbit.append(w)
+            self._orbit.append(_within_horizon(self.apply(self._orbit[-1]), len(self._orbit)))
         return self._orbit[n]
 
     def max_feasible_index(self, n_limit: int) -> int:
@@ -72,7 +64,19 @@ class HalfPlaneMap(HalfPlaneConjugate):
         error = self.walk(orbit, n)
         if error is not None:
             raise error
-        return orbit[-1]
+        return _within_horizon(orbit[-1], n)
+
+
+def _within_horizon(w: complex, n: int) -> complex:
+    """w, the n-th point of a transported orbit, refused (ArithmeticError)
+    off the half-plane or past |w| = 1e280."""
+    if not in_halfplane(w):
+        raise ArithmeticError(f"transported orbit left the half-plane at {w!r}")
+    if abs(w) > 1e280:
+        raise ArithmeticError(
+            f"transported orbit exceeded the numerical horizon at index {n}; use smaller n"
+        )
+    return w
 
 
 def _halfplane_point(w) -> complex:

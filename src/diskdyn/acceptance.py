@@ -88,12 +88,13 @@ def _parabolic_closed_form(x: float) -> float:
 def criterion_3_step_closed_form(tol):
     f = presets.example62()
     z = 0.0 + 0.0j
-    worst = 0.0
+    gaps = []
     for _ in range(101):
         z1 = selfmap.evaluate(f, z)
         direct = pseudo_hyperbolic(z, z1)
-        worst = max(worst, abs(direct - _parabolic_closed_form(z.real)))
+        gaps.append(abs(direct - _parabolic_closed_form(z.real)))
         z = z1
+    worst = abel.worst_residual(gaps)
     ok = worst < tol["step_closed_form"]
     return _result(3, "parabolic orbit distances match the closed form", ok,
                    f"worst |direct - closed| = {worst:.3e} over n <= 100")
@@ -139,13 +140,14 @@ def criterion_5_grand_orbit(tol):
     # closed-form recurrence for the second fiber points
     zeta0 = -0.8
     zm = 0.0
-    worst = 0.0
+    gaps = []
     all_negative = True
     for _ in range(12):
         zeta = (zeta0 - zm) / (1.0 - zeta0 * zm)
         all_negative &= zeta < 0
-        worst = max(worst, min(abs(p - zeta) for p in pts))
+        gaps.append(min(abs(p - zeta) for p in pts))
         zm = selfmap.evaluate(f, zm).real
+    worst = abel.worst_residual(gaps)
 
     interval_clear = not any(
         abs(p.imag) < 1e-12 and 1e-12 < p.real < 0.25 - 1e-12 for p in pts
@@ -184,7 +186,7 @@ def criterion_6_eigenpair(tol):
     tau_ok = abs(est.tau - (-1.0)) < tol["tau_gap"]
     decreasing = residuals[0] > residuals[1] > residuals[2]
     b0 = abs(last(0.0))
-    real_ok = max(
+    real_ok = abel.worst_residual(
         abs(last(complex(x)).imag) for x in np.linspace(-0.9, 0.9, 25)
     ) < tol["b_real"]
     sq = eigen.square_trick_check(last, f, samples)
@@ -212,7 +214,7 @@ def criterion_7_u_theta(tol):
     for theta in (math.pi / 3.0, 1.0, 2.0 * math.pi - 0.1):
         u = eigen.SingularEigenfunction(theta, handle)
         res = eigen.eigen_residual(u, t, cmath.exp(1j * theta), pts[:200])
-        bounded = max(abs(u(z)) for z in pts) <= 1.0 + 1e-15
+        bounded = abel.worst_residual(abs(u(z)) for z in pts) <= 1.0 + 1e-15
         ok &= res < tol["u_theta_residual"] and bounded
         details.append(f"theta={theta:.4f}: res={res:.1e} bounded={bounded}")
     return _result(7, "exponential eigenfunctions on the translation preset", ok,
@@ -226,10 +228,10 @@ def criterion_8_baker_pommerenke(tol):
     res = {n: abel.worst_residual(r for m, _, r, _ in rows if m == n)
            for n in (50, 100, 200, 400)}
     nonincreasing = res[50] >= res[100] >= res[200] >= res[400]
-    anchors = max(
-        max(abs(abel.baker_pommerenke_h(hm, 1.0, n)),
-            abs(abel.baker_pommerenke_h(hm, hm.orbit_point(1), n) - 1.0))
-        for n in (50, 100, 200, 400)
+    anchors = abel.worst_residual(
+        defect for n in (50, 100, 200, 400)
+        for defect in (abs(abel.baker_pommerenke_h(hm, 1.0, n)),
+                       abs(abel.baker_pommerenke_h(hm, hm.orbit_point(1), n) - 1.0))
     )
     ok = res[200] < tol["abel_residual_200"] and nonincreasing \
         and anchors <= tol["abel_anchor"]
@@ -273,12 +275,11 @@ def criterion_12_nevanlinna(tol):
 
     ident = selfmap.identity_map()
     z2 = presets.power_map(2)
-    closed_ok = True
-    worst = 0.0
+    gaps = []
     for w in (0.1, 0.37, 0.5 + 0.3j, -0.62, 0.05j):
-        gap_i = abs(counting.nevanlinna(ident, w).value - (1.0 - abs(w)))
-        gap_2 = abs(counting.nevanlinna(z2, w).value - 2.0 * (1.0 - math.sqrt(abs(w))))
-        worst = max(worst, gap_i, gap_2)
+        gaps.append(abs(counting.nevanlinna(ident, w).value - (1.0 - abs(w))))
+        gaps.append(abs(counting.nevanlinna(z2, w).value - 2.0 * (1.0 - math.sqrt(abs(w)))))
+    worst = abel.worst_residual(gaps)
     closed_ok = worst < tol["nevanlinna_closed_form"]
 
     lo, hi = tol["comparability_band"]

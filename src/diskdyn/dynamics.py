@@ -337,7 +337,10 @@ def julia_containment_check(f, M: float, samples: int = 1000, seed: int = 0) -> 
     """Sample the horodisk H(omega, M) and verify images stay in H(omega, a M).
 
     omega is the attracting boundary point and a its derivative there; the
-    allowed slack on the quotient bound is 1e-9 relative.
+    allowed slack on the quotient bound is 1e-9 relative.  A sample is kept
+    only 1e-12 inside the circle, so a level whose horodisk's center is not
+    (M below about 1e-12) is refused: fewer than half of that horodisk's
+    points would be kept, and none below about M = 5e-13.
     """
     if samples < 1:
         raise ValueError(f"containment check needs at least one sample, got {samples}")
@@ -350,6 +353,8 @@ def julia_containment_check(f, M: float, samples: int = 1000, seed: int = 0) -> 
 
     disk = Horodisk(omega, M)
     center, radius = disk.center, disk.radius
+    if not abs(center) < 1.0 - 1e-12:
+        raise ValueError(f"horodisk level {M!r} is too small to sample 1e-12 inside the circle")
     rng = np.random.default_rng(seed)
     bound = a * M
     max_q = -math.inf

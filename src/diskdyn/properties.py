@@ -6,21 +6,22 @@ map back onto the target, composites included, and keep |B| = 1 on the
 circle; Mobius factors must preserve the distance.  Each section draws
 every product and point first, in the order of a loop over products, then
 evaluates and solves the draws in lanes over product stacks
-(``diskdyn.stacks``), one stack per degree, and takes its maxima in draw
-order; a fiber count mismatch ends its section at that draw, as the loop
-does.  What it reports is that loop's, bit for bit
-(``tests/test_acceptance.py`` keeps the loop as the reference).
+(``diskdyn.stacks``), one stack per degree, and checks every draw: a fiber
+count mismatch fails its section, which goes on.  Each worst case folds as
+``abel.worst_residual`` does, so a NaN fails its tolerance.  What it
+reports is that loop's, bit for bit (``tests/test_acceptance.py`` keeps the
+loop as the reference).
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 import numpy as np
 
 from . import lanes, selfmap
+from .abel import worst_residual
 from .geometry import (
     DISK_MARGIN,
     UNIMODULAR_TOL,
@@ -110,38 +111,11 @@ def _stacked_values(stacks, which, rows, points) -> np.ndarray:
     return out
 
 
-def _running_max(values: np.ndarray) -> np.ndarray:
-    """Python's max over the last axis, taken in order: a later value
-    replaces the running one only where it is greater (so a NaN stays only
-    in first place)."""
-    top = values[..., 0]
-    for k in range(1, values.shape[-1]):
-        top = np.where(values[..., k] > top, values[..., k], top)
-    return top
-
-
-def _drawn(rng, draw, count):
-    """count draws draw(rng), and a function that rewinds rng to just after
-    draw k, where the per-product loop that breaks at draw k leaves it."""
-    state = rng.bit_generator.state
-
-    def rewind(k):
-        rng.bit_generator.state = state
-        for _ in range(k + 1):
-            draw(rng)
-
-    return [draw(rng) for _ in range(count)], rewind
-
-
 def _first_mismatch(fibers, degrees):
     """Index of the first fiber whose multiplicities do not sum to its
-    degree, or None; a failed fiber before it is raised."""
-    for k, (fiber, degree) in enumerate(zip(fibers, degrees)):
-        if isinstance(fiber, selfmap.RootFindingError):
-            raise fiber
-        if sum(m for _, m in fiber) != degree:
-            return k
-    return None
+    degree, or None; the first failed fiber is raised before."""
+    counts = [sum(m for _, m in selfmap._checked(fiber)) for fiber in fibers]
+    return next((k for k, (n, d) in enumerate(zip(counts, degrees)) if n != d), None)
 
 
 def _contraction_gap(rng) -> float:
@@ -151,62 +125,51 @@ def _contraction_gap(rng) -> float:
     stacks, which, row = _stack_products([p for p, _, _ in draws])
     zw = np.array([(z, w) for _, z, w in draws])
     fzw = _stacked_values(stacks, which, row, zw)
-    fz, fw, z, w = fzw[:, 0], fzw[:, 1], zw[:, 0], zw[:, 1]
-    with np.errstate(all="ignore"):
-        gaps = (lanes.pseudo_hyperbolic(fz.real, fz.imag, fw.real, fw.imag)
-                - lanes.pseudo_hyperbolic(z.real, z.imag, w.real, w.imag))
-    # pseudo_hyperbolic validates its points: a pair with a point not
-    # strictly inside the disk, or a NaN lane, goes through it, which raises
+    # pseudo_hyperbolic validates its points: the first pair with a point
+    # not strictly inside the disk goes through it, which raises
     inside = ((np.hypot(fzw.real, fzw.imag) < 1.0 - DISK_MARGIN)
               & (np.hypot(zw.real, zw.imag) < 1.0 - DISK_MARGIN)).all(axis=1)
-    gaps = gaps.tolist()
-    for k in np.flatnonzero(~inside | np.isnan(gaps)).tolist():
-        _, zk, wk = draws[k]
-        gaps[k] = pseudo_hyperbolic(*fzw[k].tolist()) - pseudo_hyperbolic(zk, wk)
-    return functools.reduce(max, gaps, 0.0)
+    for k in np.flatnonzero(~inside)[:1].tolist():
+        pseudo_hyperbolic(*fzw[k].tolist())
+        pseudo_hyperbolic(*zw[k].tolist())
+    (fz, fw), (z, w) = fzw.T, zw.T
+    gaps = (lanes.pseudo_hyperbolic(fz.real, fz.imag, fw.real, fw.imag)
+            - lanes.pseudo_hyperbolic(z.real, z.imag, w.real, w.imag))
+    return float(np.max(gaps, initial=0.0))
 
 
 def _back_evaluation(rng) -> tuple[float, str | None]:
-    """Worst |f(z) - w| over the fibers of random products, and the count
-    mismatch that stops the loop, if any."""
-    draws, rewind = _drawn(rng, lambda rng: (_random_product(rng), _random_disk_point(rng, 0.8)),
-                           PROPERTY_CASES)
+    """Worst |f(z) - w| over the fibers of random products, and the first
+    count mismatch, if any."""
+    draws = [(_random_product(rng), _random_disk_point(rng, 0.8)) for _ in range(PROPERTY_CASES)]
     stacks, which, row = _stack_products([p for p, _ in draws])
     targets = [ensure_disk_point(w) for _, w in draws]
     fibers = selfmap._stacked_fibers(stacks, which, row, targets)
     degrees = [stacks[s].degree for s in which.tolist()]
     mismatch = _first_mismatch(fibers, degrees)
-    if mismatch is not None:
-        rewind(mismatch)
-        fibers = fibers[:mismatch]
-    # the fibers padded to one width with their first point, which leaves
-    # each running max as it is
-    width = max(degrees)
-    points = np.array([[z for z, _ in fiber] + [fiber[0][0]] * (width - len(fiber))
-                       for fiber in fibers], dtype=complex).reshape(len(fibers), width)
-    n = len(fibers)
-    back = _stacked_values(stacks, which[:n], row[:n], points) - np.array(targets[:n])[:, None]
-    worst = functools.reduce(max, _running_max(np.hypot(back.real, back.imag)).tolist(), 0.0)
+    # each fiber point against the target of the draw that owns it
+    owner = np.array([k for k, fiber in enumerate(fibers) for _ in fiber], dtype=np.intp)
+    points = np.array([z for fiber in fibers for z, _ in fiber], dtype=complex)
+    back = (_stacked_values(stacks, which[owner], row[owner], points[:, None])[:, 0]
+            - np.array(targets)[owner])
+    worst = float(np.max(np.hypot(back.real, back.imag), initial=0.0))
     if mismatch is None:
         return worst, None
     return worst, f"fiber count mismatch for degree {degrees[mismatch]}"
 
 
 def _composite_counts(rng) -> str | None:
-    """The count mismatch that stops the loop over the fibers of random
-    two-stage composites, if any."""
-    draws, rewind = _drawn(rng, lambda rng: (_random_product(rng, 3), _random_product(rng, 3),
-                                             _random_disk_point(rng, 0.8)), 200)
+    """The fiber count mismatch of random two-stage composites, if any."""
+    draws = [(_random_product(rng, 3), _random_product(rng, 3), _random_disk_point(rng, 0.8))
+             for _ in range(200)]
     # compose(f, g) applies g first
     stages = [_stack_products([g for _, g, _ in draws]),
               _stack_products([f for f, _, _ in draws])]
     fibers = selfmap._composite_fibers(stages, np.arange(len(draws)),
                                        [ensure_disk_point(w) for _, _, w in draws])
     inner, outer = ([stacks[s].degree for s in which.tolist()] for stacks, which, _ in stages)
-    mismatch = _first_mismatch(fibers, [a * b for a, b in zip(inner, outer)])
-    if mismatch is None:
+    if _first_mismatch(fibers, [a * b for a, b in zip(inner, outer)]) is None:
         return None
-    rewind(mismatch)
     return "composite fiber count != degree product"
 
 
@@ -217,8 +180,15 @@ def _boundary_modulus(rng) -> float:
     stacks, which, row = _stack_products(products)
     values = _stacked_values(stacks, which, row,
                              np.broadcast_to(circle, (len(products), len(circle))))
-    moduli = np.abs(np.hypot(values.real, values.imag) - 1.0)
-    return functools.reduce(max, _running_max(moduli).tolist(), 0.0)
+    return float(np.max(np.abs(np.hypot(values.real, values.imag) - 1.0), initial=0.0))
+
+
+def _mobius_invariance(rng) -> float:
+    """Worst |rho(m_a(z), m_a(w)) - rho(z, w)| over random factors and pairs."""
+    draws = [(_random_disk_point(rng, 0.9), _random_disk_point(rng), _random_disk_point(rng))
+             for _ in range(PROPERTY_CASES)]
+    return worst_residual(abs(pseudo_hyperbolic(mobius_factor(a, z), mobius_factor(a, w))
+                              - pseudo_hyperbolic(z, w)) for a, z, w in draws)
 
 
 def _property_suites(tol) -> tuple[bool, str]:
@@ -227,13 +197,13 @@ def _property_suites(tol) -> tuple[bool, str]:
     failures = []
 
     worst_sp = _contraction_gap(rng)
-    if worst_sp > tol["schwarz_pick"]:
+    if not worst_sp <= tol["schwarz_pick"]:
         failures.append(f"contraction violated by {worst_sp:.2e}")
 
     worst_back, mismatch = _back_evaluation(rng)
     if mismatch:
         failures.append(mismatch)
-    if worst_back > tol["preimage_back_eval"]:
+    if not worst_back <= tol["preimage_back_eval"]:
         failures.append(f"fiber back-evaluation off by {worst_back:.2e}")
 
     mismatch = _composite_counts(rng)
@@ -241,21 +211,11 @@ def _property_suites(tol) -> tuple[bool, str]:
         failures.append(mismatch)
 
     worst_mod = _boundary_modulus(rng)
-    if worst_mod > tol["boundary_modulus"]:
+    if not worst_mod <= tol["boundary_modulus"]:
         failures.append(f"boundary modulus off by {worst_mod:.2e}")
 
-    worst_mi = 0.0
-    for _ in range(PROPERTY_CASES):
-        a = _random_disk_point(rng, 0.9)
-        z, w = _random_disk_point(rng), _random_disk_point(rng)
-        worst_mi = max(
-            worst_mi,
-            abs(
-                pseudo_hyperbolic(mobius_factor(a, z), mobius_factor(a, w))
-                - pseudo_hyperbolic(z, w)
-            ),
-        )
-    if worst_mi > tol["mobius_invariance"]:
+    worst_mi = _mobius_invariance(rng)
+    if not worst_mi <= tol["mobius_invariance"]:
         failures.append(f"distance invariance off by {worst_mi:.2e}")
 
     ok = not failures

@@ -66,6 +66,18 @@ class TestHalfPlaneMap:
         with pytest.raises(ArithmeticError):
             hyper.orbit_point(5000)
 
+    def test_iterate_refuses_what_the_orbit_refuses(self):
+        # the base orbit passes |w| = 1e280 at index 931 and then overflows
+        # to NaN; iterate refuses both points as orbit_point does
+        hyper = abel.HalfPlaneMap(presets.example61(0.6))
+        with pytest.raises(ArithmeticError, match="left the half-plane"):
+            hyper.iterate(1.0, 2000)
+        with pytest.raises(ArithmeticError) as horizon:
+            hyper.iterate(1.0, 931)
+        with pytest.raises(ArithmeticError) as orbit:
+            hyper.orbit_point(931)
+        assert str(horizon.value) == str(orbit.value)
+
     def test_max_feasible_index(self):
         hyper = abel.HalfPlaneMap(presets.example61(0.6))
         n = hyper.max_feasible_index(5000)

@@ -1,11 +1,12 @@
 """Runs every headline criterion at its stated tolerance, one line each."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from diskdyn import acceptance, properties, selfmap
+from diskdyn import abel, acceptance, properties, selfmap
 from diskdyn.geometry import mobius_factor, pseudo_hyperbolic
 
 
@@ -54,61 +55,94 @@ def test_eigenpair_criterion_builds_one_grand_orbit(monkeypatch):
     assert calls == [8]
 
 
+def test_a_nan_distance_fails_criterion_3(monkeypatch):
+    real, calls = acceptance.pseudo_hyperbolic, []
+
+    def nan_at_call_50(z, w):
+        calls.append((z, w))
+        return math.nan if len(calls) == 50 else real(z, w)
+
+    monkeypatch.setattr(acceptance, "pseudo_hyperbolic", nan_at_call_50)
+    r = acceptance.criterion_3_step_closed_form(acceptance.DEFAULT_TOLERANCES)
+    assert not r.passed
+    assert r.detail == "worst |direct - closed| = nan over n <= 100"
+
+
+def test_a_nan_counting_value_fails_criterion_12(monkeypatch):
+    real = acceptance.counting.nevanlinna
+
+    def nan_for_the_identity(f, w):
+        sample = real(f, w)
+        if selfmap.is_identity(f) and w == 0.37:
+            return dataclasses.replace(sample, value=math.nan)
+        return sample
+
+    monkeypatch.setattr(acceptance.counting, "nevanlinna", nan_for_the_identity)
+    r = acceptance.criterion_12_nevanlinna(acceptance.DEFAULT_TOLERANCES)
+    assert not r.passed
+    assert "closed-form worst=nan" in r.detail
+
+
 def reference_criterion_10(tol):
     """Criterion 10 as a loop over products, one preimages or evaluate call
-    at a time: the definition the stacked criterion reproduces.  Returns
+    at a time: the definition the stacked criterion reproduces.  Every draw
+    is checked, and each worst case folds by abel.worst_residual.  Returns
     (passed, detail), the contraction, back-evaluation and modulus maxima,
     and the generator's state after the modulus section."""
     rng = np.random.default_rng(987654321)
     failures = []
 
-    worst_sp = 0.0
+    gaps = []
     for _ in range(properties.PROPERTY_CASES):
         f = properties._random_blaschke(rng)
         z, w = properties._random_disk_point(rng), properties._random_disk_point(rng)
         lhs = pseudo_hyperbolic(selfmap.evaluate(f, z), selfmap.evaluate(f, w))
-        worst_sp = max(worst_sp, lhs - pseudo_hyperbolic(z, w))
-    if worst_sp > tol["schwarz_pick"]:
+        gaps.append(lhs - pseudo_hyperbolic(z, w))
+    worst_sp = abel.worst_residual(gaps)
+    if not worst_sp <= tol["schwarz_pick"]:
         failures.append(f"contraction violated by {worst_sp:.2e}")
 
-    worst_back = 0.0
+    back, mismatches = [], []
     for _ in range(properties.PROPERTY_CASES):
         f = properties._random_blaschke(rng)
         w = properties._random_disk_point(rng, 0.8)
         fiber = selfmap.preimages(f, w)
         if sum(m for _, m in fiber) != f.degree:
-            failures.append(f"fiber count mismatch for degree {f.degree}")
-            break
-        worst_back = max(worst_back, max(abs(selfmap.evaluate(f, z) - w) for z, _ in fiber))
-    if worst_back > tol["preimage_back_eval"]:
+            mismatches.append(f"fiber count mismatch for degree {f.degree}")
+        back += [abs(selfmap.evaluate(f, z) - w) for z, _ in fiber]
+    failures += mismatches[:1]
+    worst_back = abel.worst_residual(back)
+    if not worst_back <= tol["preimage_back_eval"]:
         failures.append(f"fiber back-evaluation off by {worst_back:.2e}")
 
+    mismatches = []
     for _ in range(200):
         f = properties._random_blaschke(rng, 3)
         g = properties._random_blaschke(rng, 3)
         w = properties._random_disk_point(rng, 0.8)
         fiber = selfmap.preimages(selfmap.compose(f, g), w)
         if sum(m for _, m in fiber) != f.degree * g.degree:
-            failures.append("composite fiber count != degree product")
-            break
+            mismatches.append("composite fiber count != degree product")
+    failures += mismatches[:1]
 
     circle = np.exp(2j * math.pi * np.arange(256) / 256)
-    worst_mod = 0.0
+    moduli = []
     for _ in range(properties.PROPERTY_CASES // 4):
         f = properties._random_blaschke(rng)
-        worst_mod = max(worst_mod, max(abs(abs(selfmap.evaluate(f, zc)) - 1.0)
-                                       for zc in circle[::4]))
-    if worst_mod > tol["boundary_modulus"]:
+        moduli += [abs(abs(selfmap.evaluate(f, zc)) - 1.0) for zc in circle[::4]]
+    worst_mod = abel.worst_residual(moduli)
+    if not worst_mod <= tol["boundary_modulus"]:
         failures.append(f"boundary modulus off by {worst_mod:.2e}")
     state = rng.bit_generator.state
 
-    worst_mi = 0.0
+    invariance = []
     for _ in range(properties.PROPERTY_CASES):
         a = properties._random_disk_point(rng, 0.9)
         z, w = properties._random_disk_point(rng), properties._random_disk_point(rng)
-        worst_mi = max(worst_mi, abs(pseudo_hyperbolic(mobius_factor(a, z), mobius_factor(a, w))
-                                     - pseudo_hyperbolic(z, w)))
-    if worst_mi > tol["mobius_invariance"]:
+        invariance.append(abs(pseudo_hyperbolic(mobius_factor(a, z), mobius_factor(a, w))
+                              - pseudo_hyperbolic(z, w)))
+    worst_mi = abel.worst_residual(invariance)
+    if not worst_mi <= tol["mobius_invariance"]:
         failures.append(f"distance invariance off by {worst_mi:.2e}")
 
     ok = not failures
@@ -175,7 +209,11 @@ class TestStackedPropertySuites:
         monkeypatch.setattr(selfmap, "_fiber",
                             lambda f, w, poly, roots: change(f, w, real(f, w, poly, roots)))
 
-    def test_first_count_mismatch_stops_each_section(self, monkeypatch):
+    def test_count_mismatch_fails_each_section_and_draws_on(self, monkeypatch):
+        # a section with a mismatch still checks and draws every product, so
+        # the generator ends where the untampered run leaves it
+        untampered = stacked_sections()[2]
+
         def drop(f, w, fiber):
             return fiber[1:] if self.singled_out(f, w) else fiber
 
@@ -185,6 +223,26 @@ class TestStackedPropertySuites:
                               "composite fiber count != degree product")
         assert r.detail.startswith("fiber count mismatch for degree 2; "
                                    "composite fiber count != degree product")
+        assert stacked_sections()[2] == untampered
+
+    @pytest.mark.parametrize("call, failure", [(1, "fiber back-evaluation off by nan"),
+                                                (2, "boundary modulus off by nan")])
+    def test_a_nan_fails_its_section(self, monkeypatch, call, failure):
+        # one NaN value, not the first, in the back-evaluation section (the
+        # suite's second _stacked_values call) or the modulus section (its third)
+        real, calls = properties._stacked_values, []
+
+        def nan_once(*args):
+            values = real(*args)
+            if len(calls) == call:
+                values[7, -1] = complex("nan")
+            calls.append(args)
+            return values
+
+        monkeypatch.setattr(properties, "_stacked_values", nan_once)
+        r = acceptance.criterion_10_property_suites(acceptance.DEFAULT_TOLERANCES)
+        assert not r.passed
+        assert r.detail.startswith(failure)
 
     def test_first_failed_fiber_is_raised(self, monkeypatch):
         def fail(f, w, fiber):

@@ -535,6 +535,25 @@ class TestJuliaContainment:
         with pytest.raises(ValueError):
             dyn.julia_containment_check(presets.example62(), 0.0)
 
+    def test_too_small_a_level_is_refused(self, monkeypatch):
+        # below M = 5e-13 no horodisk point is 1e-12 inside the circle, so
+        # rejection sampling would never end: the generator gives up first
+        real = np.random.default_rng
+
+        class Bounded:
+            def __init__(self, seed):
+                self.rng, self.draws = real(seed), 0
+
+            def random(self):
+                self.draws += 1
+                if self.draws > 10**5:
+                    raise RuntimeError("no sample accepted in 10^5 draws")
+                return self.rng.random()
+
+        monkeypatch.setattr(np.random, "default_rng", Bounded)
+        with pytest.raises(ValueError, match="too small to sample"):
+            dyn.julia_containment_check(presets.example61(0.5), 1e-13, samples=10)
+
     @pytest.mark.parametrize("samples", [0, -5])
     def test_no_samples_rejected(self, samples):
         # an empty sample set would pass vacuously with -inf quotients
