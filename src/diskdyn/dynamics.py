@@ -120,14 +120,6 @@ def _attracting(f, contacts) -> MapClass:
                     shift=shift, step=step)
 
 
-def denjoy_wolff(f) -> MapClass:
-    """Locate the attracting point and classify the map, through the roots
-    of its fixed-point polynomial (_fixed_point_class)."""
-    if is_identity(f):
-        raise ValueError("the identity map has no distinguished fixed point")
-    return _fixed_point_class(f)
-
-
 def _fixed_point_poly(f) -> np.ndarray:
     """Coefficients (low to high) of P = A - z B for f = A / B, with A and B
     of equal length: each stage is substituted into the previous A / B by
@@ -141,8 +133,9 @@ def _fixed_point_poly(f) -> np.ndarray:
     return p if p.imag.any() else p.real
 
 
-def _fixed_point_class(f) -> MapClass:
-    """Classify a Blaschke-type map from the roots of P = A - z B.
+def denjoy_wolff(f) -> MapClass:
+    """Locate the attracting point and classify the map, through the roots
+    of its fixed-point polynomial P = A - z B.
 
     Roots and multiplicities come from selfmap._root_groups.  Roots within
     CIRCLE_BAND of the circle are boundary fixed points: simple ones are
@@ -150,7 +143,10 @@ def _fixed_point_class(f) -> MapClass:
     inside go through Newton on f(z) - z.  Only points with
     |f(z) - z| <= PREIMAGE_RESIDUAL_TOL after polishing count (high-degree
     composites have spurious roots).  An interior fixed point attracts.
+    The identity has no distinguished fixed point and is refused.
     """
+    if is_identity(f):
+        raise ValueError("the identity map has no distinguished fixed point")
     p = _fixed_point_poly(f)
     contacts = []
     for z, m in _root_groups(p):

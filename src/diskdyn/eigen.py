@@ -36,11 +36,14 @@ def build_truncated_eigenfunction(truncation: GrandOrbitTruncation) -> FiniteBla
     """Product of the zero factors over the truncation nodes, gamma = 1.
 
     Factor order is the deterministic node enumeration order, so repeated
-    builds give bit-identical values.
+    builds give bit-identical values.  The nodes are grand_orbit's, distinct
+    and validated, so they are taken as they are (no check or merge again).
     """
-    if not truncation.nodes:
+    nodes = truncation.nodes
+    if not nodes:
         raise ValueError("cannot build a product over an empty truncation")
-    return FiniteBlaschkeProduct(1.0, tuple((n.point, n.multiplicity) for n in truncation.nodes))
+    return FiniteBlaschkeProduct._from_table(1.0 + 0.0j, [n.point for n in nodes],
+                                             [n.multiplicity for n in nodes])
 
 
 @dataclass(frozen=True)

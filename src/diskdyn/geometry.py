@@ -97,8 +97,9 @@ class Horodisk:
 
     def __post_init__(self):
         ensure_unimodular(self.contact)
-        if not self.level > 0:
-            raise ValueError(f"horodisk level must be positive, got {self.level!r}")
+        # an infinite level has center 0 and radius inf / inf = nan
+        if not 0 < self.level < math.inf:
+            raise ValueError(f"horodisk level must be positive and finite, got {self.level!r}")
 
     @property
     def center(self) -> complex:

@@ -40,8 +40,8 @@ CLUSTER_RADIUS = 1e-3
 # go fiber by fiber
 _LANE_MIN_TARGETS = 20
 
-# products of more distinct zeros are built in lanes (_lane_zeros) and
-# evaluated with numpy by _eval_fbp, which lanes.value does not mirror
+# products of more distinct zeros are evaluated with numpy by _eval_fbp,
+# which lanes.value does not mirror
 _SCALAR_MAX_ZEROS = 32
 
 # |p| <= this * sum |p_k| |z|^k (Horner's rounding scale; <= 2e-15 at
@@ -90,45 +90,28 @@ def _normalize_zeros(zeros) -> tuple[tuple[complex, int], ...]:
     return tuple(merged.items())
 
 
-def _lane_zeros(entries):
-    """(multiplicities, zero array) of a product of more than
-    _SCALAR_MAX_ZEROS zeros, for the stack's lane constructor, which builds
-    its table bit for bit as the scalar loop does; None for input only that
-    loop can take: not a list or tuple of (complex, int) pairs, a multiplicity
-    outside [1, 2**63) (int64), a repeated zero or a zero outside the disk."""
-    if not (isinstance(entries, (tuple, list)) and len(entries) > _SCALAR_MAX_ZEROS
-            and set(map(type, entries)) == {tuple} and set(map(len, entries)) == {2}):
-        return None
-    points, mults = zip(*entries)
-    if set(map(type, points)) != {complex} or set(map(type, mults)) != {int}:
-        return None
-    a = np.array(points)
-    ordered = np.sort(a)
-    if (not 1 <= min(mults) <= max(mults) < 2 ** 63 or (ordered[1:] == ordered[:-1]).any()
-            or not (np.hypot(a.real, a.imag) < 1.0 - DISK_MARGIN).all()):
-        return None
-    return mults, a
-
-
 class FiniteBlaschkeProduct:
     """gamma * prod over zeros (a, mult) of mobius_factor(a, .)^mult.
 
     Repeated entries of one zero are merged, so every spelling of a map has
     the same ``zeros``.  ``factors`` holds (a, conj(a), -a/|a|, mult) per zero
     (direction 1 at the origin), and ``_stack`` the same columns as arrays,
-    each built on first use; more than _SCALAR_MAX_ZEROS zeros are built as
-    the stack alone, in lanes (_lane_zeros), the one table evaluation reads.
+    each built on first use; evaluation reads the stack alone above
+    _SCALAR_MAX_ZEROS zeros.
     """
 
     def __init__(self, gamma: complex = 1.0, zeros=((0.0, 1),)):
         self.gamma = ensure_unimodular(gamma)
-        lane = _lane_zeros(zeros)
-        if lane is not None:
-            mults, a = lane
-            self._stack = _ProductStack(np.array([self.gamma]), a[None], mults)
-            self.zeros = tuple(zeros)
-        else:
-            self.zeros = _normalize_zeros(zeros)
+        self.zeros = _normalize_zeros(zeros)
+
+    @classmethod
+    def _from_table(cls, gamma: complex, points, mults) -> FiniteBlaschkeProduct:
+        """The product of a table the program has validated already (a
+        unimodular complex gamma, distinct disk points as complex, integer
+        multiplicities >= 1), taken as it is: nothing is checked or merged."""
+        f = cls.__new__(cls)
+        f.gamma, f.zeros = gamma, tuple(zip(points, mults))
+        return f
 
     @cached_property
     def factors(self) -> tuple:
@@ -461,8 +444,9 @@ def _lane_fibers(f: _ProductStack, w: np.ndarray, roots: np.ndarray) -> list:
 
 
 def _row_product(f: _ProductStack, r: int) -> FiniteBlaschkeProduct:
-    """Row r of the stack as a FiniteBlaschkeProduct, for the scalar paths."""
-    return FiniteBlaschkeProduct(complex(f.gamma[r, 0]), list(zip(f.zeros[r].tolist(), f.mults)))
+    """Row r of the stack as a FiniteBlaschkeProduct, for the scalar paths;
+    a stack's rows are validated tables."""
+    return FiniteBlaschkeProduct._from_table(complex(f.gamma[r, 0]), f.zeros[r].tolist(), f.mults)
 
 
 def _product_fibers(f: _ProductStack, rows: np.ndarray, targets: list[complex]) -> list:

@@ -535,6 +535,10 @@ class TestJuliaContainment:
         with pytest.raises(ValueError):
             dyn.julia_containment_check(presets.example62(), 0.0)
 
+    def test_infinite_level_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="^horodisk level must be positive and finite, got inf$"):
+            dyn.julia_containment_check(presets.example61(0.5), math.inf)
+
     def test_too_small_a_level_is_refused(self, monkeypatch):
         # below M = 5e-13 no horodisk point is 1e-12 inside the circle, so
         # rejection sampling would never end: the generator gives up first

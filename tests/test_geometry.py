@@ -67,6 +67,15 @@ def test_horodisk_validation():
         g.Horodisk(1.0, -2.0)
 
 
+@pytest.mark.parametrize("level", [math.inf, math.nan])
+def test_horodisk_level_must_be_finite(level):
+    # an infinite level gives radius inf / inf = nan: a sample would be NaN,
+    # and its error would name that point, not the level
+    message = rf"^horodisk level must be positive and finite, got {level!r}$"
+    with pytest.raises(ValueError, match=message):
+        g.Horodisk(1.0, level)
+
+
 def test_horodisk_membership_agrees_with_euclidean():
     rng = np.random.default_rng(42)
     h = g.Horodisk(cmath.exp(0.3j), 0.8)

@@ -10,6 +10,7 @@ from numpy.polynomial import polynomial as npp
 
 from diskdyn import properties
 from diskdyn import dynamics as dyn
+from diskdyn import eigen
 from diskdyn import geometry as g
 from diskdyn import lanes
 from diskdyn import orbits
@@ -684,9 +685,12 @@ class TestLanes:
 
     def test_product_with_many_zeros_stays_scalar(self, monkeypatch):
         rng = np.random.default_rng(16)
-        f = sm.FiniteBlaschkeProduct(1.0, [(random_disk_point(rng, 0.8), 1) for _ in range(33)])
-        # built as its stack of one, which its evaluation reads
-        assert "_stack" in vars(f)
+        points = [random_disk_point(rng, 0.8) for _ in range(33)]
+        # built from a validated table, as the program builds such products;
+        # its evaluation reads its stack of one alone
+        f = sm.FiniteBlaschkeProduct._from_table(1.0 + 0.0j, points, [1] * 33)
+        sm.evaluate(f, 0.1j)
+        assert "_stack" in vars(f) and "factors" not in vars(f)
 
         def refuse(*args):
             raise AssertionError("lanes used on a product with more than 32 zeros")
@@ -716,6 +720,13 @@ def exact(value):
     return type(value).__name__, value
 
 
+def row_product(stack, r):
+    """Row r of a stack as the public constructor builds it, validated and
+    merged: the reference for the row's product on its own."""
+    return sm.FiniteBlaschkeProduct(complex(stack.gamma[r, 0]),
+                                    list(zip(stack.zeros[r].tolist(), stack.mults)))
+
+
 def assert_table_is_scalar(f, entries):
     zeros, factors, columns = scalar_table(entries)
     assert [tuple(map(exact, z)) for z in f.zeros] == [tuple(map(exact, z)) for z in zeros]
@@ -733,9 +744,9 @@ def assert_table_is_scalar(f, entries):
     assert stack.mults == tuple(m for _, m in zeros)
 
 
-def lane_route(f) -> bool:
-    """Whether f was built as its stack of one, in lanes (the scalar loop
-    leaves the stack to first use)."""
+def stack_built(f) -> bool:
+    """Whether f holds its stack of one yet (every product builds it on
+    first use)."""
     return "_stack" in vars(f)
 
 
@@ -751,49 +762,57 @@ def special_zeros(rng, n) -> list:
 
 
 class TestLargeProductTable:
-    """A product of more than 32 zeros is built as its stack of one, in
-    lanes, its columns bit for bit as the scalar loop builds them, and
-    nothing else: its scalar factors are built on first use only.  Input the
-    lanes cannot certify goes through that loop.  Either way the stack's
-    columns are the scalar table's."""
+    """A product of more than 32 zeros, built from a validated table
+    (FiniteBlaschkeProduct._from_table) or by the constructor, has the
+    scalar loop's table, and its stack of one the same columns bit for bit,
+    built on first use; evaluating it reads that stack alone."""
 
     @pytest.mark.parametrize("n", [33, 100])
     def test_special_zeros(self, n):
         entries = special_zeros(np.random.default_rng(n), n)
         for zeros in (entries, tuple(entries)):
-            f = sm.FiniteBlaschkeProduct(1.0, zeros)
-            assert lane_route(f)
+            f = sm.FiniteBlaschkeProduct._from_table(1.0 + 0.0j, *zip(*zeros))
+            assert not stack_built(f)
             # evaluating reads the stack alone
             sm.evaluate(f, 0.1 - 0.2j)
-            assert "factors" not in vars(f)
+            assert stack_built(f) and "factors" not in vars(f)
             assert_table_is_scalar(f, entries)
-        # at most 32 zeros: the scalar loop, and the stack on first use
-        f = sm.FiniteBlaschkeProduct(1.0, entries[:32])
-        assert not lane_route(f)
-        assert_table_is_scalar(f, entries[:32])
+        # the constructor: the scalar loop, and the stack on first use
+        for zeros in (entries, entries[:32]):
+            f = sm.FiniteBlaschkeProduct(1.0, zeros)
+            assert not stack_built(f)
+            assert_table_is_scalar(f, zeros)
 
     def test_grand_orbit_product(self):
         tr = orbits.grand_orbit(presets.example61(0.6), 0.0, 12, 8)
         entries = tuple((n.point, n.multiplicity) for n in tr.nodes)
-        f = sm.FiniteBlaschkeProduct(1.0, entries)
-        assert len(entries) == 3328 and lane_route(f)
+        f = eigen.build_truncated_eigenfunction(tr)
+        assert len(entries) == 3328 and not stack_built(f)
         assert_table_is_scalar(f, entries)
 
     def test_product_built_in_lanes_is_freed_by_reference_counting(self):
         # a product and its stack in a reference cycle waited for a full
         # collection, and an eigen job's peak memory rose by 7 MB
-        f = sm.FiniteBlaschkeProduct(1.0, special_zeros(np.random.default_rng(33), 40))
-        assert lane_route(f)
-        gone = weakref.ref(f)
-        del f
-        assert gone() is None
+        f = sm.FiniteBlaschkeProduct._from_table(
+            1.0 + 0.0j, *zip(*special_zeros(np.random.default_rng(33), 40)))
+        sm.evaluate(f, 0.3)
+        assert stack_built(f)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gone = weakref.ref(f)
+            del f
+            assert gone() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_repeated_zeros_merge_into_the_first(self):
         entries = special_zeros(np.random.default_rng(7), 40)
         # the origin again with other signs, and two more exact repeats
         entries += [(0j, 2), entries[5], (entries[20][0], 3)]
         f = sm.FiniteBlaschkeProduct(1.0, entries)
-        assert not lane_route(f) and len(f.zeros) == 40
+        assert not stack_built(f) and len(f.zeros) == 40
         assert exact(f.zeros[0][0]) == exact(complex(-0.0, -0.0))
         assert_table_is_scalar(f, entries)
 
@@ -808,7 +827,7 @@ class TestLargeProductTable:
     def test_other_spellings_take_the_scalar_loop(self, spell):
         entries = [spell(z, m) for z, m in special_zeros(np.random.default_rng(8), 40)]
         f = sm.FiniteBlaschkeProduct(1.0, entries)
-        assert not lane_route(f)
+        assert not stack_built(f)
         assert_table_is_scalar(f, entries)
 
     def test_bare_points_and_iterators_take_the_scalar_loop(self):
@@ -816,7 +835,7 @@ class TestLargeProductTable:
         points = [z for z, _ in entries]
         for zeros, spelled in ((points, points), (iter(entries), entries)):
             f = sm.FiniteBlaschkeProduct(1.0, zeros)
-            assert not lane_route(f)
+            assert not stack_built(f)
             assert_table_is_scalar(f, spelled)
 
     @pytest.mark.parametrize("bad", [
@@ -861,6 +880,44 @@ class TestLargeProductTable:
             entries[-1] = (bad, 1)
             with pytest.raises(ValueError, match="is not strictly inside the unit disk"):
                 sm.FiniteBlaschkeProduct(1.0, entries)
+
+
+class TestValidatedTables:
+    """The products the program builds from its own validated tables, a
+    grand orbit's nodes and a stack's rows, are not checked or merged again,
+    and are the constructor's products bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def grand_orbit(self):
+        return orbits.grand_orbit(presets.example61(0.6), 0, 12, 8)
+
+    def test_stack_rows_are_not_validated_again(self, monkeypatch):
+        f = presets.example61(0.6)
+        rng = np.random.default_rng(18)
+        # too few targets for the lanes: each fiber is _fiber's, on the
+        # stack row's product
+        targets = [random_disk_point(rng, 0.9) for _ in range(sm._LANE_MIN_TARGETS - 1)]
+        want = [bits(fiber) for fiber in sm._fibers(f, targets)]
+
+        def refuse(zeros):
+            raise AssertionError("a stack's row was validated again")
+
+        monkeypatch.setattr(sm, "_normalize_zeros", refuse)
+        assert [bits(fiber) for fiber in sm._fibers(f, targets)] == want
+
+    @pytest.mark.parametrize("depth", range(9))
+    def test_truncated_eigenfunction_is_the_constructors_product(self, grand_orbit, depth):
+        tr = grand_orbit.prefix(depth)
+        entries = [(n.point, n.multiplicity) for n in tr.nodes]
+        b = eigen.build_truncated_eigenfunction(tr)
+        want = sm.FiniteBlaschkeProduct(1.0, entries)
+        # small depths are evaluated by the scalar loop, deep ones by numpy
+        assert depth > 0 or len(entries) == 13
+        assert exact(b.gamma) == exact(want.gamma)
+        assert_table_is_scalar(b, entries)
+        samples = eigen.ring_samples(0.4)
+        points = samples + [sm.evaluate(presets.example61(0.6), z) for z in samples]
+        assert [exact(b(z)) for z in points] == [exact(want(z)) for z in points]
 
 
 def convolve_substitute(f, a, b):
@@ -954,7 +1011,7 @@ class TestProductStacks:
         _, (stacks, _, _) = criterion_stacks()
         for stack in stacks + special_stacks(rng):
             for r in range(len(stack)):
-                f = sm._row_product(stack, r)
+                f = row_product(stack, r)
                 assert exact(complex(stack.gamma[r, 0])) == exact(f.gamma)
                 for (a, ac, u, m), k, (fa, fac, fu, fm) in zip(stack.factors, stack.slopes,
                                                                f.factors):
@@ -976,7 +1033,7 @@ class TestProductStacks:
             for a, b in forms:
                 num, den = ps._substitute(stack, a, b)
                 for r in range(len(stack)):
-                    want = convolve_substitute(sm._row_product(stack, r), a, b)
+                    want = convolve_substitute(row_product(stack, r), a, b)
                     assert num[r].tobytes() == want[0].tobytes()
                     assert den[r].tobytes() == want[1].tobytes()
 
@@ -992,7 +1049,7 @@ class TestProductStacks:
             want = np.array([[(v.real, v.imag, j0.real, j0.imag, j1.real, j1.imag)
                               for v, (j0, j1, _) in ((sm._eval_fbp(f, z), sm._jet_fbp(f, z))
                                                      for z in row.tolist())]
-                             for f, row in ((sm._row_product(stack, r), points[r])
+                             for f, row in ((row_product(stack, r), points[r])
                                             for r in range(len(stack)))])
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -1021,12 +1078,12 @@ class TestProductStacks:
             # only _fiber finds (critical_points itself is left to products
             # with plain zeros)
             for k in range(4, 90, 9):
-                f = sm._row_product(stack, rows[k])
+                f = row_product(stack, rows[k])
                 if all(1e-3 < abs(a) < 0.99 for a, _ in f.zeros) and f.degree > 1:
                     targets[k] = sm.evaluate(f, sm.critical_points(f)[0][0])
             fibers = sm._product_fibers(stack, rows, [complex(w) for w in targets])
             assert [outcome(fiber) for fiber in fibers] == \
-                [lone_outcome(sm._row_product(stack, r), w)
+                [lone_outcome(row_product(stack, r), w)
                  for r, w in zip(rows.tolist(), targets)]
             doubled += sum(isinstance(fiber, list) and any(m == 2 for _, m in fiber)
                            for k, fiber in enumerate(fibers) if k % 9 == 4)
