@@ -18,7 +18,7 @@ import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
-from functools import cache
+from functools import cache, cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -47,10 +47,17 @@ class ExperimentConfig:
     out_dir: str = "diskdyn_out"
     format: str = field(default="csv", metadata={"choices": ("json", "csv")})
 
+    @cached_property
+    def _built_map(self):
+        # set in the instance's __dict__, which a frozen dataclass allows,
+        # and not a field, so asdict and the written config leave it out
+        return presets.map_from_dict(self.map)
+
     def resolve_map(self):
+        """The map, built once per config."""
         if self.map is None:
             raise ValueError(f"command {self.command!r} needs --preset or --map-file")
-        return presets.map_from_dict(self.map)
+        return self._built_map
 
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
@@ -82,14 +89,13 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     if cfg.command not in _RUNNERS:
         raise ValueError(f"unknown command {cfg.command!r}")
     if cfg.map is not None:
-        presets.map_from_dict(cfg.map)  # validate early
+        cfg.resolve_map()  # validate early; run uses the map built here
     return cfg
 
 
-# tables are formatted a block of rows at a time: _BLOCK rows of an array's
-# (n, value) table, and a quarter of that of a table given as rows, whose
-# rows hold more values (orbit.csv has five); a 4,096-row orbit.csv block
-# held 2.3 MB
+# an orbit array is converted _BLOCK points at a time, and a table given as
+# rows is formatted a quarter of that at a time, as its rows hold more values
+# (orbit.csv has five); a 4,096-row orbit.csv block held 2.3 MB
 _BLOCK = 4096
 
 
@@ -100,14 +106,8 @@ def _fmt(x) -> str:
 
 
 def _blocks(rows):
-    """A table as column blocks of at most _BLOCK rows.  A 1-D array stands
-    for its (n, values[n]) rows, taken straight from .tolist() chunks; any
-    other table is an iterable of rows of equal length."""
-    if isinstance(rows, np.ndarray):
-        for start in range(0, len(rows), _BLOCK):
-            chunk = rows[start:start + _BLOCK].tolist()
-            yield range(start, start + len(chunk)), chunk
-        return
+    """A table given as an iterable of rows of equal length, as column blocks
+    of at most _BLOCK // 4 rows."""
     rows = iter(rows)
     # transposed as taken, so each block's row tuples are freed at once
     while columns := tuple(zip(*islice(rows, _BLOCK // 4), strict=True)):
@@ -115,11 +115,21 @@ def _blocks(rows):
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """Every value as _fmt writes it, one % over a format string per block
-    of rows: a column of floats takes %.17g, a column without floats %s, and
-    a column that mixes them goes through _fmt."""
+    """Every value as _fmt writes it.  A 1-D float64 array stands for its
+    (n, values[n]) rows, which floatcsv.write_values formats in numpy with
+    the same bytes.  Any other table is an iterable of rows, written with
+    one % over a format string per block of rows: a column of floats takes
+    %.17g, a column without floats %s, and a column that mixes them goes
+    through _fmt."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            # imported here, as no other table needs it: compiled with cli
+            # at import, it raised every job's peak memory by 0.2 to 0.4 MB
+            from .floatcsv import write_values
+
+            write_values(fh, rows)
+            return
         for columns in _blocks(rows):
             width, height = len(columns), len(columns[0])
             fmts, flat = [], [None] * (width * height)

@@ -97,6 +97,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             cli.config_from_dict({"command": "classify", "map": {"preset": "nope"}})
 
+    def test_each_job_builds_its_map_once(self, tmp_path, monkeypatch):
+        # the map that validates the config is the one the job runs on
+        calls = []
+        real = presets.map_from_dict
+
+        def counted(obj):
+            calls.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(presets, "map_from_dict", counted)
+        code = cli.main([
+            "eigen", "--preset", "example61", "--alpha", "0.6",
+            "--depth", "2", "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 0
+        assert calls == [{"preset": "example61", "alpha": 0.6}]
+        # the built map is no config field, so the written config has none
+        assert set(read_summary(tmp_path / "o")["config"]) == {
+            f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+
     def test_every_flag_is_a_config_field_with_its_default(self):
         parser = cli.build_parser()
         flags = [f for f in dataclasses.fields(cli.ExperimentConfig)
@@ -466,18 +486,70 @@ class TestCsvWriter:
     ]
     HEADER = ("i", "f", "np", "nan", "flag", "none", "text")
 
+    # every value that floatcsv leaves to %.17g itself
+    FALLBACK = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                         5e-324, -5e-324, 1.7976931348623157e308, 1e-6, -1e-6,
+                         1e17, 99999999999999999.0, 1e-300])
+
     @pytest.mark.parametrize("header, rows", [
         (HEADER, MIXED),
         (HEADER, []),
         (("x",), [(1.5,), (2,), (0.1,)]),
         (("n", "rho"), ((n, 1.0 / (n + 1)) for n in range(5))),
-    ], ids=["mixed", "empty", "one-column", "generator"])
+        (("n", "rho"), FALLBACK),
+        (("n", "rho"), np.array([], dtype=float)),
+    ], ids=["mixed", "empty", "one-column", "generator", "array-fallback", "array-empty"])
     def test_matches_per_value_rule(self, tmp_path, header, rows):
-        rows = list(rows)
-        cli._write_csv(tmp_path / "t.csv", header, iter(rows))
+        if isinstance(rows, np.ndarray):
+            table, rows = rows, list(enumerate(rows.tolist()))
+        else:
+            rows = list(rows)
+            table = iter(rows)
+        cli._write_csv(tmp_path / "t.csv", header, table)
         assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, rows)
 
-    @pytest.mark.parametrize("n_max", [0, 4095, 4096, 4097])
+    def test_array_values_match_percent_g(self, tmp_path):
+        # floatcsv makes the digits from an error-free product; each
+        # value must read as '%.17g' % v does
+        rng = np.random.default_rng(20261019)
+        sign = rng.choice([-1.0, 1.0], 100_000)
+        powers = 10.0 ** np.arange(-8, 19)
+        near = [powers]
+        for direction in (math.inf, -math.inf):
+            step = powers
+            for _ in range(40):
+                step = np.nextafter(step, direction)
+                near.append(step)
+        near = np.concatenate(near)
+        # odd m / 4 in [1e15, 2.25e15) is a tie at the 17th digit
+        ties = np.arange(4 * 10**15 + 1, 9 * 10**15, 10**11 + 2).astype(float) / 4
+        dyadic = rng.integers(1, 2**53, 20_000).astype(float) / 2.0 ** rng.integers(0, 80, 20_000)
+        values = np.concatenate([
+            rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64),
+            sign * 10.0 ** rng.uniform(-7, 18, 100_000),
+            near, -near, ties, -ties, dyadic,
+            0.99999999999999999 * powers,
+            self.FALLBACK,
+        ])
+        cli._write_csv(tmp_path / "t.csv", ("n", "rho"), values)
+        written = (tmp_path / "t.csv").read_text().splitlines()
+        expected = ["n,rho", *map("%d,%.17g".__mod__, enumerate(values.tolist()))]
+        assert len(written) == len(expected)
+        # the first few mismatches, not a diff of 330,000 lines
+        assert [(w, x) for w, x in zip(written, expected) if w != x][:5] == []
+
+    def test_step_table_is_written_in_blocks(self, tmp_path):
+        seq = dynamics.hyperbolic_step(presets.example62(), 0.0, 100000).sequence
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "t.csv", ("n", "rho"), seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 2,048-row block read 0.56 MB; a 4,096-row block read 1.1 MB
+        assert peak < 8e5
+
+    @pytest.mark.parametrize("n_max", [0, 2047, 2048, 2049, 4095, 4096, 4097])
     def test_step_rows_across_chunk_edges(self, tmp_path, n_max):
         out = tmp_path / "o"
         assert cli.main(["step", "--preset", "example62", "--n-max", str(n_max),
