@@ -116,11 +116,13 @@ def _blocks(rows):
 
 def _write_csv(path: Path, header, rows) -> None:
     """Every value as _fmt writes it.  A 1-D float64 array stands for its
-    (n, values[n]) rows, which floatcsv.write_values formats in numpy with
-    the same bytes.  Any other table is an iterable of rows, written with
-    one % over a format string per block of rows: a column of floats takes
-    %.17g, a column without floats %s, and a column that mixes them goes
-    through _fmt."""
+    (n, values[n]) rows, which floatcsv.write_values renders in numpy as
+    byte planes with the same bytes; any other array is refused.  Any
+    other table is an iterable of rows, written with one % over a format
+    string per block of rows: a column of floats takes %.17g, a column
+    without floats %s, and a column that mixes them goes through _fmt."""
+    if isinstance(rows, np.ndarray) and (rows.dtype != np.float64 or rows.ndim != 1):
+        raise TypeError(f"a table array must be 1-D float64, not {rows.dtype} of shape {rows.shape}")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):

@@ -5,27 +5,26 @@ Formatting a 100,001-value step sequence value by value was most of a
 numpy as an exact integer: for 1e-6 < |x| < 1e17 the decimal exponent e is
 in [-6, 16], 10**(16 - e) is an exact double, and Dekker's error-free
 product gives |x| * 10**(16 - e) exactly, which rounds half to even as
-``%.17g`` rounds it.  Less their
-trailing zeros, the digits fill one of a few cached ``%`` row templates,
-which follow ``%g``'s choice of fixed or exponent notation.  Every other
-value (0, -0.0, NaN, infinities, subnormals, |x| <= 1e-6, |x| >= 1e17) is
-formatted by ``%.17g`` itself.
+``%.17g`` rounds it.
+
+A block of rows is rendered as a (width, rows) uint8 array, one plane per
+output column: the index digits, the comma, then the value in the layout
+that most of the block's rows share (its sign, and ``%g``'s exponent
+notation or fixed notation with its e), then the newline.  A trailing zero
+of the digits, or a point with no digit after it, is a NUL byte, and one
+``bytes.replace`` removes them all.  Any other row (another layout, or 0,
+-0.0, NaN, infinities, subnormals, |x| <= 1e-6, |x| >= 1e17) carries
+``%.17g`` in its value columns, and one ``%`` over the block formats it.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
-# rows per block: 4,096-row blocks doubled the traced peak of writing a
-# 100,001-row table (1.1 MB against 0.56 MB)
+# rows per block: 4,096-row blocks write a 100,001-row table about a
+# quarter faster, but raise its traced peak from 0.36 MB to 0.71 MB
 _ROWS = 2048
 _POW10 = 10.0 ** np.arange(23)
-_INT_POW10 = 10 ** np.arange(18, dtype=np.int64)
-# a row template's code is (sign * 23 + e + 6) * 17 + digits - 1; the last
-# code is the %.17g template of every other value
-_FALLBACK = 2 * 23 * 17
 
 
 def _two_product(a, b):
@@ -38,15 +37,10 @@ def _two_product(a, b):
     return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
 
 
-def _digits(x):
-    """%.17g of each value of a float array as (template code, A, B) arrays:
-    its 17 significant digits N, rounded half to even from the exact product
-    |x| * 10**(16 - e), less their trailing zeros, split as divmod(N, 10**f)
-    at the decimal point f digits from its end.  Values outside
-    (1e-6, 1e17) in magnitude (0, NaN, infinities too) get _FALLBACK."""
-    a = np.abs(x)
-    exact = (a > 1e-6) & (a < 1e17)
-    a = np.where(exact, a, 1.0)
+def _digits(a):
+    """(e, N) of each value of a float array in (1e-6, 1e17): its decimal
+    exponent and its 17 significant digits as an integer, rounded half to
+    even from the exact product a * 10**(16 - e)."""
     e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.int64)
     hi, lo = _two_product(a, _POW10[16 - e])
     # log10 may miss e by one next to a power of ten: compare hi + lo with
@@ -58,50 +52,76 @@ def _digits(x):
         e -= below
         hi, lo = _two_product(a, _POW10[16 - e])
     # hi >= 2**53 is an even integer and |lo| <= ulp(hi) / 2, so rint(lo)
-    # rounds hi + lo half to even; n stays below 10**17, as no double in
+    # rounds hi + lo half to even; N stays below 10**17, as no double in
     # range lies within 5e-18 (relative) below a power of ten
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    k = np.full(len(n), 17)
-    while (zero := n % 10 == 0).any():
-        k -= zero
-        n = np.where(zero, n // 10, n)
-    # %g: exponent notation below e = -4, fixed notation with
-    # k - 1 - e decimals (none when that is not positive) from there
-    f = np.clip(k - 1 - np.where(e < -4, 0, e), 0, 17)
-    code = (np.signbit(x) * 23 + e + 6) * 17 + k - 1
-    code[~exact] = _FALLBACK
-    return code, *np.divmod(n, _INT_POW10[f])
+    return e, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-@cache
-def _templates():
-    """The row templates "%d,<value>" and a newline, by code: each takes n, A
-    and B, and %.0s consumes a slot that the value does not use."""
-    templates = []
-    for code in range(_FALLBACK):
-        sign, e, k = code // (23 * 17), code // 17 % 23 - 6, code % 17 + 1
-        if e < -4:
-            value = "%d" + (f".%0{k - 1}d" if k > 1 else "%.0s") + f"e-{-e:02d}"
-        elif k - 1 - e > 0:
-            value = f"%d.%0{k - 1 - e}d"
-        else:
-            value = "%d" + "0" * (e - k + 1) + "%.0s"
-        templates.append("%d," + "-" * sign + value + "\n")
-    templates.append("%d,%.17g%.0s\n")
-    return np.array(templates, dtype=object)
+def _peel(m, out) -> None:
+    """Write the last out.shape[-2] decimal digits of the integer-valued
+    floats m (below 2**49, where floor(m * 0.1) is m // 10) into out, most
+    significant first; m is overwritten."""
+    q = np.empty_like(m)
+    for j in range(out.shape[-2] - 1, -1, -1):
+        np.floor(np.multiply(m, 0.1, out=q), out=q)
+        m -= 10.0 * q
+        out[..., j, :] = m
+        m, q = q, m
+
+
+def _render(x, start: int) -> bytes:
+    """The rows start.. of the values x, whose indices all have as many
+    digits as start."""
+    rows, width = len(x), len(str(start))
+    a = np.abs(x)
+    exact = (a > 1e-6) & (a < 1e17)
+    e, n = _digits(np.where(exact, a, 1.0))
+    layout = np.signbit(x) * 23 + e + 6
+    chosen = int(np.bincount(layout[exact], minlength=46).argmax())
+    sign, e0 = chosen // 23, chosen % 23 - 6
+    # %g takes exponent notation below e = -4, with one digit before the
+    # point; fixed notation has e + 1 digits before it, or for e < 0 none,
+    # after "0." and -e - 1 zeros
+    head = "-" * sign + ("0." + "0" * (-e0 - 1) if -4 <= e0 < 0 else "")
+    point = 1 if e0 < -4 else max(e0 + 1, 0)
+    tail = f"e-{-e0:02d}" if e0 < -4 else ""
+    dotted = 0 < point < 17
+    lead = width + 1 + len(head)
+    planes = np.empty((lead + 17 + dotted + len(tail) + 1, rows), np.uint8)
+    planes[width:lead] = np.frombuffer(("," + head).encode(), np.uint8)[:, None]
+    planes[lead + 17 + dotted:] = np.frombuffer((tail + "\n").encode(), np.uint8)[:, None]
+    _peel(np.arange(start, start + rows, dtype=float), planes[:width])
+    planes[:width] += 48
+    # N = hi 10**9 + lo: the 17 digits are the last 8 of hi and 9 of lo
+    hi = n // 10**9
+    digits = np.empty((2, 9, rows), np.uint8)
+    _peel(np.stack([hi, n - hi * 10**9]).astype(float), digits)
+    digits = digits.reshape(18, rows)[1:]
+    # zero[j]: the digits from j on are all zeros, which are NULs after the
+    # point, and so is the point itself if no digit follows
+    zero = digits == 0
+    for j in range(15, point - 1, -1):
+        zero[j] &= zero[j + 1]
+    digits[:point] += 48
+    digits[point:] += np.uint8(48) * ~zero[point:]
+    planes[lead:lead + point] = digits[:point]
+    if dotted:
+        planes[lead + point] = np.uint8(46) * ~zero[point]
+    planes[lead + point + dotted:lead + 17 + dotted] = digits[point:]
+    text, other = planes.T, ~exact | (layout != chosen)
+    text[other, width + 1:-1] = 0
+    text[other, width + 1:width + 6] = np.frombuffer(b"%.17g", np.uint8)
+    return text.tobytes().replace(b"\0", b"") % tuple(x[other].tolist())
 
 
 def write_values(fh, values) -> None:
     """Write the (n, values[n]) rows of a 1-D float64 array to a text file,
-    _ROWS at a time: _digits makes each value's digits, and one % over the
-    block's row templates writes them; the values it leaves to _FALLBACK
-    are formatted by %.17g itself."""
-    for start in range(0, len(values), _ROWS):
-        x = values[start:start + _ROWS]
-        code, whole, part = _digits(x)
-        n = np.arange(start, start + len(x), dtype=np.int64)
-        flat = np.column_stack([n, whole, part]).ravel().tolist()
-        fallback = np.flatnonzero(code == _FALLBACK)
-        for i, v in zip((3 * fallback + 1).tolist(), x[fallback].tolist()):
-            flat[i] = v
-        fh.write("".join(_templates()[code].tolist()) % tuple(flat))
+    in blocks of at most _ROWS rows split at each power of ten, so that the
+    index width is constant within a block."""
+    edges, power = set(range(0, len(values), _ROWS)), 10
+    while power < len(values):
+        edges.add(power)
+        power *= 10
+    edges = sorted(edges) + [len(values)]
+    for start, end in zip(edges, edges[1:]):
+        fh.write(_render(values[start:end], start).decode())

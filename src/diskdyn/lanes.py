@@ -5,7 +5,7 @@ arrays.  Every operation repeats CPython's own formula
 (Objects/complexobject.c), so a lane result equals the Python complex result
 bit for bit; numpy's complex ufuncs and np.abs of a complex array round
 differently.  A float operand is promoted to complex(x, 0.0), as Python 3.10
-to 3.12 do.  A division by exact 0, which Python raises, gives a NaN lane.
+to 3.13 do.  A division by exact 0, which Python raises, gives a NaN lane.
 
 ``value`` and ``jet`` evaluate a stack of finite Blaschke products
 (``stacks._ProductStack``, a single product being a stack of one) the way

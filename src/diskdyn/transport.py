@@ -21,7 +21,8 @@ taken for |w| below half its nearest pole.
 
 step(w) runs one such line per stage, and walk inlines the same lines in
 the orbit loop.  Coefficients are arguments, never source text (repr loses
--0.0 parts).
+-0.0 parts), and all of them are complex but the radius of the form at 0,
+so each kernel operation is complex with complex.
 """
 
 import math
@@ -151,6 +152,11 @@ def _stage_arguments(a: float, b: float, c: list[float], t: list[float], f0: flo
     shape = (pairs, other poles, 0 or 1 for the form at 0); the arguments
     are a, i b, 2c and t^2 of each pair, c_k and i t_k of the other poles,
     then for the form at 0 half the nearest pole, i f0 and -i c_k / t_k.
+    All are complex but the radius, which only abs(w) < r reads: a real
+    coefficient x is passed as complex(x, 0.0), the value Python 3.10 to
+    3.13 promote it to, so every kernel operation is complex with complex
+    (no float.__mul__ tried first) and keeps its bits where 3.14 stops
+    promoting.
     """
     pairs, waiting = [], {}
     for ck, tk in zip(c, t):
@@ -159,11 +165,11 @@ def _stage_arguments(a: float, b: float, c: list[float], t: list[float], f0: flo
         else:
             waiting[tk, ck] = True
     single = [(ck, tk) for tk, ck in waiting]
-    args = [a, complex(0.0, b)]
+    args = [complex(a, 0.0), complex(0.0, b)]
     for pk, qk in pairs:
-        args += [pk, qk]
+        args += [complex(pk, 0.0), complex(qk, 0.0)]
     for ck, tk in single:
-        args += [ck, complex(0.0, tk)]
+        args += [complex(ck, 0.0), complex(0.0, tk)]
     if single and all(tk for _, tk in single) and abs(f0) < (abs(b) + sum(
             ck / abs(tk) for ck, tk in single)) / 16:
         args += [min(abs(tk) for _, tk in single) / 2, complex(0.0, f0)]

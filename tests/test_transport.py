@@ -11,6 +11,7 @@ both compute the same map and differ only by rounding.
 
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -454,3 +455,45 @@ def test_long_walk(f):
         w = ref.apply(w)
     # measured: 3.1e-12 and 7.3e-12 relative at n = 100,000
     assert abs(orbit[-1] - w) <= 3e-11 * abs(w)
+
+
+def kernel_with_float_coefficients(f, omega):
+    """(step, walk) of the kernel of HalfPlaneConjugate(f, omega) fed a, p,
+    q and c as floats, which Python 3.10 to 3.13 promote to complex(x,
+    0.0), and the names and arguments _stage_arguments gives it."""
+    shapes, names, args, alpha = [], [], [], omega
+    for s, stage in enumerate(sm._stages(f)):
+        shape, stage_args = transport._stage_arguments(*transport._clark_stage(stage.zeros, alpha))
+        shapes.append(shape)
+        names += transport._stage_names(s, *shape)
+        args += stage_args
+        alpha = sm._eval_fbp(stage, alpha)
+    floats = [v.real if name[0] in "apqc" else v for name, v in zip(names, args)]
+    return transport._kernel(tuple(shapes))(*floats), names, args
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 14), reason=(
+    "Python 3.14 no longer promotes a float operand to complex(x, 0.0), "
+    "so the float-coefficient kernel rounds otherwise"))
+@pytest.mark.parametrize("name, f", [
+    ("example62", presets.example62()),
+    ("example61", presets.example61(0.6)),
+    ("translation", presets.translation()),
+    ("ci-composite", COMPOSITE),
+    ("mixed", MIXED),
+])
+def test_complex_coefficients_keep_the_bits_of_promotion(name, f):
+    # Python 3.10 to 3.13 promote a float operand x of complex arithmetic
+    # to complex(x, 0.0), so passing that value changes no bit
+    omega = dyn.classify(f).dw_point
+    hp = sm.HalfPlaneConjugate(f, omega)
+    (step, walk), names, args = kernel_with_float_coefficients(f, hp.omega)
+    assert all(isinstance(v, float) == (n[0] == "r") for n, v in zip(names, args)), names
+    if name == "mixed":
+        # the degree-3 stage takes the pairs branch
+        assert any(n[0] == "p" for n in names)
+    orbit, want = [hp.to_halfplane(0.0)], [hp.to_halfplane(0.0)]
+    assert hp.walk(orbit, 100000) is None and walk(want, 100000) is None
+    assert np.array(orbit).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    got = np.array([hp.apply(w) for w in orbit])
+    assert got.view(np.int64).tolist() == np.array([step(w) for w in orbit]).view(np.int64).tolist()
