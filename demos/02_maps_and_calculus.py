@@ -45,17 +45,17 @@ print("\ncomposite degree:", phi2.degree)
 print("composite fiber size:", sum(m for _, m in preimages(phi2, 0.3 + 0.1j)))
 
 # ---------------------------------------------------------------------------
-# boundary derivatives via the radial quotient
+# boundary derivatives from the Poisson sum
 # ---------------------------------------------------------------------------
-# (1 - |phi(r)|)/(1 - r) is sampled along r = 1 - 2^-k and extrapolated;
-# the limit at a boundary fixed point is the contraction rate of the
-# horodisk flow there.
+# at a boundary point omega the angular derivative |phi'(omega)| is
+# sum m (1 - |a|^2) / |omega - a|^2 over the zeros a, summed exactly in
+# rationals and rounded once; at a boundary fixed point it is the
+# contraction rate of the horodisk flow there.
 
 for alpha, label in ((0.6, "hyperbolic"), (1 / 3, "parabolic")):
     f = example61(alpha) if alpha != 1 / 3 else example62()
-    rep = angular_derivative(f, 1.0)
-    print(f"alpha={alpha:.3f}: boundary derivative {rep.angular_derivative:.9f}"
-          f"  (residual {rep.residual:.1e}, {label})")
+    print(f"alpha={alpha:.3f}: boundary derivative {angular_derivative(f, 1.0):.17g}"
+          f"  (phi(1) = {evaluate(f, 1.0)}, {label})")
 
 # general maps through the wire-friendly constructor
 f = FiniteBlaschkeProduct(1j, ((0.5, 1), (-0.3j, 2)))

@@ -13,8 +13,8 @@ from diskdyn.presets import example61, example62, power_map, translation
 # elliptic-interior: attracting fixed point inside the disk
 # hyperbolic:        boundary point with derivative a < 1
 # parabolic:         boundary point with derivative a = 1
-# the shift b = omega f''(omega) decides the step of a parabolic map: zero
-# exactly when b = 0
+# the shift omega f''(omega) decides the step of a parabolic map: zero
+# exactly when it is 0
 
 for name, f in [
     ("squared factor, alpha=0.6", example61(0.6)),
@@ -23,7 +23,7 @@ for name, f in [
     ("z^2                      ", power_map(2)),
 ]:
     cls = classify(f)
-    extra = (f"a={cls.angular_derivative:.6f} b={cls.shift:.3f} step={cls.step}"
+    extra = (f"a={cls.angular_derivative:.6f} shift={cls.shift:.3f} step={cls.step}"
              if cls.angular_derivative is not None
              else f"f'(p)={cls.interior_derivative:.3f}")
     print(f"{name}: {cls.kind:18s} at {cls.dw_point:.6f}  {extra}")

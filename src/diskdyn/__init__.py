@@ -16,7 +16,6 @@ from .geometry import (
     pseudo_hyperbolic,
 )
 from .selfmap import (
-    BoundaryDerivativeReport,
     CompositeMap,
     FiniteBlaschkeProduct,
     RootFindingError,

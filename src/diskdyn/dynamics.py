@@ -1,8 +1,8 @@
 """Attracting-point location, map classification, and hyperbolic-step analysis.
 
 Every map is a finite Blaschke product or a composite of them, classified
-from the roots of one fixed-point polynomial and the jet at the attracting
-point.
+from the roots of one fixed-point polynomial and, at a boundary point, the
+Clark sums that the half-plane transport steps with.
 
 Orbits of non-elliptic maps drift to a boundary point, so the step and
 merging sequences walk them from the start in right-half-plane coordinates
@@ -25,6 +25,7 @@ from .geometry import Horodisk, ensure_disk_point
 from .selfmap import (
     PREIMAGE_RESIDUAL_TOL,
     HalfPlaneConjugate,
+    _boundary_constants,
     _polish,
     _root_groups,
     _stages,
@@ -51,8 +52,9 @@ class MapClass:
     """Trichotomy verdict with the evidence that produced it.
 
     At a boundary point omega: angular_derivative a = |f'(omega)|, shift
-    b = omega f''(omega) (F(w) = w + b + O(1/w) for parabolic maps), and step
-    "zero" for parabolic maps with |b| < PARABOLIC_BAND, else "positive".
+    a (a - 1) + i a^2 b = omega f''(omega) for f carried to the half-plane as
+    F(w) = w / a + i b + O(1/w), and step "zero" for parabolic maps with
+    |shift| < PARABOLIC_BAND, else "positive".
     """
 
     kind: str
@@ -106,18 +108,23 @@ def _interior_class(f, p) -> MapClass:
 
 def _attracting(f, contacts) -> MapClass:
     """The class of a map attracted to the boundary fixed point of least a
-    among (a, omega) contacts with |f(omega) - omega| <= PREIMAGE_RESIDUAL_TOL
-    and a < 1 + PARABOLIC_BAND."""
-    fixed = [(a, w) for a, w in contacts
-             if abs(evaluate(f, w) - w) <= PREIMAGE_RESIDUAL_TOL and a < 1.0 + PARABOLIC_BAND]
+    among the contacts omega with |f(omega) - omega| <= PREIMAGE_RESIDUAL_TOL
+    and a < 1 + PARABOLIC_BAND.  The shift is taken from a and b each rounded
+    once (selfmap._boundary_constants), so example62's is 0 exactly."""
+    fixed = []
+    for omega in contacts:
+        residual = abs(evaluate(f, omega) - omega)
+        if residual <= PREIMAGE_RESIDUAL_TOL:
+            a, b = (float(x) for x in _boundary_constants(f, omega))
+            if a < 1.0 + PARABOLIC_BAND:
+                fixed.append((a, b, omega, residual))
     if not fixed:
         raise ClassificationError(f"none of the boundary contacts {contacts!r} attracts")
-    a, omega = min(fixed, key=lambda t: t[0])
-    shift = omega * jet(f, omega)[2]
+    a, b, omega, residual = min(fixed, key=lambda t: t[0])
+    shift = complex(a * (a - 1.0), a * a * b)
     kind = PARABOLIC if abs(a - 1.0) < PARABOLIC_BAND else HYPERBOLIC
     step = "zero" if kind == PARABOLIC and abs(shift) < PARABOLIC_BAND else "positive"
-    return MapClass(kind, omega, a, residual=abs(evaluate(f, omega) - omega),
-                    shift=shift, step=step)
+    return MapClass(kind, omega, a, residual=residual, shift=shift, step=step)
 
 
 def _fixed_point_poly(f) -> np.ndarray:
@@ -157,7 +164,7 @@ def denjoy_wolff(f) -> MapClass:
             z = _interior_refine(f, z)
             if abs(z) < 1.0 - CIRCLE_BAND and abs(evaluate(f, z) - z) <= PREIMAGE_RESIDUAL_TOL:
                 return _interior_class(f, z)
-    return _attracting(f, [(abs(jet(f, w)[1]), w) for w in contacts])
+    return _attracting(f, contacts)
 
 
 # verdicts of the (never mutated) map objects still alive; keyed by the

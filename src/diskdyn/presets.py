@@ -8,6 +8,8 @@ are rejected so committed experiment fixtures stay unambiguous.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .geometry import cayley_from_rhp, cayley_to_rhp
@@ -71,6 +73,9 @@ def from_preset(name: str, alpha: float | None = None):
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
     if name == "example61":
+        # example61 takes float(alpha), which would read "0.6" or True
+        if alpha is not None and (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)):
+            raise ValueError(f"alpha must be a real number, got {alpha!r}")
         return example61(0.5 if alpha is None else alpha)
     if alpha is not None:
         raise ValueError(f"preset {name!r} takes no alpha parameter")

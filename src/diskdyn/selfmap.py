@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +27,7 @@ from .geometry import (
     unit_direction,
 )
 from .stacks import _ProductStack
-from .transport import _clark_stage, _kernel, _stage_arguments
+from .transport import _clark_stage, _clark_sums, _kernel, _stage_arguments
 
 # residual |f(root) - w| required after polishing
 PREIMAGE_RESIDUAL_TOL = 1e-10
@@ -601,54 +602,6 @@ def critical_points(f) -> list[tuple[complex, int]]:
 
 
 # ----------------------------------------------------------------------------
-# boundary derivative
-# ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundaryDerivativeReport:
-    contact: complex
-    boundary_value: complex
-    angular_derivative: float
-    finite: bool
-    radii: tuple[float, ...]
-    residual: float
-
-
-def angular_derivative(f, omega: complex) -> BoundaryDerivativeReport:
-    """Extrapolated boundary quotient (1 - |f(r omega)|)/(1 - r) at r -> 1.
-
-    Samples r = 1 - 2^-k for k = 4..24 and runs a Richardson tableau for
-    the error series in powers of 1 - r.  The residual is the gap between
-    the last two extrapolants and is reported untouched.  It reads only
-    values of f, so it checks the angular derivative |f'(omega)| that
-    classification takes from the jet by a route that shares none of it.
-    """
-    omega = ensure_unimodular(omega)
-    radii = [1.0 - 2.0 ** (-k) for k in range(4, 25)]
-    q = np.array([(1.0 - abs(evaluate(f, r * omega))) / (1.0 - r) for r in radii])
-
-    finite = True
-    if q[-1] > 4.0 * max(1.0, q[0]) and q[-1] > q[-5]:
-        finite = False
-
-    col = q
-    for j in range(1, 4):
-        col = (2.0 ** j * col[1:] - col[:-1]) / (2.0 ** j - 1.0)
-    estimate = float(col[-1])
-    residual = float(abs(col[-1] - col[-2]))
-    value = evaluate(f, omega)
-    return BoundaryDerivativeReport(
-        contact=omega,
-        boundary_value=value,
-        angular_derivative=estimate if finite else math.inf,
-        finite=finite,
-        radii=tuple(radii),
-        residual=residual,
-    )
-
-
-# ----------------------------------------------------------------------------
 # right-half-plane conjugate
 # ----------------------------------------------------------------------------
 
@@ -686,3 +639,24 @@ class HalfPlaneConjugate:
 
     def apply(self, w: complex) -> complex:
         return self._step(w)
+
+
+def _boundary_constants(f, omega: complex) -> tuple[Fraction, Fraction]:
+    """Exact (a, b) of f at the boundary point omega: a = |f'(omega)| and
+    F(w) = w / a + i b + O(1/w) for f carried to the half-plane as
+    HalfPlaneConjugate carries it, walking the stages as it does.  Stage k
+    is F_k(w) = w / sum m x + i b_k + ..., b_k = -sum m x y / (sum m x)^2
+    (transport._clark_sums), so a is the product of the Poisson sums and
+    b <- (b - sum m x y / sum m x) / sum m x."""
+    alpha, a, b = ensure_unimodular(omega), Fraction(1), Fraction(0)
+    for stage in _stages(f):
+        sx, sxy, _, _ = _clark_sums(stage.zeros, alpha)
+        a, b = a * sx, (b - sxy / sx) / sx
+        alpha = _eval_fbp(stage, alpha)
+    return a, b
+
+
+def angular_derivative(f, omega: complex) -> float:
+    """The angular derivative |f'(omega)| at a boundary point omega, correctly
+    rounded from the Poisson sums of _boundary_constants."""
+    return float(_boundary_constants(f, omega)[0])

@@ -53,28 +53,15 @@ def factory({args}):
 _PI_LO = 1.2246467991473532e-16
 
 
-def _clark_stage(zeros, alpha: complex) -> tuple[float, float, list[float], list[float], float]:
-    """(a, b, [c_k], [t_k], Im F(0)) of the stage with these (zero,
-    multiplicity) pairs, conjugated from alpha / |alpha| to its image.
-
-    The stage's zeros in the half-plane are p_k = C(conj(alpha) a_k) =
-    x_k + i y_k, and conj(beta) s(alpha C^{-1}(w)) = prod_k ((w - p_k) /
-    (w + conj(p_k)))^m_k, which is 1 at infinity.  So a = 1 / sum m_k x_k
-    and b = -a^2 sum m_k x_k y_k, computed in rationals from the floats and
-    correctly rounded.  In floats, translation's b comes out
-    -1.0000000000000002 (its step sequence is then not constant), and
-    1 - |z|^2 loses the digits of a zero close to the circle; the float
-    formulas fail 12 tests, the oracle bounds of tests/test_oracle.py
-    among them.
-    On w = i t the product is 1 where Psi(t) = sum m_k atan((t - y_k) / x_k)
-    is pi (d - 2j) / 2, j = 1..d-1; Psi increases, so each t_j is bracketed
-    and refined by Newton, and c_j = 1 / Psi'(t_j).  At w = 0 the product is
-    exp(i (pi d - 2 Psi(0))), so F(0) = i cot(pi d / 2 - Psi(0)).
-    """
+def _clark_sums(zeros, alpha: complex) -> tuple[Fraction, Fraction, list[float], list[float]]:
+    """(sum m_k x_k, sum m_k x_k y_k, [x_k], [y_k]), the sums exact in
+    rationals from the floats, of the stage's zeros in the half-plane, p_k =
+    C(conj(alpha) a_k / |alpha|) = x_k + i y_k: sum m_k x_k is the Poisson
+    sum of the stage at alpha / |alpha|, its angular derivative there."""
     ar, ai = Fraction(alpha.real), Fraction(alpha.imag)
     # 1 / |alpha| up to (|alpha|^2 - 1)^2, below 1e-31 for a rounded point
     inv = (3 - ar * ar - ai * ai) / 2
-    xs, ys, ms, sx, sxy = [], [], [], Fraction(0), Fraction(0)
+    xs, ys, sx, sxy = [], [], Fraction(0), Fraction(0)
     for z, m in zeros:
         zr, zi = Fraction(z.real), Fraction(z.imag)
         u, v = (ar * zr + ai * zi) * inv, (ar * zi - ai * zr) * inv
@@ -85,7 +72,28 @@ def _clark_stage(zeros, alpha: complex) -> tuple[float, float, list[float], list
         sxy += m * x * y
         xs.append(float(x))
         ys.append(float(y))
-        ms.append(m)
+    return sx, sxy, xs, ys
+
+
+def _clark_stage(zeros, alpha: complex) -> tuple[float, float, list[float], list[float], float]:
+    """(a, b, [c_k], [t_k], Im F(0)) of the stage with these (zero,
+    multiplicity) pairs, conjugated from alpha / |alpha| to its image.
+
+    With the zeros p_k of _clark_sums, conj(beta) s(alpha C^{-1}(w)) =
+    prod_k ((w - p_k) / (w + conj(p_k)))^m_k, which is 1 at infinity.  So
+    a = 1 / sum m_k x_k and b = -a^2 sum m_k x_k y_k, correctly rounded
+    from the rational sums.  In floats, translation's b comes out
+    -1.0000000000000002 (its step sequence is then not constant), and
+    1 - |z|^2 loses the digits of a zero close to the circle; the float
+    formulas fail 12 tests, the oracle bounds of tests/test_oracle.py among
+    them.
+    On w = i t the product is 1 where Psi(t) = sum m_k atan((t - y_k) / x_k)
+    is pi (d - 2j) / 2, j = 1..d-1; Psi increases, so each t_j is bracketed
+    and refined by Newton, and c_j = 1 / Psi'(t_j).  At w = 0 the product is
+    exp(i (pi d - 2 Psi(0))), so F(0) = i cot(pi d / 2 - Psi(0)).
+    """
+    sx, sxy, xs, ys = _clark_sums(zeros, alpha)
+    ms = [m for _, m in zeros]
     a = 1 / sx
     b = float(-a * a * sxy)
     # of the two doubles within an ulp of a, a power of two is taken over the

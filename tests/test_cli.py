@@ -79,6 +79,13 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="no alpha"):
             presets.map_from_dict({"preset": "example62", "alpha": 0.4})
 
+    @pytest.mark.parametrize("alpha", ["0.6", True, np.True_, [0.6], 0.6j])
+    def test_alpha_must_be_a_real_number(self, alpha):
+        # float() would read "0.6" as 0.6, where a stage refuses a string
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            presets.map_from_dict({"preset": "example61", "alpha": alpha})
+        assert presets.from_preset("example61", np.float64(0.6)).zeros == ((-0.6 + 0j, 2),)
+
 
 class TestConfig:
     def test_unknown_config_field_rejected(self):
@@ -143,6 +150,14 @@ class TestConfig:
         assert cli.main(["run", "--config", str(cfg_file)]) == 2
         with pytest.raises(ValueError, match=field):
             cli.config_from_dict(cfg)
+
+    def test_replayed_string_alpha_exits_2(self, tmp_path):
+        cfg = {"command": "classify", "map": {"preset": "example61", "alpha": "0.6"},
+               "out_dir": str(tmp_path / "o")}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_replayed_tol_is_an_unknown_field(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -1,10 +1,10 @@
 """The algebraic classification of Blaschke-type maps (one fixed-point
-polynomial, a and shift from the boundary jet) against maps with a known
-half-plane form and against references that share none of its root
-finding: a disk-orbit classifier kept here as a test-only function (orbit
-from 0, Newton with central-difference derivatives, the Richardson boundary
-quotient) and an mpmath solve of the fixed-point quadratic of degree-1
-maps."""
+polynomial, a and shift from the stages' Clark sums) against maps with a
+known half-plane form and against references that share none of its root
+finding or boundary sums: a disk-orbit classifier kept here as a test-only
+function (orbit from 0, Newton with central-difference derivatives, an
+mpmath derivative at the boundary point) and an mpmath solve of the
+fixed-point quadratic of degree-1 maps."""
 
 import cmath
 
@@ -103,15 +103,23 @@ def boundary_refine(call, omega):
     return cmath.exp(1j * theta) if theta != 0.0 else 1.0 + 0.0j
 
 
+def mpmath_angular_derivative(call, omega):
+    """|f'(omega)| of a plain callable, by 30-digit mpmath differentiation of
+    its float-built factors."""
+    with mpmath.workdps(30):
+        return float(abs(mpmath.diff(call, mpmath.mpc(omega))))
+
+
 def orbit_classify(f):
     """Classify f from its disk orbit, with no fixed-point polynomial.
 
     The orbit from 0 runs for at most 10000 steps.  Interior convergence
     (|z| <= 0.999) is refined by Newton on f(z) - z with central-difference
     derivatives; boundary escape is estimated from the mean of the last 16
-    normalized iterates, polished on the unit circle, and confirmed by the
-    extrapolated boundary quotient.  Inside the disk evaluate gives
-    plain_copy's values, so the orbit and the quotient evaluate f itself.
+    normalized iterates, polished on the unit circle, and accepted as the
+    attracting point if it is fixed to PREIMAGE_RESIDUAL_TOL with an mpmath
+    derivative a < 1 + PARABOLIC_BAND.  Inside the disk evaluate gives
+    plain_copy's values, so the orbit and the derivative evaluate f itself.
     """
     call = plain_copy(f)
     z, tail, settled = 0.0 + 0.0j, [], False
@@ -139,7 +147,11 @@ def orbit_classify(f):
             abs(z) > 0.9 and len(tail) == 16 and max(abs(t - guess) for t in tail) < 0.05):
         raise dyn.ClassificationError(f"orbit did not settle after 10000 iterations (last z = {z!r})")
     omega = boundary_refine(call, guess / abs(guess))
-    return dyn._attracting(f, [(sm.angular_derivative(f, omega).angular_derivative, omega)])
+    a = mpmath_angular_derivative(call, omega)
+    if abs(call(omega) - omega) > sm.PREIMAGE_RESIDUAL_TOL or not a < 1.0 + dyn.PARABOLIC_BAND:
+        raise dyn.ClassificationError(f"the orbit's boundary point {omega!r} does not attract")
+    kind = dyn.PARABOLIC if abs(a - 1.0) < dyn.PARABOLIC_BAND else dyn.HYPERBOLIC
+    return dyn.MapClass(kind, omega, a)
 
 
 def mobius_fixed_points(f):

@@ -2,7 +2,8 @@
 float map, walked in the disk: an oracle that shares no code with the
 half-plane transport it checks.  Double roots of fibers against 40-digit
 critical points.  The half-plane transport itself against the float map
-evaluated at 320 digits."""
+evaluated at 320 digits.  Angular derivatives against a 50-digit Poisson
+sum."""
 
 import cmath
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from diskdyn import dynamics as dyn
-from diskdyn import presets
+from diskdyn import presets, properties
 from diskdyn import selfmap as sm
 
 N = 10000
@@ -160,3 +161,89 @@ def test_rotated_transport_matches_oracle(f):
     # map drifts from the oracle like 1.5e-16 |w|: 1.4e-10 at |w| = 1e6,
     # not pinned
     assert _transport_error(f, (1.5, 3.0, 10.0, 30.0)) < 1.2e-14
+
+
+# the unit roundoff of a double
+U = 2.0 ** -53
+
+# CI's composite (two rotated example62 stages) and mixed (a cubic stage,
+# then a quadratic) maps
+CI_COMPOSITE = sm.CompositeMap((_rotated_example62(1.0),) * 2)
+CI_MIXED = sm.CompositeMap((sm.FiniteBlaschkeProduct(1.0, ((-0.5, 3),)),
+                            sm.FiniteBlaschkeProduct(1.0, ((-1 / 3, 2),))))
+
+
+def _mp_angular_derivative(f, omega):
+    """|f'(omega)| in 50 digits: the product over the stages of the Poisson
+    sums sum m (1 - |a|^2) / |alpha_k - a|^2, at the float points alpha_0 =
+    omega, alpha_{k+1} = s_k(alpha_k) that the program walks, each taken
+    onto the circle exactly."""
+    with mpmath.workdps(50):
+        a, alpha = mpmath.mpf(1), complex(omega)
+        for stage in sm._stages(f):
+            point = mpmath.mpc(alpha) / abs(mpmath.mpc(alpha))
+            a *= sum(m * (1 - abs(mpmath.mpc(z)) ** 2) / abs(point - mpmath.mpc(z)) ** 2
+                     for z, m in stage.zeros)
+            alpha = sm.evaluate(stage, alpha)
+        return a
+
+
+def _ulps(value, exact):
+    """|value - exact| / |exact| in units of U."""
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(value) - exact) / abs(exact)) / U
+
+
+BOUNDARY_MAPS = {
+    "example61(0.5)": presets.example61(0.5),
+    "example61(0.6)": presets.example61(0.6),
+    "example61(0.7)": presets.example61(0.7),
+    "example62": presets.example62(),
+    "translation": presets.translation(),
+    "composite": CI_COMPOSITE,
+    "mixed": CI_MIXED,
+}
+
+
+@pytest.mark.parametrize("f", BOUNDARY_MAPS.values(), ids=BOUNDARY_MAPS.keys())
+def test_classified_angular_derivative_matches_oracle(f):
+    # measured: at most 0.63 U, a correctly rounded (the jet read up to 2.6 U)
+    cls = dyn.classify(f)
+    exact = _mp_angular_derivative(f, cls.dw_point)
+    assert _ulps(cls.angular_derivative, exact) <= 3
+    assert sm.angular_derivative(f, cls.dw_point) == cls.angular_derivative
+
+
+@pytest.mark.parametrize("f", [*BOUNDARY_MAPS.values(), presets.power_map(2)],
+                         ids=[*BOUNDARY_MAPS.keys(), "power2"])
+def test_angular_derivative_around_the_circle_matches_oracle(f):
+    # measured: worst 0.89 U over the twelve points of each map
+    worst = max(_ulps(sm.angular_derivative(f, omega), _mp_angular_derivative(f, omega))
+                for omega in (cmath.exp(2j * math.pi * k / 12) for k in range(12)))
+    assert worst <= 3
+
+
+def test_angular_derivative_of_random_products_matches_oracle():
+    # 200 seeded (product, circle point) draws; measured: median 0.32 U,
+    # worst 0.89 U (a 21-radius Richardson tableau on the same draws was off
+    # by a median 4.6e-9 relative, worst 1.2e-7)
+    rng = np.random.default_rng(2028)
+    errors = []
+    for _ in range(200):
+        f = sm.FiniteBlaschkeProduct(*properties._random_product(rng))
+        omega = cmath.exp(2j * math.pi * rng.random())
+        errors.append(_ulps(sm.angular_derivative(f, omega), _mp_angular_derivative(f, omega)))
+    assert max(errors) <= 3
+
+
+def test_exact_boundary_constants_are_exact():
+    # a = 0.5 + 3.5e-17 and b = 0 for example61(0.6); a = 1 and b = -1 for
+    # translation: rounded from the Clark sums, the shift a (a - 1) + i a^2 b
+    # is exact (the jet read a = 0.4999999999999999, shift
+    # -0.24999999999999994, and -1.8e-16 - 1.0000000000000002i)
+    cls = dyn.classify(presets.example61(0.6))
+    assert (cls.angular_derivative, cls.shift) == (0.5, -0.25)
+    cls = dyn.classify(presets.translation())
+    assert (cls.angular_derivative, cls.shift) == (1.0, -1j)
+    cls = dyn.classify(presets.example62())
+    assert (cls.angular_derivative, cls.shift) == (1.0, 0j)
