@@ -16,11 +16,12 @@ arithmetic bit for bit.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _boundary_class
+from .dynamics import _CHUNK_MAX, _CHUNK_MIN, _boundary_class
 from .geometry import in_halfplane
 from .selfmap import HalfPlaneConjugate
 
@@ -32,6 +33,9 @@ class HalfPlaneMap(HalfPlaneConjugate):
     Adds the map's step verdict ("positive" or "zero", from its
     classification) and the cached base orbit from w_0 = 1 (the image of the
     disk origin); the cache is append-only and shared by all evaluations.
+    The base orbit grows by the kernel's walk, and keeps the points before
+    the first one that _within_horizon refuses: the points, values and
+    errors of a loop that steps apply and checks each point once.
     """
 
     def __init__(self, diskmap):
@@ -43,18 +47,42 @@ class HalfPlaneMap(HalfPlaneConjugate):
     def orbit_point(self, n: int) -> complex:
         if n < 0:
             raise ValueError("orbit index must be nonnegative")
-        while len(self._orbit) <= n:
-            self._orbit.append(_within_horizon(self.apply(self._orbit[-1]), len(self._orbit)))
-        return self._orbit[n]
+        orbit = self._orbit
+        if n >= len(orbit):
+            start = len(orbit)
+            error = self.walk(orbit, n + 1 - start)
+            for k in range(start, len(orbit)):
+                w = orbit[k]
+                # _within_horizon's tests, inline: a numpy pass over the new
+                # points raised perfbench's peak RSS for no time it saved
+                if not (w.real > 0.0 and w.imag == w.imag and abs(w) <= 1e280):
+                    del orbit[k:]
+                    _within_horizon(w, k)  # raises: it refuses w as the test did
+            if error is not None:
+                raise error
+        return orbit[n]
 
     def max_feasible_index(self, n_limit: int) -> int:
-        """Largest orbit index, at most n_limit, reachable before |w| passes 1e100."""
-        n = 0
-        try:
-            while n < n_limit and abs(self.orbit_point(n + 1)) <= 1e100:
-                n += 1
-        except ArithmeticError:
-            pass
+        """Largest orbit index, at most n_limit, reachable before |w| passes
+        1e100 or the orbit refuses a point.  The orbit grows in chunks,
+        doubling as the step loop's do, so an orbit that passes 1e100 early
+        is not walked on to n_limit."""
+        n, size = 0, _CHUNK_MIN
+        while n < n_limit:
+            end = min(n + size, n_limit)
+            size = min(2 * size, _CHUNK_MAX)
+            try:
+                self.orbit_point(end)
+            except ArithmeticError:
+                pass
+            # the orbit keeps its points before one it refuses
+            orbit = self._orbit
+            for k in range(n + 1, min(end + 1, len(orbit))):
+                if abs(orbit[k]) > 1e100:
+                    return k - 1
+            if len(orbit) <= end:
+                return len(orbit) - 1
+            n = end
         return n
 
     def iterate(self, w: complex, n: int) -> complex:
@@ -80,9 +108,11 @@ def _within_horizon(w: complex, n: int) -> complex:
 
 
 def _halfplane_point(w) -> complex:
-    """complex(w), refused unless it is a half-plane point (in_halfplane)."""
+    """complex(w), refused unless it is a half-plane point (in_halfplane)
+    with finite parts: the transport kernel steps those as its unfolded
+    lines would (transport._stage_lines)."""
     w = complex(w)
-    if not in_halfplane(w):
+    if not (in_halfplane(w) and cmath.isfinite(w)):
         raise ValueError(f"half-plane point needed, got {w!r}")
     return w
 

@@ -10,6 +10,7 @@ root-finding and lose exactness.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -620,17 +621,18 @@ class HalfPlaneConjugate:
     C(conj(omega) f(omega C^{-1}(w))) to rounding; for any other omega the
     output frame is f(omega), not omega.  Like evaluate, it returns a
     Python complex.  Both apply and walk(orbit, count) run the stages'
-    kernel from diskdyn.transport.
+    kernel from diskdyn.transport, built from the Clark sums of
+    _clark_chain: at a classified map's attracting point, the
+    classification's own.
     """
 
     def __init__(self, f, omega: complex = 1.0):
-        self.omega = alpha = ensure_unimodular(omega)
+        self.omega = ensure_unimodular(omega)
         shapes, args = [], []
-        for stage in _stages(f):
-            shape, stage_args = _stage_arguments(*_clark_stage(stage.zeros, alpha))
+        for stage, sums in zip(_stages(f), _clark_chain(f, self.omega)):
+            shape, stage_args = _stage_arguments(*_clark_stage(stage.zeros, sums))
             shapes.append(shape)
             args += stage_args
-            alpha = _eval_fbp(stage, alpha)
         self._step, self.walk = _kernel(tuple(shapes))(*args)
 
     def to_halfplane(self, z_disk: complex) -> complex:
@@ -641,22 +643,45 @@ class HalfPlaneConjugate:
         return self._step(w)
 
 
-def _boundary_constants(f, omega: complex) -> tuple[Fraction, Fraction]:
-    """Exact (a, b) of f at the boundary point omega: a = |f'(omega)| and
-    F(w) = w / a + i b + O(1/w) for f carried to the half-plane as
-    HalfPlaneConjugate carries it, walking the stages as it does.  Stage k
-    is F_k(w) = w / sum m x + i b_k + ..., b_k = -sum m x y / (sum m x)^2
-    (transport._clark_sums), so a is the product of the Poisson sums and
-    b <- (b - sum m x y / sum m x) / sum m x."""
-    alpha, a, b = ensure_unimodular(omega), Fraction(1), Fraction(0)
-    for stage in _stages(f):
-        sx, sxy, _, _ = _clark_sums(stage.zeros, alpha)
-        a, b = a * sx, (b - sxy / sx) / sx
+# the Clark chain of each (never mutated) map object still alive at its
+# attracting point, kept by dynamics._attracting for the contact it takes,
+# where the map's conjugate is built next.  Keyed by the object, so a new
+# map, even an equal one, pays its own pass; the values hold no stage,
+# which would keep a product key alive
+_CLARK_CHAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _clark_chain(f, omega: complex) -> list:
+    """transport._clark_sums of each stage of f, stage k conjugated from
+    omega_{k-1} to omega_k = s_k(omega_{k-1}), omega_0 = omega, as
+    HalfPlaneConjugate carries f; the chain kept for f if omega is its
+    attracting point."""
+    stages = _stages(f)  # refuses anything else before the weak-keyed lookup
+    alpha = ensure_unimodular(omega)
+    kept = _CLARK_CHAINS.get(f)
+    if kept is not None and kept[0] == alpha:
+        return kept[1]
+    chain = []
+    for stage in stages:
+        chain.append(_clark_sums(stage.zeros, alpha))
         alpha = _eval_fbp(stage, alpha)
+    return chain
+
+
+def _boundary_constants(chain) -> tuple[Fraction, Fraction]:
+    """Exact (a, b) of f at the boundary point omega from its chain =
+    _clark_chain(f, omega): a = |f'(omega)| and F(w) = w / a + i b + O(1/w)
+    for f carried to the half-plane as HalfPlaneConjugate carries it.
+    Stage k is F_k(w) = w / sum m x + i b_k + ..., b_k = -sum m x y /
+    (sum m x)^2 (transport._clark_sums), so a is the product of the Poisson
+    sums and b <- (b - sum m x y / sum m x) / sum m x."""
+    a, b = Fraction(1), Fraction(0)
+    for sx, sxy, _, _ in chain:
+        a, b = a * sx, (b - sxy / sx) / sx
     return a, b
 
 
 def angular_derivative(f, omega: complex) -> float:
     """The angular derivative |f'(omega)| at a boundary point omega, correctly
     rounded from the Poisson sums of _boundary_constants."""
-    return float(_boundary_constants(f, omega)[0])
+    return float(_boundary_constants(_clark_chain(f, omega))[0])

@@ -20,9 +20,11 @@ has the form at 0, F(w) = F(0) + w (a - i sum (c_k / t_k) / (w - i t_k)),
 taken for |w| below half its nearest pole.
 
 step(w) runs one such line per stage, and walk inlines the same lines in
-the orbit loop.  Coefficients are arguments, never source text (repr loses
--0.0 parts), and all of them are complex but the radius of the form at 0,
-so each kernel operation is complex with complex.
+the orbit loop.  A line writes w for a w where a = 1, which keeps its bits
+on every finite w (_stage_lines); each sequence of stage shapes, that fold
+included, compiles one kernel.  Coefficients are arguments, never source
+text (repr loses -0.0 parts), and all of them are complex but the radius
+of the form at 0, so each kernel operation is complex with complex.
 """
 
 import math
@@ -75,9 +77,10 @@ def _clark_sums(zeros, alpha: complex) -> tuple[Fraction, Fraction, list[float],
     return sx, sxy, xs, ys
 
 
-def _clark_stage(zeros, alpha: complex) -> tuple[float, float, list[float], list[float], float]:
+def _clark_stage(zeros, sums) -> tuple[float, float, list[float], list[float], float]:
     """(a, b, [c_k], [t_k], Im F(0)) of the stage with these (zero,
-    multiplicity) pairs, conjugated from alpha / |alpha| to its image.
+    multiplicity) pairs, conjugated from alpha / |alpha| to its image, from
+    its sums = _clark_sums(zeros, alpha).
 
     With the zeros p_k of _clark_sums, conj(beta) s(alpha C^{-1}(w)) =
     prod_k ((w - p_k) / (w + conj(p_k)))^m_k, which is 1 at infinity.  So
@@ -92,7 +95,7 @@ def _clark_stage(zeros, alpha: complex) -> tuple[float, float, list[float], list
     and refined by Newton, and c_j = 1 / Psi'(t_j).  At w = 0 the product is
     exp(i (pi d - 2 Psi(0))), so F(0) = i cot(pi d / 2 - Psi(0)).
     """
-    sx, sxy, xs, ys = _clark_sums(zeros, alpha)
+    sx, sxy, xs, ys = sums
     ms = [m for _, m in zeros]
     a = 1 / sx
     b = float(-a * a * sxy)
@@ -157,14 +160,15 @@ def _stage_arguments(a: float, b: float, c: list[float], t: list[float], f0: flo
     and a far pole's c / t large and opposite) takes that form for |w|
     below half its nearest pole, and the sum form elsewhere.
 
-    shape = (pairs, other poles, 0 or 1 for the form at 0); the arguments
-    are a, i b, 2c and t^2 of each pair, c_k and i t_k of the other poles,
-    then for the form at 0 half the nearest pole, i f0 and -i c_k / t_k.
-    All are complex but the radius, which only abs(w) < r reads: a real
-    coefficient x is passed as complex(x, 0.0), the value Python 3.10 to
-    3.13 promote it to, so every kernel operation is complex with complex
-    (no float.__mul__ tried first) and keeps its bits where 3.14 stops
-    promoting.
+    shape = (scale, pairs, other poles, form at 0), scale 0 where the sum
+    form drops a = 1 (_stage_lines) and 1 elsewhere; the arguments are a
+    (unless dropped, but the form at 0 keeps it), i b, 2c and t^2 of each
+    pair, c_k and i t_k of the other poles, then for the form at 0 half the
+    nearest pole, i f0 and -i c_k / t_k.  All are complex but the radius,
+    which only abs(w) < r reads: a real coefficient x is passed as
+    complex(x, 0.0), the value Python 3.10 to 3.13 promote it to, so every
+    kernel operation is complex with complex (no float.__mul__ tried first)
+    and keeps its bits where 3.14 stops promoting.
     """
     pairs, waiting = [], {}
     for ck, tk in zip(c, t):
@@ -173,17 +177,19 @@ def _stage_arguments(a: float, b: float, c: list[float], t: list[float], f0: flo
         else:
             waiting[tk, ck] = True
     single = [(ck, tk) for tk, ck in waiting]
-    args = [complex(a, 0.0), complex(0.0, b)]
+    origin = int(bool(single) and all(tk for _, tk in single) and abs(f0) < (abs(b) + sum(
+        ck / abs(tk) for ck, tk in single)) / 16)
+    scale = int(a != 1.0)
+    args = [complex(a, 0.0)] if scale or origin else []
+    args.append(complex(0.0, b))
     for pk, qk in pairs:
         args += [complex(pk, 0.0), complex(qk, 0.0)]
     for ck, tk in single:
         args += [complex(ck, 0.0), complex(0.0, tk)]
-    if single and all(tk for _, tk in single) and abs(f0) < (abs(b) + sum(
-            ck / abs(tk) for ck, tk in single)) / 16:
+    if origin:
         args += [min(abs(tk) for _, tk in single) / 2, complex(0.0, f0)]
         args += [complex(0.0, -ck / tk) for ck, tk in single]
-        return (len(pairs), len(single), 1), args
-    return (len(pairs), len(single), 0), args
+    return (scale, len(pairs), len(single), origin), args
 
 
 def _sum(name: str, terms: list[str]) -> list[str]:
@@ -193,12 +199,23 @@ def _sum(name: str, terms: list[str]) -> list[str]:
         f"{name} = {name} + {' + '.join(terms[i:i + 16])}" for i in range(16, len(terms), 16)]
 
 
-def _stage_lines(s: int, pairs: int, single: int, origin: int) -> list[str]:
+def _stage_lines(s: int, scale: int, pairs: int, single: int, origin: int) -> list[str]:
     """The statements of stage s: w = a w + i b + sum p_k / (w + q_k / w) +
     sum c_k / (w - i t_k), and with the form at 0, w = i f0 + w (a + sum
-    e_k / (w - i t_k)) + sum p_k / (w + q_k / w) where |w| < r."""
+    e_k / (w - i t_k)) + sum p_k / (w + q_k / w) where |w| < r.
+
+    The sum form writes w for a w where a = 1, so example62's line is
+    w = w + i b + c / (w - i t).  On every w with finite parts it gives the
+    line with a w bit for bit (tests/test_transport.py checks this
+    contract): 1 w is w but for an Im w = -0.0, which it makes +0.0, and
+    so does adding i b, whose real part is +0.0.  Where a part of w is
+    infinite or NaN, 1 w can have a NaN part that w has not (0 inf is NaN),
+    and only there may the folded line differ.  So a kernel keeps its bits
+    on every finite w whose unfolded value is finite: a stage that met an
+    infinite part would have left a NaN in the unfolded value."""
     paired = [f"p{s}_{k} / (w + q{s}_{k} / w)" for k in range(pairs)]
-    terms = [f"a{s} * w", f"b{s}"] + paired + [f"c{s}_{k} / (w - t{s}_{k})" for k in range(single)]
+    terms = [f"a{s} * w" if scale else "w", f"b{s}"] + paired + [
+        f"c{s}_{k} / (w - t{s}_{k})" for k in range(single)]
     lines = [f"w = {' + '.join(terms)}"] if len(terms) <= 16 else _sum("v", terms) + ["w = v"]
     if not origin:
         return lines
@@ -207,8 +224,8 @@ def _stage_lines(s: int, pairs: int, single: int, origin: int) -> list[str]:
     return [f"if abs(w) < r{s}:", *("    " + ln for ln in near), "else:", *("    " + ln for ln in lines)]
 
 
-def _stage_names(s: int, pairs: int, single: int, origin: int) -> list[str]:
-    names = [f"a{s}", f"b{s}"]
+def _stage_names(s: int, scale: int, pairs: int, single: int, origin: int) -> list[str]:
+    names = [f"a{s}"] * (scale or origin) + [f"b{s}"]
     for k in range(pairs):
         names += [f"p{s}_{k}", f"q{s}_{k}"]
     for k in range(single):
@@ -219,9 +236,9 @@ def _stage_names(s: int, pairs: int, single: int, origin: int) -> list[str]:
 
 
 @cache
-def _kernel(shapes: tuple[tuple[int, int, int], ...]):
-    """The kernel factory of a sequence of stage shapes (pairs, other poles,
-    form at 0), compiled once.
+def _kernel(shapes: tuple[tuple[int, int, int, int], ...]):
+    """The kernel factory of a sequence of stage shapes (scale, pairs,
+    other poles, form at 0), compiled once.
 
     It takes each stage's _stage_arguments and returns (step, walk):
     walk(orbit, count) appends count points w = step(w) to the list and

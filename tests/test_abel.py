@@ -1,11 +1,14 @@
 import cmath
+import gc
 import math
+import weakref
 
+import numpy as np
 import pytest
 
 from diskdyn import abel
 from diskdyn import presets
-from diskdyn.selfmap import HalfPlaneConjugate
+from diskdyn.selfmap import HalfPlaneConjugate, compose
 
 from walk_stub import opaque_kernel
 
@@ -78,6 +81,23 @@ class TestHalfPlaneMap:
             hyper.orbit_point(931)
         assert str(horizon.value) == str(orbit.value)
 
+    def test_a_transported_map_is_freed(self):
+        # the classification's Clark sums, kept per map object for its
+        # conjugate, hold no stage: a product stage in them kept its own
+        # weak key alive, and the benchmark's peak memory grew with its jobs
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for make in (presets.example62, lambda: compose(presets.example62(), presets.example61(0.6))):
+                f = make()
+                abel.HalfPlaneMap(f).max_feasible_index(10)
+                gone = weakref.ref(f)
+                del f
+                assert gone() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_max_feasible_index(self):
         hyper = abel.HalfPlaneMap(presets.example61(0.6))
         n = hyper.max_feasible_index(5000)
@@ -97,12 +117,14 @@ class TestHalfPlaneMap:
             stub_map(math.inf, 30.0).iterate(1.0 + 0.5j, 40)
 
 
-NAN_POINTS = [complex(math.nan, 1.0), complex(1.0, math.nan)]
+INFINITE_POINTS = [complex(math.inf, 0.0), complex(1.0, math.inf), complex(1.0, -math.inf)]
+NAN_POINTS = [complex(math.nan, 1.0), complex(1.0, math.nan)] + INFINITE_POINTS
 
 
 class TestNanPoints:
     """A point with a NaN part is not a half-plane point
-    (geometry.in_halfplane): each entry refuses it."""
+    (geometry.in_halfplane), and one with an infinite part is not taken
+    either: each entry refuses both."""
 
     @pytest.mark.parametrize("w", NAN_POINTS)
     def test_entries_refuse_a_nan_part(self, w, translation_map):
@@ -118,9 +140,19 @@ class TestNanPoints:
         with pytest.raises(ValueError, match=message):
             abel.residual_table(translation_map, "baker_pommerenke_h", (5, 10), [w, 1.5])
 
+    @pytest.mark.parametrize("w", INFINITE_POINTS)
+    def test_an_infinite_part_is_refused_not_stepped(self, w, parabolic_map):
+        # stepped, (inf, 0) gave rows of NaN and (1, inf) an ArithmeticError
+        # from the orbit, the class of a numerical failure
+        message = "half-plane point needed"
+        with pytest.raises(ValueError, match=message):
+            abel.residual_table(parabolic_map, "baker_pommerenke_h", [1, 2], [w])
+        with pytest.raises(ValueError, match=message):
+            parabolic_map.iterate(w, 3)
+
     def test_base_orbit_with_a_nan_part_left_the_half_plane(self):
         hpmap = abel.HalfPlaneMap(presets.example62())
-        hpmap._step = lambda w: complex(1.0, math.nan)
+        hpmap._step, hpmap.walk = opaque_kernel(lambda w: complex(1.0, math.nan))
         with pytest.raises(ArithmeticError, match="left the half-plane"):
             hpmap.orbit_point(1)
 
@@ -353,6 +385,85 @@ class TestResidualTable:
         hpmap.walk = walk
         abel.residual_table(hpmap, kind, (10, 50, 100), PROBE_RING[:3])
         assert len(calls) == 3 * (100 + 1)
+
+
+def orbit_by_step(hpmap, n):
+    """orbit_point as one apply call and one _within_horizon check per
+    point, on hpmap's cached base orbit."""
+    orbit = hpmap._orbit
+    while len(orbit) <= n:
+        orbit.append(abel._within_horizon(hpmap.apply(orbit[-1]), len(orbit)))
+    return orbit[n]
+
+
+def feasible_by_step(hpmap, n_limit):
+    """max_feasible_index on orbit_by_step, one point at a time."""
+    n = 0
+    try:
+        while n < n_limit and abs(orbit_by_step(hpmap, n + 1)) <= 1e100:
+            n += 1
+    except ArithmeticError:
+        pass
+    return n
+
+
+def outcomes(call, hpmap, requests):
+    """repr of each call's value (exact float bits) or its error's type and
+    message, and the bits of the cached base orbit after them."""
+    out = []
+    for n in requests:
+        try:
+            out.append(repr(call(hpmap, n)))
+        except Exception as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out, np.array(hpmap._orbit, dtype=complex).view(np.int64).tolist()
+
+
+class TestBaseOrbitAgainstSteps:
+    """orbit_point walks the base orbit in the kernel and checks the new
+    points in one pass; max_feasible_index grows it in doubling chunks.
+    Both give the values, errors and cached points of the per-point loop."""
+
+    MAPS = {
+        # reaches n_limit
+        "example62": lambda: abel.HalfPlaneMap(presets.example62()),
+        # passes 1e100 near index 332 and the 1e280 horizon at index 931
+        "example61": lambda: abel.HalfPlaneMap(presets.example61(0.6)),
+        # leaves the half-plane at index 10
+        "stub": lambda: stub_map(10.0, math.inf),
+    }
+
+    @pytest.mark.parametrize("name", MAPS)
+    @pytest.mark.parametrize("requests", [
+        (0, 3, 1, 9, 10, 11, 400, 931, 930, 2000, 932),
+        (2000, 931, 12, 0),
+    ])
+    def test_orbit_point(self, name, requests):
+        def walked(hpmap, n):
+            return hpmap.orbit_point(n)
+
+        want = outcomes(orbit_by_step, self.MAPS[name](), requests)
+        assert outcomes(walked, self.MAPS[name](), requests) == want
+
+    @pytest.mark.parametrize("name", MAPS)
+    @pytest.mark.parametrize("limits", [(1000,), (5000, 40), (0, 9, 64, 65, 200)])
+    def test_max_feasible_index(self, name, limits):
+        def walked(hpmap, n_limit):
+            return hpmap.max_feasible_index(n_limit)
+
+        values, stepped = outcomes(feasible_by_step, self.MAPS[name](), limits)
+        got, cached = outcomes(walked, self.MAPS[name](), limits)
+        # the chunks walk on past the last point the loop reads
+        assert got == values and cached[:len(stepped)] == stepped
+        if name == "example62":
+            assert values[0] == repr(limits[0])
+
+    def test_the_walk_stops_at_the_chunk_that_passes_1e100(self):
+        hpmap = abel.HalfPlaneMap(presets.example61(0.6))
+        n = hpmap.max_feasible_index(10 ** 6)
+        assert abs(hpmap.orbit_point(n)) <= 1e100 < abs(hpmap.orbit_point(n + 1))
+        # chunks of 64, 128 and 256 points reach index 448
+        assert len(hpmap._orbit) == 449
 
 
 def table_by_step(hpmap, kind, ns, probes):

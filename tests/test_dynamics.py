@@ -135,6 +135,32 @@ class TestClassify:
             dyn.classify(lambda z: z / 2)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("t", [0.0, 2.0])
+    def test_the_conjugate_at_the_attracting_point_reuses_its_clark_sums(self, monkeypatch, t):
+        # example61(0.6) rotated by t attracts to e^{it}, the last of its
+        # three boundary contacts at t = 0 and the first at t = 2
+        f = presets.example61(0.6)
+        f = sm.FiniteBlaschkeProduct(cmath.exp(-3j * t), ((f.zeros[0][0] * cmath.exp(1j * t), 2),))
+        calls = []
+        original = sm._clark_sums
+
+        def counting(zeros, alpha):
+            calls.append(alpha)
+            return original(zeros, alpha)
+
+        monkeypatch.setattr(sm, "_clark_sums", counting)
+        cls = dyn.classify(f)
+        assert abs(cls.dw_point - cmath.exp(1j * t)) < 1e-15 and len(calls) == 3
+        calls.clear()
+        dyn.hyperbolic_step(f, 0.0, n_max=5)
+        dyn.orbit_merging(f, 0.1, 0.2, n_max=5)
+        assert calls == []
+        # at another point, or on an equal map that is a new object, the
+        # conjugate runs its own sums
+        sm.HalfPlaneConjugate(f, -cls.dw_point)
+        sm.HalfPlaneConjugate(sm.FiniteBlaschkeProduct(f.gamma, f.zeros), cls.dw_point)
+        assert len(calls) == 2
+
     def test_boundary_refusal_names_the_operation(self):
         with pytest.raises(ValueError,
                            match="^orbit merging needs a boundary attracting point$"):

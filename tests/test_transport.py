@@ -26,6 +26,11 @@ from diskdyn.stacks import _substitute
 ULP = 2.0 ** -52
 
 
+def clark_stage(zeros, alpha):
+    """transport._clark_stage of a stage at alpha, from its Clark sums."""
+    return transport._clark_stage(zeros, transport._clark_sums(zeros, alpha))
+
+
 def frames(f, omega):
     """The unimodular frame of each stage: omega, then each stage's image."""
     alpha, out = omega / abs(omega), []
@@ -267,7 +272,8 @@ def test_mixed_map_against_the_stage_loop():
     2.25 and 0.25 are exact, rounds less there (0.46 against 0.89 ulps on
     average)."""
     hp, ref = sm.HalfPlaneConjugate(MIXED, 1.0), StageLoop(MIXED, 1.0)
-    assert transport._stage_arguments(*transport._clark_stage(MIXED.stages[0].zeros, 1.0))[0] == (1, 0, 0)
+    # a = 1 drops from the line: w = w + i b + p / (w + q / w)
+    assert transport._stage_arguments(*clark_stage(MIXED.stages[0].zeros, 1.0))[0] == (0, 1, 0, 0)
 
     def errors(points):
         with mpmath.workdps(40):
@@ -293,8 +299,8 @@ def test_form_at_zero_keeps_the_digits_of_a_zero_near_the_circle():
     The sum form alone was off by 1.5e-7 near w = 0 (by 2.7e-10 with the
     remainders of Psi counted in quarter turns); StageLoop is off by 5.2e-13."""
     f = sm.FiniteBlaschkeProduct(1.0, ((-0.5, 1), ((1 - 1e-8) * cmath.exp(1e-3j), 1)))
-    a, b, c, t, f0 = transport._clark_stage(f.zeros, 1.0)
-    assert transport._stage_arguments(a, b, c, t, f0)[0] == (0, 1, 1)
+    a, b, c, t, f0 = clark_stage(f.zeros, 1.0)
+    assert transport._stage_arguments(a, b, c, t, f0)[0] == (1, 0, 1, 1)
     hp, ref = sm.HalfPlaneConjugate(f, 1.0), StageLoop(f, 1.0)
     kernel = loop = 0.0
     with mpmath.workdps(40):
@@ -311,8 +317,9 @@ def test_form_at_zero_keeps_the_digits_of_a_zero_near_the_circle():
 def test_form_at_zero_next_to_a_pair():
     # F(w) = w + 0.3i + 0.5 / (w + 4 / w) + 0.2 / (w - 5i): a pair at +-2i
     # and one pole at 5i, whose form at 0 is F(0) + w (1 - 0.04i / (w - 5i))
-    # + the pair, with F(0) = 0.34i
-    step, _ = transport._kernel(((1, 1, 1),))(1.0, 0.3j, 0.5, 4.0, 0.2, 5j, 2.5, 0.34j, -0.04j)
+    # + the pair, with F(0) = 0.34i; a = 1 drops from the sum form, and the
+    # form at 0 keeps it
+    step, _ = transport._kernel(((0, 1, 1, 1),))(1.0, 0.3j, 0.5, 4.0, 0.2, 5j, 2.5, 0.34j, -0.04j)
     rng = np.random.default_rng(4)
     for w in (rng.uniform(0, 5, 50) + 1j * rng.uniform(-5, 5, 50)).tolist():
         exact = w + 0.3j + 0.25 / (w - 2j) + 0.25 / (w + 2j) + 0.2 / (w - 5j)
@@ -324,7 +331,7 @@ def test_value_at_zero(seed):
     # Im F(0) from the zeros is b + sum c_k / t_k, from the Clark form
     rng = np.random.default_rng(seed)
     f, alpha = random_stage(rng), cmath.exp(2j * math.pi * rng.random())
-    a, b, c, t, f0 = transport._clark_stage(f.zeros, alpha)
+    a, b, c, t, f0 = clark_stage(f.zeros, alpha)
     if 0.0 in t:
         return
     clark = b + sum(ck / tk for ck, tk in zip(c, t))
@@ -333,14 +340,14 @@ def test_value_at_zero(seed):
 
 def test_clark_coefficients_of_the_presets():
     # F(w) = w + 1/(4w), exactly
-    assert transport._clark_stage(presets.example62().zeros, 1.0) == (1.0, 0.0, [0.25], [0.0], -math.inf)
+    assert clark_stage(presets.example62().zeros, 1.0) == (1.0, 0.0, [0.25], [0.0], -math.inf)
     # F(w) = w - i, exactly, from the classified (not exactly 1) omega
     omega = dyn.classify(presets.translation()).dw_point
-    assert transport._clark_stage(presets.translation().zeros, omega) == (1.0, -1.0, [], [], -1.0)
+    assert clark_stage(presets.translation().zeros, omega) == (1.0, -1.0, [], [], -1.0)
     # a = (1 + alpha) / (2 (1 - alpha)) = 1.99999999999999986... for the
     # float alpha = 0.6: 1.9999999999999998 is nearer, but 2 is within an
     # ulp too, and the power of two is taken
-    a, b, c, t, _ = transport._clark_stage(presets.example61(0.6).zeros, 1.0)
+    a, b, c, t, _ = clark_stage(presets.example61(0.6).zeros, 1.0)
     with mpmath.workdps(40):
         alpha = mpmath.mpf(0.6)
         exact = (1 + alpha) / (2 * (1 - alpha))
@@ -350,7 +357,7 @@ def test_clark_coefficients_of_the_presets():
     # with no power of two that near, a is correctly rounded
     with mpmath.workdps(40):
         alpha = mpmath.mpf(0.7)
-        assert transport._clark_stage(presets.example61(0.7).zeros, 1.0)[0] == float(
+        assert clark_stage(presets.example61(0.7).zeros, 1.0)[0] == float(
             (1 + alpha) / (2 * (1 - alpha)))
 
 
@@ -361,7 +368,7 @@ def test_clark_points_and_weights(seed):
     (1 + t_k^2) / |s'(alpha zeta)|; a is 1 / |s'(alpha)|."""
     rng = np.random.default_rng(seed)
     f, alpha = random_stage(rng), cmath.exp(2j * math.pi * rng.random())
-    a, b, c, t, _ = transport._clark_stage(f.zeros, alpha)
+    a, b, c, t, _ = clark_stage(f.zeros, alpha)
     beta = sm.evaluate(f, alpha)
     assert len(t) == len(c) == f.degree - 1 and a > 0 and all(ck > 0 for ck in c)
     assert t == sorted(t, reverse=True)
@@ -422,12 +429,18 @@ def test_translation_steps_exactly():
 
 
 def test_one_kernel_per_stage_degree_sequence():
-    # the kernel depends on the stage shapes: pole pairs, other poles (one
-    # less than the degree in all) and whether the stage has a form at 0
+    # the kernel depends on the stage shapes: whether a = 1 drops out, pole
+    # pairs, other poles (one less than the degree in all) and whether the
+    # stage has a form at 0
     a = sm.HalfPlaneConjugate(rotated_example62(0.3), cmath.exp(0.3j))
-    b = sm.HalfPlaneConjugate(presets.example61(0.6), 1.0)
+    b = sm.HalfPlaneConjugate(rotated_example62(1.1), cmath.exp(1.1j))
     assert a.walk.__code__ is b.walk.__code__ and a.apply(2.0) != b.apply(2.0)
-    assert transport._kernel(((0, 1, 0),)) is transport._kernel(((0, 1, 0),))
+    # example61 keeps its a = 2: a kernel of its own, whatever its alpha
+    hyper = sm.HalfPlaneConjugate(presets.example61(0.6), 1.0)
+    assert hyper.walk.__code__ is not a.walk.__code__
+    other = sm.HalfPlaneConjugate(presets.example61(0.5), 1.0)
+    assert other.walk.__code__ is hyper.walk.__code__ and other.apply(2.0) != hyper.apply(2.0)
+    assert transport._kernel(((0, 0, 1, 0),)) is transport._kernel(((0, 0, 1, 0),))
     # this stage pairs its poles at omega = 1, not at e^{0.3i}: same
     # degree, another kernel
     odd = sm.HalfPlaneConjugate(sm.FiniteBlaschkeProduct(1.0, ((-0.5, 3),)), 1.0)
@@ -439,6 +452,96 @@ def test_one_kernel_per_stage_degree_sequence():
     # the constants are orbit[-1]'s index and None
     for fn in (a._step, c._step, odd._step, a.walk, c.walk, odd.walk):
         assert set(fn.__code__.co_consts) <= {None, -1}
+
+
+def unfolded_kernel(f, omega):
+    """The step of HalfPlaneConjugate(f, omega)'s stages with nothing
+    folded: every stage line multiplies by a, which _stage_arguments drops
+    where a = 1."""
+    shapes, args = [], []
+    for stage, sums in zip(sm._stages(f), sm._clark_chain(f, omega)):
+        a, b, c, t, f0 = transport._clark_stage(stage.zeros, sums)
+        (scale, pairs, single, origin), folded = transport._stage_arguments(a, b, c, t, f0)
+        shapes.append((1, pairs, single, origin))
+        args += folded if scale or origin else [complex(a, 0.0)] + folded
+    return transport._kernel(tuple(shapes))(*args)[0]
+
+
+# +-0, subnormals, huge and non-finite parts; each part from this list
+SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-200, -1e-20, 0.3, 1.0, -2.5, 7.0,
+                 -1e10, 1e100, 1e200, -1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+
+
+def contract_points(seed):
+    """The special grid and 4,000 points whose parts have random signs and
+    magnitudes 10^U(-320, 308.2), so some parts are subnormal or 0."""
+    rng = np.random.default_rng(seed)
+    parts = np.where(rng.random((4000, 2)) < 0.3, -1.0, 1.0) * 10.0 ** rng.uniform(-320, 308.2, (4000, 2))
+    return [complex(x, y) for x in SPECIAL_PARTS for y in SPECIAL_PARTS] + [
+        complex(x, y) for x, y in parts.tolist()]
+
+
+def outcome(step, w):
+    try:
+        return step(w)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def part_difference(u, v):
+    """None where the parts have one bit pattern, "zero sign" for zeros of
+    opposite sign, "nan" for a NaN part u against another v (a NaN of
+    another payload, an infinity or a number)."""
+    if np.float64(u).view(np.int64) == np.float64(v).view(np.int64):
+        return None
+    if u == v == 0.0:
+        return "zero sign"
+    return "nan" if math.isnan(u) else f"{u!r} against {v!r}"
+
+
+@pytest.mark.parametrize("name, f, omega", [
+    # w = w + i b + c / (w - i t), with b = 0 and t = 0
+    ("example62", presets.example62(), 1.0),
+    # w = w - i
+    ("translation", presets.translation(), None),
+    ("rotated-example62", rotated_example62(0.84), None),
+    # a = 1 next to a pair
+    ("cubic", sm.FiniteBlaschkeProduct(1.0, ((-0.5, 3),)), 1.0),
+    ("ci-composite", COMPOSITE, None),
+    ("mixed", MIXED, 1.0),
+    ("example62-twice", sm.compose(presets.example62(), presets.example62()), 1.0),
+    # example62 folds, example61 keeps its a = 2
+    ("example61-after-example62", sm.compose(presets.example61(0.6), presets.example62()), 1.0),
+    # a rotation is F(w) = w + i 0 at its frames
+    ("rotation", sm.FiniteBlaschkeProduct(1j, ((0.0, 1),)), 1.0),
+    # the form at 0 next to a pair, below
+    ("form-at-zero", None, None),
+])
+def test_folded_kernel_keeps_the_bits_of_the_unfolded_one(name, f, omega):
+    """The contract of transport._stage_lines: on every w with finite parts
+    whose unfolded value is finite, the folded kernel returns the unfolded
+    kernel's bits.  Elsewhere a part may differ only where the unfolded part
+    is NaN (1 w is NaN - inf i for w = -inf i, which a first stage can give
+    a second), and no error moves."""
+    if f is None:
+        # test_form_at_zero_next_to_a_pair's stage: a = 1 drops from the sum
+        # form only, so both kernels take the same arguments
+        args = (1.0, 0.3j, 0.5, 4.0, 0.2, 5j, 2.5, 0.34j, -0.04j)
+        step, reference = (transport._kernel((shape,))(*args)[0]
+                           for shape in ((0, 1, 1, 1), (1, 1, 1, 1)))
+    else:
+        omega = dyn.classify(f).dw_point if omega is None else omega
+        step, reference = sm.HalfPlaneConjugate(f, omega)._step, unfolded_kernel(f, omega)
+    assert step.__code__ is not reference.__code__  # something folds
+    for w in contract_points(len(name)):
+        u, v = outcome(reference, w), outcome(step, w)
+        if isinstance(u, type) or isinstance(v, type):
+            assert u is v, (w, u, v)
+            continue
+        diffs = {part_difference(u.real, v.real), part_difference(u.imag, v.imag)} - {None}
+        if cmath.isfinite(w) and cmath.isfinite(u):
+            assert not diffs, (w, u, v)
+        assert diffs <= {"nan"}, (w, u, v)
 
 
 @pytest.mark.parametrize("f", [
@@ -463,7 +566,7 @@ def kernel_with_float_coefficients(f, omega):
     0.0), and the names and arguments _stage_arguments gives it."""
     shapes, names, args, alpha = [], [], [], omega
     for s, stage in enumerate(sm._stages(f)):
-        shape, stage_args = transport._stage_arguments(*transport._clark_stage(stage.zeros, alpha))
+        shape, stage_args = transport._stage_arguments(*clark_stage(stage.zeros, alpha))
         shapes.append(shape)
         names += transport._stage_names(s, *shape)
         args += stage_args
