@@ -200,15 +200,22 @@ def criterion_6_eigenpair(tol):
     return _result(6, "truncated eigenfunction approaches the sign-flip pair", ok, detail)
 
 
+def _square_samples(rng, count: int, radius: float) -> list[complex]:
+    """The first count points z = complex(x, y) with |z| < radius, of x and
+    y uniform in (-1, 1), drawn in rows of values in the order of a
+    uniform(-1, 1) call per part; drawing past the last point only moves
+    the generator on."""
+    pts = []
+    while len(pts) < count:
+        pts += [z for z in map(complex, *rng.uniform(-1, 1, (1024, 2)).T.tolist())
+                if abs(z) < radius]
+    return pts[:count]
+
+
 def criterion_7_u_theta(tol):
     t = presets.translation()
     handle = eigen.translation_abel_disk
-    rng = np.random.default_rng(20240817)
-    pts = []
-    while len(pts) < 1000:
-        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(z) < 0.97:
-            pts.append(z)
+    pts = _square_samples(np.random.default_rng(20240817), 1000, 0.97)
     ok = True
     details = []
     for theta in (math.pi / 3.0, 1.0, 2.0 * math.pi - 0.1):

@@ -370,16 +370,17 @@ def julia_containment_check(f, M: float, samples: int = 1000, seed: int = 0) -> 
     worst = 0.0 + 0.0j
     n_done = 0
     while n_done < samples:
-        u = rng.random()
-        v = rng.random()
-        z = center + radius * math.sqrt(u) * cmath.exp(2j * math.pi * v)
-        if abs(z) >= 1.0 - 1e-12 or not disk.contains(z):
-            continue
-        q = disk.quotient(evaluate(f, z))
-        if q > max_q:
-            max_q = q
-            worst = z
-        n_done += 1
+        # (u, v) rows of the values a random() call each would draw, in
+        # order; a row per sample still to take, so no more are drawn
+        for u, v in rng.random((min(samples - n_done, 4096), 2)).tolist():
+            z = center + radius * math.sqrt(u) * cmath.exp(2j * math.pi * v)
+            if abs(z) >= 1.0 - 1e-12 or not disk.contains(z):
+                continue
+            q = disk.quotient(evaluate(f, z))
+            if q > max_q:
+                max_q = q
+                worst = z
+            n_done += 1
     ratio = max_q / bound
     return ContainmentReport(
         contact=omega,

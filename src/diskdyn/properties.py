@@ -4,9 +4,11 @@ Random finite Blaschke products of degree 1 to 4 must contract the
 pseudo-hyperbolic distance (Schwarz-Pick), have fibers of their degree that
 map back onto the target, composites included, and keep |B| = 1 on the
 circle; Mobius factors must preserve the distance.  Each section draws
-every product and point first, in the order of a loop over products, then
+every product and point first, with the values and generator state of a
+loop over products that draws a value at a time (``_random_case``), then
 evaluates and solves the draws in lanes over product stacks
-(``diskdyn.stacks``), one stack per degree, and checks every draw: a fiber
+(``diskdyn.stacks``), one stack per degree, the Mobius factors in lanes
+too (``diskdyn.lanes``), and checks every draw: a fiber
 count mismatch fails its section, which goes on.  Each worst case folds as
 ``abel.worst_residual`` does, so a NaN fails its tolerance.  What it
 reports is that loop's, bit for bit (``tests/test_acceptance.py`` keeps the
@@ -21,39 +23,47 @@ import math
 import numpy as np
 
 from . import lanes, selfmap
-from .abel import worst_residual
-from .geometry import (
-    DISK_MARGIN,
-    UNIMODULAR_TOL,
-    ensure_disk_point,
-    mobius_factor,
-    pseudo_hyperbolic,
-)
+from .geometry import DISK_MARGIN, UNIMODULAR_TOL, ensure_disk_point
 from .stacks import _ProductStack
 
 # sampling sizes for the randomized suites; the seed is fixed below
 PROPERTY_CASES = 1000
 
 
+def _disk_point(radius, u, v):
+    """The point of the disk of this radius drawn from the uniforms u and v."""
+    return radius * math.sqrt(u) * cmath.exp(2j * math.pi * v)
+
+
+def _random_case(rng, max_degree=4, radii=()):
+    """((gamma, zeros), [point, ...]): a random product, degree 1 to
+    max_degree with simple zeros within 0.85, and a disk point of each
+    radius drawn after it.
+
+    One integers call draws the degree, and one random block the rest, with
+    the values and order of a random() call each: integers takes 32-bit
+    halves through the bit generator's buffer, which random() leaves alone,
+    and random(n) is n random() calls.  The angles go through cmath, which
+    rounds as libm does (numpy's own sin and cos need not).
+    """
+    d = int(rng.integers(1, max_degree + 1))
+    u = rng.random(2 * d + 1 + 2 * len(radii)).tolist()
+    zeros = [0.85 * math.sqrt(u[2 * j]) * cmath.exp(1j * (2.0 * math.pi * u[2 * j + 1]))
+             for j in range(d)]
+    gamma = cmath.exp(2j * math.pi * u[2 * d])
+    rest = u[2 * d + 1:]
+    points = [_disk_point(r, rest[2 * k], rest[2 * k + 1]) for k, r in enumerate(radii)]
+    return (gamma, zeros), points
+
+
 def _random_product(rng, max_degree=4):
     """(gamma, zeros) of a random product: degree 1 to max_degree, simple
     zeros within 0.85."""
-    d = int(rng.integers(1, max_degree + 1))
-    zeros = []
-    for _ in range(d):
-        r = 0.85 * math.sqrt(rng.random())
-        phi = 2.0 * math.pi * rng.random()
-        zeros.append(r * cmath.exp(1j * phi))
-    gamma = cmath.exp(2j * math.pi * rng.random())
-    return gamma, zeros
+    return _random_case(rng, max_degree)[0]
 
 
 def _random_blaschke(rng, max_degree=4):
     return selfmap.FiniteBlaschkeProduct(*_random_product(rng, max_degree))
-
-
-def _random_disk_point(rng, radius=0.95):
-    return radius * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
 
 
 def _stack_products(products) -> tuple[list, np.ndarray, np.ndarray]:
@@ -118,32 +128,42 @@ def _first_mismatch(fibers, degrees):
     return next((k for k, (n, d) in enumerate(zip(counts, degrees)) if n != d), None)
 
 
+def _complex(re, im) -> np.ndarray:
+    """The complex array of these parts, bit for bit (re + 1j * im is not)."""
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]
+
+
+def _ensure_disk_points(points) -> None:
+    """ensure_disk_point on the points row by row, as a loop over draws
+    validates them: the first point not strictly inside the disk raises."""
+    outside = ~(np.hypot(points.real, points.imag) < 1.0 - DISK_MARGIN)
+    for p in points[outside][:1].tolist():
+        ensure_disk_point(p)
+
+
+def _distance_change(fz, fw, z, w):
+    """rho(f(z), f(w)) - rho(z, w) in lanes, as pseudo_hyperbolic computes it."""
+    return (lanes.pseudo_hyperbolic(fz.real, fz.imag, fw.real, fw.imag)
+            - lanes.pseudo_hyperbolic(z.real, z.imag, w.real, w.imag))
+
+
 def _contraction_gap(rng) -> float:
     """Worst rho(f(z), f(w)) - rho(z, w) over random products and pairs."""
-    draws = [(_random_product(rng), _random_disk_point(rng), _random_disk_point(rng))
-             for _ in range(PROPERTY_CASES)]
-    stacks, which, row = _stack_products([p for p, _, _ in draws])
-    zw = np.array([(z, w) for _, z, w in draws])
+    draws = [_random_case(rng, 4, (0.95, 0.95)) for _ in range(PROPERTY_CASES)]
+    stacks, which, row = _stack_products([p for p, _ in draws])
+    zw = np.array([points for _, points in draws])
     fzw = _stacked_values(stacks, which, row, zw)
-    # pseudo_hyperbolic validates its points: the first pair with a point
-    # not strictly inside the disk goes through it, which raises
-    inside = ((np.hypot(fzw.real, fzw.imag) < 1.0 - DISK_MARGIN)
-              & (np.hypot(zw.real, zw.imag) < 1.0 - DISK_MARGIN)).all(axis=1)
-    for k in np.flatnonzero(~inside)[:1].tolist():
-        pseudo_hyperbolic(*fzw[k].tolist())
-        pseudo_hyperbolic(*zw[k].tolist())
-    (fz, fw), (z, w) = fzw.T, zw.T
-    gaps = (lanes.pseudo_hyperbolic(fz.real, fz.imag, fw.real, fw.imag)
-            - lanes.pseudo_hyperbolic(z.real, z.imag, w.real, w.imag))
-    return float(np.max(gaps, initial=0.0))
+    # pseudo_hyperbolic(f(z), f(w)) and pseudo_hyperbolic(z, w) validate
+    _ensure_disk_points(np.hstack([fzw, zw]))
+    return float(np.max(_distance_change(*fzw.T, *zw.T), initial=0.0))
 
 
 def _back_evaluation(rng) -> tuple[float, str | None]:
     """Worst |f(z) - w| over the fibers of random products, and the first
     count mismatch, if any."""
-    draws = [(_random_product(rng), _random_disk_point(rng, 0.8)) for _ in range(PROPERTY_CASES)]
+    draws = [_random_case(rng, 4, (0.8,)) for _ in range(PROPERTY_CASES)]
     stacks, which, row = _stack_products([p for p, _ in draws])
-    targets = [ensure_disk_point(w) for _, w in draws]
+    targets = [ensure_disk_point(w) for _, (w,) in draws]
     fibers = selfmap._stacked_fibers(stacks, which, row, targets)
     degrees = [stacks[s].degree for s in which.tolist()]
     mismatch = _first_mismatch(fibers, degrees)
@@ -160,13 +180,12 @@ def _back_evaluation(rng) -> tuple[float, str | None]:
 
 def _composite_counts(rng) -> str | None:
     """The fiber count mismatch of random two-stage composites, if any."""
-    draws = [(_random_product(rng, 3), _random_product(rng, 3), _random_disk_point(rng, 0.8))
-             for _ in range(200)]
+    draws = [(_random_product(rng, 3), *_random_case(rng, 3, (0.8,))) for _ in range(200)]
     # compose(f, g) applies g first
     stages = [_stack_products([g for _, g, _ in draws]),
               _stack_products([f for f, _, _ in draws])]
     fibers = selfmap._composite_fibers(stages, np.arange(len(draws)),
-                                       [ensure_disk_point(w) for _, _, w in draws])
+                                       [ensure_disk_point(w) for _, _, (w,) in draws])
     inner, outer = ([stacks[s].degree for s in which.tolist()] for stacks, which, _ in stages)
     if _first_mismatch(fibers, [a * b for a, b in zip(inner, outer)]) is None:
         return None
@@ -184,11 +203,20 @@ def _boundary_modulus(rng) -> float:
 
 
 def _mobius_invariance(rng) -> float:
-    """Worst |rho(m_a(z), m_a(w)) - rho(z, w)| over random factors and pairs."""
-    draws = [(_random_disk_point(rng, 0.9), _random_disk_point(rng), _random_disk_point(rng))
-             for _ in range(PROPERTY_CASES)]
-    return worst_residual(abs(pseudo_hyperbolic(mobius_factor(a, z), mobius_factor(a, w))
-                              - pseudo_hyperbolic(z, w)) for a, z, w in draws)
+    """Worst |rho(m_a(z), m_a(w)) - rho(z, w)| over random factors and pairs,
+    m_a = geometry.mobius_factor(a, .) in lanes."""
+    uv = rng.random(6 * PROPERTY_CASES).tolist()
+    azw = np.array([_disk_point(r, uv[2 * k], uv[2 * k + 1])
+                    for k, r in enumerate((0.9, 0.95, 0.95) * PROPERTY_CASES)]).reshape(-1, 3)
+    a, z, w = azw.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # -unit_direction(a) (z - a) / (1.0 - conj(a) z), and z where a = 0
+        u = -_complex(*lanes.direction(a.real, a.imag))
+        factors = [_complex(*lanes._factor(x.real, x.imag, a, a.conj(), u)[2:]) for x in (z, w)]
+    maz, maw = (np.where(a == 0, x, m) for x, m in zip((z, w), factors))
+    # mobius_factor(a, z) validates a, and pseudo_hyperbolic its points
+    _ensure_disk_points(np.column_stack([a, maz, maw, z, w]))
+    return float(np.max(np.abs(_distance_change(maz, maw, z, w)), initial=0.0))
 
 
 def _property_suites(tol) -> tuple[bool, str]:

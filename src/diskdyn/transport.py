@@ -21,7 +21,8 @@ taken for |w| below half its nearest pole.
 
 step(w) runs one such line per stage, and walk inlines the same lines in
 the orbit loop.  A line writes w for a w where a = 1, which keeps its bits
-on every finite w (_stage_lines); each sequence of stage shapes, that fold
+on every finite w, and c / w for a pole at t = +0.0, which keeps them on
+every w (_stage_lines); each sequence of stage shapes, those folds
 included, compiles one kernel.  Coefficients are arguments, never source
 text (repr loses -0.0 parts), and all of them are complex but the radius
 of the form at 0, so each kernel operation is complex with complex.
@@ -160,10 +161,13 @@ def _stage_arguments(a: float, b: float, c: list[float], t: list[float], f0: flo
     and a far pole's c / t large and opposite) takes that form for |w|
     below half its nearest pole, and the sum form elsewhere.
 
-    shape = (scale, pairs, other poles, form at 0), scale 0 where the sum
-    form drops a = 1 (_stage_lines) and 1 elsewhere; the arguments are a
-    (unless dropped, but the form at 0 keeps it), i b, 2c and t^2 of each
-    pair, c_k and i t_k of the other poles, then for the form at 0 half the
+    shape = (scale, pairs, other poles, zero, form at 0), scale 0 where the
+    sum form drops a = 1 (_stage_lines) and 1 elsewhere, zero the index
+    among the other poles of the one at t = +0.0, whose line drops its i t,
+    and -1 where there is none (a pole at -0.0 keeps its i t, and the form
+    at 0 has no pole at 0); the arguments are a (unless dropped, but the
+    form at 0 keeps it), i b, 2c and t^2 of each pair, c_k and i t_k (but
+    the dropped one) of the other poles, then for the form at 0 half the
     nearest pole, i f0 and -i c_k / t_k.  All are complex but the radius,
     which only abs(w) < r reads: a real coefficient x is passed as
     complex(x, 0.0), the value Python 3.10 to 3.13 promote it to, so every
@@ -180,16 +184,18 @@ def _stage_arguments(a: float, b: float, c: list[float], t: list[float], f0: flo
     origin = int(bool(single) and all(tk for _, tk in single) and abs(f0) < (abs(b) + sum(
         ck / abs(tk) for ck, tk in single)) / 16)
     scale = int(a != 1.0)
+    zero = next((k for k, (_, tk) in enumerate(single)
+                 if tk == 0.0 and math.copysign(1.0, tk) > 0), -1)
     args = [complex(a, 0.0)] if scale or origin else []
     args.append(complex(0.0, b))
     for pk, qk in pairs:
         args += [complex(pk, 0.0), complex(qk, 0.0)]
-    for ck, tk in single:
-        args += [complex(ck, 0.0), complex(0.0, tk)]
+    for k, (ck, tk) in enumerate(single):
+        args += [complex(ck, 0.0)] + [complex(0.0, tk)] * (k != zero)
     if origin:
         args += [min(abs(tk) for _, tk in single) / 2, complex(0.0, f0)]
         args += [complex(0.0, -ck / tk) for ck, tk in single]
-    return (scale, len(pairs), len(single), origin), args
+    return (scale, len(pairs), len(single), zero, origin), args
 
 
 def _sum(name: str, terms: list[str]) -> list[str]:
@@ -199,23 +205,29 @@ def _sum(name: str, terms: list[str]) -> list[str]:
         f"{name} = {name} + {' + '.join(terms[i:i + 16])}" for i in range(16, len(terms), 16)]
 
 
-def _stage_lines(s: int, scale: int, pairs: int, single: int, origin: int) -> list[str]:
+def _stage_lines(s: int, scale: int, pairs: int, single: int, zero: int, origin: int) -> list[str]:
     """The statements of stage s: w = a w + i b + sum p_k / (w + q_k / w) +
     sum c_k / (w - i t_k), and with the form at 0, w = i f0 + w (a + sum
     e_k / (w - i t_k)) + sum p_k / (w + q_k / w) where |w| < r.
 
-    The sum form writes w for a w where a = 1, so example62's line is
-    w = w + i b + c / (w - i t).  On every w with finite parts it gives the
-    line with a w bit for bit (tests/test_transport.py checks this
-    contract): 1 w is w but for an Im w = -0.0, which it makes +0.0, and
-    so does adding i b, whose real part is +0.0.  Where a part of w is
-    infinite or NaN, 1 w can have a NaN part that w has not (0 inf is NaN),
-    and only there may the folded line differ.  So a kernel keeps its bits
-    on every finite w whose unfolded value is finite: a stage that met an
-    infinite part would have left a NaN in the unfolded value."""
+    The sum form writes w for a w where a = 1, and c / w for c / (w - i t)
+    where t = +0.0, so example62's line at omega = 1 is w = w + i b + c / w
+    (tests/test_transport.py checks both folds against the unfolded line).
+    w - i t subtracts 0.0 from each part of w, which gives w's bits on every
+    w.  At t = -0.0 it adds 0.0 to Im w instead, which turns an Im w = -0.0
+    into +0.0: not w, so that pole keeps its i t.  i b stays where b = 0,
+    since adding it turns -0.0 parts into +0.0 too (without it, w with
+    Re w <= -0.0 can round otherwise).  On every w with finite parts, w
+    gives the bits of 1 w: 1 w is w but for an Im w = -0.0, which it makes
+    +0.0, and so does adding i b, whose real part is +0.0.  Where a part of
+    w is infinite or NaN, 1 w can have a NaN part that w has not (0 inf is
+    NaN), and only there may the folded line differ.  So a kernel keeps its
+    bits on every finite w whose unfolded value is finite: a stage that met
+    an infinite part would have left a NaN in the unfolded value."""
     paired = [f"p{s}_{k} / (w + q{s}_{k} / w)" for k in range(pairs)]
     terms = [f"a{s} * w" if scale else "w", f"b{s}"] + paired + [
-        f"c{s}_{k} / (w - t{s}_{k})" for k in range(single)]
+        f"c{s}_{k} / w" if k == zero else f"c{s}_{k} / (w - t{s}_{k})"
+        for k in range(single)]
     lines = [f"w = {' + '.join(terms)}"] if len(terms) <= 16 else _sum("v", terms) + ["w = v"]
     if not origin:
         return lines
@@ -224,21 +236,21 @@ def _stage_lines(s: int, scale: int, pairs: int, single: int, origin: int) -> li
     return [f"if abs(w) < r{s}:", *("    " + ln for ln in near), "else:", *("    " + ln for ln in lines)]
 
 
-def _stage_names(s: int, scale: int, pairs: int, single: int, origin: int) -> list[str]:
+def _stage_names(s: int, scale: int, pairs: int, single: int, zero: int, origin: int) -> list[str]:
     names = [f"a{s}"] * (scale or origin) + [f"b{s}"]
     for k in range(pairs):
         names += [f"p{s}_{k}", f"q{s}_{k}"]
     for k in range(single):
-        names += [f"c{s}_{k}", f"t{s}_{k}"]
+        names += [f"c{s}_{k}"] + [f"t{s}_{k}"] * (k != zero)
     if origin:
         names += [f"r{s}", f"f{s}", *(f"e{s}_{k}" for k in range(single))]
     return names
 
 
 @cache
-def _kernel(shapes: tuple[tuple[int, int, int, int], ...]):
+def _kernel(shapes: tuple[tuple[int, int, int, int, int], ...]):
     """The kernel factory of a sequence of stage shapes (scale, pairs,
-    other poles, form at 0), compiled once.
+    other poles, zero, form at 0), compiled once.
 
     It takes each stage's _stage_arguments and returns (step, walk):
     walk(orbit, count) appends count points w = step(w) to the list and

@@ -7,7 +7,7 @@ import pytest
 from diskdyn import dynamics as dyn
 from diskdyn import presets
 from diskdyn import selfmap as sm
-from diskdyn.geometry import halfplane_pseudo_hyperbolic, julia_quotient
+from diskdyn.geometry import Horodisk, halfplane_pseudo_hyperbolic, julia_quotient
 
 from walk_stub import opaque_kernel
 
@@ -535,7 +535,45 @@ class TestRotationInvariance:
         assert abs(merge - merge0) <= 1e-8 * merge0
 
 
+def scalar_containment(f, M, samples, seed):
+    """(worst point, max quotient, generator state) of
+    julia_containment_check's sampling, one rng.random() call per value."""
+    cls = dyn.classify(f)
+    disk = Horodisk(cls.dw_point, M)
+    rng = np.random.default_rng(seed)
+    max_q, worst, n_done = -math.inf, 0j, 0
+    while n_done < samples:
+        u = rng.random()
+        v = rng.random()
+        z = disk.center + disk.radius * math.sqrt(u) * cmath.exp(2j * math.pi * v)
+        if abs(z) >= 1.0 - 1e-12 or not disk.contains(z):
+            continue
+        q = disk.quotient(sm.evaluate(f, z))
+        if q > max_q:
+            max_q, worst = q, z
+        n_done += 1
+    return worst, max_q, rng.bit_generator.state
+
+
 class TestJuliaContainment:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_block_draws_are_the_scalar_draws(self, seed, monkeypatch):
+        # criterion 11's check; the generator ends where the scalar loop's does
+        states = []
+        real = np.random.default_rng
+
+        def recorded(s):
+            states.append(rng := real(s))
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        rep = dyn.julia_containment_check(presets.example61(0.5), 1.0, samples=1000, seed=seed)
+        monkeypatch.undo()
+        worst, max_q, state = scalar_containment(presets.example61(0.5), 1.0, 1000, seed)
+        assert (rep.worst_point, rep.max_quotient) == (worst, max_q)
+        assert float(rep.max_quotient).hex() == float(max_q).hex()
+        assert states[0].bit_generator.state == state
+
     def test_example_containment(self):
         rep = dyn.julia_containment_check(presets.example61(0.5), 1.0,
                                           samples=500, seed=11)
@@ -574,11 +612,11 @@ class TestJuliaContainment:
             def __init__(self, seed):
                 self.rng, self.draws = real(seed), 0
 
-            def random(self):
-                self.draws += 1
+            def random(self, size=None):
+                self.draws += 1 if size is None else int(np.prod(size))
                 if self.draws > 10**5:
                     raise RuntimeError("no sample accepted in 10^5 draws")
-                return self.rng.random()
+                return self.rng.random(size)
 
         monkeypatch.setattr(np.random, "default_rng", Bounded)
         with pytest.raises(ValueError, match="too small to sample"):

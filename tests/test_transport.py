@@ -273,7 +273,7 @@ def test_mixed_map_against_the_stage_loop():
     average)."""
     hp, ref = sm.HalfPlaneConjugate(MIXED, 1.0), StageLoop(MIXED, 1.0)
     # a = 1 drops from the line: w = w + i b + p / (w + q / w)
-    assert transport._stage_arguments(*clark_stage(MIXED.stages[0].zeros, 1.0))[0] == (0, 1, 0, 0)
+    assert transport._stage_arguments(*clark_stage(MIXED.stages[0].zeros, 1.0))[0] == (0, 1, 0, -1, 0)
 
     def errors(points):
         with mpmath.workdps(40):
@@ -300,7 +300,7 @@ def test_form_at_zero_keeps_the_digits_of_a_zero_near_the_circle():
     remainders of Psi counted in quarter turns); StageLoop is off by 5.2e-13."""
     f = sm.FiniteBlaschkeProduct(1.0, ((-0.5, 1), ((1 - 1e-8) * cmath.exp(1e-3j), 1)))
     a, b, c, t, f0 = clark_stage(f.zeros, 1.0)
-    assert transport._stage_arguments(a, b, c, t, f0)[0] == (1, 0, 1, 1)
+    assert transport._stage_arguments(a, b, c, t, f0)[0] == (1, 0, 1, -1, 1)
     hp, ref = sm.HalfPlaneConjugate(f, 1.0), StageLoop(f, 1.0)
     kernel = loop = 0.0
     with mpmath.workdps(40):
@@ -319,7 +319,7 @@ def test_form_at_zero_next_to_a_pair():
     # and one pole at 5i, whose form at 0 is F(0) + w (1 - 0.04i / (w - 5i))
     # + the pair, with F(0) = 0.34i; a = 1 drops from the sum form, and the
     # form at 0 keeps it
-    step, _ = transport._kernel(((0, 1, 1, 1),))(1.0, 0.3j, 0.5, 4.0, 0.2, 5j, 2.5, 0.34j, -0.04j)
+    step, _ = transport._kernel(((0, 1, 1, -1, 1),))(1.0, 0.3j, 0.5, 4.0, 0.2, 5j, 2.5, 0.34j, -0.04j)
     rng = np.random.default_rng(4)
     for w in (rng.uniform(0, 5, 50) + 1j * rng.uniform(-5, 5, 50)).tolist():
         exact = w + 0.3j + 0.25 / (w - 2j) + 0.25 / (w + 2j) + 0.2 / (w - 5j)
@@ -430,8 +430,8 @@ def test_translation_steps_exactly():
 
 def test_one_kernel_per_stage_degree_sequence():
     # the kernel depends on the stage shapes: whether a = 1 drops out, pole
-    # pairs, other poles (one less than the degree in all) and whether the
-    # stage has a form at 0
+    # pairs, other poles (one less than the degree in all), which of them
+    # is at t = +0.0 and whether the stage has a form at 0
     a = sm.HalfPlaneConjugate(rotated_example62(0.3), cmath.exp(0.3j))
     b = sm.HalfPlaneConjugate(rotated_example62(1.1), cmath.exp(1.1j))
     assert a.walk.__code__ is b.walk.__code__ and a.apply(2.0) != b.apply(2.0)
@@ -440,7 +440,10 @@ def test_one_kernel_per_stage_degree_sequence():
     assert hyper.walk.__code__ is not a.walk.__code__
     other = sm.HalfPlaneConjugate(presets.example61(0.5), 1.0)
     assert other.walk.__code__ is hyper.walk.__code__ and other.apply(2.0) != hyper.apply(2.0)
-    assert transport._kernel(((0, 0, 1, 0),)) is transport._kernel(((0, 0, 1, 0),))
+    assert transport._kernel(((0, 0, 1, -1, 0),)) is transport._kernel(((0, 0, 1, -1, 0),))
+    # example62's pole is at t = +0.0 at omega = 1, and at t != 0 rotated
+    e62 = sm.HalfPlaneConjugate(presets.example62(), 1.0)
+    assert e62.walk.__code__ is not a.walk.__code__
     # this stage pairs its poles at omega = 1, not at e^{0.3i}: same
     # degree, another kernel
     odd = sm.HalfPlaneConjugate(sm.FiniteBlaschkeProduct(1.0, ((-0.5, 3),)), 1.0)
@@ -454,16 +457,32 @@ def test_one_kernel_per_stage_degree_sequence():
         assert set(fn.__code__.co_consts) <= {None, -1}
 
 
-def unfolded_kernel(f, omega):
-    """The step of HalfPlaneConjugate(f, omega)'s stages with nothing
-    folded: every stage line multiplies by a, which _stage_arguments drops
-    where a = 1."""
-    shapes, args = [], []
+def stage_arguments(f, omega):
+    """(a, shape, arguments) of each stage of HalfPlaneConjugate(f, omega),
+    from _stage_arguments."""
+    out = []
     for stage, sums in zip(sm._stages(f), sm._clark_chain(f, omega)):
         a, b, c, t, f0 = transport._clark_stage(stage.zeros, sums)
-        (scale, pairs, single, origin), folded = transport._stage_arguments(a, b, c, t, f0)
-        shapes.append((1, pairs, single, origin))
-        args += folded if scale or origin else [complex(a, 0.0)] + folded
+        out.append((a, *transport._stage_arguments(a, b, c, t, f0)))
+    return out
+
+
+def unfolded_kernel(stages):
+    """The step of the kernel of stages given as stage_arguments gives them,
+    with nothing folded: every stage line multiplies by a, which
+    _stage_arguments drops where a = 1, adds i b and subtracts i t of every
+    pole, which it drops where t = +0.0."""
+    shapes, args = [], []
+    for a, (scale, pairs, single, zero, origin), folded in stages:
+        folded = list(folded)
+        if zero >= 0:
+            # c and i t of each other pole follow a (where kept), i b and
+            # the pairs' p and q
+            folded.insert(int(scale or origin) + 2 + 2 * pairs + 2 * zero, complex(0.0, 0.0))
+        if not (scale or origin):
+            folded.insert(0, complex(a, 0.0))
+        shapes.append((1, pairs, single, -1, origin))
+        args += folded
     return transport._kernel(tuple(shapes))(*args)[0]
 
 
@@ -500,7 +519,7 @@ def part_difference(u, v):
 
 
 @pytest.mark.parametrize("name, f, omega", [
-    # w = w + i b + c / (w - i t), with b = 0 and t = 0
+    # w = w + i b + c / w, with b = 0 and t = +0.0
     ("example62", presets.example62(), 1.0),
     # w = w - i
     ("translation", presets.translation(), None),
@@ -510,12 +529,15 @@ def part_difference(u, v):
     ("ci-composite", COMPOSITE, None),
     ("mixed", MIXED, 1.0),
     ("example62-twice", sm.compose(presets.example62(), presets.example62()), 1.0),
-    # example62 folds, example61 keeps its a = 2
+    # example62 folds, example61 keeps its a = 2 and drops its pole's t = +0.0
     ("example61-after-example62", sm.compose(presets.example61(0.6), presets.example62()), 1.0),
     # a rotation is F(w) = w + i 0 at its frames
     ("rotation", sm.FiniteBlaschkeProduct(1j, ((0.0, 1),)), 1.0),
-    # the form at 0 next to a pair, below
+    # a pair and a pole at t = +0.0
+    ("quartic", sm.FiniteBlaschkeProduct(1.0, ((-0.5, 2), (0.3, 2))), 1.0),
+    # the form at 0 next to a pair, and a pole at t = -0.0, below
     ("form-at-zero", None, None),
+    ("pole-at-minus-zero", None, None),
 ])
 def test_folded_kernel_keeps_the_bits_of_the_unfolded_one(name, f, omega):
     """The contract of transport._stage_lines: on every w with finite parts
@@ -523,15 +545,22 @@ def test_folded_kernel_keeps_the_bits_of_the_unfolded_one(name, f, omega):
     kernel's bits.  Elsewhere a part may differ only where the unfolded part
     is NaN (1 w is NaN - inf i for w = -inf i, which a first stage can give
     a second), and no error moves."""
-    if f is None:
+    if name == "form-at-zero":
         # test_form_at_zero_next_to_a_pair's stage: a = 1 drops from the sum
         # form only, so both kernels take the same arguments
         args = (1.0, 0.3j, 0.5, 4.0, 0.2, 5j, 2.5, 0.34j, -0.04j)
         step, reference = (transport._kernel((shape,))(*args)[0]
-                           for shape in ((0, 1, 1, 1), (1, 1, 1, 1)))
+                           for shape in ((0, 1, 1, -1, 1), (1, 1, 1, -1, 1)))
+    elif name == "pole-at-minus-zero":
+        # example62's line with its pole at t = -0.0: w - i t adds 0.0 to
+        # Im w, so the pole keeps its i t, and only a = 1 drops
+        shape, args = transport._stage_arguments(1.0, 0.0, [0.25], [-0.0], -math.inf)
+        step = transport._kernel((shape,))(*args)[0]
+        reference = transport._kernel(((1, 0, 1, -1, 0),))(1.0, 0j, 0.25, complex(0.0, -0.0))[0]
+        assert shape == (0, 0, 1, -1, 0)
     else:
         omega = dyn.classify(f).dw_point if omega is None else omega
-        step, reference = sm.HalfPlaneConjugate(f, omega)._step, unfolded_kernel(f, omega)
+        step, reference = sm.HalfPlaneConjugate(f, omega)._step, unfolded_kernel(stage_arguments(f, omega))
     assert step.__code__ is not reference.__code__  # something folds
     for w in contract_points(len(name)):
         u, v = outcome(reference, w), outcome(step, w)
