@@ -7,12 +7,12 @@ import numpy as np
 
 from diskdyn import (
     blaschke_sum,
-    build_truncated_eigenfunction,
     conjugation_closure_check,
     critical_orbit_intersection,
     eigen_residual,
     estimate_tau,
     grand_orbit,
+    prefix_samples,
     ring_samples,
     square_trick_check,
 )
@@ -50,16 +50,19 @@ print("total:", round(blaschke_sum(tr), 4))
 # axis (the node set is conjugation symmetric), and nearly flips sign under
 # composition with phi.
 
+# The products over shallower truncations are prefixes of the deepest one:
+# prefix_samples takes each sample's factors once and reads every depth's
+# values, and which samples lie clear of its zeros, off that one table.
 samples = ring_samples(0.4, 16)
+depths = (2, 4, 6, 8)
 print("\ndepth  nodes   tau estimate         residual(tau=-1)")
-for depth in (2, 4, 6, 8):
-    t = deepest.prefix(depth)
-    b = build_truncated_eigenfunction(t)
-    est = estimate_tau(b, phi, samples)
-    res = eigen_residual(b, phi, -1.0, samples)
-    print(f"{depth:3d} {len(t.nodes):7d}   {est.tau:.6f}   {res:.3e}")
+for depth, (b, values, kept) in zip(depths, prefix_samples(deepest, depths, phi, samples)):
+    est = estimate_tau(b, phi, samples, values, kept)
+    res = eigen_residual(b, phi, -1.0, samples, values)
+    print(f"{depth:3d} {len(b.zeros):7d}   {est.tau:.6f}   {res:.3e}")
 
-# the square of the candidate is then nearly invariant: B^2(phi(z)) = B^2(z)
-deep = build_truncated_eigenfunction(deepest)
-print("\nsquare-trick residual:", f"{square_trick_check(deep, phi, samples):.2e}")
+# the square of the candidate is then nearly invariant: B^2(phi(z)) = B^2(z);
+# deep is the loop's last product, over all of deepest's nodes
+deep = b
+print("\nsquare-trick residual:", f"{square_trick_check(deep, phi, samples, values):.2e}")
 print("B(0) =", deep(0.0), "  B(0.7) =", f"{deep(0.7):.6f}")

@@ -63,6 +63,7 @@ from .eigen import (
     eigen_residual,
     estimate_tau,
     frostman_shift,
+    prefix_samples,
     ring_samples,
     square_trick_check,
     translation_abel_disk,

@@ -174,22 +174,19 @@ def criterion_5_grand_orbit(tol):
 def criterion_6_eigenpair(tol):
     f = presets.example61(0.5)
     samples = eigen.ring_samples(0.4, 16)
-    residuals = []
-    last = None
     deepest = orbits.grand_orbit(f, 0.0, forward_n=12, backward_depth=8)
-    for depth in (4, 6, 8):
-        b = eigen.build_truncated_eigenfunction(deepest.prefix(depth))
-        values = eigen.sample_values(b, f, samples)
-        residuals.append(eigen.eigen_residual(b, f, -1.0, samples, values))
-        last = b
-    est = eigen.estimate_tau(last, f, samples, values)
+    prefixes = eigen.prefix_samples(deepest, (4, 6, 8), f, samples)
+    residuals = [eigen.eigen_residual(b, f, -1.0, samples, values)
+                 for b, values, _ in prefixes]
+    last, values, kept = prefixes[-1]
+    est = eigen.estimate_tau(last, f, samples, values, kept)
     tau_ok = abs(est.tau - (-1.0)) < tol["tau_gap"]
     decreasing = residuals[0] > residuals[1] > residuals[2]
     b0 = abs(last(0.0))
     real_ok = abel.worst_residual(
         abs(last(complex(x)).imag) for x in np.linspace(-0.9, 0.9, 25)
     ) < tol["b_real"]
-    sq = eigen.square_trick_check(last, f, samples)
+    sq = eigen.square_trick_check(last, f, samples, values)
     sq_ok = sq <= tol["square_trick_factor"] * residuals[2]
     ok = tau_ok and decreasing and b0 == 0.0 and real_ok and sq_ok
     detail = (

@@ -229,14 +229,13 @@ def _run_eigen(cfg: ExperimentConfig):
     # one grand orbit; the shallower rows are its prefixes
     deepest = orbits.grand_orbit(f, 0.0, forward_n=cfg.forward_n,
                                  backward_depth=cfg.depth)
+    depths = [*range(2, cfg.depth, 2), cfg.depth]
     rows = []
-    for depth in [*range(2, cfg.depth, 2), cfg.depth]:
-        tr = deepest.prefix(depth)
-        b = eigen.build_truncated_eigenfunction(tr)
-        values = eigen.sample_values(b, f, samples)
-        est = eigen.estimate_tau(b, f, samples, values)
+    prefixes = eigen.prefix_samples(deepest, depths, f, samples)
+    for depth, (b, values, kept) in zip(depths, prefixes):
+        est = eigen.estimate_tau(b, f, samples, values, kept)
         res = eigen.eigen_residual(b, f, est.tau, samples, values)
-        rows.append((depth, len(tr.nodes), est.tau.real, est.tau.imag,
+        rows.append((depth, len(b.zeros), est.tau.real, est.tau.imag,
                      est.dispersion, res))
     # the summary reports the deepest truncation, the loop's last
     summary = {

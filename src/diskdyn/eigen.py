@@ -3,10 +3,13 @@
 Two constructions are provided.  Truncated grand-orbit products take the
 enumerated node multiset as a zero set; as the truncation deepens, the ratio
 Psi(f(z))/Psi(z) settles toward a unimodular constant tau, estimated away
-from the zeros (ADMISSIBLE_RADIUS, by orbits._same_pairs).  Exponentials of a
-linearizer, u_theta = exp(i theta h) with h(f(z)) = h(z) + 1, give exact
-eigenfunctions with eigenvalue exp(i theta) wherever Im h >= 0 keeps them
-bounded.
+from the zeros (ADMISSIBLE_RADIUS, by orbits._same_pairs).  The truncations
+of one grand orbit at increasing depths are prefixes of one product, so
+prefix_samples reads them all from one factor table per sample point (a
+prefix of at most 32 zeros goes through evaluate) and one radius search.
+Exponentials of a linearizer, u_theta = exp(i theta h) with
+h(f(z)) = h(z) + 1, give exact eigenfunctions with eigenvalue exp(i theta)
+wherever Im h >= 0 keeps them bounded.
 """
 
 from __future__ import annotations
@@ -14,14 +17,16 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .abel import translation_abel, worst_residual
 from .geometry import cayley_to_rhp, ensure_disk_point, mobius_factor
 from .orbits import GrandOrbitTruncation, _same_pairs
-from .selfmap import FiniteBlaschkeProduct, evaluate
+from .selfmap import _SCALAR_MAX_ZEROS, FiniteBlaschkeProduct, _factor_vector, evaluate
 
 # samples closer than this (pseudo-hyperbolic) to a zero of the candidate
 # are excluded from ratio estimation
@@ -42,8 +47,7 @@ def build_truncated_eigenfunction(truncation: GrandOrbitTruncation) -> FiniteBla
     nodes = truncation.nodes
     if not nodes:
         raise ValueError("cannot build a product over an empty truncation")
-    return FiniteBlaschkeProduct._from_table(1.0 + 0.0j, [n.point for n in nodes],
-                                             [n.multiplicity for n in nodes])
+    return FiniteBlaschkeProduct._from_table(1.0 + 0.0j, [(p, m) for p, m, _, _ in nodes])
 
 
 @dataclass(frozen=True)
@@ -100,26 +104,88 @@ def sample_values(candidate, f, samples) -> list[tuple[complex, complex, complex
     return values
 
 
-def estimate_tau(candidate, f, samples, values=None) -> TauEstimate:
+def _near_zeros(samples, images, product) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (k, j) of a sample or image within pseudo-hyperbolic
+    ADMISSIBLE_RADIUS of zero j of product, from one radius search
+    (orbits._same_pairs): point k is sample k % len(samples), itself for
+    k < len(samples) and its image after."""
+    points = np.array([ensure_disk_point(z) for z in samples]
+                      + [ensure_disk_point(fz) for fz in images], dtype=complex)
+    zeros = product._stack.zeros[0]
+    return _same_pairs(points.real, points.imag, zeros.real, zeros.imag,
+                       radius=ADMISSIBLE_RADIUS)
+
+
+def _kept(values, near) -> list[bool]:
+    """The samples estimate_tau keeps: B(z) != 0, and neither the sample nor
+    its image is one of the points near (indices as _near_zeros gives)."""
+    kept = [bz != 0 for _, bz, _ in values]
+    for k in near:
+        kept[k % len(values)] = False
+    return kept
+
+
+def prefix_samples(truncation: GrandOrbitTruncation, depths, f, samples) -> list[tuple]:
+    """(B_d, values, kept) for each depth d in depths: B_d is
+    build_truncated_eigenfunction(truncation.prefix(d)), values
+    sample_values(B_d, f, samples) and kept the mask estimate_tau keeps.
+
+    Nodes come generation by generation, so B_d is the product of the first
+    n_d factors of the deepest.  Each sample and image gets the deepest's
+    factor vector once (selfmap._factor_vector); B_d there is gamma times its
+    running product at n_d - 1, which numpy multiplies in np.prod's order,
+    so evaluate's value bit for bit.  A prefix of at most _SCALAR_MAX_ZEROS
+    zeros goes through evaluate, whose scalar loop rounds otherwise.  One
+    radius search decides admissibility at every depth: a pair counts at
+    depth d if its zero is among the first n_d.
+    """
+    if not all(0 <= d <= truncation.backward_depth for d in depths):
+        raise ValueError(f"depths must lie in [0, {truncation.backward_depth}], got {depths}")
+    generation = attrgetter("backward_depth")
+    counts = [bisect_right(truncation.nodes, d, key=generation) for d in depths]
+    deepest = build_truncated_eigenfunction(truncation)
+    products = [FiniteBlaschkeProduct._from_table(deepest.gamma, deepest.zeros[:n])
+                if n < len(deepest.zeros) else deepest for n in counts]
+    widest = products[counts.index(max(counts))]
+    images = [evaluate(f, z) for z in samples]
+    points = [*map(complex, samples), *images]
+    # each prefix's values at the samples, then at the images
+    table = [[evaluate(b, z) for z in points] if n <= _SCALAR_MAX_ZEROS else []
+             for b, n in zip(products, counts)]
+    wide = [row for row, n in zip(table, counts) if n > _SCALAR_MAX_ZEROS]
+    ends = np.array([n - 1 for n in counts if n > _SCALAR_MAX_ZEROS], dtype=np.intp)
+    if wide:
+        for z in points:
+            # the running product in place: a second array per point left
+            # a process running eigen jobs about 0.08 MB higher in peak RSS
+            factors = _factor_vector(widest, z)
+            for row, value in zip(wide, np.cumprod(factors, out=factors)[ends]):
+                row.append(complex(widest.gamma * value))
+    near, zero = _near_zeros(samples, images, widest)
+    m = len(samples)
+    result = []
+    for b, n, row in zip(products, counts, table):
+        values = list(zip(images, row[:m], row[m:]))
+        result.append((b, values, _kept(values, near[zero < n].tolist())))
+    return result
+
+
+def estimate_tau(candidate, f, samples, values=None, kept=None) -> TauEstimate:
     """Geometric median of the ratios candidate(f(z))/candidate(z).
 
     Samples within pseudo-hyperbolic ADMISSIBLE_RADIUS of a zero of a
     product candidate, or whose image is, are discarded, as one radius
     search (orbits._same_pairs) finds them; at least 8 must survive.
-    values, if given, is sample_values(candidate, f, samples).
+    values, if given, is sample_values(candidate, f, samples), and kept the
+    mask of samples to keep (prefix_samples gives both).
     """
     if values is None:
         values = sample_values(candidate, f, samples)
-    kept = [bz != 0 for _, bz, _ in values]
-    if isinstance(candidate, FiniteBlaschkeProduct):
-        # the samples, then their images: point k belongs to sample k % len(values)
-        points = np.array([ensure_disk_point(z) for z in samples]
-                          + [ensure_disk_point(fz) for fz, _, _ in values], dtype=complex)
-        zeros = candidate._stack.zeros[0]
-        near, _ = _same_pairs(points.real, points.imag, zeros.real, zeros.imag,
-                              radius=ADMISSIBLE_RADIUS)
-        for k in near.tolist():
-            kept[k % len(values)] = False
+    if kept is None:
+        near = []
+        if isinstance(candidate, FiniteBlaschkeProduct):
+            near = _near_zeros(samples, [fz for fz, _, _ in values], candidate)[0].tolist()
+        kept = _kept(values, near)
     ratios = [bfz / bz for (_, bz, bfz), keep in zip(values, kept) if keep]
     if len(ratios) < 8:
         raise ValueError(
@@ -139,14 +205,16 @@ def eigen_residual(candidate, f, tau: complex, samples, values=None) -> float:
     return worst_residual(abs(bfz - tau * bz) for _, bz, bfz in values)
 
 
-def square_trick_check(candidate, f, samples) -> float:
+def square_trick_check(candidate, f, samples, values=None) -> float:
     """Residual of the squared candidate as a fixed vector: max |B(f(z))^2 - B(z)^2|.
 
     For tau near -1 this is bounded by (|B(f(z))| + |B(z)|) times the tau = -1
-    residual on the same samples.
+    residual on the same samples.  values, if given, is
+    sample_values(candidate, f, samples).
     """
-    return worst_residual(abs(candidate(evaluate(f, z)) ** 2 - candidate(z) ** 2)
-                          for z in samples)
+    if values is None:
+        values = sample_values(candidate, f, samples)
+    return worst_residual(abs(bfz ** 2 - bz ** 2) for _, bz, bfz in values)
 
 
 # ----------------------------------------------------------------------------

@@ -107,12 +107,13 @@ class FiniteBlaschkeProduct:
         self.zeros = _normalize_zeros(zeros)
 
     @classmethod
-    def _from_table(cls, gamma: complex, points, mults) -> FiniteBlaschkeProduct:
+    def _from_table(cls, gamma: complex, zeros) -> FiniteBlaschkeProduct:
         """The product of a table the program has validated already (a
-        unimodular complex gamma, distinct disk points as complex, integer
-        multiplicities >= 1), taken as it is: nothing is checked or merged."""
+        unimodular complex gamma, (point, multiplicity) pairs of distinct
+        disk points as complex and integer multiplicities >= 1), taken as it
+        is: nothing is checked or merged."""
         f = cls.__new__(cls)
-        f.gamma, f.zeros = gamma, tuple(zip(points, mults))
+        f.gamma, f.zeros = gamma, tuple(zeros)
         return f
 
     @cached_property
@@ -132,9 +133,13 @@ class FiniteBlaschkeProduct:
 
     @cached_property
     def _stack(self) -> _ProductStack:
-        """This product as a stack of one."""
+        """This product as a stack of one; up to _SCALAR_MAX_ZEROS zeros its
+        u column is copied from factors, which the scalar loop reads anyway."""
+        u = None
+        if len(self.zeros) <= _SCALAR_MAX_ZEROS:
+            u = np.array([[unit for _, _, unit, _ in self.factors]], dtype=complex)
         return _ProductStack(np.array([self.gamma]), np.array([[a for a, _ in self.zeros]]),
-                             [m for _, m in self.zeros])
+                             [m for _, m in self.zeros], u)
 
 
 @dataclass(frozen=True)
@@ -168,11 +173,22 @@ def _stages(f) -> tuple[FiniteBlaschkeProduct, ...]:
     raise TypeError(f"not a Blaschke-type map: {f!r}")
 
 
+def _factor_vector(f: FiniteBlaschkeProduct, z: complex) -> np.ndarray:
+    """The zero factors of f at z, each to its multiplicity, in numpy over
+    f's stack: what _eval_fbp multiplies past _SCALAR_MAX_ZEROS zeros.  Only
+    the columns of multiplicity other than 1 are raised, since numpy's
+    complex power gives x ** 1 as x."""
+    s = f._stack
+    factors = np.where(s._origin, z, s._u[0] * (z - s.zeros[0]) / (1.0 - s._conj[0] * z))
+    cols, mults = s._raised
+    if len(cols):
+        factors[cols] **= mults
+    return factors
+
+
 def _eval_fbp(f: FiniteBlaschkeProduct, z: complex) -> complex:
     if len(f.zeros) > _SCALAR_MAX_ZEROS:
-        s = f._stack
-        factors = np.where(s._origin, z, s._u[0] * (z - s.zeros[0]) / (1.0 - s._conj[0] * z))
-        return complex(f.gamma * np.prod(factors ** s._mult))
+        return complex(f.gamma * np.prod(_factor_vector(f, z)))
     val = f.gamma
     for a, ac, u, mult in f.factors:
         if a == 0:
@@ -448,7 +464,8 @@ def _lane_fibers(f: _ProductStack, w: np.ndarray, roots: np.ndarray) -> list:
 def _row_product(f: _ProductStack, r: int) -> FiniteBlaschkeProduct:
     """Row r of the stack as a FiniteBlaschkeProduct, for the scalar paths;
     a stack's rows are validated tables."""
-    return FiniteBlaschkeProduct._from_table(complex(f.gamma[r, 0]), f.zeros[r].tolist(), f.mults)
+    return FiniteBlaschkeProduct._from_table(complex(f.gamma[r, 0]),
+                                             zip(f.zeros[r].tolist(), f.mults))
 
 
 def _product_fibers(f: _ProductStack, rows: np.ndarray, targets: list[complex]) -> list:

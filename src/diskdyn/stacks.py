@@ -28,9 +28,11 @@ class _ProductStack:
     these scalars, so that each row of a lane batch reads its own product's
     constants.  A single product is a stack of one, its one array table
     (FiniteBlaschkeProduct._stack); a row's product is rebuilt from the row.
+    u, when a caller has that column already (a small product's factors),
+    is taken as it is; otherwise it comes from lanes.direction.
     """
 
-    def __init__(self, gamma, zeros, mults):
+    def __init__(self, gamma, zeros, mults, u=None):
         self.gamma = gamma[:, None]
         self.zeros = zeros
         self.mults = tuple(mults)
@@ -38,11 +40,13 @@ class _ProductStack:
         self._conj = zeros.conj()
         self._mult = np.array(self.mults)
         self._origin = (zeros == 0).all(axis=0)
-        # u = -unit_direction(a), and 1 at the origin (which has no direction)
-        ur, ui = lanes.direction(np.where(self._origin, 1.0, zeros.real), zeros.imag)
-        self._u = np.empty(zeros.shape, dtype=complex)
-        self._u.real = np.where(self._origin, 1.0, -ur)
-        self._u.imag = np.where(self._origin, 0.0, -ui)
+        if u is None:
+            # u = -unit_direction(a), and 1 at the origin (which has no direction)
+            ur, ui = lanes.direction(np.where(self._origin, 1.0, zeros.real), zeros.imag)
+            u = np.empty(zeros.shape, dtype=complex)
+            u.real = np.where(self._origin, 1.0, -ur)
+            u.imag = np.where(self._origin, 0.0, -ui)
+        self._u = u
 
     def __len__(self) -> int:
         return len(self.gamma)
@@ -68,6 +72,12 @@ class _ProductStack:
         slope = np.zeros(self.zeros.shape, dtype=complex)
         slope.real[:, off], slope.imag[:, off] = lanes.mul(u.real, u.imag, s, 0.0)
         return slope
+
+    @cached_property
+    def _raised(self) -> tuple[np.ndarray, np.ndarray]:
+        # the columns whose multiplicity is not 1, and those multiplicities
+        cols = np.flatnonzero(self._mult != 1)
+        return cols, self._mult[cols]
 
     def take(self, rows) -> _ProductStack:
         """The stack of the given rows, in that order (for lanes); a stack of

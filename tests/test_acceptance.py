@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from diskdyn import abel, acceptance, properties, selfmap
+from diskdyn import abel, acceptance, eigen, properties, selfmap
 from diskdyn.geometry import mobius_factor, pseudo_hyperbolic
 
 
@@ -54,6 +54,29 @@ def test_eigenpair_criterion_builds_one_grand_orbit(monkeypatch):
     r = acceptance.criterion_6_eigenpair(acceptance.DEFAULT_TOLERANCES)
     assert r.passed
     assert calls == [8]
+
+
+def test_eigenpair_criterion_evaluates_its_candidate_once_per_point(monkeypatch):
+    # every depth's values come from the depth-8 product's factors at the 16
+    # samples and their 16 images, and the square trick reads the same
+    # values; only B(0) and the 25 real-axis points evaluate it on their
+    # own.  A product per depth, and the square trick's own evaluations,
+    # read {208: 32, 832: 32, 3328: 90} evaluations
+    calls = {}
+
+    def counting(kind, real):
+        def counted(f, z):
+            if len(f.zeros) > selfmap._SCALAR_MAX_ZEROS:
+                key = (kind, len(f.zeros))
+                calls[key] = calls.get(key, 0) + 1
+            return real(f, z)
+        return counted
+
+    monkeypatch.setattr(selfmap, "_eval_fbp", counting("evaluate", selfmap._eval_fbp))
+    monkeypatch.setattr(eigen, "_factor_vector", counting("factors", eigen._factor_vector))
+    r = acceptance.criterion_6_eigenpair(acceptance.DEFAULT_TOLERANCES)
+    assert r.passed
+    assert calls == {("factors", 3328): 32, ("evaluate", 3328): 26}
 
 
 def test_a_nan_distance_fails_criterion_3(monkeypatch):

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -263,22 +264,128 @@ class TestSharedSampleValues:
         from diskdyn import cli
 
         calls = {}
-        scalar = sm._eval_fbp
 
-        def counted(f, z):
-            if len(f.zeros) > sm._SCALAR_MAX_ZEROS:
-                calls[len(f.zeros)] = calls.get(len(f.zeros), 0) + 1
-            return scalar(f, z)
+        def counting(real):
+            def counted(f, z):
+                if len(f.zeros) > sm._SCALAR_MAX_ZEROS:
+                    calls[len(f.zeros)] = calls.get(len(f.zeros), 0) + 1
+                return real(f, z)
+            return counted
 
-        monkeypatch.setattr(sm, "_eval_fbp", counted)
+        monkeypatch.setattr(sm, "_eval_fbp", counting(sm._eval_fbp))
+        monkeypatch.setattr(eigen, "_factor_vector", counting(eigen._factor_vector))
         assert cli.main(["eigen", "--preset", "example61", "--alpha", "0.6", "--depth", "8",
                          "--out-dir", str(tmp_path)]) == 0
-        # 16 samples and their 16 images per depth; estimating tau and then
-        # the residual apart made 62 each (248 in all)
-        assert calls == {52: 32, 208: 32, 832: 32, 3328: 32}
+        # the deepest product's factors at the 16 samples and their 16
+        # images give every depth's values; a product evaluated per depth
+        # read {52: 32, 208: 32, 832: 32, 3328: 32}, and estimating tau and
+        # then the residual apart 62 each
+        assert calls == {3328: 32}
+
+
+def value_bits(values) -> list[tuple[str, ...]]:
+    """The bits of every part of sample_values' triples."""
+    return [tuple(x.hex() for v in triple for x in (v.real, v.imag)) for triple in values]
+
+
+def per_depth_rows(f, forward_n, depth):
+    """The eigen command's rows and last estimate as a loop over depths
+    computes them, one product per depth: prefix, build_truncated_eigenfunction,
+    sample_values, estimate_tau, eigen_residual."""
+    deepest = ob.grand_orbit(f, 0.0, forward_n=forward_n, backward_depth=depth)
+    rows = []
+    for d in [*range(2, depth, 2), depth]:
+        tr = deepest.prefix(d)
+        b = eigen.build_truncated_eigenfunction(tr)
+        values = eigen.sample_values(b, f, SAMPLES)
+        est = eigen.estimate_tau(b, f, SAMPLES, values)
+        res = eigen.eigen_residual(b, f, est.tau, SAMPLES, values)
+        rows.append((d, len(tr.nodes), est.tau.real, est.tau.imag, est.dispersion, res))
+    return rows, est, res
+
+
+def assert_prefixes_are_their_own_products(f, deepest, samples) -> list[list[bool]]:
+    """prefix_samples at every depth of deepest against the product of each
+    prefix on its own: the product, the bits of its sample values, the mask
+    of kept samples and the estimate; returns the masks."""
+    prefixes = eigen.prefix_samples(deepest, range(deepest.backward_depth + 1), f, samples)
+    assert len(prefixes) == deepest.backward_depth + 1
+    for d, (b, values, kept) in enumerate(prefixes):
+        want = eigen.build_truncated_eigenfunction(deepest.prefix(d))
+        assert (b.gamma, b.zeros) == (want.gamma, want.zeros)
+        want_values = eigen.sample_values(want, f, samples)
+        assert value_bits(values) == value_bits(want_values), d
+        points = [*samples, *(fz for fz, _, _ in want_values)]
+        ok = admissible(points, [a for a, _ in want.zeros])
+        assert kept == [bz != 0 and ok[k] and ok[k + len(samples)]
+                        for k, (_, bz, _) in enumerate(want_values)], d
+        try:
+            est = eigen.estimate_tau(want, f, samples, want_values)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                eigen.estimate_tau(b, f, samples, values, kept)
+        else:
+            assert eigen.estimate_tau(b, f, samples, values, kept) == est
+    return [kept for _, _, kept in prefixes]
+
+
+class TestPrefixSamples:
+    @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.7])
+    def test_every_depth_is_its_own_product(self, alpha):
+        # depths 0 and 1 (13 and 26 zeros) take the scalar loop, where the
+        # numpy product rounds otherwise
+        f = presets.example61(alpha)
+        deepest = ob.grand_orbit(f, 0.0, forward_n=12, backward_depth=8)
+        assert_prefixes_are_their_own_products(f, deepest, SAMPLES)
+
+    def test_admissibility_follows_the_depth(self, truncations):
+        # a sample about 0.01 from a generation-4 node, so its image lies within
+        # 0.01 of that node's generation-3 parent (Schwarz-Pick): admissible
+        # up to depth 2, not from depth 3 on
+        f, deepest = presets.example61(0.5), truncations[6]
+        node = next(n for n in deepest.nodes if n.backward_depth == 4)
+        a = node.point
+        samples = [*SAMPLES[:15], a + 0.01 * (1.0 - abs(a) ** 2)]
+        assert 0.0099 < pseudo_hyperbolic(samples[-1], a) < 0.0101
+        masks = assert_prefixes_are_their_own_products(f, deepest, samples)
+        assert [kept[-1] for kept in masks] == [True] * 3 + [False] * 4
+
+    def test_depth_outside_the_truncation_rejected(self, truncations):
+        f = presets.example61(0.5)
+        for depths in ([4, 9], [-1]):
+            with pytest.raises(ValueError, match="depths must lie in"):
+                eigen.prefix_samples(truncations[8], depths, f, SAMPLES)
+
+    @pytest.mark.parametrize("alpha", ["0.5", "0.55", "0.6", "0.65", "0.7"])
+    def test_eigen_rows_are_the_per_depth_loop(self, tmp_path, alpha):
+        from diskdyn import cli
+
+        f = presets.example61(float(alpha))
+        header = ("depth", "nodes", "tau_re", "tau_im", "dispersion", "residual")
+        for forward_n, depth in ((12, 1), (12, 3), (0, 2), (12, 8)):
+            out = tmp_path / f"{forward_n}-{depth}"
+            assert cli.main(["eigen", "--preset", "example61", "--alpha", alpha,
+                             "--forward-n", str(forward_n), "--depth", str(depth),
+                             "--out-dir", str(out)]) == 0
+            rows, est, res = per_depth_rows(f, forward_n, depth)
+            cli._write_csv(tmp_path / "want.csv", header, rows)
+            got = (out / "eigen_depths.csv").read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes(), (forward_n, depth)
+            result = json.loads((out / "summary.json").read_text())["result"]
+            assert (result["tau_re"], result["tau_im"]) == (est.tau.real, est.tau.imag)
+            assert (result["residual"], result["sample_count"]) == (res, est.sample_count)
 
 
 class TestSquareTrick:
+    def test_shared_values_give_the_same_residual(self, deep_b):
+        f = presets.example61(0.5)
+        values = eigen.sample_values(deep_b, f, SAMPLES)
+        want = eigen.worst_residual(abs(deep_b(sm.evaluate(f, z)) ** 2 - deep_b(z) ** 2)
+                                    for z in SAMPLES)
+        for got in (eigen.square_trick_check(deep_b, f, SAMPLES, values),
+                    eigen.square_trick_check(deep_b, f, SAMPLES)):
+            assert got.hex() == want.hex()
+
     def test_exact_sign_flip_pair_squares_to_invariant(self):
         # theta = pi gives eigenvalue -1, so the square is exactly invariant
         t = presets.translation()

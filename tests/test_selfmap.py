@@ -688,7 +688,7 @@ class TestLanes:
         points = [random_disk_point(rng, 0.8) for _ in range(33)]
         # built from a validated table, as the program builds such products;
         # its evaluation reads its stack of one alone
-        f = sm.FiniteBlaschkeProduct._from_table(1.0 + 0.0j, points, [1] * 33)
+        f = sm.FiniteBlaschkeProduct._from_table(1.0 + 0.0j, zip(points, [1] * 33))
         sm.evaluate(f, 0.1j)
         assert "_stack" in vars(f) and "factors" not in vars(f)
 
@@ -761,6 +761,37 @@ def special_zeros(rng, n) -> list:
     return [(z, int(m)) for z, m in zip(points, rng.integers(1, 4, n))]
 
 
+class TestSmallProductStack:
+    """A product of at most 32 zeros copies its stack's u column from its
+    factors, bit for bit what lanes.direction builds for the same zeros."""
+
+    @staticmethod
+    def products():
+        yield from (presets.example61(0.5), presets.example61(0.6), presets.example62(),
+                    presets.translation(), presets.power_map(3), sm.identity_map())
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            gamma, zeros = properties._random_product(rng)
+            yield sm.FiniteBlaschkeProduct(gamma, zeros)
+            # with a zero at the origin, which has no direction
+            yield sm.FiniteBlaschkeProduct(gamma, [(0.0, 2), *zeros])
+        yield sm.FiniteBlaschkeProduct(1.0, special_zeros(np.random.default_rng(32), 32))
+
+    def test_u_from_factors_is_the_lanes_column(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("lanes.direction on a product of at most 32 zeros")
+
+        for f in self.products():
+            assert len(f.zeros) <= sm._SCALAR_MAX_ZEROS
+            with monkeypatch.context() as m:
+                m.setattr(lanes, "direction", refuse)
+                got = f._stack._u
+            zeros = np.array([[a for a, _ in f.zeros]])
+            want = ps._ProductStack(np.array([f.gamma]), zeros, [m for _, m in f.zeros])._u
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), f
+
+
 class TestLargeProductTable:
     """A product of more than 32 zeros, built from a validated table
     (FiniteBlaschkeProduct._from_table) or by the constructor, has the
@@ -771,7 +802,7 @@ class TestLargeProductTable:
     def test_special_zeros(self, n):
         entries = special_zeros(np.random.default_rng(n), n)
         for zeros in (entries, tuple(entries)):
-            f = sm.FiniteBlaschkeProduct._from_table(1.0 + 0.0j, *zip(*zeros))
+            f = sm.FiniteBlaschkeProduct._from_table(1.0 + 0.0j, zeros)
             assert not stack_built(f)
             # evaluating reads the stack alone
             sm.evaluate(f, 0.1 - 0.2j)
@@ -794,7 +825,7 @@ class TestLargeProductTable:
         # a product and its stack in a reference cycle waited for a full
         # collection, and an eigen job's peak memory rose by 7 MB
         f = sm.FiniteBlaschkeProduct._from_table(
-            1.0 + 0.0j, *zip(*special_zeros(np.random.default_rng(33), 40)))
+            1.0 + 0.0j, special_zeros(np.random.default_rng(33), 40))
         sm.evaluate(f, 0.3)
         assert stack_built(f)
         enabled = gc.isenabled()
