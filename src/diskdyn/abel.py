@@ -25,6 +25,10 @@ from .dynamics import _CHUNK_MAX, _CHUNK_MIN, _boundary_class
 from .geometry import in_halfplane
 from .selfmap import HalfPlaneConjugate
 
+# the probes 1 + 0.5 exp(2 pi i k / 10) of the abel command's residual table
+# and semiconjugacy fit, and of criterion 8
+PROBES = tuple(1.0 + 0.5 * cmath.exp(2j * cmath.pi * k / 10) for k in range(10))
+
 
 class HalfPlaneMap(HalfPlaneConjugate):
     """The HalfPlaneConjugate of a non-elliptic disk map at its attracting

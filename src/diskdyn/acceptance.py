@@ -227,8 +227,7 @@ def criterion_7_u_theta(tol):
 
 def criterion_8_baker_pommerenke(tol):
     hm = abel.HalfPlaneMap(presets.example62())
-    probes = [1.0 + 0.5 * cmath.exp(2j * math.pi * k / 10) for k in range(10)]
-    rows = abel.residual_table(hm, "baker_pommerenke_h", (50, 100, 200, 400), probes)
+    rows = abel.residual_table(hm, "baker_pommerenke_h", (50, 100, 200, 400), abel.PROBES)
     res = {n: abel.worst_residual(r for m, _, r, _ in rows if m == n)
            for n in (50, 100, 200, 400)}
     nonincreasing = res[50] >= res[100] >= res[200] >= res[400]

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 failed suite criteria, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -253,11 +252,10 @@ def _run_eigen(cfg: ExperimentConfig):
 def _run_abel(cfg: ExperimentConfig):
     f = cfg.resolve_map()
     hm = abel.HalfPlaneMap(f)
-    probes = [1.0 + 0.5 * cmath.exp(2j * math.pi * k / 10) for k in range(10)]
     feasible = hm.max_feasible_index(cfg.n_max)
     ns = sorted({max(1, feasible // d) for d in (16, 8, 4, 2, 1)})
     kind = "baker_pommerenke_h" if hm.step == "zero" else "pommerenke_g"
-    rows = abel.residual_table(hm, kind, ns, probes)
+    rows = abel.residual_table(hm, kind, ns, abel.PROBES)
     summary = {
         "step_verdict": hm.step,
         "kind": kind,
@@ -265,7 +263,7 @@ def _run_abel(cfg: ExperimentConfig):
         "final_residual": abel.worst_residual(r for n, _, r, _ in rows if n == ns[-1]),
     }
     if hm.step == "positive":
-        fit = abel.extract_semiconjugacy(hm, ns[-1], probes)
+        fit = abel.extract_semiconjugacy(hm, ns[-1], abel.PROBES)
         summary["semiconjugacy"] = _report(fit, "coefficients", "fixed_points")
     header = ("n", "probe_id", "residual", "diff_from_prev")
     return summary, {"abel_residuals.csv": (header, rows)}

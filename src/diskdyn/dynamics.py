@@ -24,7 +24,6 @@ from . import lanes
 from .geometry import Horodisk, ensure_disk_point
 from .selfmap import (
     PREIMAGE_RESIDUAL_TOL,
-    _CLARK_CHAINS,
     HalfPlaneConjugate,
     _boundary_constants,
     _clark_chain,
@@ -112,21 +111,19 @@ def _attracting(f, contacts) -> MapClass:
     """The class of a map attracted to the boundary fixed point of least a
     among the contacts omega with |f(omega) - omega| <= PREIMAGE_RESIDUAL_TOL
     and a < 1 + PARABOLIC_BAND.  The shift is taken from a and b each rounded
-    once (selfmap._boundary_constants), so example62's is 0 exactly.  The
-    Clark chain of the point taken is kept for the map's conjugate
-    (selfmap._CLARK_CHAINS)."""
+    once (selfmap._boundary_constants), so example62's is 0 exactly.
+    selfmap._clark_chain keeps each contact's Clark chain for the map's
+    conjugate there."""
     fixed = []
     for omega in contacts:
         residual = abs(evaluate(f, omega) - omega)
         if residual <= PREIMAGE_RESIDUAL_TOL:
-            chain = _clark_chain(f, omega)
-            a, b = (float(x) for x in _boundary_constants(chain))
+            a, b = (float(x) for x in _boundary_constants(_clark_chain(f, omega)))
             if a < 1.0 + PARABOLIC_BAND:
-                fixed.append((a, b, omega, residual, chain))
+                fixed.append((a, b, omega, residual))
     if not fixed:
         raise ClassificationError(f"none of the boundary contacts {contacts!r} attracts")
-    a, b, omega, residual, chain = min(fixed, key=lambda t: t[0])
-    _CLARK_CHAINS[f] = omega, chain
+    a, b, omega, residual = min(fixed, key=lambda t: t[0])
     shift = complex(a * (a - 1.0), a * a * b)
     kind = PARABOLIC if abs(a - 1.0) < PARABOLIC_BAND else HYPERBOLIC
     step = "zero" if kind == PARABOLIC and abs(shift) < PARABOLIC_BAND else "positive"

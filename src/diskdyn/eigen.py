@@ -17,9 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -141,8 +139,7 @@ def prefix_samples(truncation: GrandOrbitTruncation, depths, f, samples) -> list
     """
     if not all(0 <= d <= truncation.backward_depth for d in depths):
         raise ValueError(f"depths must lie in [0, {truncation.backward_depth}], got {depths}")
-    generation = attrgetter("backward_depth")
-    counts = [bisect_right(truncation.nodes, d, key=generation) for d in depths]
+    counts = [len(truncation.prefix(d).nodes) for d in depths]
     deepest = build_truncated_eigenfunction(truncation)
     products = [FiniteBlaschkeProduct._from_table(deepest.gamma, deepest.zeros[:n])
                 if n < len(deepest.zeros) else deepest for n in counts]

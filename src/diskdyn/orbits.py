@@ -10,7 +10,9 @@ of the iterate that maps it onto the forward orbit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +52,8 @@ class GrandOrbitTruncation:
         at a backward_depth up to this one's: its first generations.
 
         Generation k depends only on generations < k, so the nodes, partial
-        sums and node-cap verdict are those of a fresh enumeration.
+        sums and node-cap verdict are those of a fresh enumeration.  Nodes
+        come generation by generation, so the prefix's are a leading slice.
         """
         if not 0 <= backward_depth <= self.backward_depth:
             raise ValueError(
@@ -58,11 +61,12 @@ class GrandOrbitTruncation:
             )
         # a truncated run stopped before generation len(sums)
         truncated = self.truncated and len(self.blaschke_partial_sums) <= backward_depth
+        count = bisect_right(self.nodes, backward_depth, key=attrgetter("backward_depth"))
         return GrandOrbitTruncation(
             base_point=self.base_point,
             forward_n=self.forward_n,
             backward_depth=backward_depth,
-            nodes=tuple(n for n in self.nodes if n.backward_depth <= backward_depth),
+            nodes=self.nodes[:count],
             blaschke_partial_sums=self.blaschke_partial_sums[: backward_depth + 1],
             truncated=truncated,
         )

@@ -62,10 +62,6 @@ def _random_product(rng, max_degree=4):
     return _random_case(rng, max_degree)[0]
 
 
-def _random_blaschke(rng, max_degree=4):
-    return selfmap.FiniteBlaschkeProduct(*_random_product(rng, max_degree))
-
-
 def _stack_products(products) -> tuple[list, np.ndarray, np.ndarray]:
     """Products given as (gamma, [zero, ...]) pairs, stacked: product i is
     row row[i] of stacks[which[i]], as FiniteBlaschkeProduct(gamma, zeros)

@@ -138,7 +138,8 @@ class FiniteBlaschkeProduct:
         u = None
         if len(self.zeros) <= _SCALAR_MAX_ZEROS:
             u = np.array([[unit for _, _, unit, _ in self.factors]], dtype=complex)
-        return _ProductStack(np.array([self.gamma]), np.array([[a for a, _ in self.zeros]]),
+        return _ProductStack(np.array([self.gamma]),
+                             np.array([[a for a, _ in self.zeros]], dtype=complex),
                              [m for _, m in self.zeros], u)
 
 
@@ -637,10 +638,10 @@ class HalfPlaneConjugate:
     fixed point of f (callers pass the Denjoy-Wolff point), where that is
     C(conj(omega) f(omega C^{-1}(w))) to rounding; for any other omega the
     output frame is f(omega), not omega.  Like evaluate, it returns a
-    Python complex.  Both apply and walk(orbit, count) run the stages'
-    kernel from diskdyn.transport, built from the Clark sums of
-    _clark_chain: at a classified map's attracting point, the
-    classification's own.
+    Python complex.  walk(orbit, count) is the stages' kernel from
+    diskdyn.transport, built from the Clark sums of _clark_chain (at a
+    classified map's attracting point, the classification's own), and
+    apply is one walk step.
     """
 
     def __init__(self, f, omega: complex = 1.0):
@@ -650,39 +651,41 @@ class HalfPlaneConjugate:
             shape, stage_args = _stage_arguments(*_clark_stage(stage.zeros, sums))
             shapes.append(shape)
             args += stage_args
-        self._step, self.walk = _kernel(tuple(shapes))(*args)
+        self.walk = _kernel(tuple(shapes))(*args)
 
     def to_halfplane(self, z_disk: complex) -> complex:
         """The half-plane point C(conj(omega) z) of a disk point z."""
         return cayley_to_rhp(self.omega.conjugate() * z_disk)
 
     def apply(self, w: complex) -> complex:
-        return self._step(w)
+        orbit = [w]
+        if (exc := self.walk(orbit, 1)) is not None:
+            raise exc
+        return orbit[1]
 
 
-# the Clark chain of each (never mutated) map object still alive at its
-# attracting point, kept by dynamics._attracting for the contact it takes,
-# where the map's conjugate is built next.  Keyed by the object, so a new
-# map, even an equal one, pays its own pass; the values hold no stage,
-# which would keep a product key alive
+# the memo of _clark_chain: per (never mutated) map object still alive, its
+# chains by boundary point, so classification, the conjugates and
+# angular_derivative at one point share one pass.  Keyed by the object, so
+# a new map, even an equal one, pays its own pass; the chains hold no
+# stage, which would keep a product key alive
 _CLARK_CHAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _clark_chain(f, omega: complex) -> list:
     """transport._clark_sums of each stage of f, stage k conjugated from
     omega_{k-1} to omega_k = s_k(omega_{k-1}), omega_0 = omega, as
-    HalfPlaneConjugate carries f; the chain kept for f if omega is its
-    attracting point."""
+    HalfPlaneConjugate carries f; computed once per map object and point."""
     stages = _stages(f)  # refuses anything else before the weak-keyed lookup
-    alpha = ensure_unimodular(omega)
-    kept = _CLARK_CHAINS.get(f)
-    if kept is not None and kept[0] == alpha:
-        return kept[1]
-    chain = []
-    for stage in stages:
-        chain.append(_clark_sums(stage.zeros, alpha))
-        alpha = _eval_fbp(stage, alpha)
-    return chain
+    chains = _CLARK_CHAINS.setdefault(f, {})
+    point = ensure_unimodular(omega)
+    if point not in chains:
+        chain, alpha = [], point
+        for stage in stages:
+            chain.append(_clark_sums(stage.zeros, alpha))
+            alpha = _eval_fbp(stage, alpha)
+        chains[point] = chain
+    return chains[point]
 
 
 def _boundary_constants(chain) -> tuple[Fraction, Fraction]:

@@ -9,7 +9,6 @@ polynomial forms of every row, as the per-product form does, bit for bit.
 
 from __future__ import annotations
 
-import copy
 from functools import cached_property
 
 import numpy as np
@@ -80,16 +79,12 @@ class _ProductStack:
         return cols, self._mult[cols]
 
     def take(self, rows) -> _ProductStack:
-        """The stack of the given rows, in that order (for lanes); a stack of
+        """The stack of the given rows, in that order (for lanes), built anew
+        from their constants, so every cache is its rows' own; a stack of
         one broadcasts as it is."""
         if len(self) == 1:
             return self
-        part = copy.copy(self)
-        part.__dict__.pop("coefficients", None)
-        for name in ("gamma", "zeros", "_conj", "_u", "_slope"):
-            if name in part.__dict__:
-                part.__dict__[name] = part.__dict__[name][rows]
-        return part
+        return _ProductStack(self.gamma[rows, 0], self.zeros[rows], self.mults, self._u[rows])
 
     @cached_property
     def coefficients(self) -> tuple[np.ndarray, np.ndarray]:

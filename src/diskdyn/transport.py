@@ -19,13 +19,13 @@ circle makes b and a far pole's c / t large and opposite), the stage also
 has the form at 0, F(w) = F(0) + w (a - i sum (c_k / t_k) / (w - i t_k)),
 taken for |w| below half its nearest pole.
 
-step(w) runs one such line per stage, and walk inlines the same lines in
-the orbit loop.  A line writes w for a w where a = 1, which keeps its bits
-on every finite w, and c / w for a pole at t = +0.0, which keeps them on
-every w (_stage_lines); each sequence of stage shapes, those folds
-included, compiles one kernel.  Coefficients are arguments, never source
-text (repr loses -0.0 parts), and all of them are complex but the radius
-of the form at 0, so each kernel operation is complex with complex.
+A kernel's walk inlines one such line per stage in the orbit loop; one
+step is a walk of one point.  A line writes w for a w where a = 1, which
+keeps its bits on every finite w, and c / w for a pole at t = +0.0, which
+keeps them on every w (_stage_lines); each sequence of stage shapes, those
+folds included, compiles one kernel.  Coefficients are arguments, never
+source text (repr loses -0.0 parts), and all of them are complex but the
+radius of the form at 0, so each kernel operation is complex with complex.
 """
 
 import math
@@ -36,10 +36,6 @@ import numpy as np
 
 _KERNEL = """\
 def factory({args}):
-    def step(w):
-{step}
-        return w
-
     def walk(orbit, count):
         w, append = orbit[-1], orbit.append
         try:
@@ -49,7 +45,7 @@ def factory({args}):
         except Exception as exc:
             return exc
 
-    return step, walk
+    return walk
 """
 
 # pi - math.pi, so that multiples of pi/2 are subtracted to twice the precision
@@ -252,15 +248,15 @@ def _kernel(shapes: tuple[tuple[int, int, int, int, int], ...]):
     """The kernel factory of a sequence of stage shapes (scale, pairs,
     other poles, zero, form at 0), compiled once.
 
-    It takes each stage's _stage_arguments and returns (step, walk):
-    walk(orbit, count) appends count points w = step(w) to the list and
-    returns the exception that ends it early, if any.
+    It takes each stage's _stage_arguments and returns walk:
+    walk(orbit, count) appends count points, each the stages' lines run on
+    the last, to the list and returns the exception that ends it early, if
+    any.
     """
     args, body = [], []
     for s, shape in enumerate(shapes):
         args += _stage_names(s, *shape)
         body += _stage_lines(s, *shape)
-    source = _KERNEL.format(args=", ".join(args), step="\n".join(" " * 8 + ln for ln in body),
-                            walk="\n".join(" " * 16 + ln for ln in body))
+    source = _KERNEL.format(args=", ".join(args), walk="\n".join(" " * 16 + ln for ln in body))
     exec(compile(source, f"<transport kernel {shapes}>", "exec"), namespace := {})
     return namespace["factory"]

@@ -161,6 +161,30 @@ class TestClassify:
         sm.HalfPlaneConjugate(sm.FiniteBlaschkeProduct(f.gamma, f.zeros), cls.dw_point)
         assert len(calls) == 2
 
+    def test_conjugates_and_angular_derivatives_at_every_contact_reuse_the_clark_sums(
+            self, monkeypatch):
+        # classification takes each of example61(0.6)'s three boundary
+        # contacts through selfmap._clark_chain, whose memo then serves a
+        # conjugate and the angular derivative at each of them
+        f = presets.example61(0.6)
+        calls = []
+        original = sm._clark_sums
+
+        def counting(zeros, alpha):
+            calls.append(alpha)
+            return original(zeros, alpha)
+
+        monkeypatch.setattr(sm, "_clark_sums", counting)
+        dyn.classify(f)
+        contacts = list(calls)
+        assert len(contacts) == 3
+        calls.clear()
+        for omega in contacts:
+            sm.HalfPlaneConjugate(f, omega)
+            sm.angular_derivative(f, omega)
+        assert calls == []
+        assert not hasattr(dyn, "_CLARK_CHAINS")
+
     def test_boundary_refusal_names_the_operation(self):
         with pytest.raises(ValueError,
                            match="^orbit merging needs a boundary attracting point$"):
@@ -236,12 +260,12 @@ class TestOrbitMerging:
 
 
 class _StubConjugate:
-    """A stand-in conjugate: the disk point z starts at origin + z, and
-    apply and walk are opaque_kernel of the given step."""
+    """A stand-in conjugate: the disk point z starts at origin + z, apply
+    is the given step and walk its opaque_kernel."""
 
     def __init__(self, origin, step):
         self.origin = origin
-        self.apply, self.walk = opaque_kernel(step)
+        self.apply, self.walk = step, opaque_kernel(step)
 
     def to_halfplane(self, z):
         return self.origin + z
@@ -384,13 +408,13 @@ class TestOrbitLoop:
     def test_one_apply_per_point(self, points, n_max):
         f = presets.example62()
         hp = sm.HalfPlaneConjugate(f, dyn.classify(f).dw_point)
-        apply, walk = hp.apply, hp.walk
-        # the transport step of hp, counted in the opaque-step kernel
+        # the transport step of a twin of hp, counted in the opaque-step kernel
+        apply = sm.HalfPlaneConjugate(f, dyn.classify(f).dw_point).apply
         calls = []
         counted = _StubConjugate(0.0, lambda w: calls.append(w) or apply(w))
         counted.to_halfplane = hp.to_halfplane
-        # and hp's own kernel: its apply calls plus the points it walks
-        steps = []
+        # and hp's own kernel: the points it walks, apply's one point each
+        steps, walk = [], hp.walk
 
         def counted_walk(orbit, count):
             start = len(orbit)
@@ -398,7 +422,7 @@ class TestOrbitLoop:
             steps.extend(orbit[start:])
             return error
 
-        hp.apply, hp.walk = (lambda w: steps.append(w) or apply(w)), counted_walk
+        hp.walk = counted_walk
         got = outcome(dyn._orbit_rho_sequence, hp, points, n_max)
         assert got[1] is None
         assert outcome(dyn._orbit_rho_sequence, counted, points, n_max) == got

@@ -17,6 +17,10 @@ from diskdyn import dynamics as dyn
 from diskdyn import selfmap as sm
 
 
+def random_blaschke(rng, max_degree=4):
+    return sm.FiniteBlaschkeProduct(*properties._random_product(rng, max_degree))
+
+
 def shifted_map(beta, a=1.0):
     """The degree-2 product conjugate to F(w) = w/a + i beta + 1/w.
 
@@ -223,9 +227,8 @@ class TestReferences:
     @pytest.fixture(scope="class")
     def random_maps(self):
         rng = np.random.default_rng(987654321)
-        maps = [properties._random_blaschke(rng) for _ in range(300)]
-        maps += [sm.compose(properties._random_blaschke(rng, 3),
-                            properties._random_blaschke(rng, 3)) for _ in range(50)]
+        maps = [random_blaschke(rng) for _ in range(300)]
+        maps += [sm.compose(random_blaschke(rng, 3), random_blaschke(rng, 3)) for _ in range(50)]
         return maps
 
     def test_degree_one_against_mpmath(self, random_maps):

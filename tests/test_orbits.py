@@ -196,6 +196,16 @@ class TestPrefix:
             flags.append(fresh.truncated)
         assert not flags[0] and flags[-1]
 
+    def test_prefix_nodes_are_the_node_filter(self):
+        # the prefix slices the nodes at its depth's count, which equals
+        # keeping the nodes of generations up to that depth
+        f = presets.example61(0.6)
+        for deep in (ob.grand_orbit(f, 0.0, forward_n=12, backward_depth=8),
+                     ob.grand_orbit(f, 0.0, forward_n=6, backward_depth=8, node_cap=50)):
+            for k in range(9):
+                want = tuple(n for n in deep.nodes if n.backward_depth <= k)
+                assert deep.prefix(k).nodes == want
+
     def test_prefix_depth_out_of_range(self, example_truncation):
         for k in (-1, example_truncation.backward_depth + 1):
             with pytest.raises(ValueError, match="prefix depth"):

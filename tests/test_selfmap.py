@@ -1052,6 +1052,36 @@ class TestProductStacks:
                         assert exact(complex(u[r, 0])) == exact(fu)
                         assert exact(complex(k[r, 0])) == exact(fu * (1.0 - abs(fa) ** 2))
 
+    @pytest.mark.parametrize("built", [False, True])
+    def test_take_is_the_stack_of_its_rows(self, built):
+        # take builds a stack from the rows' constants: every array, cached
+        # or not, is the parent's sliced (per-row arrays) or the parent's
+        # (per-column ones), bit for bit
+        rng = np.random.default_rng(32)
+        _, (stacks, _, _) = criterion_stacks()
+        for stack in stacks + special_stacks(rng):
+            if built:
+                stack.slopes, stack.coefficients
+            n = len(stack)
+            parts = [(rows, stack.take(rows)) for rows in (
+                rng.permutation(n), rng.integers(0, n, n + 7), rng.integers(0, n, 1))]
+            for rows, part in parts:
+                assert part.mults == stack.mults and part.degree == stack.degree
+                want = {"gamma": stack.gamma[rows], "zeros": stack.zeros[rows],
+                        "_conj": stack._conj[rows], "_u": stack._u[rows],
+                        "_origin": stack._origin, "_mult": stack._mult,
+                        "_raised": np.concatenate(stack._raised),
+                        "slopes": np.hstack(stack.slopes)[rows],
+                        "num": stack.coefficients[0][rows], "den": stack.coefficients[1][rows]}
+                got = {"gamma": part.gamma, "zeros": part.zeros, "_conj": part._conj,
+                       "_u": part._u, "_origin": part._origin, "_mult": part._mult,
+                       "_raised": np.concatenate(part._raised), "slopes": np.hstack(part.slopes),
+                       "num": part.coefficients[0], "den": part.coefficients[1]}
+                for name, array in want.items():
+                    assert got[name].dtype == array.dtype, name
+                    assert got[name].shape == array.shape, name
+                    assert got[name].tobytes() == array.tobytes(), name
+
     def test_coefficients_are_np_convolve(self):
         rng = np.random.default_rng(31)
         _, (stacks, _, _) = criterion_stacks()

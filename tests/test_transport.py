@@ -319,7 +319,8 @@ def test_form_at_zero_next_to_a_pair():
     # and one pole at 5i, whose form at 0 is F(0) + w (1 - 0.04i / (w - 5i))
     # + the pair, with F(0) = 0.34i; a = 1 drops from the sum form, and the
     # form at 0 keeps it
-    step, _ = transport._kernel(((0, 1, 1, -1, 1),))(1.0, 0.3j, 0.5, 4.0, 0.2, 5j, 2.5, 0.34j, -0.04j)
+    step = one_step(transport._kernel(((0, 1, 1, -1, 1),))(
+        1.0, 0.3j, 0.5, 4.0, 0.2, 5j, 2.5, 0.34j, -0.04j))
     rng = np.random.default_rng(4)
     for w in (rng.uniform(0, 5, 50) + 1j * rng.uniform(-5, 5, 50)).tolist():
         exact = w + 0.3j + 0.25 / (w - 2j) + 0.25 / (w + 2j) + 0.2 / (w - 5j)
@@ -418,6 +419,28 @@ def test_walk_returns_the_step_error():
     assert isinstance(hp.walk(orbit, 3), ZeroDivisionError) and orbit == [0.5j]
 
 
+def test_apply_is_one_walk_step():
+    # the kernel compiles walk alone, and apply walks one point
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        f = random_map(rng)
+        hp = sm.HalfPlaneConjugate(f, cmath.exp(2j * math.pi * rng.random()))
+        factory = transport._kernel(tuple(shape for _, shape, _ in stage_arguments(f, hp.omega)))
+        assert [c for c in factory.__code__.co_consts if hasattr(c, "co_name")] == [hp.walk.__code__]
+        for w in halfplane_points(20, int(rng.integers(1 << 30)), high=100.0):
+            orbit = [w]
+            assert hp.walk(orbit, 1) is None
+            assert np.array([hp.apply(w)]).view(np.int64).tolist() == np.array(
+                orbit[1:]).view(np.int64).tolist()
+    # at example62's pole w = 0, apply raises the error walk returns
+    hp = sm.HalfPlaneConjugate(presets.example62(), 1.0)
+    error = hp.walk([0j], 1)
+    assert isinstance(error, ZeroDivisionError)
+    with pytest.raises(ZeroDivisionError) as raised:
+        hp.apply(0j)
+    assert str(raised.value) == str(error)
+
+
 def test_translation_steps_exactly():
     # the translation preset and its wire form are w -> w - i, with no poles
     wire = presets.map_from_dict(presets.map_to_dict(presets.translation()))
@@ -453,7 +476,7 @@ def test_one_kernel_per_stage_degree_sequence():
     assert c.walk.__code__ is not a.walk.__code__
     # coefficients are arguments, not constants of the generated source:
     # the constants are orbit[-1]'s index and None
-    for fn in (a._step, c._step, odd._step, a.walk, c.walk, odd.walk):
+    for fn in (a.walk, c.walk, odd.walk):
         assert set(fn.__code__.co_consts) <= {None, -1}
 
 
@@ -467,8 +490,19 @@ def stage_arguments(f, omega):
     return out
 
 
+def one_step(walk):
+    """The step of a kernel's walk: one point walked, its error raised."""
+    def step(w):
+        orbit = [w]
+        if (error := walk(orbit, 1)) is not None:
+            raise error
+        return orbit[1]
+
+    return step
+
+
 def unfolded_kernel(stages):
-    """The step of the kernel of stages given as stage_arguments gives them,
+    """The walk of the kernel of stages given as stage_arguments gives them,
     with nothing folded: every stage line multiplies by a, which
     _stage_arguments drops where a = 1, adds i b and subtracts i t of every
     pole, which it drops where t = +0.0."""
@@ -483,7 +517,7 @@ def unfolded_kernel(stages):
             folded.insert(0, complex(a, 0.0))
         shapes.append((1, pairs, single, -1, origin))
         args += folded
-    return transport._kernel(tuple(shapes))(*args)[0]
+    return transport._kernel(tuple(shapes))(*args)
 
 
 # +-0, subnormals, huge and non-finite parts; each part from this list
@@ -549,19 +583,20 @@ def test_folded_kernel_keeps_the_bits_of_the_unfolded_one(name, f, omega):
         # test_form_at_zero_next_to_a_pair's stage: a = 1 drops from the sum
         # form only, so both kernels take the same arguments
         args = (1.0, 0.3j, 0.5, 4.0, 0.2, 5j, 2.5, 0.34j, -0.04j)
-        step, reference = (transport._kernel((shape,))(*args)[0]
-                           for shape in ((0, 1, 1, -1, 1), (1, 1, 1, -1, 1)))
+        walk, unfolded = (transport._kernel((shape,))(*args)
+                          for shape in ((0, 1, 1, -1, 1), (1, 1, 1, -1, 1)))
     elif name == "pole-at-minus-zero":
         # example62's line with its pole at t = -0.0: w - i t adds 0.0 to
         # Im w, so the pole keeps its i t, and only a = 1 drops
         shape, args = transport._stage_arguments(1.0, 0.0, [0.25], [-0.0], -math.inf)
-        step = transport._kernel((shape,))(*args)[0]
-        reference = transport._kernel(((1, 0, 1, -1, 0),))(1.0, 0j, 0.25, complex(0.0, -0.0))[0]
+        walk = transport._kernel((shape,))(*args)
+        unfolded = transport._kernel(((1, 0, 1, -1, 0),))(1.0, 0j, 0.25, complex(0.0, -0.0))
         assert shape == (0, 0, 1, -1, 0)
     else:
         omega = dyn.classify(f).dw_point if omega is None else omega
-        step, reference = sm.HalfPlaneConjugate(f, omega)._step, unfolded_kernel(stage_arguments(f, omega))
-    assert step.__code__ is not reference.__code__  # something folds
+        walk, unfolded = sm.HalfPlaneConjugate(f, omega).walk, unfolded_kernel(stage_arguments(f, omega))
+    assert walk.__code__ is not unfolded.__code__  # something folds
+    step, reference = one_step(walk), one_step(unfolded)
     for w in contract_points(len(name)):
         u, v = outcome(reference, w), outcome(step, w)
         if isinstance(u, type) or isinstance(v, type):
@@ -590,7 +625,7 @@ def test_long_walk(f):
 
 
 def kernel_with_float_coefficients(f, omega):
-    """(step, walk) of the kernel of HalfPlaneConjugate(f, omega) fed a, p,
+    """The walk of the kernel of HalfPlaneConjugate(f, omega) fed a, p,
     q and c as floats, which Python 3.10 to 3.13 promote to complex(x,
     0.0), and the names and arguments _stage_arguments gives it."""
     shapes, names, args, alpha = [], [], [], omega
@@ -619,7 +654,7 @@ def test_complex_coefficients_keep_the_bits_of_promotion(name, f):
     # to complex(x, 0.0), so passing that value changes no bit
     omega = dyn.classify(f).dw_point
     hp = sm.HalfPlaneConjugate(f, omega)
-    (step, walk), names, args = kernel_with_float_coefficients(f, hp.omega)
+    walk, names, args = kernel_with_float_coefficients(f, hp.omega)
     assert all(isinstance(v, float) == (n[0] == "r") for n, v in zip(names, args)), names
     if name == "mixed":
         # the degree-3 stage takes the pairs branch
@@ -628,4 +663,5 @@ def test_complex_coefficients_keep_the_bits_of_promotion(name, f):
     assert hp.walk(orbit, 100000) is None and walk(want, 100000) is None
     assert np.array(orbit).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
     got = np.array([hp.apply(w) for w in orbit])
+    step = one_step(walk)
     assert got.view(np.int64).tolist() == np.array([step(w) for w in orbit]).view(np.int64).tolist()

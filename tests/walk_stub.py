@@ -2,9 +2,9 @@
 
 
 def opaque_kernel(step):
-    """(step, walk) of an opaque step, with the transport kernel's walk
-    contract: walk(orbit, count) appends count points w = step(w) and
-    returns the exception that ends it early, if any."""
+    """The walk of an opaque step, with the transport kernel's contract:
+    walk(orbit, count) appends count points w = step(w) and returns the
+    exception that ends it early, if any."""
     def walk(orbit, count):
         w, append = orbit[-1], orbit.append
         try:
@@ -14,4 +14,4 @@ def opaque_kernel(step):
         except Exception as exc:
             return exc
 
-    return step, walk
+    return walk
