@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import SAME_POINT_TOL
+from .geometry import DISK_MARGIN, SAME_POINT_TOL, ensure_disk_point
 
 
 def mul(ar, ai, br, bi):
@@ -51,6 +51,15 @@ def same_point(zr, zi, wr, wi):
     """geometry.same_point(z, w): pseudo-hyperbolic distance at most
     SAME_POINT_TOL; a NaN lane (den = 0) means the points differ."""
     return pseudo_hyperbolic(zr, zi, wr, wi) <= SAME_POINT_TOL
+
+
+def ensure_disk_points(points) -> None:
+    """geometry.ensure_disk_point on complex points in their (row-major)
+    order, as a loop over them validates: the first point not strictly
+    inside the disk raises its error."""
+    outside = ~(np.hypot(points.real, points.imag) < 1.0 - DISK_MARGIN)
+    for p in points[outside][:1].tolist():
+        ensure_disk_point(p)
 
 
 def direction(ar, ai):

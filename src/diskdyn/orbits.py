@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import lanes
 from .dynamics import _boundary_class
 from .geometry import SAME_POINT_TOL, ensure_disk_point
-from .selfmap import RootFindingError, _fibers, _stages, critical_points, evaluate
+from .selfmap import RootFindingError, _fiber_table, _stages, critical_points, evaluate
 
 DEFAULT_NODE_CAP = 20000
 
@@ -129,10 +130,14 @@ def grand_orbit(
 
     Forward orbit points get generation 0; generation k holds the preimages
     of generation k - 1 that are not already enumerated, sorted by (re, im).
-    Each generation's fibers are solved together (selfmap._fibers) and its
-    children deduplicated together (_new_points).  Stops with the truncated
-    flag set if node_cap would be exceeded; a cap below the forward orbit's
-    node count is an error.
+    A generation is three arrays (points, multiplicities, forward indices).
+    Its fibers are solved together as one table (selfmap._fiber_table),
+    whose owner column indexes the children's multiplicities and forward
+    indices out of the parents' arrays, and its children are deduplicated
+    together (_new_points).  A failed fiber raises RootFindingError naming
+    the generation and its first failing parent in node order.  Stops with
+    the truncated flag set if node_cap would be exceeded; a cap below the
+    forward orbit's node count is an error.
     """
     for name, value in (("forward_n", forward_n), ("backward_depth", backward_depth),
                         ("node_cap", node_cap)):
@@ -157,44 +162,46 @@ def grand_orbit(
                 f"reduce forward_n"
             ) from exc
     pts = np.array(forward)
-    joins = _new_points(np.empty(0), np.empty(0), pts.real, pts.imag).tolist()
-    nodes = [GrandOrbitNode(z, 1, m, 0) for m, z in enumerate(forward) if joins[m]]
+    joins = _new_points(np.empty(0), np.empty(0), pts.real, pts.imag)
+    # a generation is three arrays: points, multiplicities, forward indices
+    index = np.flatnonzero(joins)
+    points, mults = pts[index], np.ones(len(index), dtype=np.intp)
+    nodes = [GrandOrbitNode(forward[m], 1, m, 0) for m in index.tolist()]
     if len(nodes) > node_cap:
         raise ValueError(
             f"node_cap {node_cap} is below the {len(nodes)} forward-orbit nodes"
         )
-    nr, ni = pts.real[joins], pts.imag[joins]
+    nr, ni = points.real, points.imag
     total = 0.0
     for node in nodes:
         total += 1.0 - abs(node.point)
     sums = [total]
 
     truncated = False
-    generation = nodes
     for depth in range(1, backward_depth + 1):
-        fibers = _fibers(f, [parent.point for parent in generation])
-        children: list[tuple[complex, int, int]] = []
-        for parent, fiber in zip(generation, fibers):
-            if isinstance(fiber, RootFindingError):
-                raise RootFindingError(
-                    f"fiber solve failed at generation {depth} "
-                    f"(parent {parent.point!r})", fiber.residual
-                ) from fiber
-            for child, local_mult in fiber:
-                children.append((child, local_mult * parent.multiplicity, parent.forward_index))
-        pts = np.array([c[0] for c in children], dtype=complex)
-        joins = _new_points(nr, ni, pts.real, pts.imag)
-        cr, ci = pts.real[joins], pts.imag[joins]
+        fibers = _fiber_table(f, points)
+        if fibers.errors:
+            k = min(fibers.errors)
+            raise RootFindingError(
+                f"fiber solve failed at generation {depth} "
+                f"(parent {complex(points[k])!r})", fibers.errors[k].residual
+            ) from fibers.errors[k]
+        children = fibers.points
+        joins = _new_points(nr, ni, children.real, children.imag)
+        cr, ci = children.real[joins], children.imag[joins]
         kept = np.flatnonzero(joins)[np.lexsort((ci, cr))]
-        batch = [GrandOrbitNode(*children[k], depth) for k in kept.tolist()]
-        if len(nodes) + len(batch) > node_cap:
+        if len(nodes) + len(kept) > node_cap:
             truncated = True
             break
-        nodes.extend(batch)
+        parent = fibers.owner[kept]
+        points, mults, index = children[kept], fibers.mults[kept] * mults[parent], index[parent]
+        nodes.extend(map(GrandOrbitNode._make, zip(points.tolist(), mults.tolist(),
+                                                   index.tolist(), repeat(depth))))
         nr, ni = np.concatenate((nr, cr)), np.concatenate((ni, ci))
-        total += sum(n.multiplicity * (1.0 - abs(n.point)) for n in batch)
+        # Python's sum of the generation's terms (abs is hypot); from 3.12
+        # on, sum compensates its rounding, which np.cumsum would not repeat
+        total += sum((mults * (1.0 - np.hypot(points.real, points.imag))).tolist())
         sums.append(total)
-        generation = batch
 
     return GrandOrbitTruncation(
         base_point=z0,

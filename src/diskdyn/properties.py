@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import lanes, selfmap
-from .geometry import DISK_MARGIN, UNIMODULAR_TOL, ensure_disk_point
+from .geometry import DISK_MARGIN, UNIMODULAR_TOL
 from .stacks import _ProductStack
 
 # sampling sizes for the randomized suites; the seed is fixed below
@@ -118,23 +118,18 @@ def _stacked_values(stacks, which, rows, points) -> np.ndarray:
 
 
 def _first_mismatch(fibers, degrees):
-    """Index of the first fiber whose multiplicities do not sum to its
-    degree, or None; the first failed fiber is raised before."""
-    counts = [sum(m for _, m in selfmap._checked(fiber)) for fiber in fibers]
-    return next((k for k, (n, d) in enumerate(zip(counts, degrees)) if n != d), None)
+    """Index of the first fiber of the table whose multiplicities do not sum
+    to its degree, or None; the first failed fiber is raised before."""
+    if fibers.errors:
+        raise fibers.errors[min(fibers.errors)]
+    counts = np.bincount(fibers.owner, fibers.mults, minlength=fibers.size)
+    mismatch = np.flatnonzero(counts != degrees)[:1].tolist()
+    return mismatch[0] if mismatch else None
 
 
 def _complex(re, im) -> np.ndarray:
     """The complex array of these parts, bit for bit (re + 1j * im is not)."""
     return np.stack((re, im), axis=-1).view(complex)[..., 0]
-
-
-def _ensure_disk_points(points) -> None:
-    """ensure_disk_point on the points row by row, as a loop over draws
-    validates them: the first point not strictly inside the disk raises."""
-    outside = ~(np.hypot(points.real, points.imag) < 1.0 - DISK_MARGIN)
-    for p in points[outside][:1].tolist():
-        ensure_disk_point(p)
 
 
 def _distance_change(fz, fw, z, w):
@@ -150,7 +145,7 @@ def _contraction_gap(rng) -> float:
     zw = np.array([points for _, points in draws])
     fzw = _stacked_values(stacks, which, row, zw)
     # pseudo_hyperbolic(f(z), f(w)) and pseudo_hyperbolic(z, w) validate
-    _ensure_disk_points(np.hstack([fzw, zw]))
+    lanes.ensure_disk_points(np.hstack([fzw, zw]))
     return float(np.max(_distance_change(*fzw.T, *zw.T), initial=0.0))
 
 
@@ -159,15 +154,15 @@ def _back_evaluation(rng) -> tuple[float, str | None]:
     count mismatch, if any."""
     draws = [_random_case(rng, 4, (0.8,)) for _ in range(PROPERTY_CASES)]
     stacks, which, row = _stack_products([p for p, _ in draws])
-    targets = [ensure_disk_point(w) for _, (w,) in draws]
+    targets = np.array([w for _, (w,) in draws], dtype=complex)
+    lanes.ensure_disk_points(targets)
     fibers = selfmap._stacked_fibers(stacks, which, row, targets)
     degrees = [stacks[s].degree for s in which.tolist()]
     mismatch = _first_mismatch(fibers, degrees)
     # each fiber point against the target of the draw that owns it
-    owner = np.array([k for k, fiber in enumerate(fibers) for _ in fiber], dtype=np.intp)
-    points = np.array([z for fiber in fibers for z, _ in fiber], dtype=complex)
-    back = (_stacked_values(stacks, which[owner], row[owner], points[:, None])[:, 0]
-            - np.array(targets)[owner])
+    owner = fibers.owner
+    back = (_stacked_values(stacks, which[owner], row[owner], fibers.points[:, None])[:, 0]
+            - targets[owner])
     worst = float(np.max(np.hypot(back.real, back.imag), initial=0.0))
     if mismatch is None:
         return worst, None
@@ -180,8 +175,9 @@ def _composite_counts(rng) -> str | None:
     # compose(f, g) applies g first
     stages = [_stack_products([g for _, g, _ in draws]),
               _stack_products([f for f, _, _ in draws])]
-    fibers = selfmap._composite_fibers(stages, np.arange(len(draws)),
-                                       [ensure_disk_point(w) for _, _, (w,) in draws])
+    targets = np.array([w for _, _, (w,) in draws], dtype=complex)
+    lanes.ensure_disk_points(targets)
+    fibers = selfmap._composite_fibers(stages, np.arange(len(draws)), targets)
     inner, outer = ([stacks[s].degree for s in which.tolist()] for stacks, which, _ in stages)
     if _first_mismatch(fibers, [a * b for a, b in zip(inner, outer)]) is None:
         return None
@@ -211,7 +207,7 @@ def _mobius_invariance(rng) -> float:
         factors = [_complex(*lanes._factor(x.real, x.imag, a, a.conj(), u)[2:]) for x in (z, w)]
     maz, maw = (np.where(a == 0, x, m) for x, m in zip((z, w), factors))
     # mobius_factor(a, z) validates a, and pseudo_hyperbolic its points
-    _ensure_disk_points(np.column_stack([a, maz, maw, z, w]))
+    lanes.ensure_disk_points(np.column_stack([a, maz, maw, z, w]))
     return float(np.max(np.abs(_distance_change(maz, maw, z, w)), initial=0.0))
 
 

@@ -14,6 +14,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -425,15 +426,18 @@ def _fiber(f: FiniteBlaschkeProduct, w: complex, poly, roots) -> list[tuple[comp
     return result
 
 
-def _lane_fibers(f: _ProductStack, w: np.ndarray, roots: np.ndarray) -> list:
+def _lane_fibers(f: _ProductStack, w: np.ndarray,
+                 roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_fiber over each target w[k] from its row roots[k], in lanes, under
-    row k of the stack f (a stack of one serves every k).
+    row k of the stack f (a stack of one serves every k): (points, certified)
+    with points[k] row k's polished roots sorted by (re, im).
 
     Per row: the cluster test on every pair of roots, two guarded Newton
     steps on each root, the same-point test on every pair, the residual and
     open-disk checks, and the (re, im) sort.  A row that needs more than that
-    (a cluster, a merge, a failed check, an error) is None, for _fiber to
-    solve; every other row is what _fiber returns, bit for bit.
+    (a cluster, a merge, a failed check, an error) is not certified, for
+    _fiber to solve; every certified row's points, each of multiplicity 1,
+    are the fiber _fiber returns, bit for bit.
     """
     i, j = np.triu_indices(roots.shape[1], 1)
     gap = roots[:, i] - roots[:, j]
@@ -458,8 +462,28 @@ def _lane_fibers(f: _ProductStack, w: np.ndarray, roots: np.ndarray) -> list:
     points = np.empty(roots.shape, dtype=complex)
     points.real = np.take_along_axis(zr, order, -1)
     points.imag = np.take_along_axis(zi, order, -1)
-    return [[(z, 1) for z in row] if good else None
-            for row, good in zip(points.tolist(), ok.tolist())]
+    return points, ok
+
+
+class _FiberTable(NamedTuple):
+    """The fibers over a batch of `size` targets as flat rows: points[r],
+    of local multiplicity mults[r], lies over target owner[r].  Rows come
+    target by target (owner nondecreasing), each fiber sorted by (re, im);
+    a failed target has no rows, and its RootFindingError in errors."""
+
+    points: np.ndarray
+    mults: np.ndarray
+    owner: np.ndarray
+    errors: dict
+    size: int
+
+    def fibers(self) -> list:
+        """Entry i: the fiber over target i as (point, multiplicity) pairs,
+        or its RootFindingError."""
+        bounds = np.searchsorted(self.owner, np.arange(self.size + 1)).tolist()
+        points, mults = self.points.tolist(), self.mults.tolist()
+        return [self.errors[i] if i in self.errors else list(zip(points[a:b], mults[a:b]))
+                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def _row_product(f: _ProductStack, r: int) -> FiniteBlaschkeProduct:
@@ -469,97 +493,132 @@ def _row_product(f: _ProductStack, r: int) -> FiniteBlaschkeProduct:
                                              zip(f.zeros[r].tolist(), f.mults))
 
 
-def _product_fibers(f: _ProductStack, rows: np.ndarray, targets: list[complex]) -> list:
-    """_fiber over each validated targets[i] under product rows[i] of the
+def _product_fibers(f: _ProductStack, rows: np.ndarray, targets: np.ndarray) -> _FiberTable:
+    """The fiber over each validated targets[i] under product rows[i] of the
     stack f, the roots of all nonzero targets from one ``_stacked_roots``
-    call.  Over 0 the fiber is the exact (merged) zero list.  A failed fiber
-    is its RootFindingError.  A batch of at least _LANE_MIN_TARGETS nonzero
-    targets, on products of at most _SCALAR_MAX_ZEROS zeros, goes through
-    _lane_fibers first."""
+    call.  A batch of at least _LANE_MIN_TARGETS nonzero targets, on
+    products of at most _SCALAR_MAX_ZEROS zeros, goes through _lane_fibers,
+    whose certified rows are the table's rows as they are.  The others are
+    spliced in from lists: _fiber's fiber, or its RootFindingError, and over
+    0 the exact (merged) zero list.
+    """
     num, den = f.coefficients
-    nonzero = [k for k, w in enumerate(targets) if w != 0]
-    held = rows[nonzero]
-    w = np.array([targets[k] for k in nonzero], dtype=complex)
+    nonzero = np.flatnonzero(targets != 0)
+    held, w = rows[nonzero], targets[nonzero]
     # |gamma N_d| = 1 > |w D_d| for |w| < 1, so no leading coefficient is 0
     polys = f.gamma[held] * num[held] - w[:, None] * den[held]
     roots = _stacked_roots(polys) if len(w) else None
-    lane = len(w) >= _LANE_MIN_TARGETS and len(f.mults) <= _SCALAR_MAX_ZEROS
-    certified = _lane_fibers(f.take(held), w, roots) if lane else None
-    fibers: list = []
-    k = 0
-    for target, r in zip(targets, rows.tolist()):
-        if target == 0:
-            fibers.append(sorted(zip(f.zeros[r].tolist(), f.mults), key=_re_im))
-            continue
-        fiber = None if certified is None else certified[k]
-        if fiber is None:
-            try:
-                fiber = _fiber(_row_product(f, r), target, polys[k], roots[k])
-            except RootFindingError as exc:
-                fiber = exc
-        fibers.append(fiber)
-        k += 1
-    return fibers
+    lane, certified = np.empty((len(w), f.degree), dtype=complex), np.zeros(len(w), dtype=bool)
+    if len(w) >= _LANE_MIN_TARGETS and len(f.mults) <= _SCALAR_MAX_ZEROS:
+        lane, certified = _lane_fibers(f.take(held), w, roots)
+    lists, errors = {}, {}
+    for k in np.flatnonzero(targets == 0).tolist():
+        lists[k] = sorted(zip(f.zeros[rows[k]].tolist(), f.mults), key=_re_im)
+    for j in np.flatnonzero(~certified).tolist():
+        k = int(nonzero[j])
+        try:
+            lists[k] = _fiber(_row_product(f, held[j]), complex(w[j]), polys[j], roots[j])
+        except RootFindingError as exc:
+            errors[k] = exc
+    listed = [(k, z, m) for k, fiber in lists.items() for z, m in fiber]
+    return _table([(np.repeat(nonzero[certified], f.degree), lane[certified].ravel(),
+                    np.ones(certified.sum() * f.degree, dtype=np.intp)),
+                   (np.array([k for k, _, _ in listed], dtype=np.intp),
+                    np.array([z for _, z, _ in listed], dtype=complex),
+                    np.array([m for _, _, m in listed], dtype=np.intp))],
+                  errors, len(targets))
 
 
-def _stacked_fibers(stacks, which, rows, targets) -> list:
+def _table(blocks, errors: dict, size: int) -> _FiberTable:
+    """The table of row blocks (owner, points, mults), each target's rows
+    in one block in fiber order: the rows sorted stably by owner."""
+    owner, points, mults = (np.concatenate(column) for column in zip(*blocks))
+    order = np.argsort(owner, kind="stable")
+    return _FiberTable(points[order], mults[order], owner[order], errors, size)
+
+
+def _stacked_fibers(stacks, which, rows, targets) -> _FiberTable:
     """_product_fibers over each validated targets[i] under product rows[i]
     of stacks[which[i]], one call per stack."""
-    fibers: list = [None] * len(targets)
+    parts = []
     for s, stack in enumerate(stacks):
-        sel = np.flatnonzero(which == s).tolist()
-        if sel:
-            solved = _product_fibers(stack, rows[sel], [targets[i] for i in sel])
-            for i, fiber in zip(sel, solved):
-                fibers[i] = fiber
-    return fibers
+        sel = np.flatnonzero(which == s)
+        if len(sel) == len(targets):
+            return _product_fibers(stack, rows, targets)
+        if len(sel):
+            parts.append((sel, _product_fibers(stack, rows[sel], targets[sel])))
+    return _table([(sel[t.owner], t.points, t.mults) for sel, t in parts],
+                  {int(sel[k]): e for sel, t in parts for k, e in t.errors.items()},
+                  len(targets))
 
 
-def _composite_fibers(stages, owners, targets) -> list:
+def _composite_fibers(stages, owners, targets) -> _FiberTable:
     """The fiber over each validated targets[i] under composite owners[i],
     back-solved stage by stage over the whole layer.
 
     stages[s] = (stacks, which, row) holds stage s of every composite,
     stages[0] first: composite c's is product row[c] of stacks[which[c]].
-    Entry i is a fiber sorted by (re, im), or the first RootFindingError of
-    the last stage whose fiber failed, as preimages raises it.
+    A composite whose layer has a failed fiber fails with the first such
+    fiber's RootFindingError, in the last stage where one failed, as
+    preimages raises it.
     """
-    layers: list = [[(w, 1)] for w in targets]
+    n = len(targets)
+    points, mults, owner = targets, np.ones(n, dtype=np.intp), np.arange(n)
+    errors: dict = {}
     for stacks, which, row in reversed(stages):
-        live = [i for i, layer in enumerate(layers) if isinstance(layer, list)]
-        held = np.array([owners[i] for i in live for _ in layers[i]], dtype=np.intp)
-        points = [z for i in live for z, _ in layers[i]]
-        solved = iter(_stacked_fibers(stacks, which[held], row[held], points))
-        for i in live:
-            layer = layers[i]
-            fibers = [next(solved) for _ in layer]
-            failed = [fiber for fiber in fibers if isinstance(fiber, RootFindingError)]
-            if failed:
-                layers[i] = failed[0]
-                continue
-            cands = [(z, m * mult) for (_, mult), fiber in zip(layer, fibers) for z, m in fiber]
-            # one point's fiber is merged already (over 0, its zero list as given)
-            layers[i] = cands if len(layer) == 1 else _merge_pseudo_hyperbolic(cands)
-    for layer in layers:
-        if isinstance(layer, list):
-            layer.sort(key=_re_im)
-    return layers
+        held = owners[owner]
+        solved = _stacked_fibers(stacks, which[held], row[held], points)
+        for k in sorted(solved.errors):
+            errors.setdefault(int(owner[k]), solved.errors[k])
+        live = np.ones(n, dtype=bool)
+        live[list(errors)] = False
+        layers = np.bincount(owner, minlength=n)
+        keep = live[owner[solved.owner]]
+        parent = solved.owner[keep]
+        points, mults = solved.points[keep], solved.mults[keep] * mults[parent]
+        owner = owner[parent]
+        # a layer of one point is one fiber, merged already (over 0, its zero
+        # list as given); a wider layer's candidates merge into the first
+        wide = layers[owner] > 1
+        if wide.any():
+            points, mults, owner = _merged_layers(points, mults, owner, wide)
+    order = np.lexsort((points.imag, points.real, owner))
+    return _FiberTable(points[order], mults[order], owner[order], errors, n)
 
 
-def _fibers(f, targets) -> list:
-    """preimages(f, w) for every target w, solved together: one stacked
-    root solve per product stage for the whole batch.
+def _merged_layers(points, mults, owner, wide):
+    """The rows (points, mults, owner), grouped by owner, with each group
+    flagged wide replaced by _merge_pseudo_hyperbolic of its rows."""
+    bounds = np.flatnonzero(np.diff(owner, prepend=-1, append=-1)).tolist()
+    pts, ms, own, wide = points.tolist(), mults.tolist(), owner.tolist(), wide.tolist()
+    merged = []
+    for a, b in zip(bounds, bounds[1:]):
+        rows = list(zip(pts[a:b], ms[a:b]))
+        merged.extend((z, m, own[a]) for z, m in
+                      (_merge_pseudo_hyperbolic(rows) if wide[a] else rows))
+    z, m, o = zip(*merged)
+    return np.array(z, dtype=complex), np.array(m, dtype=np.intp), np.array(o, dtype=np.intp)
 
-    Entry i is the fiber over targets[i], or the RootFindingError that
-    preimages(f, targets[i]) raises, so a caller can name the failed target.
-    Composites are solved stage by stage over the whole layer.
-    """
+
+def _fiber_table(f, targets) -> _FiberTable:
+    """preimages(f, w) for every target w, solved together as one table: one
+    stacked root solve per product stage for the whole batch, the targets
+    validated by one lane test.  Composites are solved stage by stage over
+    the whole layer."""
     stages = _stages(f)
-    targets = [ensure_disk_point(w) for w in targets]
+    targets = np.array(targets, dtype=complex)
+    lanes.ensure_disk_points(targets)
     one = np.zeros(len(targets), dtype=np.intp)
     if isinstance(f, FiniteBlaschkeProduct):
         return _product_fibers(f._stack, one, targets)
     return _composite_fibers([([s._stack], one[:1], one[:1]) for s in stages], one, targets)
+
+
+def _fibers(f, targets) -> list:
+    """Entry i: the fiber over targets[i], or the RootFindingError that
+    preimages(f, targets[i]) raises, so a caller can name the failed target;
+    the split of _fiber_table's rows by target."""
+    return _fiber_table(f, targets).fibers()
 
 
 def preimages(f, w: complex) -> list[tuple[complex, int]]:

@@ -292,7 +292,8 @@ class TestStackedPropertySuites:
         """Every fiber through _fiber, whose result change(f, w, fiber)
         replaces."""
         real = selfmap._fiber
-        monkeypatch.setattr(selfmap, "_lane_fibers", lambda f, w, roots: [None] * len(w))
+        monkeypatch.setattr(selfmap, "_lane_fibers",
+                            lambda f, w, roots: (roots, np.zeros(len(w), dtype=bool)))
         monkeypatch.setattr(selfmap, "_fiber",
                             lambda f, w, poly, roots: change(f, w, real(f, w, poly, roots)))
 

@@ -164,6 +164,33 @@ class TestGrandOrbit:
                            match=re.escape(f"generation 1 (parent {parent!r})")):
             ob.grand_orbit(f, 0.0, forward_n=3, backward_depth=2)
 
+    def test_fiber_failure_in_a_lane_generation_names_the_first_parent(self, monkeypatch):
+        # generation 4 solves the 52 nodes of generation 3 in lanes; two of
+        # them are left to _fiber, which refuses both: the error names the
+        # first of the two in node order
+        f = presets.example61(0.5)
+        parents = [n.point for n in ob.grand_orbit(f, 0.0, 12, 3).nodes if n.backward_depth == 3]
+        assert len(parents) >= sm._LANE_MIN_TARGETS
+        refused = [parents[40], parents[9]]
+        lane_fibers, fiber = sm._lane_fibers, sm._fiber
+
+        def leave_refused(g, w, roots):
+            points, certified = lane_fibers(g, w, roots)
+            return points, certified & ~np.isin(w, refused)
+
+        def refuse(g, w, poly, roots):
+            if w in refused:
+                raise sm.RootFindingError(f"refused {w!r}", 0.5)
+            return fiber(g, w, poly, roots)
+
+        monkeypatch.setattr(sm, "_lane_fibers", leave_refused)
+        monkeypatch.setattr(sm, "_fiber", refuse)
+        with pytest.raises(sm.RootFindingError,
+                           match=re.escape(f"generation 4 (parent {parents[9]!r})")) as got:
+            ob.grand_orbit(f, 0.0, forward_n=12, backward_depth=8)
+        assert got.value.residual == 0.5
+        assert str(got.value.__cause__) == f"refused {parents[9]!r} (residual 5.000e-01)"
+
 
 def assert_same_truncation(a, b):
     assert a.base_point == b.base_point
@@ -304,6 +331,34 @@ class TestGenerationDedup:
         assert_exactly_reference(presets.example61(0.5), 0.0, 6, 8, node_cap=50)
         split = sm.FiniteBlaschkeProduct(1, [(-0.5, 1), (-0.5, 1)])
         assert_exactly_reference(split, 0.3, 12, 5)
+
+    def test_lane_generation_with_fiber_rows(self):
+        # the grand orbit of 0 meets the critical point -0.5 in generation 1,
+        # a 13-target batch solved fiber by fiber; from f^3(-0.5) the
+        # critical value f(-0.5) is a node of generation 2, so generation 3
+        # solves 28 parents in lanes, the critical value's (a double point)
+        # by _fiber
+        f = presets.example61(0.5)
+        z0 = sm.iterate(f, 3, -0.5)
+        batches, lane_fibers = [], sm._lane_fibers
+
+        def record(g, w, roots):
+            points, certified = lane_fibers(g, w, roots)
+            batches.append(certified)
+            return points, certified
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sm, "_lane_fibers", record)
+            got = ob.grand_orbit(f, z0, 12, 8)
+        mixed = [c for c in batches if len(c) >= sm._LANE_MIN_TARGETS and 0 < c.sum() < len(c)]
+        assert [len(c) - c.sum() for c in mixed] == [1]
+        want = reference_grand_orbit(f, z0, 12, 8)
+        assert exact_nodes(got) == exact_nodes(want)
+        assert_same_truncation(got, want)
+        assert ([x.hex() for x in got.blaschke_partial_sums]
+                == [x.hex() for x in want.blaschke_partial_sums])
+        assert (-0.5 + 0j, 2, 3) in [(n.point, n.multiplicity, n.backward_depth)
+                                     for n in got.nodes]
 
     def check(self, nodes, children, expected):
         assert reference_new_points(nodes, children) == expected

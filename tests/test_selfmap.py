@@ -498,6 +498,54 @@ class TestBatchedFibers:
         with pytest.raises(ValueError):
             sm._fibers(presets.example61(0.5), [0.1, 1.5])
 
+    def test_first_target_outside_the_disk_is_named(self):
+        # one lane test validates the batch, with ensure_disk_point's error
+        # for the first bad target
+        f = presets.example61(0.5)
+        for bad in ([0.1, 1.5, complex("nan")], [0.1, complex(0.0, math.nan), 1.5]):
+            with pytest.raises(ValueError) as lone:
+                g.ensure_disk_point(bad[1])
+            with pytest.raises(ValueError) as batch:
+                sm._fibers(f, bad)
+            assert str(batch.value) == str(lone.value)
+
+    # a lane batch of targets with two at 0: at the package's tolerance no
+    # fiber fails, at a tight one some do, and at a negative one every
+    # fiber off 0 (and each of the composite's, past its first stage)
+    @pytest.mark.parametrize("tol", ["package", "tight", "negative"])
+    @pytest.mark.parametrize("which", ["product", "composite"])
+    def test_fibers_are_the_split_of_the_table(self, monkeypatch, tol, which):
+        # the product has a double zero; the composite is two rotated
+        # example62 stages
+        stage = sm.FiniteBlaschkeProduct(cmath.exp(-3j), [(-cmath.exp(1j) / 3.0, 2)])
+        f, tight = {
+            "product": (sm.FiniteBlaschkeProduct(1j, ((0.2 + 0.1j, 2), (-0.5j, 1), (0.7, 1))),
+                        1e-16),
+            "composite": (sm.CompositeMap((stage, stage)), 5e-16),
+        }[which]
+        rng = np.random.default_rng(18)
+        targets = [random_disk_point(rng, 0.8) for _ in range(30)]
+        targets[4] = targets[17] = 0.0
+        monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL",
+                            {"package": sm.PREIMAGE_RESIDUAL_TOL, "tight": tight,
+                             "negative": -1.0}[tol])
+        table = sm._fiber_table(f, targets)
+        fibers = sm._fibers(f, targets)
+        assert table.size == len(fibers) == len(targets)
+        assert (np.diff(table.owner) >= 0).all()
+        for i, (w, fiber) in enumerate(zip(targets, fibers)):
+            rows = np.flatnonzero(table.owner == i)
+            if i in table.errors:
+                assert outcome(fiber) == outcome(table.errors[i]) and len(rows) == 0
+            else:
+                split = list(zip(table.points[rows].tolist(), table.mults[rows].tolist()))
+                assert bits(fiber) == bits(split)
+                assert all(type(z) is complex and type(m) is int for z, m in fiber)
+            assert outcome(fiber) == lone_outcome(f, w)
+        failed = len(table.errors)
+        assert {"package": failed == 0, "tight": 0 < failed < 28,
+                "negative": failed == (28 if which == "product" else 30)}[tol]
+
 
 def lane_mismatches(f, points) -> int:
     """Points where the lane kernel's f, and f and f', differ in any bit
@@ -616,8 +664,8 @@ class TestLanes:
         w = np.array(targets)
         num, den = (rows[0] for rows in f._stack.coefficients)
         polys = f.gamma * num - w[:, None] * den
-        certified = sm._lane_fibers(f._stack, w, sm._stacked_roots(polys))
-        assert [k for k, fiber in enumerate(certified) if fiber is None] == [7]
+        _, certified = sm._lane_fibers(f._stack, w, sm._stacked_roots(polys))
+        assert np.flatnonzero(~certified).tolist() == [7]
         self.assert_wide_batch_matches(f, targets)
         assert [m for _, m in sm._fibers(f, targets)[7]] == [2]
 
@@ -641,14 +689,15 @@ class TestLanes:
             """(certified, length of _fiber's fiber or False) per row, with
             each certified row checked against _fiber's."""
             found = []
-            for k, fiber in enumerate(sm._lane_fibers(f._stack, w, moved)):
+            points, certified = sm._lane_fibers(f._stack, w, moved)
+            for k, row in enumerate(points.tolist()):
                 try:
                     expected = sm._fiber(f, complex(w[k]), polys[k], moved[k])
                 except sm.RootFindingError:
                     expected = None
-                if fiber is not None:
-                    assert bits(fiber) == bits(expected)
-                found.append((fiber is not None, expected is not None and len(expected)))
+                if certified[k]:
+                    assert bits([(z, 1) for z in row]) == bits(expected)
+                found.append((bool(certified[k]), expected is not None and len(expected)))
             return found
 
         assert outcomes() == [(False, 1)] * 10 + [(False, False)] * 10 + [(True, 2)] * 10
@@ -1142,7 +1191,7 @@ class TestProductStacks:
                 f = row_product(stack, rows[k])
                 if all(1e-3 < abs(a) < 0.99 for a, _ in f.zeros) and f.degree > 1:
                     targets[k] = sm.evaluate(f, sm.critical_points(f)[0][0])
-            fibers = sm._product_fibers(stack, rows, [complex(w) for w in targets])
+            fibers = sm._product_fibers(stack, rows, np.array(targets, dtype=complex)).fibers()
             assert [outcome(fiber) for fiber in fibers] == \
                 [lone_outcome(row_product(stack, r), w)
                  for r, w in zip(rows.tolist(), targets)]
@@ -1157,7 +1206,8 @@ class TestProductStacks:
         for tol in (sm.PREIMAGE_RESIDUAL_TOL, 3e-16):
             # the tighter tolerance fails some fibers of every degree
             monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", tol)
-            fibers = sm._stacked_fibers(stacks, which, row, targets)
+            fibers = sm._stacked_fibers(stacks, which, row,
+                                        np.array(targets, dtype=complex)).fibers()
             want = [lone_outcome(sm.FiniteBlaschkeProduct(*p), w)
                     for p, w in zip(products, targets)]
             assert [outcome(fiber) for fiber in fibers] == want
@@ -1173,7 +1223,8 @@ class TestProductStacks:
         stages = [properties._stack_products(inner), properties._stack_products(outer)]
         for tol in (sm.PREIMAGE_RESIDUAL_TOL, 5e-16):
             monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", tol)
-            fibers = sm._composite_fibers(stages, np.arange(len(targets)), targets)
+            fibers = sm._composite_fibers(stages, np.arange(len(targets)),
+                                          np.array(targets, dtype=complex)).fibers()
             want = [lone_outcome(sm.compose(sm.FiniteBlaschkeProduct(*f),
                                             sm.FiniteBlaschkeProduct(*g)), w)
                     for g, f, w in zip(inner, outer, targets)]
