@@ -1,9 +1,8 @@
 """The full verification suite: every headline behavior with its tolerance.
 
 Each criterion is a function returning a CriterionResult; run_all executes
-them in order, times each, and never stops early.  Tolerances live in
-DEFAULT_TOLERANCES so a harness (or a tamper test) can override individual
-entries.
+them in order, times each, and never stops early.  Every criterion reads
+its tolerances from the one table DEFAULT_TOLERANCES.
 """
 
 from __future__ import annotations
@@ -314,16 +313,10 @@ CRITERIA = [
 ]
 
 
-def run_all(tolerances: dict | None = None) -> list[CriterionResult]:
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tol)
-        if unknown:
-            raise ValueError(f"unknown tolerance overrides: {sorted(unknown)}")
-        tol.update(tolerances)
+def run_all() -> list[CriterionResult]:
     results = []
     for criterion in CRITERIA:
         t0 = time.perf_counter()
-        result = criterion(tol)
+        result = criterion(DEFAULT_TOLERANCES)
         results.append(replace(result, elapsed=time.perf_counter() - t0))
     return results

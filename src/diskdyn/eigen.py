@@ -65,21 +65,21 @@ def _geometric_median(points: list[complex]) -> complex:
     for _ in range(200):
         num = 0.0 + 0.0j
         den = 0.0
-        coincident = None
+        coincident, at_x = None, 0
         for p in pts:
             d = abs(p - x)
             if d < 1e-15:
-                coincident = p
+                coincident, at_x = p, at_x + 1
                 continue
             num += p / d
             den += 1.0 / d
         if den == 0.0:
             return coincident if coincident is not None else x
         nxt = num / den
-        if coincident is not None:
-            # stay put if the coincident point is already optimal
-            if abs(nxt - x) * den <= 1.0:
-                return x
+        # stay put if x is optimal: the other samples' pull |num - x den| is
+        # at most the number of samples at x (Vardi and Zhang, PNAS 2000)
+        if at_x and abs(nxt - x) * den <= at_x:
+            return x
         if abs(nxt - x) < 1e-15:
             return nxt
         x = nxt

@@ -71,7 +71,12 @@ def direction(ar, ai):
 
 
 def powu(xr, xi, n: int):
-    """c_powu: z ** n for an integer n >= 1, by binary powering from 1."""
+    """z ** n for an integer n >= 1 as Python computes it: c_powu, binary
+    powering from 1, up to n = 100, and past it _Py_c_pow lane by lane
+    (Python's own power, which raises on overflow)."""
+    if n > 100:
+        z = np.vectorize(lambda r, i: complex(r, i) ** n, otypes=[complex])(xr, xi)
+        return z.real, z.imag
     rr, ri = 1.0, 0.0
     mask = 1
     while mask <= n:

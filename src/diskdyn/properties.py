@@ -7,12 +7,12 @@ circle; Mobius factors must preserve the distance.  Each section draws
 every product and point first, with the values and generator state of a
 loop over products that draws a value at a time (``_random_case``), then
 evaluates and solves the draws in lanes over product stacks
-(``diskdyn.stacks``), one stack per degree, the Mobius factors in lanes
-too (``diskdyn.lanes``), and checks every draw: a fiber
-count mismatch fails its section, which goes on.  Each worst case folds as
-``abel.worst_residual`` does, so a NaN fails its tolerance.  What it
-reports is that loop's, bit for bit (``tests/test_acceptance.py`` keeps the
-loop as the reference).
+(``diskdyn.stacks``), one stack per degree, a Mobius factor m_a being the
+degree-1 product (1, [a]), and checks every draw: a fiber count mismatch
+fails its section, which goes on.  The stacks take the draws as they are,
+unchecked.  Each worst case folds as ``abel.worst_residual`` does, so a NaN
+fails its tolerance.  What it reports is that loop's, bit for bit
+(``tests/test_acceptance.py`` keeps the loop as the reference).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from . import lanes, selfmap
-from .geometry import DISK_MARGIN, UNIMODULAR_TOL
+from . import lanes
+from .selfmap import _composite_fibers, _stacked_fibers
 from .stacks import _ProductStack
 
 # sampling sizes for the randomized suites; the seed is fixed below
@@ -63,57 +63,34 @@ def _random_product(rng, max_degree=4):
 
 
 def _stack_products(products) -> tuple[list, np.ndarray, np.ndarray]:
-    """Products given as (gamma, [zero, ...]) pairs, stacked: product i is
-    row row[i] of stacks[which[i]], as FiniteBlaschkeProduct(gamma, zeros)
-    builds it.  Products of d <= selfmap._SCALAR_MAX_ZEROS distinct zeros
-    off the origin share the degree-d stack; every other product, in order,
-    is a stack of one built by FiniteBlaschkeProduct (invalid input raises)."""
+    """Products given as (gamma, [zero, ...]) pairs, stacked by degree:
+    product i is row row[i] of stacks[which[i]].  The draws are taken as
+    they are: a unimodular gamma and 1 to 4 distinct nonzero zeros strictly
+    inside the disk (tests/test_acceptance.py checks the fixed seed's)."""
     which = np.zeros(len(products), dtype=np.intp)
     row = np.zeros(len(products), dtype=np.intp)
     stacks: list = []
-    loose = []
     by_degree: dict[int, list[int]] = {}
     for i, (_, zeros) in enumerate(products):
         by_degree.setdefault(len(zeros), []).append(i)
     for d, members in by_degree.items():
+        which[members], row[members] = len(stacks), np.arange(len(members))
         gamma = np.array([products[i][0] for i in members], dtype=complex)
         zeros = np.array([products[i][1] for i in members], dtype=complex)
-        zeros = zeros.reshape(len(members), d)
-        i, j = np.triu_indices(d, 1)
-        inside = np.hypot(zeros.real, zeros.imag) < 1.0 - DISK_MARGIN
-        plain = (inside & (zeros != 0)).all(axis=1)
-        plain &= (zeros[:, i] != zeros[:, j]).all(axis=1) & (0 < d <= selfmap._SCALAR_MAX_ZEROS)
-        plain &= np.abs(np.hypot(gamma.real, gamma.imag) - 1.0) <= UNIMODULAR_TOL
-        members = np.array(members)
-        which[members[plain]] = len(stacks)
-        row[members[plain]] = np.arange(plain.sum())
-        if plain.any():
-            stacks.append(_ProductStack(gamma[plain], zeros[plain], [1] * d))
-        loose += members[~plain].tolist()
-    for i in sorted(loose):
-        which[i] = len(stacks)
-        stacks.append(selfmap.FiniteBlaschkeProduct(*products[i])._stack)
+        stacks.append(_ProductStack(gamma, zeros.reshape(len(members), d), [1] * d))
     return stacks, which, row
 
 
 def _stacked_values(stacks, which, rows, points) -> np.ndarray:
     """selfmap.evaluate(product rows[i] of stacks[which[i]], points[i, j])
     for every i and j, as a complex array: in lanes of products by points,
-    stack by stack.  A point outside the closed disk, a value that is not
-    finite and a product of more than selfmap._SCALAR_MAX_ZEROS zeros go
-    through evaluate, which raises its error."""
+    stack by stack, at points of the closed disk."""
     z = np.asarray(points, dtype=complex)
     out = np.empty(z.shape, dtype=complex)
     for s, stack in enumerate(stacks):
         members = np.flatnonzero(which == s)
-        with np.errstate(all="ignore"):
-            out.real[members], out.imag[members] = lanes.value(
-                stack.take(rows[members]), z.real[members], z.imag[members])
-        if len(stack.mults) > selfmap._SCALAR_MAX_ZEROS:
-            out[members] = np.nan
-    scalar = ~(np.hypot(z.real, z.imag) <= 1.0 + 1e-12) | ~np.isfinite(out)
-    for i, j in zip(*np.nonzero(scalar)):
-        out[i, j] = selfmap.evaluate(selfmap._row_product(stacks[which[i]], rows[i]), z[i, j])
+        out.real[members], out.imag[members] = lanes.value(
+            stack.take(rows[members]), z.real[members], z.imag[members])
     return out
 
 
@@ -125,11 +102,6 @@ def _first_mismatch(fibers, degrees):
     counts = np.bincount(fibers.owner, fibers.mults, minlength=fibers.size)
     mismatch = np.flatnonzero(counts != degrees)[:1].tolist()
     return mismatch[0] if mismatch else None
-
-
-def _complex(re, im) -> np.ndarray:
-    """The complex array of these parts, bit for bit (re + 1j * im is not)."""
-    return np.stack((re, im), axis=-1).view(complex)[..., 0]
 
 
 def _distance_change(fz, fw, z, w):
@@ -156,7 +128,7 @@ def _back_evaluation(rng) -> tuple[float, str | None]:
     stacks, which, row = _stack_products([p for p, _ in draws])
     targets = np.array([w for _, (w,) in draws], dtype=complex)
     lanes.ensure_disk_points(targets)
-    fibers = selfmap._stacked_fibers(stacks, which, row, targets)
+    fibers = _stacked_fibers(stacks, which, row, targets)
     degrees = [stacks[s].degree for s in which.tolist()]
     mismatch = _first_mismatch(fibers, degrees)
     # each fiber point against the target of the draw that owns it
@@ -177,7 +149,7 @@ def _composite_counts(rng) -> str | None:
               _stack_products([f for f, _, _ in draws])]
     targets = np.array([w for _, _, (w,) in draws], dtype=complex)
     lanes.ensure_disk_points(targets)
-    fibers = selfmap._composite_fibers(stages, np.arange(len(draws)), targets)
+    fibers = _composite_fibers(stages, np.arange(len(draws)), targets)
     inner, outer = ([stacks[s].degree for s in which.tolist()] for stacks, which, _ in stages)
     if _first_mismatch(fibers, [a * b for a, b in zip(inner, outer)]) is None:
         return None
@@ -196,16 +168,13 @@ def _boundary_modulus(rng) -> float:
 
 def _mobius_invariance(rng) -> float:
     """Worst |rho(m_a(z), m_a(w)) - rho(z, w)| over random factors and pairs,
-    m_a = geometry.mobius_factor(a, .) in lanes."""
+    m_a = geometry.mobius_factor(a, .) being the degree-1 product (1, [a])."""
     uv = rng.random(6 * PROPERTY_CASES).tolist()
     azw = np.array([_disk_point(r, uv[2 * k], uv[2 * k + 1])
                     for k, r in enumerate((0.9, 0.95, 0.95) * PROPERTY_CASES)]).reshape(-1, 3)
     a, z, w = azw.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # -unit_direction(a) (z - a) / (1.0 - conj(a) z), and z where a = 0
-        u = -_complex(*lanes.direction(a.real, a.imag))
-        factors = [_complex(*lanes._factor(x.real, x.imag, a, a.conj(), u)[2:]) for x in (z, w)]
-    maz, maw = (np.where(a == 0, x, m) for x, m in zip((z, w), factors))
+    stacks, which, row = _stack_products([(1.0, [x]) for x in a.tolist()])
+    maz, maw = _stacked_values(stacks, which, row, azw[:, 1:]).T
     # mobius_factor(a, z) validates a, and pseudo_hyperbolic its points
     lanes.ensure_disk_points(np.column_stack([a, maz, maw, z, w]))
     return float(np.max(np.abs(_distance_change(maz, maw, z, w)), initial=0.0))

@@ -156,6 +156,21 @@ class TestNanPoints:
         with pytest.raises(ArithmeticError, match="left the half-plane"):
             hpmap.orbit_point(1)
 
+    def test_base_orbit_raises_the_walks_own_error(self):
+        # the walk stops at an error of its step: the orbit keeps the points
+        # before it and raises that error
+        def step(w):
+            if w.real > 3.5:
+                raise ZeroDivisionError("stub step refused")
+            return w + 1.0
+
+        hpmap = abel.HalfPlaneMap(presets.example62())
+        hpmap.walk = opaque_kernel(step)
+        with pytest.raises(ZeroDivisionError, match="stub step refused"):
+            hpmap.orbit_point(5)
+        assert hpmap._orbit == [1, 2, 3, 4]
+        assert hpmap.orbit_point(3) == 4
+
 
 class TestAnchors:
     @pytest.mark.parametrize("n", [1, 10, 50, 200])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from diskdyn import abel, acceptance, eigen, properties, selfmap
-from diskdyn.geometry import mobius_factor, pseudo_hyperbolic
+from diskdyn.geometry import DISK_MARGIN, UNIMODULAR_TOL, mobius_factor, pseudo_hyperbolic
 
 
 @pytest.fixture(scope="module")
@@ -29,16 +29,12 @@ def test_all_pass(results):
     assert all(r.passed for r in results)
 
 
-def test_tampered_tolerance_fails_by_name():
-    tightened = acceptance.run_all(tolerances={"tau_gap": 1e-12})
+def test_tampered_tolerance_fails_by_name(monkeypatch):
+    monkeypatch.setitem(acceptance.DEFAULT_TOLERANCES, "tau_gap", 1e-12)
+    tightened = acceptance.run_all()
     failed = [r for r in tightened if not r.passed]
     assert [r.index for r in failed] == [6]
     assert "tau" in failed[0].detail
-
-
-def test_unknown_tolerance_rejected():
-    with pytest.raises(ValueError, match="unknown tolerance"):
-        acceptance.run_all(tolerances={"nope": 1})
 
 
 def test_eigenpair_criterion_builds_one_grand_orbit(monkeypatch):
@@ -312,6 +308,26 @@ class TestStackedPropertySuites:
         assert r.detail.startswith("fiber count mismatch for degree 2; "
                                    "composite fiber count != degree product")
         assert stacked_sections()[2] == untampered
+
+    def test_draws_meet_the_stacks_precondition(self, monkeypatch):
+        # the stacks take the criterion's draws unchecked: each product a
+        # unimodular gamma and 1 to 4 distinct nonzero zeros strictly inside
+        # the disk (each Mobius factor's a is such a degree-1 product), and
+        # each point evaluated in evaluate's closed disk
+        products, points = [], []
+        stack, values = properties._stack_products, properties._stacked_values
+        monkeypatch.setattr(properties, "_stack_products",
+                            lambda drawn: products.extend(drawn) or stack(drawn))
+        monkeypatch.setattr(properties, "_stacked_values",
+                            lambda *args: points.append(args[-1]) or values(*args))
+        assert acceptance.criterion_10_property_suites(acceptance.DEFAULT_TOLERANCES).passed
+        assert len(products) == 2650 + properties.PROPERTY_CASES and len(points) == 4
+        for gamma, zeros in products:
+            assert abs(abs(gamma) - 1.0) <= UNIMODULAR_TOL
+            assert 1 <= len(zeros) <= 4 and len(set(zeros)) == len(zeros)
+            assert all(0.0 < abs(a) < 1.0 - DISK_MARGIN for a in zeros)
+        for z in points:
+            assert (np.hypot(z.real, z.imag) <= 1.0 + 1e-12).all()
 
     def test_invariance_lanes_are_the_scalar_gaps(self, monkeypatch):
         real, gaps = properties._distance_change, []

@@ -57,6 +57,14 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="malformed map stage"):
             presets.map_from_dict({"stages": [{"gamma": ["1", 0], "zeros": [[0.3, 0, 2]]}]})
 
+    def test_out_of_range_presets_rejected(self):
+        with pytest.raises(ValueError, match="must be an object"):
+            presets.map_from_dict([])
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            presets.example61(1.5)
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            presets.power_map(0)
+
     @pytest.mark.parametrize("slot", range(5))
     @pytest.mark.parametrize("flag", [True, False, np.True_])
     def test_bool_in_a_numeric_slot_rejected(self, slot, flag):
@@ -95,6 +103,21 @@ class TestConfig:
     def test_unknown_command_rejected(self):
         with pytest.raises(ValueError, match="unknown command"):
             cli.config_from_dict({"command": "meow"})
+
+    def test_negative_depth_exits_2(self, tmp_path, capsys):
+        code = cli.main(["grand-orbit", "--preset", "example61", "--depth", "-1",
+                         "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "depth must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cfg, message", [([], "config must be a JSON object"),
+                                              ({}, "config needs a 'command' field")])
+    def test_replayed_config_without_a_command_exits_2(self, tmp_path, capsys, cfg, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError, match="format"):

@@ -112,6 +112,11 @@ class TestClassify:
         assert abs(cls.dw_point) < 1
         assert cls.angular_derivative is None
 
+    def test_repelling_contact_does_not_attract(self):
+        # 1 is a boundary fixed point of z^2, with angular derivative 2
+        with pytest.raises(dyn.ClassificationError, match=r"none of the boundary contacts"):
+            dyn._attracting(presets.power_map(2), [1.0 + 0j])
+
     def test_each_map_object_is_classified_once(self, monkeypatch):
         from diskdyn import orbits
 

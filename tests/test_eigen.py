@@ -216,6 +216,15 @@ class TestEstimateTau:
             eigen.estimate_tau(deep_b, presets.example61(0.5), SAMPLES + [1.0])
 
 
+@pytest.mark.parametrize("points, median", [([0, 0, 0, 1, 1j], 0j),
+                                            ([1, 1, 1, 1, 2, 3j], 1 + 0j)])
+def test_geometric_median_stays_at_a_repeated_sample(points, median):
+    # a sample x is the median when the other samples' pull,
+    # |sum (p - x) / |p - x||, is at most the number of samples at x
+    # (sqrt(2) against 3, and 1.17 against 4, here)
+    assert eigen._geometric_median([complex(p) for p in points]) == median
+
+
 class TestEigenResidual:
     def test_exact_pair_is_tiny(self):
         t = presets.translation()

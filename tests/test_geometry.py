@@ -41,6 +41,11 @@ def test_mobius_factor_basics():
     assert g.mobius_factor(0.5, 0) == pytest.approx(0.5, abs=1e-16)
 
 
+def test_zero_has_no_direction():
+    with pytest.raises(ValueError, match="no direction"):
+        g.unit_direction(0j)
+
+
 def test_julia_quotient_values():
     assert g.julia_quotient(0, 1) == pytest.approx(1.0, abs=1e-15)
     for t in (0.1, 0.5, -0.3):

@@ -76,6 +76,11 @@ def nearest(truncation, target):
 
 
 class TestGrandOrbit:
+    def test_forward_orbit_leaving_the_disk_is_refused(self):
+        # example61(0.9)'s orbit of 0 reaches 1 - 1e-15 at index 16
+        with pytest.raises(ValueError, match="left the representable disk at index 16"):
+            ob.grand_orbit(presets.example61(0.9), 0.0, forward_n=40, backward_depth=1)
+
     def test_shallow_truncation_contains_the_three_points(self):
         tr = ob.grand_orbit(presets.example61(0.5), 0.0, forward_n=1, backward_depth=1)
         pts = tr.points()
