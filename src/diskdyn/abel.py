@@ -17,6 +17,8 @@ arithmetic bit for bit.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +39,9 @@ class HalfPlaneMap(HalfPlaneConjugate):
     Adds the map's step verdict ("positive" or "zero", from its
     classification) and the cached base orbit from w_0 = 1 (the image of the
     disk origin); the cache is append-only and shared by all evaluations.
-    The base orbit grows by the kernel's walk, and keeps the points before
-    the first one that _within_horizon refuses: the points, values and
-    errors of a loop that steps apply and checks each point once.
+    Every orbit it hands out grows by one walk (_walk) and keeps the points
+    before the first one that _within_horizon refuses: the points, values
+    and errors of a loop that steps apply and checks each point once.
     """
 
     def __init__(self, diskmap):
@@ -48,13 +50,15 @@ class HalfPlaneMap(HalfPlaneConjugate):
         self.step = cls.step
         self._orbit: list[complex] = [1.0 + 0.0j]
 
-    def orbit_point(self, n: int) -> complex:
-        if n < 0:
-            raise ValueError("orbit index must be nonnegative")
-        orbit = self._orbit
-        if n >= len(orbit):
-            start = len(orbit)
-            error = self.walk(orbit, n + 1 - start)
+    def _walk(self, orbit: list[complex], count: int, stop: float = math.inf) -> None:
+        """Extend orbit by count points of the kernel's walk, in chunks of
+        _CHUNK_MIN points doubling to _CHUNK_MAX, up to the first chunk that
+        ends past |w| = stop.  Keeps the points before the first that
+        _within_horizon refuses and raises its error, else the walk's own."""
+        end, size = len(orbit) + count, _CHUNK_MIN
+        while (start := len(orbit)) < end:
+            error = self.walk(orbit, min(size, end - start))
+            size = min(2 * size, _CHUNK_MAX)
             for k in range(start, len(orbit)):
                 w = orbit[k]
                 # _within_horizon's tests, inline: a numpy pass over the new
@@ -64,39 +68,32 @@ class HalfPlaneMap(HalfPlaneConjugate):
                     _within_horizon(w, k)  # raises: it refuses w as the test did
             if error is not None:
                 raise error
+            if abs(orbit[-1]) > stop:
+                return
+
+    def orbit_point(self, n: int) -> complex:
+        if n < 0:
+            raise ValueError("orbit index must be nonnegative")
+        orbit = self._orbit
+        if n >= len(orbit):
+            self._walk(orbit, n + 1 - len(orbit))
         return orbit[n]
 
     def max_feasible_index(self, n_limit: int) -> int:
-        """Largest orbit index, at most n_limit, reachable before |w| passes
-        1e100 or the orbit refuses a point.  The orbit grows in chunks,
-        doubling as the step loop's do, so an orbit that passes 1e100 early
-        is not walked on to n_limit."""
-        n, size = 0, _CHUNK_MIN
-        while n < n_limit:
-            end = min(n + size, n_limit)
-            size = min(2 * size, _CHUNK_MAX)
-            try:
-                self.orbit_point(end)
-            except ArithmeticError:
-                pass
-            # the orbit keeps its points before one it refuses
-            orbit = self._orbit
-            for k in range(n + 1, min(end + 1, len(orbit))):
-                if abs(orbit[k]) > 1e100:
-                    return k - 1
-            if len(orbit) <= end:
-                return len(orbit) - 1
-            n = end
-        return n
+        """Largest orbit index, at most n_limit, before |w| passes 1e100 or
+        the orbit refuses a point; the walk stops at the chunk passing 1e100."""
+        orbit = self._orbit
+        with contextlib.suppress(ArithmeticError):
+            self._walk(orbit, n_limit + 1 - len(orbit), stop=1e100)
+        n = max(0, min(n_limit, len(orbit) - 1))
+        return next((k - 1 for k in range(1, n + 1) if abs(orbit[k]) > 1e100), n)
 
     def iterate(self, w: complex, n: int) -> complex:
         if n < 0:
             raise ValueError("iteration count must be nonnegative")
         orbit = [_halfplane_point(w)]
-        error = self.walk(orbit, n)
-        if error is not None:
-            raise error
-        return _within_horizon(orbit[-1], n)
+        self._walk(orbit, n)
+        return orbit[-1]
 
 
 def _within_horizon(w: complex, n: int) -> complex:

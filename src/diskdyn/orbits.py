@@ -214,8 +214,8 @@ def grand_orbit(
 
 
 def blaschke_sum(truncation: GrandOrbitTruncation) -> float:
-    """Multiplicity-weighted sum of 1 - |point| over the truncation."""
-    return sum(n.multiplicity * (1.0 - abs(n.point)) for n in truncation.nodes)
+    """Multiplicity-weighted sum of 1 - |point|: the last partial sum."""
+    return truncation.blaschke_partial_sums[-1]
 
 
 def critical_orbit_intersection(f, truncation: GrandOrbitTruncation):

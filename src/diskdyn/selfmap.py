@@ -627,6 +627,8 @@ def preimages(f, w: complex) -> list[tuple[complex, int]]:
     Composites are back-solved stage by stage, which keeps the polynomial
     degrees equal to the stage degrees.  Returns pairs sorted by (re, im);
     the fiber of a product over 0 is its merged zero list in that order.
+    The sort is exact: two spellings of one map can swap a conjugate pair
+    whose real parts differ by an ulp, so compare their fibers as sets.
     """
     return _checked(_fibers(f, [w])[0])
 

@@ -73,13 +73,52 @@ class TestHalfPlaneMap:
         # the base orbit passes |w| = 1e280 at index 931 and then overflows
         # to NaN; iterate refuses both points as orbit_point does
         hyper = abel.HalfPlaneMap(presets.example61(0.6))
-        with pytest.raises(ArithmeticError, match="left the half-plane"):
+        with pytest.raises(ArithmeticError) as far:
             hyper.iterate(1.0, 2000)
+        with pytest.raises(ArithmeticError) as orbit_far:
+            hyper.orbit_point(2000)
+        assert str(far.value) == str(orbit_far.value)
         with pytest.raises(ArithmeticError) as horizon:
             hyper.iterate(1.0, 931)
         with pytest.raises(ArithmeticError) as orbit:
             hyper.orbit_point(931)
         assert str(horizon.value) == str(orbit.value)
+
+    @pytest.mark.parametrize("w, index", [(1.0, 931), (1.5, 930)])
+    def test_iterate_past_the_horizon_names_its_index(self, w, index):
+        # an iterate that walked on past the horizon reported the NaN the
+        # walk overflowed to, not the index where the orbit was refused
+        hyper = abel.HalfPlaneMap(presets.example61(0.6))
+        with pytest.raises(ArithmeticError) as far:
+            hyper.iterate(w, 100000)
+        with pytest.raises(ArithmeticError) as refused:
+            abel._within_horizon(complex(1e300, 0.0), index)
+        assert str(far.value) == str(refused.value)
+        if w == 1.0:
+            with pytest.raises(ArithmeticError) as orbit:
+                hyper.orbit_point(100000)
+            assert str(far.value) == str(orbit.value)
+
+    @pytest.mark.parametrize("call", [
+        lambda hpmap: hpmap.orbit_point(100000),
+        lambda hpmap: hpmap.iterate(1.0, 100000),
+    ], ids=["orbit_point", "iterate"])
+    def test_a_walk_stops_within_a_chunk_of_the_horizon(self, call):
+        hpmap = abel.HalfPlaneMap(presets.example61(0.6))
+        kernel, walked = hpmap.walk, []
+
+        def walk(orbit, count):
+            start = len(orbit)
+            error = kernel(orbit, count)
+            walked.append(len(orbit) - start)
+            return error
+
+        hpmap.walk = walk
+        with pytest.raises(ArithmeticError, match="horizon at index 931;"):
+            call(hpmap)
+        # the orbit is refused at index 931; at most one chunk of
+        # _CHUNK_MAX points is walked past it
+        assert sum(walked) < 931 + 2048
 
     def test_a_transported_map_is_freed(self):
         # the classification's Clark sums, kept per map object for its
@@ -420,6 +459,14 @@ def feasible_by_step(hpmap, n_limit):
     return n
 
 
+def iterate_by_step(hpmap, w, n):
+    """iterate as one apply call and one _within_horizon check per step."""
+    w = abel._halfplane_point(w)
+    for k in range(1, n + 1):
+        w = abel._within_horizon(hpmap.apply(w), k)
+    return w
+
+
 def outcomes(call, hpmap, requests):
     """repr of each call's value (exact float bits) or its error's type and
     message, and the bits of the cached base orbit after them."""
@@ -433,9 +480,10 @@ def outcomes(call, hpmap, requests):
 
 
 class TestBaseOrbitAgainstSteps:
-    """orbit_point walks the base orbit in the kernel and checks the new
-    points in one pass; max_feasible_index grows it in doubling chunks.
-    Both give the values, errors and cached points of the per-point loop."""
+    """orbit_point, max_feasible_index and iterate walk their orbits in the
+    kernel in doubling chunks and check each chunk's new points in one
+    pass.  They give the values, errors and cached points of the per-point
+    loop."""
 
     MAPS = {
         # reaches n_limit
@@ -470,6 +518,23 @@ class TestBaseOrbitAgainstSteps:
         assert got == values and cached[:len(stepped)] == stepped
         if name == "example62":
             assert values[0] == repr(limits[0])
+
+    # the walk's chunks of 64 points, doubling to 2048, end at these
+    # counts; the last two chunks are full-size
+    CHUNK_ENDS = (64, 192, 448, 960, 1984, 4032, 6080)
+
+    @pytest.mark.parametrize("name", MAPS)
+    @pytest.mark.parametrize("w", [1.0, PROBE_RING[2]])
+    def test_iterate(self, name, w):
+        def walked(hpmap, n):
+            return hpmap.iterate(w, n)
+
+        def stepped(hpmap, n):
+            return iterate_by_step(hpmap, w, n)
+
+        ns = [end + d for end in self.CHUNK_ENDS for d in (-1, 0, 1)]
+        want = outcomes(stepped, self.MAPS[name](), ns)
+        assert outcomes(walked, self.MAPS[name](), ns) == want
 
     def test_the_walk_stops_at_the_chunk_that_passes_1e100(self):
         hpmap = abel.HalfPlaneMap(presets.example61(0.6))
