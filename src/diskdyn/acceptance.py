@@ -132,9 +132,9 @@ def criterion_4_step_verdicts(tol):
 def criterion_5_grand_orbit(tol):
     f = presets.example61(0.5)
     tr = orbits.grand_orbit(f, 0.0, forward_n=12, backward_depth=6)
-    pts = tr.points()
+    re, im = tr.points.real, tr.points.imag
 
-    has_zeta0 = min(abs(p - (-0.8)) for p in pts) < tol["orbit_contains"]
+    has_zeta0 = bool(np.hypot(re + 0.8, im).min() < tol["orbit_contains"])
 
     # closed-form recurrence for the second fiber points
     zeta0 = -0.8
@@ -144,21 +144,19 @@ def criterion_5_grand_orbit(tol):
     for _ in range(12):
         zeta = (zeta0 - zm) / (1.0 - zeta0 * zm)
         all_negative &= zeta < 0
-        gaps.append(min(abs(p - zeta) for p in pts))
+        gaps.append(float(np.hypot(re - zeta, im).min()))
         zm = selfmap.evaluate(f, zm).real
     worst = abel.worst_residual(gaps)
 
-    interval_clear = not any(
-        abs(p.imag) < 1e-12 and 1e-12 < p.real < 0.25 - 1e-12 for p in pts
-    )
+    interval_clear = not ((np.abs(im) < 1e-12) & (1e-12 < re) & (re < 0.25 - 1e-12)).any()
 
+    # the backward preimages of the base point leave the horodisks at 1
     a = 2.0 / 3.0
-    escalation = True
-    for node in tr.nodes:
-        if node.forward_index == 0 and node.backward_depth >= 1:
-            bound = a ** (-node.backward_depth)
-            if julia_quotient(node.point, 1.0) <= bound * (1.0 - 1e-9):
-                escalation = False
+    rows = (tr.forward_indices == 0) & (tr.backward_depths >= 1)
+    escalation = not any(
+        julia_quotient(p, 1.0) <= a ** (-d) * (1.0 - 1e-9)
+        for p, d in zip(tr.points[rows].tolist(), tr.backward_depths[rows].tolist())
+    )
 
     ok = has_zeta0 and worst < tol["orbit_recurrence"] and all_negative \
         and interval_clear and escalation

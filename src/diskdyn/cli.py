@@ -210,7 +210,7 @@ def _run_grand_orbit(cfg: ExperimentConfig):
                             backward_depth=cfg.depth)
     hits = orbits.critical_orbit_intersection(f, tr)
     summary = {
-        "nodes": len(tr.nodes),
+        "nodes": len(tr.points),
         "truncated": tr.truncated,
         "blaschke_sum": orbits.blaschke_sum(tr),
         "blaschke_partial_sums": list(tr.blaschke_partial_sums),

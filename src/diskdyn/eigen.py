@@ -42,10 +42,10 @@ def build_truncated_eigenfunction(truncation: GrandOrbitTruncation) -> FiniteBla
     builds give bit-identical values.  The nodes are grand_orbit's, distinct
     and validated, so they are taken as they are (no check or merge again).
     """
-    nodes = truncation.nodes
-    if not nodes:
+    if not len(truncation.points):
         raise ValueError("cannot build a product over an empty truncation")
-    return FiniteBlaschkeProduct._from_table(1.0 + 0.0j, [(p, m) for p, m, _, _ in nodes])
+    return FiniteBlaschkeProduct._from_table(1.0 + 0.0j, zip(
+        truncation.points.tolist(), truncation.multiplicities.tolist()))
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def prefix_samples(truncation: GrandOrbitTruncation, depths, f, samples) -> list
     """
     if not all(0 <= d <= truncation.backward_depth for d in depths):
         raise ValueError(f"depths must lie in [0, {truncation.backward_depth}], got {depths}")
-    counts = [len(truncation.prefix(d).nodes) for d in depths]
+    counts = np.searchsorted(truncation.backward_depths, depths, "right").tolist()
     deepest = build_truncated_eigenfunction(truncation)
     products = [FiniteBlaschkeProduct._from_table(deepest.gamma, deepest.zeros[:n])
                 if n < len(deepest.zeros) else deepest for n in counts]

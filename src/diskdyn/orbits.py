@@ -10,10 +10,8 @@ of the iterate that maps it onto the forward orbit.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +25,7 @@ DEFAULT_NODE_CAP = 20000
 
 
 class GrandOrbitNode(NamedTuple):
-    """One grand-orbit point: a tuple, as it is built thousands of times
-    per grand orbit."""
+    """One grand-orbit point, a row of a GrandOrbitTruncation's columns."""
 
     point: complex
     multiplicity: int
@@ -36,17 +33,30 @@ class GrandOrbitNode(NamedTuple):
     backward_depth: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrandOrbitTruncation:
+    """A truncated grand orbit as four read-only columns, one row per node in
+    enumeration order: points (complex128); multiplicities, the local degree
+    of the iterate onto the forward orbit; forward_indices, the forward-orbit
+    point it reaches; backward_depths, its generation, never decreasing (the
+    last three intp).  blaschke_partial_sums[k] sums through generation k."""
+
     base_point: complex
     forward_n: int
     backward_depth: int
-    nodes: tuple[GrandOrbitNode, ...]
+    points: np.ndarray
+    multiplicities: np.ndarray
+    forward_indices: np.ndarray
+    backward_depths: np.ndarray
     blaschke_partial_sums: tuple[float, ...]
     truncated: bool
 
-    def points(self) -> list[complex]:
-        return [n.point for n in self.nodes]
+    @cached_property
+    def nodes(self) -> tuple[GrandOrbitNode, ...]:
+        """The rows as GrandOrbitNode tuples, built on first use."""
+        return tuple(map(GrandOrbitNode._make, zip(
+            self.points.tolist(), self.multiplicities.tolist(),
+            self.forward_indices.tolist(), self.backward_depths.tolist())))
 
     def prefix(self, backward_depth: int) -> GrandOrbitTruncation:
         """The truncation grand_orbit returns for this map and base point
@@ -54,7 +64,7 @@ class GrandOrbitTruncation:
 
         Generation k depends only on generations < k, so the nodes, partial
         sums and node-cap verdict are those of a fresh enumeration.  Nodes
-        come generation by generation, so the prefix's are a leading slice.
+        come generation by generation, so the prefix's columns are views.
         """
         if not 0 <= backward_depth <= self.backward_depth:
             raise ValueError(
@@ -62,14 +72,12 @@ class GrandOrbitTruncation:
             )
         # a truncated run stopped before generation len(sums)
         truncated = self.truncated and len(self.blaschke_partial_sums) <= backward_depth
-        count = bisect_right(self.nodes, backward_depth, key=attrgetter("backward_depth"))
+        count = np.searchsorted(self.backward_depths, backward_depth, "right")
+        columns = (self.points, self.multiplicities, self.forward_indices, self.backward_depths)
         return GrandOrbitTruncation(
-            base_point=self.base_point,
-            forward_n=self.forward_n,
-            backward_depth=backward_depth,
-            nodes=self.nodes[:count],
-            blaschke_partial_sums=self.blaschke_partial_sums[: backward_depth + 1],
-            truncated=truncated,
+            self.base_point, self.forward_n, backward_depth,
+            *(column[:count] for column in columns),
+            self.blaschke_partial_sums[: backward_depth + 1], truncated,
         )
 
 
@@ -134,10 +142,11 @@ def grand_orbit(
     Its fibers are solved together as one table (selfmap._fiber_table),
     whose owner column indexes the children's multiplicities and forward
     indices out of the parents' arrays, and its children are deduplicated
-    together (_new_points).  A failed fiber raises RootFindingError naming
-    the generation and its first failing parent in node order.  Stops with
-    the truncated flag set if node_cap would be exceeded; a cap below the
-    forward orbit's node count is an error.
+    together (_new_points).  The columns concatenate the generations' arrays.
+    A failed fiber raises RootFindingError naming the generation and its
+    first failing parent in node order.  Stops with the truncated flag set if
+    node_cap would be exceeded; a cap below the forward orbit's node count is
+    an error.
     """
     for name, value in (("forward_n", forward_n), ("backward_depth", backward_depth),
                         ("node_cap", node_cap)):
@@ -163,18 +172,18 @@ def grand_orbit(
             ) from exc
     pts = np.array(forward)
     joins = _new_points(np.empty(0), np.empty(0), pts.real, pts.imag)
-    # a generation is three arrays: points, multiplicities, forward indices
     index = np.flatnonzero(joins)
     points, mults = pts[index], np.ones(len(index), dtype=np.intp)
-    nodes = [GrandOrbitNode(forward[m], 1, m, 0) for m in index.tolist()]
-    if len(nodes) > node_cap:
+    if len(index) > node_cap:
         raise ValueError(
-            f"node_cap {node_cap} is below the {len(nodes)} forward-orbit nodes"
+            f"node_cap {node_cap} is below the {len(index)} forward-orbit nodes"
         )
+    # a generation is three arrays: points, multiplicities, forward indices
+    generations = [(points, mults, index)]
     nr, ni = points.real, points.imag
     total = 0.0
-    for node in nodes:
-        total += 1.0 - abs(node.point)
+    for p in points.tolist():
+        total += 1.0 - abs(p)
     sums = [total]
 
     truncated = False
@@ -190,27 +199,24 @@ def grand_orbit(
         joins = _new_points(nr, ni, children.real, children.imag)
         cr, ci = children.real[joins], children.imag[joins]
         kept = np.flatnonzero(joins)[np.lexsort((ci, cr))]
-        if len(nodes) + len(kept) > node_cap:
+        if len(nr) + len(kept) > node_cap:
             truncated = True
             break
         parent = fibers.owner[kept]
         points, mults, index = children[kept], fibers.mults[kept] * mults[parent], index[parent]
-        nodes.extend(map(GrandOrbitNode._make, zip(points.tolist(), mults.tolist(),
-                                                   index.tolist(), repeat(depth))))
+        generations.append((points, mults, index))
         nr, ni = np.concatenate((nr, cr)), np.concatenate((ni, ci))
         # Python's sum of the generation's terms (abs is hypot); from 3.12
         # on, sum compensates its rounding, which np.cumsum would not repeat
         total += sum((mults * (1.0 - np.hypot(points.real, points.imag))).tolist())
         sums.append(total)
 
-    return GrandOrbitTruncation(
-        base_point=z0,
-        forward_n=forward_n,
-        backward_depth=backward_depth,
-        nodes=tuple(nodes),
-        blaschke_partial_sums=tuple(sums),
-        truncated=truncated,
-    )
+    columns = [np.concatenate(column) for column in zip(*generations)]
+    columns.append(np.repeat(np.arange(len(generations), dtype=np.intp),
+                             [len(p) for p, _, _ in generations]))
+    for column in columns:
+        column.flags.writeable = False
+    return GrandOrbitTruncation(z0, forward_n, backward_depth, *columns, tuple(sums), truncated)
 
 
 def blaschke_sum(truncation: GrandOrbitTruncation) -> float:
@@ -226,7 +232,7 @@ def critical_orbit_intersection(f, truncation: GrandOrbitTruncation):
     truncation; hits are handled upstream by multiplicities, not exclusion.
     """
     crits = [c for c, _ in critical_points(f)]
-    z, c = np.array(truncation.points(), dtype=complex), np.array(crits, dtype=complex)
+    z, c = truncation.points, np.array(crits, dtype=complex)
     q, p = _same_pairs(z.real, z.imag, c.real, c.imag)
     return [(truncation.nodes[i], crits[j]) for i, j in sorted(zip(q.tolist(), p.tolist()))]
 
@@ -235,24 +241,17 @@ def conjugation_closure_check(truncation: GrandOrbitTruncation) -> bool:
     """True iff the node multiset is closed under complex conjugation: each
     node's conjugate is the same point as a node of equal multiplicity, the
     first such node in node order deciding."""
-    z = np.array(truncation.points(), dtype=complex)
+    z, mults = truncation.points, truncation.multiplicities
     q, p = _same_pairs(z.real, -z.imag, z.real, z.imag)
     first = np.full(len(z), len(z))
     np.minimum.at(first, q, p)
-    mults = np.array([n.multiplicity for n in truncation.nodes])
     return bool((first < len(z)).all() and (mults[first] == mults).all())
 
 
 def truncation_rows(truncation: GrandOrbitTruncation) -> list[tuple]:
     """Rows (re, im, multiplicity, forward_index, backward_depth, one_minus_abs)."""
-    return [
-        (
-            n.point.real,
-            n.point.imag,
-            n.multiplicity,
-            n.forward_index,
-            n.backward_depth,
-            1.0 - abs(n.point),
-        )
-        for n in truncation.nodes
-    ]
+    re, im = truncation.points.real, truncation.points.imag
+    # np.hypot rounds as Python's abs of a complex; np.abs of an array does not
+    return list(zip(re.tolist(), im.tolist(), truncation.multiplicities.tolist(),
+                    truncation.forward_indices.tolist(), truncation.backward_depths.tolist(),
+                    (1.0 - np.hypot(re, im)).tolist()))

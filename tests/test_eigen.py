@@ -10,6 +10,7 @@ from diskdyn import orbits as ob
 from diskdyn import presets
 from diskdyn import selfmap as sm
 from diskdyn.geometry import ensure_disk_point, mobius_factor, pseudo_hyperbolic
+from test_orbits import truncation_from_nodes
 
 SAMPLES = eigen.ring_samples(0.4, 16)
 
@@ -81,13 +82,13 @@ class TestBuild:
     def test_singleton_truncation_is_a_single_factor(self):
         a = 0.3 - 0.2j
         node = ob.GrandOrbitNode(a, 1, 0, 0)
-        tr = ob.GrandOrbitTruncation(a, 0, 0, (node,), (1 - abs(a),), False)
+        tr = truncation_from_nodes(a, 0, 0, (node,), (1 - abs(a),), False)
         b = eigen.build_truncated_eigenfunction(tr)
         for z in (0.0, 0.5, -0.1 + 0.4j):
             assert b(z) == pytest.approx(mobius_factor(a, z), abs=1e-15)
 
     def test_empty_truncation_rejected(self):
-        tr = ob.GrandOrbitTruncation(0.0, 0, 0, (), (0.0,), False)
+        tr = truncation_from_nodes(0.0, 0, 0, (), (0.0,), False)
         with pytest.raises(ValueError):
             eigen.build_truncated_eigenfunction(tr)
 

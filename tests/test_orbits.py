@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -71,6 +72,15 @@ def example_truncation():
     return ob.grand_orbit(presets.example61(0.5), 0.0, forward_n=12, backward_depth=6)
 
 
+def truncation_from_nodes(base_point, forward_n, backward_depth, nodes, sums, truncated):
+    """A GrandOrbitTruncation whose columns hold the given nodes."""
+    points, mults, forward, depths = zip(*nodes) if nodes else ((),) * 4
+    return ob.GrandOrbitTruncation(
+        base_point, forward_n, backward_depth, np.array(points, dtype=complex),
+        *(np.array(column, dtype=np.intp) for column in (mults, forward, depths)),
+        sums, truncated)
+
+
 def nearest(truncation, target):
     return min(truncation.nodes, key=lambda n: abs(n.point - target))
 
@@ -83,7 +93,7 @@ class TestGrandOrbit:
 
     def test_shallow_truncation_contains_the_three_points(self):
         tr = ob.grand_orbit(presets.example61(0.5), 0.0, forward_n=1, backward_depth=1)
-        pts = tr.points()
+        pts = tr.points
         for target in (0.0, 0.25, -0.8):
             assert min(abs(p - target) for p in pts) < 1e-12
 
@@ -124,7 +134,7 @@ class TestGrandOrbit:
             assert sum(m for _, m in fiber) == f.degree
 
     def test_no_node_in_the_first_gap(self, example_truncation):
-        for p in example_truncation.points():
+        for p in example_truncation.points:
             if abs(p.imag) < 1e-12:
                 assert not (1e-12 < p.real < 0.25 - 1e-12)
 
@@ -135,7 +145,7 @@ class TestGrandOrbit:
                 assert julia_quotient(node.point, 1.0) > a ** (-node.backward_depth)
 
     def test_nodes_pairwise_separated(self, example_truncation):
-        pts = example_truncation.points()[:80]
+        pts = example_truncation.points[:80]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 assert pseudo_hyperbolic(pts[i], pts[j]) > 1e-8
@@ -279,8 +289,8 @@ def reference_grand_orbit(f, z0, forward_n, backward_depth, node_cap=ob.DEFAULT_
         total += sum(n.multiplicity * (1.0 - abs(n.point)) for n in batch)
         sums.append(total)
         generation = batch
-    return ob.GrandOrbitTruncation(z0, forward_n, backward_depth, tuple(nodes),
-                                   tuple(sums), truncated)
+    return truncation_from_nodes(z0, forward_n, backward_depth, tuple(nodes),
+                                 tuple(sums), truncated)
 
 
 def exact_nodes(truncation):
@@ -438,12 +448,12 @@ class TestArguments:
 
 class TestBlaschkeSum:
     def test_empty_truncation(self):
-        tr = ob.GrandOrbitTruncation(0.0, 0, 0, (), (0.0,), False)
+        tr = truncation_from_nodes(0.0, 0, 0, (), (0.0,), False)
         assert ob.blaschke_sum(tr) == 0.0
 
     def test_single_node_at_origin(self):
         node = ob.GrandOrbitNode(0.0, 1, 0, 0)
-        tr = ob.GrandOrbitTruncation(0.0, 0, 0, (node,), (1.0,), False)
+        tr = truncation_from_nodes(0.0, 0, 0, (node,), (1.0,), False)
         assert ob.blaschke_sum(tr) == 1.0
 
     def test_partial_sums_non_decreasing(self, example_truncation):
@@ -490,7 +500,7 @@ def reference_intersection(f, truncation) -> list:
 def truncation_of(points, mults=None):
     mults = mults or [1] * len(points)
     nodes = tuple(ob.GrandOrbitNode(z, m, 0, k) for k, (z, m) in enumerate(zip(points, mults)))
-    return ob.GrandOrbitTruncation(0.0, 0, len(nodes), nodes, (0.0,), False)
+    return truncation_from_nodes(0.0, 0, len(nodes), nodes, (0.0,), False)
 
 
 def at_distance(c: complex, rho: float, angle: float) -> complex:
@@ -635,7 +645,7 @@ class TestConjugationClosure:
         nodes = list(example_truncation.nodes)
         idx = next(i for i, n in enumerate(nodes) if n.point.imag > 1e-6)
         del nodes[idx]
-        broken = ob.GrandOrbitTruncation(
+        broken = truncation_from_nodes(
             example_truncation.base_point,
             example_truncation.forward_n,
             example_truncation.backward_depth,
@@ -649,13 +659,21 @@ class TestConjugationClosure:
         z = 0.3 + 0.2j
         nodes = (ob.GrandOrbitNode(z, 1, 0, 0),
                  ob.GrandOrbitNode(z.conjugate(), 2, 0, 1))
-        tr = ob.GrandOrbitTruncation(z, 0, 1, nodes, (0.0,), False)
+        tr = truncation_from_nodes(z, 0, 1, nodes, (0.0,), False)
         assert not ob.conjugation_closure_check(tr)
 
     def test_real_only_truncation_vacuously_closed(self):
         node = ob.GrandOrbitNode(0.25, 1, 0, 0)
-        tr = ob.GrandOrbitTruncation(0.25, 0, 0, (node,), (0.75,), False)
+        tr = truncation_from_nodes(0.25, 0, 0, (node,), (0.75,), False)
         assert ob.conjugation_closure_check(tr)
+
+
+GAMMA, ZERO = cmath.exp(-3j), -cmath.exp(1j) / 3.0
+ROTATED_STAGE = {"gamma": [GAMMA.real, GAMMA.imag], "zeros": [[ZERO.real, ZERO.imag, 2]]}
+
+
+def exact_row(row) -> tuple:
+    return tuple((type(x), x.hex() if isinstance(x, float) else x) for x in row)
 
 
 class TestExportRows:
@@ -666,3 +684,44 @@ class TestExportRows:
         assert (re, im) == (0.0, 0.0)
         assert mult == 1 and fwd == 0 and depth == 0
         assert oma == 1.0
+
+    # the grand orbits whose grand-orbit command digests CI prints: example61
+    # at depth 8, two rotated example62 stages and a cubic stage before a
+    # quadratic one at depth 3
+    @pytest.mark.parametrize("description, depth", [
+        ({"preset": "example61", "alpha": 0.5}, 8),
+        ({"preset": "example61", "alpha": 0.6}, 8),
+        ({"preset": "example61", "alpha": 0.7}, 8),
+        ({"stages": [ROTATED_STAGE, ROTATED_STAGE]}, 3),
+        ({"stages": [{"gamma": [1.0, 0.0], "zeros": [[-0.5, 0.0, 3]]},
+                     {"gamma": [1.0, 0.0], "zeros": [[-1 / 3, 0.0, 2]]}]}, 3),
+    ], ids=["example61-0.5", "example61-0.6", "example61-0.7", "composite", "mixed"])
+    def test_rows_are_the_node_formula_bit_for_bit(self, description, depth):
+        # the rows are read off the columns, one_minus_abs as 1 - hypot:
+        # np.abs of a complex array rounds some of them otherwise
+        tr = ob.grand_orbit(presets.map_from_dict(description), 0.0, 12, depth)
+        want = [(p.real, p.imag, m, k, d, 1.0 - abs(p)) for p, m, k, d in tr.nodes]
+        assert list(map(exact_row, ob.truncation_rows(tr))) == list(map(exact_row, want))
+
+
+class TestColumns:
+    COLUMNS = ("points", "multiplicities", "forward_indices", "backward_depths")
+
+    def test_columns_are_read_only_and_prefixes_share_them(self):
+        deep = ob.grand_orbit(presets.example61(0.6), 0.0, 12, 8)
+        shallow = deep.prefix(5)
+        for name in self.COLUMNS:
+            for tr in (deep, shallow):
+                column = getattr(tr, name)
+                assert column.dtype == (np.complex128 if name == "points" else np.intp)
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[-1]
+            assert np.shares_memory(getattr(shallow, name), getattr(deep, name))
+
+    def test_the_column_readers_build_no_nodes(self):
+        tr = ob.grand_orbit(presets.example61(0.5), 0.3j, 8, 6)
+        ob.conjugation_closure_check(tr)
+        ob.truncation_rows(tr.prefix(3))
+        assert ob.critical_orbit_intersection(presets.example61(0.5), tr) == []
+        assert "nodes" not in vars(tr)
+        assert tr.nodes is tr.nodes
