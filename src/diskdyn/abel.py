@@ -259,7 +259,8 @@ def residual_table(hpmap: HalfPlaneMap, kind: str, ns, probes) -> list[tuple]:
     found = {}  # (n, probe_id) -> (F_n(z), residual)
     for pid, probe in enumerate(probes):
         orbit = [_halfplane_point(probe)]
-        error = hpmap.walk(orbit, max(ns) + 1)
+        # an empty ns walks no step
+        error = hpmap.walk(orbit, max(ns, default=-1) + 1)
         for n in sorted(set(ns)):
             if n + 1 >= len(orbit):
                 raise error

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ensure_disk_point
-from .selfmap import _checked, _fibers, evaluate, preimages
+from .selfmap import _checked, _fiber_table, evaluate, preimages
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def _weighted(fiber) -> float:
 def _scan(f, radii) -> list[float]:
     """N_f(r) at every radius, the fibers solved together (the first failed
     one raised)."""
-    return [_weighted(_checked(fiber)) for fiber in _fibers(f, radii)]
+    return [_weighted(_checked(fiber)) for fiber in _fiber_table(f, radii).fibers()]
 
 
 def lm_functional(f, theta_map, w: complex) -> float:

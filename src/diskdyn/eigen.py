@@ -140,6 +140,8 @@ def prefix_samples(truncation: GrandOrbitTruncation, depths, f, samples) -> list
     if not all(0 <= d <= truncation.backward_depth for d in depths):
         raise ValueError(f"depths must lie in [0, {truncation.backward_depth}], got {depths}")
     counts = np.searchsorted(truncation.backward_depths, depths, "right").tolist()
+    if not counts:
+        return []
     deepest = build_truncated_eigenfunction(truncation)
     products = [FiniteBlaschkeProduct._from_table(deepest.gamma, deepest.zeros[:n])
                 if n < len(deepest.zeros) else deepest for n in counts]

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import lanes
-from .selfmap import _composite_fibers, _stacked_fibers
+from .selfmap import _composite_fibers, _product_fibers
 from .stacks import _ProductStack
 
 # sampling sizes for the randomized suites; the seed is fixed below
@@ -128,7 +128,7 @@ def _back_evaluation(rng) -> tuple[float, str | None]:
     stacks, which, row = _stack_products([p for p, _ in draws])
     targets = np.array([w for _, (w,) in draws], dtype=complex)
     lanes.ensure_disk_points(targets)
-    fibers = _stacked_fibers(stacks, which, row, targets)
+    fibers = _product_fibers(stacks, which, row, targets)
     degrees = [stacks[s].degree for s in which.tolist()]
     mismatch = _first_mismatch(fibers, degrees)
     # each fiber point against the target of the draw that owns it

@@ -493,63 +493,46 @@ def _row_product(f: _ProductStack, r: int) -> FiniteBlaschkeProduct:
                                              zip(f.zeros[r].tolist(), f.mults))
 
 
-def _product_fibers(f: _ProductStack, rows: np.ndarray, targets: np.ndarray) -> _FiberTable:
+def _product_fibers(stacks, which, rows, targets) -> _FiberTable:
     """The fiber over each validated targets[i] under product rows[i] of the
-    stack f, the roots of all nonzero targets from one ``_stacked_roots``
-    call.  A batch of at least _LANE_MIN_TARGETS nonzero targets, on
-    products of at most _SCALAR_MAX_ZEROS zeros, goes through _lane_fibers,
-    whose certified rows are the table's rows as they are.  The others are
-    spliced in from lists: _fiber's fiber, or its RootFindingError, and over
-    0 the exact (merged) zero list.
+    stack stacks[which[i]].  Per stack, the roots of its nonzero targets
+    come from one ``_stacked_roots`` call; a batch of at least
+    _LANE_MIN_TARGETS of them, on products of at most _SCALAR_MAX_ZEROS
+    zeros, goes through _lane_fibers, whose certified rows are the table's
+    rows as they are.  The others are spliced in from lists: _fiber's fiber,
+    or its RootFindingError, and over 0 the exact (merged) zero list.  Each
+    target's rows come in one block, in fiber order, so one stable sort by
+    owner makes the table.
     """
-    num, den = f.coefficients
-    nonzero = np.flatnonzero(targets != 0)
-    held, w = rows[nonzero], targets[nonzero]
-    # |gamma N_d| = 1 > |w D_d| for |w| < 1, so no leading coefficient is 0
-    polys = f.gamma[held] * num[held] - w[:, None] * den[held]
-    roots = _stacked_roots(polys) if len(w) else None
-    lane, certified = np.empty((len(w), f.degree), dtype=complex), np.zeros(len(w), dtype=bool)
-    if len(w) >= _LANE_MIN_TARGETS and len(f.mults) <= _SCALAR_MAX_ZEROS:
-        lane, certified = _lane_fibers(f.take(held), w, roots)
-    lists, errors = {}, {}
-    for k in np.flatnonzero(targets == 0).tolist():
-        lists[k] = sorted(zip(f.zeros[rows[k]].tolist(), f.mults), key=_re_im)
-    for j in np.flatnonzero(~certified).tolist():
-        k = int(nonzero[j])
-        try:
-            lists[k] = _fiber(_row_product(f, held[j]), complex(w[j]), polys[j], roots[j])
-        except RootFindingError as exc:
-            errors[k] = exc
+    blocks, lists, errors = [], {}, {}
+    for s, f in enumerate(stacks):
+        sel = np.flatnonzero(which == s)
+        nonzero = sel[targets[sel] != 0]
+        held, w = rows[nonzero], targets[nonzero]
+        num, den = f.coefficients
+        # |gamma N_d| = 1 > |w D_d| for |w| < 1, so no leading coefficient is 0
+        polys = f.gamma[held] * num[held] - w[:, None] * den[held]
+        roots = _stacked_roots(polys) if len(w) else None
+        certified = np.zeros(len(w), dtype=bool)
+        if len(w) >= _LANE_MIN_TARGETS and len(f.mults) <= _SCALAR_MAX_ZEROS:
+            lane, certified = _lane_fibers(f.take(held), w, roots)
+            blocks.append((np.repeat(nonzero[certified], f.degree), lane[certified].ravel(),
+                           np.ones(certified.sum() * f.degree, dtype=np.intp)))
+        for k in sel[targets[sel] == 0].tolist():
+            lists[k] = sorted(zip(f.zeros[rows[k]].tolist(), f.mults), key=_re_im)
+        for j in np.flatnonzero(~certified).tolist():
+            k = int(nonzero[j])
+            try:
+                lists[k] = _fiber(_row_product(f, held[j]), complex(w[j]), polys[j], roots[j])
+            except RootFindingError as exc:
+                errors[k] = exc
     listed = [(k, z, m) for k, fiber in lists.items() for z, m in fiber]
-    return _table([(np.repeat(nonzero[certified], f.degree), lane[certified].ravel(),
-                    np.ones(certified.sum() * f.degree, dtype=np.intp)),
-                   (np.array([k for k, _, _ in listed], dtype=np.intp),
-                    np.array([z for _, z, _ in listed], dtype=complex),
-                    np.array([m for _, _, m in listed], dtype=np.intp))],
-                  errors, len(targets))
-
-
-def _table(blocks, errors: dict, size: int) -> _FiberTable:
-    """The table of row blocks (owner, points, mults), each target's rows
-    in one block in fiber order: the rows sorted stably by owner."""
+    blocks.append((np.array([k for k, _, _ in listed], dtype=np.intp),
+                   np.array([z for _, z, _ in listed], dtype=complex),
+                   np.array([m for _, _, m in listed], dtype=np.intp)))
     owner, points, mults = (np.concatenate(column) for column in zip(*blocks))
     order = np.argsort(owner, kind="stable")
-    return _FiberTable(points[order], mults[order], owner[order], errors, size)
-
-
-def _stacked_fibers(stacks, which, rows, targets) -> _FiberTable:
-    """_product_fibers over each validated targets[i] under product rows[i]
-    of stacks[which[i]], one call per stack."""
-    parts = []
-    for s, stack in enumerate(stacks):
-        sel = np.flatnonzero(which == s)
-        if len(sel) == len(targets):
-            return _product_fibers(stack, rows, targets)
-        if len(sel):
-            parts.append((sel, _product_fibers(stack, rows[sel], targets[sel])))
-    return _table([(sel[t.owner], t.points, t.mults) for sel, t in parts],
-                  {int(sel[k]): e for sel, t in parts for k, e in t.errors.items()},
-                  len(targets))
+    return _FiberTable(points[order], mults[order], owner[order], errors, len(targets))
 
 
 def _composite_fibers(stages, owners, targets) -> _FiberTable:
@@ -567,7 +550,7 @@ def _composite_fibers(stages, owners, targets) -> _FiberTable:
     errors: dict = {}
     for stacks, which, row in reversed(stages):
         held = owners[owner]
-        solved = _stacked_fibers(stacks, which[held], row[held], points)
+        solved = _product_fibers(stacks, which[held], row[held], points)
         for k in sorted(solved.errors):
             errors.setdefault(int(owner[k]), solved.errors[k])
         live = np.ones(n, dtype=bool)
@@ -604,21 +587,15 @@ def _fiber_table(f, targets) -> _FiberTable:
     """preimages(f, w) for every target w, solved together as one table: one
     stacked root solve per product stage for the whole batch, the targets
     validated by one lane test.  Composites are solved stage by stage over
-    the whole layer."""
+    the whole layer.  Entry i of its fibers() is the fiber over targets[i],
+    or the RootFindingError that preimages(f, targets[i]) raises."""
     stages = _stages(f)
     targets = np.array(targets, dtype=complex)
     lanes.ensure_disk_points(targets)
     one = np.zeros(len(targets), dtype=np.intp)
     if isinstance(f, FiniteBlaschkeProduct):
-        return _product_fibers(f._stack, one, targets)
+        return _product_fibers([f._stack], one, one, targets)
     return _composite_fibers([([s._stack], one[:1], one[:1]) for s in stages], one, targets)
-
-
-def _fibers(f, targets) -> list:
-    """Entry i: the fiber over targets[i], or the RootFindingError that
-    preimages(f, targets[i]) raises, so a caller can name the failed target;
-    the split of _fiber_table's rows by target."""
-    return _fiber_table(f, targets).fibers()
 
 
 def preimages(f, w: complex) -> list[tuple[complex, int]]:
@@ -630,11 +607,11 @@ def preimages(f, w: complex) -> list[tuple[complex, int]]:
     The sort is exact: two spellings of one map can swap a conjugate pair
     whose real parts differ by an ulp, so compare their fibers as sets.
     """
-    return _checked(_fibers(f, [w])[0])
+    return _checked(_fiber_table(f, [w]).fibers()[0])
 
 
 def _checked(fiber) -> list[tuple[complex, int]]:
-    """A fiber from _fibers, or its RootFindingError raised."""
+    """A fiber from _FiberTable.fibers, or its RootFindingError raised."""
     if isinstance(fiber, RootFindingError):
         raise fiber
     return fiber
@@ -649,7 +626,7 @@ def critical_points(f) -> list[tuple[complex, int]]:
         result = critical_points(stages[0])
         for k in range(1, len(stages)):
             crits = critical_points(stages[k])
-            fibers = _fibers(CompositeMap(stages[:k]), [c for c, _ in crits])
+            fibers = _fiber_table(CompositeMap(stages[:k]), [c for c, _ in crits]).fibers()
             for (_, m), fiber in zip(crits, fibers):
                 result.extend((z, m * mz) for z, mz in _checked(fiber))
         result = _merge_pseudo_hyperbolic(result)

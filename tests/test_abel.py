@@ -420,6 +420,11 @@ class TestResidualTable:
         with pytest.raises(ValueError, match="bogus"):
             abel._normalized(parabolic_map, "bogus", 5, 2.0 + 1.0j)
 
+    def test_no_listed_n_gives_no_rows(self, parabolic_map):
+        # as an empty probe list does
+        for ns, probes in (([], PROBE_RING[:2]), ((5, 10), [])):
+            assert abel.residual_table(parabolic_map, "baker_pommerenke_h", ns, probes) == []
+
     @pytest.mark.parametrize("kind", ["baker_pommerenke_h", "pommerenke_g"])
     def test_one_trajectory_per_probe(self, kind):
         hpmap = abel.HalfPlaneMap(presets.example62())

@@ -373,13 +373,13 @@ class TestCommands:
         from diskdyn import counting
 
         calls = []
-        original = counting._fibers
+        original = counting._fiber_table
 
         def solve(f, targets):
             calls.append(list(targets))
             return original(f, targets)
 
-        monkeypatch.setattr(counting, "_fibers", solve)
+        monkeypatch.setattr(counting, "_fiber_table", solve)
         code = cli.main([
             "nevanlinna", "--preset", "example61", "--alpha", "0.5",
             "--out-dir", str(tmp_path / "o"),
@@ -468,7 +468,7 @@ class TestDeterminism:
         for elapsed in (0.25, 7.5):
             results = [CriterionResult(1, "first", True, "ok", elapsed),
                        CriterionResult(2, "second", True, "fine", 2 * elapsed)]
-            monkeypatch.setattr(cli.acceptance, "run_all", lambda r=results: r)
+            monkeypatch.setattr("diskdyn.acceptance.run_all", lambda r=results: r)
             assert cli.main(["paper-suite", "--out-dir", str(out)]) == 0
             written.append(((out / "paper_suite.csv").read_bytes(),
                             (out / "summary.json").read_bytes()))
@@ -491,6 +491,15 @@ class TestDeterminism:
             for summary in summaries:
                 del summary["config"]["out_dir"]
             assert summaries[0] == summaries[1]
+
+    def test_import_leaves_the_criteria_out(self):
+        # only paper-suite imports acceptance (and with it properties)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        probe = ("import sys, diskdyn.cli; "
+                 "print(sorted({'diskdyn.acceptance', 'diskdyn.properties'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_embedded_config_reproduces_run(self, tmp_path):
         cli.main(["grand-orbit", "--preset", "example61", "--alpha", "0.5",
@@ -731,7 +740,7 @@ class TestPaperSuiteExit:
                 CriterionResult(2, "bad", False, "broken", 0.0),
             ]
 
-        monkeypatch.setattr(cli.acceptance, "run_all", fake_run_all)
+        monkeypatch.setattr("diskdyn.acceptance.run_all", fake_run_all)
         code = cli.main(["paper-suite", "--out-dir", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err

@@ -133,7 +133,7 @@ def outcome(fn, *args):
 
 
 class TestBatchedScans:
-    """Both scans solve every radius's fiber in one _fibers call; each must
+    """Both scans solve every radius's fiber in one _fiber_table call; each must
     give what one nevanlinna call per radius gives, bit for bit, and raise
     the same error."""
 

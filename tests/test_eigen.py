@@ -366,6 +366,10 @@ class TestPrefixSamples:
             with pytest.raises(ValueError, match="depths must lie in"):
                 eigen.prefix_samples(truncations[8], depths, f, SAMPLES)
 
+    def test_no_depths_give_no_rows(self, truncations):
+        # as an empty sample list gives rows of no values
+        assert eigen.prefix_samples(truncations[8], [], presets.example61(0.5), SAMPLES) == []
+
     @pytest.mark.parametrize("alpha", ["0.5", "0.55", "0.6", "0.65", "0.7"])
     def test_eigen_rows_are_the_per_depth_loop(self, tmp_path, alpha):
         from diskdyn import cli

@@ -274,7 +274,8 @@ def reference_grand_orbit(f, z0, forward_n, backward_depth, node_cap=ob.DEFAULT_
     generation = list(nodes)
     for depth in range(1, backward_depth + 1):
         batch = []
-        for parent, fiber in zip(generation, sm._fibers(f, [p.point for p in generation])):
+        fibers = sm._fiber_table(f, [p.point for p in generation]).fibers()
+        for parent, fiber in zip(generation, fibers):
             for child, local_mult in fiber:
                 if index.find(child) is not None:
                     continue

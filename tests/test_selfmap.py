@@ -414,11 +414,11 @@ class TestFiberRefusals:
 
 
 class TestBatchedFibers:
-    """sm._fibers solves many targets at once; each entry must be the
+    """sm._fiber_table solves many targets at once; each entry must be the
     preimages of its target bit for bit."""
 
     def assert_batch_matches(self, f, targets):
-        batch = sm._fibers(f, targets)
+        batch = sm._fiber_table(f, targets).fibers()
         assert len(batch) == len(targets)
         for w, fiber in zip(targets, batch):
             assert bits(fiber) == bits(sm.preimages(f, w))
@@ -443,7 +443,7 @@ class TestBatchedFibers:
     def test_zero_target_among_others(self):
         f = sm.FiniteBlaschkeProduct(1j, ((0.2 + 0.1j, 2), (-0.5j, 1), (0.7, 1)))
         targets = [0.3 - 0.1j, 0.0, 0.5j, 0.0, -0.2]
-        batch = sm._fibers(f, targets)
+        batch = sm._fiber_table(f, targets).fibers()
         assert batch[1] == batch[3] == sorted(f.zeros, key=lambda t: (t[0].real, t[0].imag))
         self.assert_batch_matches(f, targets)
         c = sm.compose(f, presets.example61(0.5))
@@ -453,12 +453,12 @@ class TestBatchedFibers:
         f = sm.FiniteBlaschkeProduct(-1.0, ((0.2, 1), (-0.4, 1)))
         (crit, _), = sm.critical_points(f)
         targets = [0.1, sm.evaluate(f, crit), -0.3j]
-        batch = sm._fibers(f, targets)
+        batch = sm._fiber_table(f, targets).fibers()
         assert [m for _, m in batch[1]] == [2]
         self.assert_batch_matches(f, targets)
 
     def test_empty_batch(self):
-        assert sm._fibers(presets.example61(0.5), []) == []
+        assert sm._fiber_table(presets.example61(0.5), []).fibers() == []
 
     def test_stacked_roots_are_companion_eigenvalues(self):
         rng = np.random.default_rng(10)
@@ -480,7 +480,7 @@ class TestBatchedFibers:
         one = sm.CompositeMap((p,))
         for w in (0.0, 0.2 - 0.1j):
             assert bits(sm.preimages(one, w)) == bits(sm.preimages(p, w))
-            assert bits(sm._fibers(one, [w, w])[1]) == bits(sm.preimages(p, w))
+            assert bits(sm._fiber_table(one, [w, w]).fibers()[1]) == bits(sm.preimages(p, w))
         assert [m for _, m in sm.preimages(one, 0.0)] == [1, 1, 1]
         # the fiber over 0 of a last stage with a double zero is that zero
         # with multiplicity 2, which each point of the first stage's fiber
@@ -497,17 +497,17 @@ class TestBatchedFibers:
         # over 0 survives
         monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", -1.0)
         f = presets.example61(0.5)
-        batch = sm._fibers(f, [0.25, 0.0])
+        batch = sm._fiber_table(f, [0.25, 0.0]).fibers()
         assert isinstance(batch[0], sm.RootFindingError)
         assert batch[1] == [((-0.5 + 0j), 2)]
         with pytest.raises(sm.RootFindingError, match="did not converge"):
             sm.preimages(f, 0.25)
-        composite = sm._fibers(sm.compose(f, f), [0.0, 0.25])
+        composite = sm._fiber_table(sm.compose(f, f), [0.0, 0.25]).fibers()
         assert all(isinstance(fiber, sm.RootFindingError) for fiber in composite)
 
     def test_target_outside_the_disk_rejected(self):
         with pytest.raises(ValueError):
-            sm._fibers(presets.example61(0.5), [0.1, 1.5])
+            sm._fiber_table(presets.example61(0.5), [0.1, 1.5]).fibers()
 
     def test_first_target_outside_the_disk_is_named(self):
         # one lane test validates the batch, with ensure_disk_point's error
@@ -517,7 +517,7 @@ class TestBatchedFibers:
             with pytest.raises(ValueError) as lone:
                 g.ensure_disk_point(bad[1])
             with pytest.raises(ValueError) as batch:
-                sm._fibers(f, bad)
+                sm._fiber_table(f, bad).fibers()
             assert str(batch.value) == str(lone.value)
 
     # a lane batch of targets with two at 0: at the package's tolerance no
@@ -541,7 +541,7 @@ class TestBatchedFibers:
                             {"package": sm.PREIMAGE_RESIDUAL_TOL, "tight": tight,
                              "negative": -1.0}[tol])
         table = sm._fiber_table(f, targets)
-        fibers = sm._fibers(f, targets)
+        fibers = table.fibers()
         assert table.size == len(fibers) == len(targets)
         assert (np.diff(table.owner) >= 0).all()
         for i, (w, fiber) in enumerate(zip(targets, fibers)):
@@ -687,7 +687,7 @@ class TestLanes:
         _, certified = sm._lane_fibers(f._stack, w, sm._stacked_roots(polys))
         assert np.flatnonzero(~certified).tolist() == [7]
         self.assert_wide_batch_matches(f, targets)
-        assert [m for _, m in sm._fibers(f, targets)[7]] == [2]
+        assert [m for _, m in sm._fiber_table(f, targets).fibers()[7]] == [2]
 
     def test_rows_from_moved_roots_are_fiber_rows_or_left_out(self, monkeypatch):
         # start Newton off the true roots: ten rows each where both roots
@@ -740,7 +740,7 @@ class TestLanes:
         targets = [random_disk_point(rng, 0.9) for _ in range(40)]
         # a tolerance near the polished residuals fails some rows only
         monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", 1e-16)
-        batch = sm._fibers(f, targets)
+        batch = sm._fiber_table(f, targets).fibers()
         failed = sum(isinstance(fiber, sm.RootFindingError) for fiber in batch)
         assert 0 < failed < len(targets)
         for w, fiber in zip(targets, batch):
@@ -997,13 +997,13 @@ class TestValidatedTables:
         # too few targets for the lanes: each fiber is _fiber's, on the
         # stack row's product
         targets = [random_disk_point(rng, 0.9) for _ in range(sm._LANE_MIN_TARGETS - 1)]
-        want = [bits(fiber) for fiber in sm._fibers(f, targets)]
+        want = [bits(fiber) for fiber in sm._fiber_table(f, targets).fibers()]
 
         def refuse(zeros):
             raise AssertionError("a stack's row was validated again")
 
         monkeypatch.setattr(sm, "_normalize_zeros", refuse)
-        assert [bits(fiber) for fiber in sm._fibers(f, targets)] == want
+        assert [bits(fiber) for fiber in sm._fiber_table(f, targets).fibers()] == want
 
     @pytest.mark.parametrize("depth", range(9))
     def test_truncated_eigenfunction_is_the_constructors_product(self, grand_orbit, depth):
@@ -1208,7 +1208,9 @@ class TestProductStacks:
                 f = row_product(stack, rows[k])
                 if all(1e-3 < abs(a) < 0.99 for a, _ in f.zeros) and f.degree > 1:
                     targets[k] = sm.evaluate(f, sm.critical_points(f)[0][0])
-            fibers = sm._product_fibers(stack, rows, np.array(targets, dtype=complex)).fibers()
+            which = np.zeros(len(rows), dtype=np.intp)
+            fibers = sm._product_fibers([stack], which, rows,
+                                        np.array(targets, dtype=complex)).fibers()
             assert [outcome(fiber) for fiber in fibers] == \
                 [lone_outcome(row_product(stack, r), w)
                  for r, w in zip(rows.tolist(), targets)]
@@ -1223,13 +1225,54 @@ class TestProductStacks:
         for tol in (sm.PREIMAGE_RESIDUAL_TOL, 3e-16):
             # the tighter tolerance fails some fibers of every degree
             monkeypatch.setattr(sm, "PREIMAGE_RESIDUAL_TOL", tol)
-            fibers = sm._stacked_fibers(stacks, which, row,
+            fibers = sm._product_fibers(stacks, which, row,
                                         np.array(targets, dtype=complex)).fibers()
             want = [lone_outcome(sm.FiniteBlaschkeProduct(*p), w)
                     for p, w in zip(products, targets)]
             assert [outcome(fiber) for fiber in fibers] == want
         failed = {len(p[1]) for p, w in zip(products, want) if w[0] == "RootFindingError"}
         assert failed == {1, 2, 3, 4}
+
+    def test_one_call_is_one_call_per_stack(self, monkeypatch):
+        # stacks of degree 1, 3 and 4 with their targets interleaved: the
+        # degree-3 stack's batch goes through the lanes, the others fiber by
+        # fiber; two targets are 0, and _fiber refuses one degree-1 row
+        rng = np.random.default_rng(37)
+        special = special_stacks(rng)
+        stacks = [special[0], special[4], special[8]]
+        which = rng.permutation(np.repeat(np.arange(3, dtype=np.intp), [8, 30, 6]))
+        rows = rng.integers(0, 40, len(which))
+        targets = np.array([random_disk_point(rng, 0.9) for _ in which])
+        targets[np.flatnonzero(which == 1)[3]] = targets[np.flatnonzero(which == 2)[0]] = 0.0
+        refused = np.flatnonzero(which == 0)[2]
+        fiber = sm._fiber
+
+        def refuse(f, w, poly, roots):
+            if w == targets[refused]:
+                raise sm.RootFindingError("refused", 1.0)
+            return fiber(f, w, poly, roots)
+
+        monkeypatch.setattr(sm, "_fiber", refuse)
+        assert (np.count_nonzero(targets[which == 1]) >= sm._LANE_MIN_TARGETS
+                > np.count_nonzero(targets[which == 0]))
+        table = sm._product_fibers(stacks, which, rows, targets)
+        owner, points, mults, errors = [], [], [], {}
+        for s, stack in enumerate(stacks):
+            sel = np.flatnonzero(which == s)
+            part = sm._product_fibers([stack], np.zeros(len(sel), dtype=np.intp), rows[sel],
+                                      targets[sel])
+            owner.append(sel[part.owner])
+            points.append(part.points)
+            mults.append(part.mults)
+            errors.update((int(sel[k]), e) for k, e in part.errors.items())
+        order = np.argsort(np.concatenate(owner), kind="stable")
+        for got, want in ((table.owner, owner), (table.points, points), (table.mults, mults)):
+            want = np.concatenate(want)[order]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert table.size == len(targets)
+        assert refused in errors
+        assert {k: outcome(e) for k, e in table.errors.items()} == \
+            {k: outcome(e) for k, e in errors.items()}
 
     def test_composite_fibers_are_preimages(self, monkeypatch):
         rng = np.random.default_rng(36)
@@ -1361,7 +1404,7 @@ def outcome_of(fn, f):
 
 class TestCompositeCriticalPoints:
     """A composite's later-stage critical points are pulled back through the
-    prefix in one _fibers call per stage; the result, or the error, is that
+    prefix in one _fiber_table call per stage; the result, or the error, is that
     of one preimages call per point, bit for bit."""
 
     # (stage degrees, index of the stage with a double zero); the last
