@@ -189,9 +189,15 @@ def _orbit_rows(points):
         prev = z
 
 
+# orbit.csv holds at most this many steps, 100,001 rows
+_ORBIT_MAX_STEPS = 100000
+
+
 def _run_orbit(cfg: ExperimentConfig):
+    if cfg.n_max > _ORBIT_MAX_STEPS:
+        raise ValueError(f"orbit takes n_max up to {_ORBIT_MAX_STEPS}, got {cfg.n_max}")
     f = cfg.resolve_map()
-    points = np.empty(min(cfg.n_max, 100000) + 1, dtype=complex)
+    points = np.empty(cfg.n_max + 1, dtype=complex)
     z, prev, count = 0.0 + 0.0j, None, 0
     # a numerically stationary orbit ends the table
     while count < len(points) and z != prev:

@@ -193,31 +193,50 @@ def _boundary_class(f, purpose: str) -> MapClass:
 
 
 # the boundary orbit loop walks chunks of this many pairs, doubling up to
-# _CHUNK_MAX: an orbit that freezes early walks at most one chunk too far
+# _CHUNK_MAX: an orbit that freezes early walks at most one chunk too far,
+# and a long one is settled 4,096 pairs to a _settle call
 _CHUNK_MIN = 64
-_CHUNK_MAX = 2048
+_CHUNK_MAX = 4096
+
+# real and imaginary parts at most this large in magnitude give |w| <= 1e250
+# (about 0.71e250) with no overflow; 1e250 / 2 is exact
+_SCREEN_PART = 1e250 / 2
 
 
 def _settle(u, v, start, prev, run):
-    """Distances and freeze tests of the pairs (u[k], v[k]), complex arrays,
-    at steps start + k, following the value prev and a stagnation run of
-    length run: returns (rho, stagnation run at each pair, first frozen k or
-    None).  Each test is the per-step loop's in lanes that round like its
-    Python complex arithmetic, and raises that loop's error at the first
-    pair that leaves the half-plane or whose abs overflows, unless an
-    earlier pair freezes."""
+    """Distances and freeze tests of the pairs (u[k], v[k]), contiguous
+    complex arrays, at steps start + k, following the value prev and a
+    stagnation run of length run: returns (rho, stagnation run at the last
+    pair, first frozen k or None).  Each test is the per-step loop's in lanes
+    that round like its Python complex arithmetic, and raises that loop's
+    error at the first pair that leaves the half-plane or whose abs
+    overflows, unless an earlier pair freezes.
+
+    Most chunks end nothing, and a few reductions show it: every real part
+    above 0, every part within _SCREEN_PART, rho >= 1e-300, and no value
+    within 5e-16 rho of the one before (at any step, so stricter than the
+    stagnation rule).  A NaN part or value fails them.  Such a chunk has no
+    stagnant pair, so its run is 0; any other chunk goes through the lane
+    tests below, the one definition of the freeze rules."""
     ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
     with np.errstate(all="ignore"):
-        # geometry.in_halfplane of each point: a NaN part is outside too
-        outside = ~(ur > 0.0) | ~(vr > 0.0) | np.isnan(ui) | np.isnan(vi)
         # rho = |(v - u) / (v + conj u)|, whose denominator is 0 only
-        # outside the half-plane; Python's abs gives one NaN, sign bit clear
+        # outside the half-plane
         dr, di = vr + ur, vi - ui
         rho = np.hypot(*lanes.quot(vr - ur, vi - ui, dr, di))
+        near = np.abs(np.diff(rho, prepend=prev)) <= 5e-16 * rho
+        if (ur.min() > 0.0 and vr.min() > 0.0
+                and np.abs(u.view(np.float64)).max() <= _SCREEN_PART
+                and np.abs(v.view(np.float64)).max() <= _SCREEN_PART
+                and rho.min() >= 1e-300 and not near.any()):
+            return rho, 0, None
+        # geometry.in_halfplane of each point: a NaN part is outside too
+        outside = ~(ur > 0.0) | ~(vr > 0.0) | np.isnan(ui) | np.isnan(vi)
+        # Python's abs gives one NaN, sign bit clear
         rho[np.isnan(rho)] = np.nan
         idx = np.arange(len(rho))
         checked = idx + start > 8
-        steady = checked & (rho > 0) & (np.abs(rho - np.append(prev, rho[:-1])) <= 5e-16 * rho)
+        steady = checked & (rho > 0) & near
         run_at = idx - np.maximum.accumulate(np.where(steady, -1 - run, idx))
         hu, hv = np.hypot(ur, ui), np.hypot(vr, vi)
         frozen = checked & ((run_at >= 8) | (hu > 1e250) | (hv > 1e250) | (rho < 1e-300))
@@ -229,13 +248,13 @@ def _settle(u, v, start, prev, run):
         overflow = checked & (run_at < 8) & (ou | ((hu <= 1e250) & ov))
     ends = np.flatnonzero(outside | frozen)
     if not ends.size:
-        return rho, run_at, None
+        return rho, int(run_at[-1]), None
     k = int(ends[0])
     if outside[k]:
         raise ValueError("half-plane points need positive real part")
     if overflow[k]:
         raise OverflowError("absolute value too large")
-    return rho, run_at, k
+    return rho, int(run_at[-1]), k
 
 
 def _orbit_rho_sequence(hp: HalfPlaneConjugate, points, n_max):
@@ -251,9 +270,11 @@ def _orbit_rho_sequence(hp: HalfPlaneConjugate, points, n_max):
 
     The orbits are walked a chunk at a time by hp.walk, the transport
     kernel's orbit loop, and each chunk's pairs are settled in lanes
-    (_settle).  Values, frozen_at, last_w and errors are those of the loop
-    that measures each pair before it applies hp.apply once more; a step
-    that raises past the freeze is never seen.
+    (_settle): a few reductions pass a chunk that nothing in it can end,
+    and the lane tests take any other.  Values, frozen_at, last_w and
+    errors are those of the loop that measures each pair before it applies
+    hp.apply once more, whatever the chunk sizes; a step that raises past
+    the freeze is never seen.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -279,7 +300,7 @@ def _orbit_rho_sequence(hp: HalfPlaneConjugate, points, n_max):
         settle = min(count, walked + 1)
         w = [np.array(orbit, dtype=complex) for orbit in orbits]
         u, v = (w[0][:-1], w[0][1:]) if consec else w
-        rho, run_at, frozen = _settle(u[:settle], v[:settle], start, prev, run)
+        rho, run, frozen = _settle(u[:settle], v[:settle], start, prev, run)
         vals[start:start + settle] = rho
         if frozen is not None:
             vals[start + frozen:] = rho[frozen]
@@ -289,7 +310,7 @@ def _orbit_rho_sequence(hp: HalfPlaneConjugate, points, n_max):
         start += settle
         if start > n_max:
             return vals, None, orbits[0][settle]
-        prev, run = rho[-1], int(run_at[-1])
+        prev = rho[-1]
         # keep only the next chunk's first pair
         for orbit in orbits:
             del orbit[:settle]

@@ -715,6 +715,15 @@ class TestOrbitTable:
         assert (out / "step_sequence.csv").read_bytes() == reference_csv(
             ("n", "rho"), enumerate(rep.sequence.tolist()))
 
+    def test_a_longer_table_is_refused(self, tmp_path, capsys):
+        # not cut to 100,000 steps under a config that says more
+        out = tmp_path / "o"
+        assert cli.main(["orbit", "--preset", "example62", "--n-max", "100001",
+                         "--out-dir", str(out)]) == 2
+        assert not (out / "orbit.csv").exists()
+        assert "up to 100000, got 100001" in capsys.readouterr().err
+        assert read_summary(out)["result"]["error_class"] == "validation"
+
     def test_rows_are_streamed(self, tmp_path):
         out = str(tmp_path / "o")
         cli.main(["orbit", "--preset", "example62", "--n-max", "10", "--out-dir", out])
@@ -728,6 +737,9 @@ class TestOrbitTable:
         # 100,001 points in one complex array (1.6 MB) and a 4,096-point
         # chunk of rows; the table held as tuples peaked at 21.9 MB
         assert peak < 4e6
+        # the longest table orbit takes: a header and 100,001 rows
+        assert (tmp_path / "o" / "orbit.csv").read_bytes().count(b"\n") == 1 + 100001
+        assert read_summary(tmp_path / "o")["result"]["steps"] == 100000
 
 
 class TestPaperSuiteExit:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from diskdyn import abel
 from diskdyn import dynamics as dyn
 from diskdyn import presets
 from diskdyn import selfmap as sm
@@ -336,6 +337,15 @@ def chunk_ends(count):
     return ends
 
 
+def first_full_chunk():
+    """(start, end): the pair totals between which the first chunk of
+    _CHUNK_MAX pairs is settled."""
+    ends = chunk_ends(2)
+    while ends[-1] - ends[-2] < dyn._CHUNK_MAX:
+        ends = chunk_ends(len(ends) + 1)
+    return ends[-2], ends[-1]
+
+
 def _past_stagnation(w):
     """Two orbits, counting steps in their imaginary parts: v_n = 1 +
     (n + 1/2) i, and u_n = 1e-300 (1 + n i), until both jump at n = 16 to
@@ -343,6 +353,31 @@ def _past_stagnation(w):
     if w.real == 1.0 and w.imag >= 0.5:
         return complex(1.0, w.imag + 1.0) if w.imag < 15.0 else complex(1.0, 1.5e308)
     return complex(1e-300, w.imag + 1e-300) if w.imag < 14.5e-300 else complex(1.5e308, 1.5e308)
+
+
+def _brief_merge(k):
+    """A step w -> w + 1 from Re w = 1 under which the pair (u, v) at
+    Re u = k has rho < 1e-300 for one step: the orbit stalls at k, moving
+    to k + 1e-300 i, and a second orbit's imaginary part shrinks by 1e-301
+    the step before k and grows back by 1e301 from k."""
+    scale = {k - 1.0: 1e-301, k: 1e301}
+    return lambda w: complex(k, 1e-300) if w == k else complex(
+        w.real + 1.0, w.imag * scale.get(w.real, 1.0))
+
+
+def _jump_to_huge(huge):
+    """A step w -> w + 1 from Re w = 1 under which a point at Re w = 11
+    jumps to 8e249 (1 + i) if huge(w) accepts it, a point whose parts are
+    within 1e250 and |w| is not, else to 4e249 (1 + i), and then goes down
+    by 1e246 (1 + i) a step."""
+    def step(w):
+        if w.real >= 1e249:
+            return w - complex(1e246, 1e246)
+        if w.real >= 10.5:
+            return complex(8e249, 8e249) if huge(w) else complex(4e249, 4e249)
+        return w + 1.0
+
+    return step
 
 
 _ROTATED_STAGE = sm.FiniteBlaschkeProduct(cmath.exp(-3j), ((-cmath.exp(1j) / 3.0, 2),))
@@ -443,7 +478,18 @@ class TestOrbitLoop:
     # with Re w = 0 and |w| > 1e250 leaves the half-plane (v at n = 9, u at
     # n = 10 in merging) before it can freeze; a point with a NaN part from
     # the fourth step on is not in the half-plane either (n = 3, and n = 4
-    # in merging)
+    # in merging); a point with parts of at most 0.8e250 and |w| > 1e250
+    # freezes while the other point has |w| < 1e250: v at n = 10, and in
+    # merging u at n = 11 (huge-modulus) or v at n = 11 (huge-modulus-v,
+    # whose consecutive steps run to n_max); so does rho < 1e-300 from an
+    # orbit that does not stay merged (n = 11); and a point with Re w < 0
+    # leaves the half-plane though its rho is unremarkable while the other
+    # orbit stays in: v at n = 3, and in merging u at n = 4 (overshoot) or
+    # v at n = 3 (overshoot-v, whose consecutive steps run to n_max); and
+    # three fail _settle's screen in their first chunk but end nothing in
+    # either mode: parts above _SCREEN_PART with |w| <= 1e250 at every step
+    # (big-part), rho < 1e-300 at n = 2 (tiny-rho-early), and rho steady
+    # from n = 1 (steady-early: w -> 2 w up to Re w = 8)
     STUBS = {
         "huge-v": lambda: _StubConjugate(1.0, lambda w: 1e20 * w),
         "huge-u": lambda: _StubConjugate(1.0, lambda w: 1e30 * w if w.imag == 0 else w),
@@ -460,6 +506,14 @@ class TestOrbitLoop:
             1.0, lambda w: w + 1.0 if w.real < 4.0 else complex(math.nan, 0.0)),
         "nan-imag": lambda: _StubConjugate(
             1.0, lambda w: w + 1.0 if w.real < 4.0 else complex(w.real + 1.0, math.nan)),
+        "huge-modulus": lambda: _StubConjugate(1.0, _jump_to_huge(lambda w: not w.imag)),
+        "huge-modulus-v": lambda: _StubConjugate(1.0, _jump_to_huge(lambda w: w.imag)),
+        "tiny-rho-late": lambda: _StubConjugate(1.0, _brief_merge(12.0)),
+        "overshoot": lambda: _StubConjugate(3.25, lambda w: w + 1.0 if w.imag else w - 1.0),
+        "overshoot-v": lambda: _StubConjugate(3.25, lambda w: w - 1.5 if w.imag else w + 1.0),
+        "big-part": lambda: _StubConjugate(6e249, lambda w: complex(w.real, 1.001 * w.imag + 1.0)),
+        "tiny-rho-early": lambda: _StubConjugate(1.0, _brief_merge(3.0)),
+        "steady-early": lambda: _StubConjugate(1.0, lambda w: 2.0 * w if w.real < 8.0 else w + 1.0),
     }
 
     @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
@@ -479,10 +533,23 @@ class TestOrbitLoop:
         assert stop("overflow", [0.0]) == "absolute value too large"
         assert stop("overflow-past-huge-u", [0.0]) == 9
         assert stop("overflow-past-stagnation", [0.0, 0.5j]) == 16
+        assert stop("huge-modulus", [0.0]) == 10
+        assert stop("huge-modulus", [0.0, 0.5j]) == stop("huge-modulus-v", [0.0, 0.5j]) == 11
+        assert stop("huge-modulus-v", [0.0]) is None
+        assert stop("tiny-rho-late", [0.0]) == stop("tiny-rho-late", [0.0, 0.5j]) == 11
         for points in ([0.0], [0.0, 0.5j]):
             assert stop("huge-on-the-axis", points) == "half-plane points need positive real part"
             assert stop("nan", points) == "half-plane points need positive real part"
             assert stop("nan-imag", points) == "half-plane points need positive real part"
+            assert stop("overshoot", points) == "half-plane points need positive real part"
+            for stub in ("big-part", "tiny-rho-early", "steady-early"):
+                assert stop(stub, points) is None
+            assert per_step_rho_sequence(self.STUBS["tiny-rho-early"](), points, 9)[0][2] < 1e-300
+            vals = per_step_rho_sequence(self.STUBS["steady-early"](), points, 9)[0]
+            assert vals[2] == vals[1]
+        assert stop("overshoot-v", [0.0]) is None
+        assert stop("overshoot-v", [0.0, 0.5j]) == "half-plane points need positive real part"
+        assert self.STUBS["big-part"]().to_halfplane(0.0).real > dyn._SCREEN_PART
 
     @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
     def test_a_nan_imaginary_part_leaves_the_half_plane(self, points):
@@ -490,27 +557,35 @@ class TestOrbitLoop:
             dyn._orbit_rho_sequence(self.STUBS["nan-imag"](), points, 1000)
 
     @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
-    @pytest.mark.parametrize("chunk", [0, 1])
+    @pytest.mark.parametrize("chunk", [0, 1, 2, 3])
     def test_stagnation_runs_across_chunk_ends(self, chunk, points):
-        # w + 1 up to Re w >= t, then 2 w: rho turns constant near the step
-        # t, so the run of 8 stagnant values ends in every place around the
-        # chunk end
-        end = chunk_ends(2)[chunk]
+        # w + 1 up to Re w >= t, then 2 w for 9 steps and w + 1 again: rho
+        # is constant for exactly the run of 8 stagnant values, which ends
+        # in every place around the end of the first two chunks and both
+        # ends of the first full-size one, with no stagnant value after it
+        end = [*chunk_ends(2), *first_full_chunk()][chunk]
+        n_max = first_full_chunk()[1] + 100
         for t in range(end - 14, end + 2):
-            hp = _StubConjugate(1.0, lambda w, t=t: w + 1.0 if w.real < t else 2.0 * w)
-            want = outcome(per_step_rho_sequence, hp, points, 1000)
+            hp = _StubConjugate(
+                1.0, lambda w, t=t: 2.0 * w if t <= w.real < t * 2.0 ** 9 else w + 1.0)
+            want = outcome(per_step_rho_sequence, hp, points, n_max)
             assert end - 8 <= want[1] <= end + 9
-            assert outcome(dyn._orbit_rho_sequence, hp, points, 1000) == want, t
+            assert outcome(dyn._orbit_rho_sequence, hp, points, n_max) == want, t
 
     @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
-    @pytest.mark.parametrize("pair", [0, 1, 32, 63, 64, 128, 191, 192, 448])
+    @pytest.mark.parametrize("pair", [0, 1, 32, 63, 64, 128, 191, 192, 448] + [
+        # the first full-size chunk's first, second, middle and last pairs,
+        # and the next chunk's first
+        start + d for start, end in [first_full_chunk()]
+        for d in (0, 1, (end - start) // 2, end - start - 1, end - start)])
     def test_leaving_the_half_plane_at_a_chunk_position(self, pair, points):
         # Re w_n = pair + 1 - n (merging: pair - n) reaches 0 in the pair
         # `pair` and stays there
         hp = _StubConjugate(pair + 2.0 - len(points), lambda w: w - 1.0 if w.real > 0 else w)
-        want = outcome(per_step_rho_sequence, hp, points, 1000)
+        n_max = first_full_chunk()[1] + 100
+        want = outcome(per_step_rho_sequence, hp, points, n_max)
         assert want == (ValueError, "half-plane points need positive real part")
-        assert outcome(dyn._orbit_rho_sequence, hp, points, 1000) == want
+        assert outcome(dyn._orbit_rho_sequence, hp, points, n_max) == want
 
     @pytest.mark.parametrize("points", [[0.0], [0.0, 0.5j]])
     @pytest.mark.parametrize("k", [0, 1, 8, 15, 16, 17, 18, 40, 63, 64, 65, 100])
@@ -540,6 +615,61 @@ class TestOrbitLoop:
             dyn.hyperbolic_step(f, 0.0, n_max)
         with pytest.raises(ValueError, match="n_max"):
             dyn.orbit_merging(f, 0.0, 0.5j, n_max)
+
+
+def chunked_outcomes(f, n_max):
+    """The bits, or the type and message of the error, of every entry that
+    walks orbits in chunks, on the map f up to step n_max."""
+    def attempt(call):
+        try:
+            return call()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    def bits(x):
+        return np.asarray(x, dtype=complex).view(np.int64).tolist()
+
+    def step():
+        rep = dyn.hyperbolic_step(f, 0.0, n_max)
+        return bits(rep.sequence), rep.frozen_at, bits(rep.approach_angle)
+
+    cached, fresh = abel.HalfPlaneMap(f), abel.HalfPlaneMap(f)
+    return [
+        attempt(step),
+        attempt(lambda: bits(dyn.orbit_merging(f, 0.0, 0.5j, n_max))),
+        # the cached orbit, walked to the chunk past 1e100 and then on
+        attempt(lambda: cached.max_feasible_index(n_max)),
+        attempt(lambda: bits(cached.orbit_point(n_max // 3))),
+        attempt(lambda: bits(cached.orbit_point(n_max))),
+        attempt(lambda: bits(fresh.orbit_point(n_max))),
+        attempt(lambda: bits(fresh.iterate(1.0 + 0.5j, n_max))),
+    ]
+
+
+class TestChunkSchedule:
+    """The chunk sizes of the orbit walks are a schedule, not a parameter:
+    chunks of 64 pairs or points throughout, and chunks doubling to the
+    ceiling, give the same bits and the same errors."""
+
+    MAPS = {
+        "example62": presets.example62,
+        # freezes at n = 32, passes 1e100 at index 332 and 1e280 at 931
+        "example61-0.6": lambda: presets.example61(0.6),
+        "translation": presets.translation,
+        "composite": lambda: sm.CompositeMap((_ROTATED_STAGE, _ROTATED_STAGE)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_same_outcomes_for_every_ceiling(self, name, monkeypatch):
+        got = {}
+        for ceiling in (dyn._CHUNK_MIN, 4096):
+            monkeypatch.setattr(dyn, "_CHUNK_MAX", ceiling)
+            monkeypatch.setattr(abel, "_CHUNK_MAX", ceiling)
+            got[ceiling] = chunked_outcomes(self.MAPS[name](), 9000)
+        assert got[dyn._CHUNK_MIN] == got[4096]
+        if name == "example61-0.6":
+            assert got[4096][2] == 332
+            assert got[4096][4][0] is ArithmeticError
 
 
 class TestRotationInvariance:
